@@ -8,8 +8,9 @@ __version__ = "0.1.0"
 from .geometry import Box, CubeWindow, DyadicCube, cube_box
 from .weights import (ConjugatedBlockWeight, ConstantWeight, GridSampledWeight,
                       MatrixWeight, PowerLogWeight, ProductPowerWeight,
-                      ap_constant, analytic_ball_average, cube_average_matrix_norm,
-                      dual_weight, identity_weight, two_singularity)
+                      ap_constant, analytic_ball_average, cube_average,
+                      cube_average_matrix_norm, dual_weight, identity_weight,
+                      two_singularity)
 from .reducing import (CubeNorm, ReducingFamily, build_family, cube_norm,
                        dual_reduce, identity_family, integrability_probe,
                        reduce_operator, verify_reducing)

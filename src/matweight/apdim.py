@@ -15,8 +15,8 @@ import numpy as np
 from . import linalg
 from .errors import IntegrabilityError
 from .geometry import CubeWindow, DyadicCube, cube_box, double
-from .quad import QuadSpec, average_box, box_nodes
-from .weights import dual_weight
+from .quad import QuadSpec, box_nodes
+from .weights import _ap_kernel, _graded_mesh, cube_average, dual_weight
 
 
 @dataclass
@@ -131,22 +131,14 @@ def _filter_base_cubes(cubes, i_max, domain):
 
 
 def _scalar_avg(weight, box, power, qspec):
-    from .weights import _on_closure
-
-    for s in weight.singular_points:
-        if _on_closure(box, s):
-            if weight.norm_exponent(s, power) <= -weight.n:
-                raise IntegrabilityError(
-                    f"w^{power} not integrable at {np.asarray(s)}")
-    res = average_box(lambda X: weight.scalar_profile(X) ** power, box, qspec,
-                      weight.singular_points, name="cross average")
-    return float(res.value)
+    """avg over the box of w^power for a scalar weight w I."""
+    return float(cube_average(weight, box, power, 1.0, lambda mats: mats[:, 0, 0].real,
+                              qspec, name="cross average").value)
 
 
 def _cross_quantity_scalar(weight, p, box_small, box_big, swapped, config, cache):
     """The two-cube A_p quantity for scalar-kind weights."""
     qspec = QuadSpec(base_depth=config.base_depth, grade_depth=config.grade_depth)
-    key_s = ("avg", box_small.lo, box_small.hi, 1.0)
     if p <= 1.0:
         sup_box, avg_box_ = (box_small, box_big) if swapped else (box_big, box_small)
         avg = cache.get(("avg", avg_box_.lo, avg_box_.hi))
@@ -170,29 +162,6 @@ def _cross_quantity_scalar(weight, p, box_small, box_big, swapped, config, cache
     return a1 * a2 ** (p - 1.0)
 
 
-def _cross_quantity_matrix(weight, p, box_small, box_big, swapped, config):
-    sing = weight.singular_points
-    Xs, vx = box_nodes(box_small, config.base_depth, config.grade_depth // 2, 0, sing)
-    wx = vx / vx.sum()
-    Ys, vy = box_nodes(box_big, config.base_depth, config.grade_depth // 2, 0, sing)
-    wy = vy / vy.sum()
-    A = weight.power_at(Xs, 1.0 / p)
-    B = weight.power_at(Ys, -1.0 / p)
-    prod = np.einsum("xij,yjk->xyik", A, B)
-    if p <= 1.0:
-        F = linalg.op_norm(prod) ** p  # (Nx, Ny)
-        if swapped:
-            return float(np.max(wy @ F.T))  # sup over x in small, avg over big
-        return float(np.max(wx @ F))
-    pprime = p / (p - 1.0)
-    F = linalg.op_norm(prod) ** pprime
-    if swapped:
-        inner = F.T @ wx  # for y in big: avg over small cube
-        return float(wy @ inner ** (p / pprime))
-    inner = F @ wy
-    return float(wx @ inner ** (p / pprime))
-
-
 def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=False):
     """Windowed a_i, i = 0..i_max: sup over base cubes of the two-cube quantity.
 
@@ -208,6 +177,7 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
     cubes, i_eff = _filter_base_cubes(base_cubes, i_max, domain)
     vals = np.zeros(i_eff + 1)
     cache = {}
+    sing, gd = weight.singular_points, config.grade_depth // 2
     for Q in cubes:
         box_small = Q.box()
         for i in range(i_eff + 1):
@@ -216,8 +186,9 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
                 q = _cross_quantity_scalar(weight, p, box_small, box_big, swapped,
                                            config, cache)
             else:
-                q = _cross_quantity_matrix(weight, p, box_small, box_big, swapped,
-                                           config)
+                X, wx = _graded_mesh(box_small, config.base_depth, gd, 0, sing)
+                Y, wy = _graded_mesh(box_big, config.base_depth, gd, 0, sing)
+                q = _ap_kernel(weight, p, X, wx, Y, wy, swapped=swapped)
             vals[i] = max(vals[i], q)
     return vals, i_eff, cubes
 
@@ -372,27 +343,6 @@ def doubling_exponent(weight, p, window, K=16, qspec=None):
     return best
 
 
-def _norm_power_average(weight, p, box, M, power, qspec=None):
-    """avg over the box of ||W^(1/p)(x) M||^power; raises on divergence."""
-    from .weights import _on_closure
-
-    for s in weight.singular_points:
-        if _on_closure(box, s):
-            if power * weight.norm_exponent(s, 1.0 / p) <= -weight.n:
-                raise IntegrabilityError("non-integrable reverse-Holder integrand")
-    if weight.is_scalar():
-        nM = float(linalg.op_norm(M))
-        res = average_box(lambda X: weight.scalar_profile(X) ** (power / p), box,
-                          qspec, weight.singular_points, name="rh average")
-        return float(res.value) * nM ** power, res.converged
-
-    def fn(X):
-        return linalg.op_norm(weight.power_at(X, 1.0 / p) @ M) ** power
-
-    res = average_box(fn, box, qspec, weight.singular_points, name="rh average")
-    return float(res.value), res.converged
-
-
 def reverse_holder_probe(weight, p, window, r_grid, ratio_cap=8.0, qspec=None):
     """Largest r with sup_Q (avg ||W^(1/p) M||^(pr))^(1/r) / avg ||W^(1/p) M||^p
     finite, stable, and below the cap; M runs over the identity and the
@@ -410,23 +360,26 @@ def reverse_holder_probe(weight, p, window, r_grid, ratio_cap=8.0, qspec=None):
             M = np.zeros((m, m), dtype=complex)
             M[i, i] = 1.0
             mats.append(M)
+
+    def average(Q, M, s):
+        """avg over Q of ||W^(1/p)(x) M||^s."""
+        return cube_average(weight, Q, 1.0 / p, s, lambda Ws: linalg.op_norm(Ws @ M) ** s,
+                            qspec, name="rh average")
+
     table = {}
     for r in r_grid:
         worst = 0.0
         ok = True
         for Q in window.cubes():
-            box = Q.box()
             for M in mats:
                 try:
-                    base, ok1 = _norm_power_average(weight, p, box, M, p, qspec)
-                    high, ok2 = _norm_power_average(weight, p, box, M, p * r, qspec)
+                    base, high = average(Q, M, p), average(Q, M, p * r)
+                    ok = base.converged and high.converged
                 except IntegrabilityError:
                     ok = False
+                if not ok:
                     break
-                if not (ok1 and ok2):
-                    ok = False
-                    break
-                worst = max(worst, high ** (1.0 / r) / base)
+                worst = max(worst, float(high.value) ** (1.0 / r) / float(base.value))
             if not ok:
                 break
         table[float(r)] = worst if ok else float("nan")

@@ -21,7 +21,7 @@ from . import apdim, verify
 from .container import save_family_json, save_filters_json
 from .errors import ConfigError, MatweightError
 from .geometry import CubeWindow, cube_box
-from .reducing import build_family, identity_family
+from .reducing import build_family
 from .spaces import CoefficientField, SpaceParams, classify, seq_norm
 from .transform import build_filters, function_norm, random_band_limited
 from .weights import PowerLogWeight, identity_weight, weight_from_descriptor
@@ -204,8 +204,7 @@ def cmd_norms(cfg, out_dir):
     window = _window_from_config(cfg, weight.n, (2, 6))
     rng = np.random.default_rng(cfg["seed"])
     draws = int(cfg.get("draws", 20))
-    fam = (identity_family(window, weight.m) if weight.descriptor()["kind"] == "constant"
-           else build_family(weight, params.p, window, method="auto", K=64))
+    fam = build_family(weight, params.p, window, method="auto", K=64)
     seq_vals, fun_vals = [], []
     for _ in range(draws):
         t = CoefficientField.random(window, weight.m, rng)
@@ -239,23 +238,12 @@ def cmd_norms(cfg, out_dir):
     return 0
 
 
-def cmd_verify(cfg, out_dir, threads=1):
+def cmd_verify(cfg, out_dir):
     tier = cfg.get("tier", "all")
     names = cfg.get("criteria")
     ctx = verify.Context(cfg["seed"])
-    selected = [(name, t_fn) for name, t_fn in verify.CRITERIA.items()
-                if (names is None or name in names) and (tier == "all" or t_fn[0] == tier)]
-    results = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(verify.run_criterion, name, ctx)
-                       for name, _ in selected]
-            results = [f.result() for f in futures]
-    else:
-        for name, _ in selected:
-            results.append(verify.run_criterion(name, ctx))
+    results = [verify.run_criterion(name, ctx) for name, (t, _) in verify.CRITERIA.items()
+               if (names is None or name in names) and (tier == "all" or t == tier)]
     all_pass = all(r.passed for r in results)
     report = {
         "config": cfg,
@@ -350,7 +338,6 @@ def main(argv=None):
     parser.add_argument("--out", default="out")
     parser.add_argument("--tier", choices=["exact", "paper", "ratio", "all"],
                         default=None)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config, args.subcommand)
@@ -367,7 +354,7 @@ def main(argv=None):
         if args.subcommand == "norms":
             return cmd_norms(cfg, args.out)
         if args.subcommand == "verify":
-            return cmd_verify(cfg, args.out, args.threads)
+            return cmd_verify(cfg, args.out)
         if args.subcommand == "filters":
             return cmd_filters(cfg, args.out)
         if args.subcommand == "reduce":

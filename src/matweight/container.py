@@ -158,8 +158,7 @@ def load_family_json(path):
         brackets[j] = (np.ones(counts), np.ones(counts))
     for key, entry in payload["cubes"].items():
         Q = _parse_cube_key(key)
-        k_lo, _ = window._level_index_ranges(Q.j)
-        idx = tuple(int(ki - lo) for ki, lo in zip(Q.k, k_lo))
+        idx = window.index(Q)
         mats[Q.j][idx] = np.array([[complex(re, im) for re, im in row]
                                    for row in entry["matrix"]])
         brackets[Q.j][0][idx], brackets[Q.j][1][idx] = entry["bracket"]

@@ -93,18 +93,15 @@ def constant_field(box, level, value=1.0):
     return GridFunction(box, level, np.full(grid_shape(box, level), value, dtype=float))
 
 
-def block_reduce_mean(values, n, factor):
-    """Mean over factor^n blocks of the trailing n axes."""
-    if factor == 1:
-        return values
+def block_reduce(values, n, factor, ufunc=np.add):
+    """Reduce factor^n blocks of the trailing n axes with a ufunc (np.add sums,
+    np.maximum takes block maxima)."""
     lead = values.shape[: values.ndim - n]
-    shp = values.shape[values.ndim - n:]
     new = []
-    for s in shp:
+    for s in values.shape[values.ndim - n:]:
         new.extend([s // factor, factor])
-    resh = values.reshape(lead + tuple(new))
     axes = tuple(values.ndim - n + 1 + 2 * i for i in range(n))
-    return resh.mean(axis=axes)
+    return ufunc.reduce(values.reshape(lead + tuple(new)), axis=axes)
 
 
 def expectation_field(f, j):
@@ -112,8 +109,7 @@ def expectation_field(f, j):
     if j > f.level:
         raise ResolutionError(f"level {j} finer than grid level {f.level}")
     factor = 2 ** (f.level - j)
-    means = block_reduce_mean(f.values, f.n, factor)
-    expanded = means
+    expanded = block_reduce(f.values, f.n, factor) / factor ** f.n
     for ax in range(-f.n, 0):
         expanded = np.repeat(expanded, factor, axis=ax)
     return f.copy_with(expanded)

@@ -186,6 +186,11 @@ class CubeWindow:
             raise ResolutionError(f"level {j} cubes are larger than the base box")
         return k_lo_r.astype(int), k_hi_r.astype(int)
 
+    def index(self, Q):
+        """Array index of the cube Q within its level slice."""
+        k_lo, _ = self._level_index_ranges(Q.j)
+        return tuple(int(ki - lo) for ki, lo in zip(Q.k, k_lo))
+
     def counts_at_level(self, j):
         k_lo, k_hi = self._level_index_ranges(j)
         return k_hi - k_lo

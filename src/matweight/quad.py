@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrabilityError
+from .errors import IntegrabilityError, ResolutionError
 from .geometry import Box
 
 
@@ -177,6 +177,9 @@ def _refine_loop(node_fn, fn, spec, name):
         mids, vols = out[0], out[1]
         n_tail = out[2] if len(out) > 2 else 0
         if mids.shape[0] > spec.max_nodes:
+            if not history:
+                raise ResolutionError(f"{name}: the first round needs {mids.shape[0]} "
+                                      f"nodes, over the budget of {spec.max_nodes}")
             break
         nodes = mids.shape[0]
         vals = np.asarray(fn(mids))

@@ -11,14 +11,14 @@ constructed operator carries an empirical equivalence bracket.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import FitError, IntegrabilityError
-from .quad import average_box, box_nodes
-from .weights import _as_box, _precheck_integrability, dual_weight
+from .quad import QuadSpec, box_nodes
+from .weights import _as_box, cube_average, cube_average_matrix_norm, dual_weight
 
 
 # ---------------------------------------------------------------------------
@@ -83,23 +83,16 @@ class CubeNorm:
         self.p = float(p)
         self.box = _as_box(region)
         self.qspec = qspec
-        _precheck_integrability(weight, self.box, 1.0 / self.p, self.p)
 
     def bundle(self, dirs):
         """Values on a (K, m) array of directions in one quadrature pass."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=complex))
-        w = self.weight
-        if w.is_scalar():
-            res = average_box(lambda X: w.scalar_profile(X), self.box, self.qspec,
-                              w.singular_points, name="cube norm")
-            return float(res.value) ** (1.0 / self.p) * np.linalg.norm(dirs, axis=1)
 
-        def fn(X):
-            mats = w.power_at(X, 1.0 / self.p)  # (N, m, m)
-            vecs = np.einsum("nij,kj->nki", mats, dirs)
-            return np.linalg.norm(vecs, axis=2) ** self.p  # (N, K)
+        def reducer(mats):
+            return np.linalg.norm(np.einsum("nij,kj->nki", mats, dirs), axis=2) ** self.p
 
-        res = average_box(fn, self.box, self.qspec, w.singular_points, name="cube norm")
+        res = cube_average(self.weight, self.box, 1.0 / self.p, self.p, reducer,
+                           self.qspec, name="cube norm")
         return np.asarray(res.value) ** (1.0 / self.p)
 
     def __call__(self, z):
@@ -159,17 +152,6 @@ def mvee_centered(points, tol=1e-8, max_iter=10_000, fail_violation=0.05):
 N_PHASES = 8
 
 
-def _reduce_exact_p2(weight, region, qspec):
-    box = _as_box(region)
-    if weight.is_scalar():
-        res = average_box(lambda X: weight.scalar_profile(X), box, qspec,
-                          weight.singular_points, name="matrix average")
-        return np.sqrt(float(res.value)) * np.eye(weight.m, dtype=complex)
-    res = average_box(lambda X: weight.power_at(X, 1.0), box, qspec,
-                      weight.singular_points, name="matrix average")
-    return linalg.matrix_power(res.value, 0.5)
-
-
 def _reduce_mvee(weight, p, region, K, qspec):
     m = weight.m
     norm = CubeNorm(weight, p, region, qspec)
@@ -198,7 +180,9 @@ def reduce_operator(weight, p, region, method="auto", K=256, qspec=None,
     if method == "exact_p2":
         if p != 2.0:
             raise ValueError("exact_p2 construction requires p = 2")
-        A = _reduce_exact_p2(weight, region, qspec)
+        avg = cube_average(weight, region, 1.0, 1.0, lambda mats: mats, qspec,
+                           name="matrix average")
+        A = linalg.matrix_power(avg.value, 0.5)
     elif method == "mvee":
         A = _reduce_mvee(weight, p, region, K, qspec)
     else:
@@ -230,8 +214,6 @@ def verify_reducing(A, weight, p, region, K=64, qspec=None, include_matrices=Tru
     ratios = np.linalg.norm(dirs @ A.T, axis=1) / rho
     lo, hi = float(ratios.min()), float(ratios.max())
     if include_matrices and m > 1:
-        from .weights import cube_average_matrix_norm
-
         mats = [np.eye(m, dtype=complex)]
         for i in range(m):
             for k in range(m):
@@ -260,19 +242,15 @@ class ReducingFamily:
     brackets: dict   # level -> (lo array, hi array)
     m: int
 
-    def _index(self, Q):
-        k_lo, _ = self.window._level_index_ranges(Q.j)
-        return tuple(int(ki - lo) for ki, lo in zip(Q.k, k_lo))
-
     def matrix(self, Q):
-        return self.mats[Q.j][self._index(Q)]
+        return self.mats[Q.j][self.window.index(Q)]
 
     def inverse(self, Q):
-        return self.inv[Q.j][self._index(Q)]
+        return self.inv[Q.j][self.window.index(Q)]
 
     def bracket(self, Q):
         lo, hi = self.brackets[Q.j]
-        return float(lo[self._index(Q)]), float(hi[self._index(Q)])
+        return float(lo[self.window.index(Q)]), float(hi[self.window.index(Q)])
 
     def level_field(self, j):
         """A_j = sum_Q A_Q 1_Q as a (counts..., m, m) array."""
@@ -303,19 +281,19 @@ class ReducingFamily:
 _family_cache = {}
 
 
-def family_cache_key(weight, p, window, method, K):
+def family_cache_key(weight, p, window, method, K, diag_K, qspec):
     payload = json.dumps({
         "weight": weight.descriptor(), "p": p, "window": window.descriptor(),
-        "method": method, "K": K,
+        "method": method, "K": K, "diag_K": diag_K,
+        "qspec": asdict(qspec or QuadSpec()),
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def build_family(weight, p, window, method="auto", K=256, diag_K=64, qspec=None,
-                 use_cache=True):
+def build_family(weight, p, window, method="auto", K=256, diag_K=64, qspec=None):
     """Construct reducing operators for every cube of the window."""
-    key = family_cache_key(weight, p, window, method, K)
-    if use_cache and key in _family_cache:
+    key = family_cache_key(weight, p, window, method, K, diag_K, qspec)
+    if key in _family_cache:
         return _family_cache[key]
     mats, invs, brackets = {}, {}, {}
     m = weight.m
@@ -325,8 +303,7 @@ def build_family(weight, p, window, method="auto", K=256, diag_K=64, qspec=None,
         lo_arr = np.zeros(counts)
         hi_arr = np.zeros(counts)
         for Q in window.cubes_at_level(j):
-            k_lo, _ = window._level_index_ranges(j)
-            idx = tuple(int(ki - lo) for ki, lo in zip(Q.k, k_lo))
+            idx = window.index(Q)
             AQ = reduce_operator(weight, p, Q, method=method, K=K, qspec=qspec)
             lo, hi = verify_reducing(AQ, weight, p, Q, K=diag_K, qspec=qspec)
             A[idx] = AQ
@@ -335,8 +312,7 @@ def build_family(weight, p, window, method="auto", K=256, diag_K=64, qspec=None,
         invs[j] = np.linalg.inv(A)
         brackets[j] = (lo_arr, hi_arr)
     fam = ReducingFamily(window, float(p), method, mats, invs, brackets, m)
-    if use_cache:
-        _family_cache[key] = fam
+    _family_cache[key] = fam
     return fam
 
 
@@ -370,47 +346,35 @@ class ProbeTable:
     stable_r: float
 
 
-def _pow_avg(weight, A, alpha, r, box, base_depth=4, grade_depth=24):
-    """(avg over box of ||A W^alpha(x)||^r dx)^(1/r) on a fixed graded mesh."""
-    from .weights import _on_closure
-
-    for s in weight.singular_points:
-        if _on_closure(box, s):
-            if r * weight.norm_exponent(s, alpha) <= -weight.n:
-                raise IntegrabilityError("divergent probe entry")
-    vals = []
-    for bd, gd in ((base_depth, grade_depth), (base_depth + 1, grade_depth + 10)):
-        X, v = box_nodes(box, bd, gd, 1, weight.singular_points)
-        F = linalg.op_norm(np.einsum("ij,njk->nik", A, weight.power_at(X, alpha)))
-        vals.append(float((v / v.sum()) @ F ** r) ** (1.0 / r))
-    if abs(vals[1] - vals[0]) > 0.05 * abs(vals[1]):
-        raise IntegrabilityError("probe entry did not stabilize under refinement")
-    return vals[1]
-
-
 def integrability_probe(weight, p, family, window, r_grid):
     """Per-r table of sup-over-cubes averaged norms of A_Q W^(-1/p) and
-    W^(1/p) A_Q^(-1); divergent entries are marked, not fatal."""
+    W^(1/p) A_Q^(-1); divergent entries are marked, not fatal.
+
+    Entries use the 0.5% quadrature standard of the reverse-Holder probe;
+    an entry is finite iff its integrability pre-check passes and its cube
+    average converges.
+    """
+    qspec = QuadSpec(rel_tol=5e-3)
+
+    def entry(A, alpha, r, Q):
+        """(avg over Q of ||A W^alpha(x)||^r dx)^(1/r), or None if divergent."""
+        try:
+            res = cube_average(weight, Q, alpha, r,
+                               lambda mats: linalg.op_norm(A @ mats) ** r, qspec,
+                               name="probe entry")
+        except IntegrabilityError:
+            return None
+        return float(res.value) ** (1.0 / r) if res.converged else None
+
     rows = []
     cubes = window.cubes()
     for r in r_grid:
-        fwd, bwd = 0.0, 0.0
-        fwd_ok, bwd_ok = True, True
-        for Q in cubes:
-            A = family.matrix(Q)
-            Ainv = family.inverse(Q)
-            box = Q.box()
-            try:
-                fwd = max(fwd, _pow_avg(weight, A, -1.0 / p, r, box))
-            except IntegrabilityError:
-                fwd_ok = False
-            try:
-                # ||W^(1/p) A^(-1)|| = ||A^(-1) W^(1/p)|| for these Hermitian factors
-                bwd = max(bwd, _pow_avg(weight, Ainv, 1.0 / p, r, box))
-            except IntegrabilityError:
-                bwd_ok = False
-        rows.append(ProbeRow(float(r), fwd if fwd_ok else float("nan"),
-                             bwd if bwd_ok else float("nan"), fwd_ok, bwd_ok))
+        fwd = [entry(family.matrix(Q), -1.0 / p, r, Q) for Q in cubes]
+        # ||W^(1/p) A^(-1)|| = ||A^(-1) W^(1/p)|| for these Hermitian factors
+        bwd = [entry(family.inverse(Q), 1.0 / p, r, Q) for Q in cubes]
+        fwd_ok, bwd_ok = None not in fwd, None not in bwd
+        rows.append(ProbeRow(float(r), max(fwd) if fwd_ok else float("nan"),
+                             max(bwd) if bwd_ok else float("nan"), fwd_ok, bwd_ok))
     sup_form = 0.0
     if p <= 1.0:
         for Q in cubes:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import grid_points, grid_shape
+from .dyadic import block_reduce, grid_points, grid_shape
 from .errors import CoverageError
 
 
@@ -74,14 +74,10 @@ class CoefficientField:
                 self.values[j] = np.zeros(counts + (m,), dtype=complex)
 
     def set_cube(self, Q, vec):
-        k_lo, _ = self.window._level_index_ranges(Q.j)
-        idx = tuple(int(ki - lo) for ki, lo in zip(Q.k, k_lo))
-        self.values[Q.j][idx] = np.asarray(vec, dtype=complex)
+        self.values[Q.j][self.window.index(Q)] = np.asarray(vec, dtype=complex)
 
     def cube_value(self, Q):
-        k_lo, _ = self.window._level_index_ranges(Q.j)
-        idx = tuple(int(ki - lo) for ki, lo in zip(Q.k, k_lo))
-        return self.values[Q.j][idx]
+        return self.values[Q.j][self.window.index(Q)]
 
     def copy(self):
         return CoefficientField(self.window, self.m,
@@ -123,31 +119,6 @@ def _upsample(level_values, factor, n):
 # ---------------------------------------------------------------------------
 # the LA^tau engine
 
-def _pool_masses(vals_pow, n, from_level, to_level):
-    """Sum-pool a grid of |f|^p cell masses down to level `to_level` cubes."""
-    factor = 2 ** (from_level - to_level)
-    lead = vals_pow.shape[: vals_pow.ndim - n]
-    shp = vals_pow.shape[vals_pow.ndim - n:]
-    new = []
-    for s in shp:
-        new.extend([s // factor, factor])
-    resh = vals_pow.reshape(lead + tuple(new))
-    axes = tuple(vals_pow.ndim - n + 1 + 2 * i for i in range(n))
-    return resh.sum(axis=axes)
-
-
-def _pool_max(vals, n, from_level, to_level):
-    factor = 2 ** (from_level - to_level)
-    lead = vals.shape[: vals.ndim - n]
-    shp = vals.shape[vals.ndim - n:]
-    new = []
-    for s in shp:
-        new.extend([s // factor, factor])
-    resh = vals.reshape(lead + tuple(new))
-    axes = tuple(vals.ndim - n + 1 + 2 * i for i in range(n))
-    return resh.max(axis=axes)
-
-
 @dataclass
 class NormResult:
     value: float
@@ -158,117 +129,105 @@ class NormResult:
         return self.value
 
 
+def _levels_and_scale(fields, window):
+    """Window levels present in fields and the global maximum used to
+    rescale them, plus the trivial result when there is nothing to rescale."""
+    levels = sorted(j for j in fields if window.j_min <= j <= window.j_max)
+    if not levels:
+        return levels, 0.0, NormResult(0.0)
+    scale = max((float(np.max(f)) if f.size else 0.0) for f in fields.values())
+    if scale == 0.0 or not np.isfinite(scale):
+        return levels, scale, NormResult(0.0 if scale == 0.0 else float("inf"))
+    return levels, scale, None
+
+
+def _running_lq(fields, levels, scale, q, window):
+    """Per window level lP: sum over levels j >= lP of (f_j / scale)^q on the
+    grid (the pointwise max at q = inf); levels with no data at or above
+    them are left out."""
+    run, out = None, {}
+    for lP in reversed(window.levels()):
+        if lP in levels:
+            f = fields[lP] / scale
+            if np.isinf(q):
+                run = f if run is None else np.maximum(run, f)
+            else:
+                run = f ** q if run is None else run + f ** q
+        if run is not None:
+            out[lP] = run
+    return out
+
+
+def _sup_over_cubes(window, scale, vals_at):
+    """NormResult of the max over window levels lP of the per-cube array
+    vals_at(lP) (None skips the level), rescaled by scale."""
+    best, arg = -np.inf, (None, None)
+    for lP in window.levels():
+        vals = vals_at(lP)
+        if vals is None:
+            continue
+        idx = np.unravel_index(np.argmax(vals), vals.shape)
+        if vals[idx] > best:
+            best, arg = float(vals[idx]), (lP, idx)
+    return NormResult(best * scale, *arg)
+
+
 def la_tau_norm(fields, params, window, grid_level, report_argmax=False):
     """sup_P |P|^(-tau) ||{f_j}||_{LA(P^)} over the window cubes.
 
     fields: dict level -> scalar ndarray on the level-`grid_level` grid of
     the window box (nonnegative). Returns NormResult.
     """
+    levels, scale, trivial = _levels_and_scale(fields, window)
+    if trivial is not None:
+        return trivial
     n = window.n
-    levels = sorted(j for j in fields if window.j_min <= j <= window.j_max)
-    if not levels:
-        return NormResult(0.0)
-    scale = max((float(np.max(f)) if f.size else 0.0) for f in fields.values())
-    if scale == 0.0 or not np.isfinite(scale):
-        return NormResult(0.0 if scale == 0.0 else float("inf"))
     cellvol = 2.0 ** (-grid_level * n)
     p, q, tau = params.p, params.q, params.tau
-    best = -np.inf
-    arg = (None, None)
+
+    def mass(g, lP):
+        """Per level-lP cube L^p average of g (the max at p = inf)."""
+        factor = 2 ** (grid_level - lP)
+        if np.isinf(p):
+            return block_reduce(g, n, factor, np.maximum)
+        return (block_reduce(g ** p, n, factor) * cellvol / 2.0 ** (-lP * n)) ** (1.0 / p)
+
     if params.kind == "B":
-        # masses[j][lP] = per level-lP cube L^p mass of f_j
-        for lP in window.levels():
-            vols = 2.0 ** (-lP * n)
-            stack = []
-            for j in levels:
-                if j < lP:
-                    continue
-                f = fields[j] / scale
-                if np.isinf(p):
-                    mass = _pool_max(f, n, grid_level, lP)
-                else:
-                    mass = (_pool_masses(f ** p, n, grid_level, lP) * cellvol / vols) ** (1.0 / p)
-                stack.append(mass)
+        def vals_at(lP):
+            stack = [mass(fields[j] / scale, lP) for j in levels if j >= lP]
             if not stack:
-                continue
+                return None
             stack = np.stack(stack)  # (levels >= lP, cubes at lP)
-            if np.isinf(q):
-                agg = stack.max(axis=0)
-            else:
-                agg = (stack ** q).sum(axis=0) ** (1.0 / q)
-            if np.isinf(p):
-                vals = vols ** (-tau) * agg
-            else:
-                vals = vols ** (1.0 / p - tau) * agg
-            idx = np.unravel_index(np.argmax(vals), vals.shape)
-            if vals[idx] > best:
-                best = float(vals[idx])
-                arg = (lP, idx)
+            agg = stack.max(axis=0) if np.isinf(q) else (stack ** q).sum(axis=0) ** (1.0 / q)
+            return (2.0 ** (-lP * n)) ** (1.0 / p - tau) * agg
     else:
-        # running l^q aggregation from the finest level down
-        run = None
-        agg_at = {}
-        for j in sorted(levels, reverse=True):
-            f = fields[j] / scale
-            if np.isinf(q):
-                run = f if run is None else np.maximum(run, f)
-            else:
-                run = f ** q if run is None else run + f ** q
-            agg_at[j] = run.copy()
-        for lP in window.levels():
-            js = [j for j in levels if j >= lP]
-            if not js:
-                continue
-            g = agg_at[min(js)]
-            if not np.isinf(q):
-                g = g ** (1.0 / q)
-            vols = 2.0 ** (-lP * n)
-            mass = (_pool_masses(g ** p, n, grid_level, lP) * cellvol / vols) ** (1.0 / p)
-            vals = vols ** (1.0 / p - tau) * mass
-            idx = np.unravel_index(np.argmax(vals), vals.shape)
-            if vals[idx] > best:
-                best = float(vals[idx])
-                arg = (lP, idx)
-    res = NormResult(best * scale, arg[0], arg[1])
-    return res
+        agg = _running_lq(fields, levels, scale, q, window)
+
+        def vals_at(lP):
+            if lP not in agg:
+                return None
+            g = agg[lP] if np.isinf(q) else agg[lP] ** (1.0 / q)
+            return (2.0 ** (-lP * n)) ** (1.0 / p - tau) * mass(g, lP)
+    return _sup_over_cubes(window, scale, vals_at)
 
 
 def finfty_norm_fields(fields, q, window, grid_level):
     """sup_P (avg over P of sum_{j >= j_P} |f_j|^q)^(1/q); q = inf by sup."""
+    levels, scale, trivial = _levels_and_scale(fields, window)
+    if trivial is not None:
+        return trivial
     n = window.n
-    levels = sorted(j for j in fields if window.j_min <= j <= window.j_max)
-    if not levels:
-        return NormResult(0.0)
-    scale = max((float(np.max(f)) if f.size else 0.0) for f in fields.values())
-    if scale == 0.0 or not np.isfinite(scale):
-        return NormResult(0.0 if scale == 0.0 else float("inf"))
     cellvol = 2.0 ** (-grid_level * n)
-    run = None
-    agg_at = {}
-    for j in sorted(levels, reverse=True):
-        f = fields[j] / scale
+    agg = _running_lq(fields, levels, scale, q, window)
+
+    def vals_at(lP):
+        if lP not in agg:
+            return None
+        factor = 2 ** (grid_level - lP)
         if np.isinf(q):
-            run = f if run is None else np.maximum(run, f)
-        else:
-            run = f ** q if run is None else run + f ** q
-        agg_at[j] = run.copy()
-    best = -np.inf
-    arg = (None, None)
-    for lP in window.levels():
-        js = [j for j in levels if j >= lP]
-        if not js:
-            continue
-        g = agg_at[min(js)]
-        vols = 2.0 ** (-lP * n)
-        if np.isinf(q):
-            vals = _pool_max(g, n, grid_level, lP)
-        else:
-            vals = (_pool_masses(g, n, grid_level, lP) * cellvol / vols) ** (1.0 / q)
-        idx = np.unravel_index(np.argmax(vals), vals.shape)
-        if vals[idx] > best:
-            best = float(vals[idx])
-            arg = (lP, idx)
-    return NormResult(best * scale, arg[0], arg[1])
+            return block_reduce(agg[lP], n, factor, np.maximum)
+        return (block_reduce(agg[lP], n, factor) * cellvol / 2.0 ** (-lP * n)) ** (1.0 / q)
+    return _sup_over_cubes(window, scale, vals_at)
 
 
 # ---------------------------------------------------------------------------

@@ -324,37 +324,42 @@ class GridSampledWeight(MatrixWeight):
 
 
 def _precheck_integrability(weight, box, alpha, p_eff):
+    """Reject ||W^alpha||^p_eff when a singular point on the closed box makes it
+    non-integrable."""
     for s in weight.singular_points:
-        if box.contains_point(s) or _on_closure(box, s):
+        s = np.asarray(s, dtype=float)
+        if np.all(s >= box.lo_arr - 1e-12) and np.all(s <= box.hi_arr + 1e-12):
             if p_eff * weight.norm_exponent(s, alpha) <= -weight.n:
                 raise IntegrabilityError(
-                    f"||W^{alpha}||^{p_eff} has a non-integrable singularity at {np.asarray(s)}"
-                )
+                    f"||W^{alpha}||^{p_eff} has a non-integrable singularity at {s}")
 
 
-def _on_closure(box, s, tol=1e-12):
-    s = np.asarray(s, dtype=float)
-    return bool(np.all(s >= box.lo_arr - tol) and np.all(s <= box.hi_arr + tol))
+def cube_average(weight, region, alpha, power, reducer, qspec=None, name="cube average"):
+    """avg over a cube or box Q of reducer(W^alpha(x)) dx, as a QuadResult.
+
+    reducer maps an (N, m, m) batch to (N, ...) values and must be
+    homogeneous of degree `power`. Integrability of ||W^alpha||^power is
+    checked before any quadrature runs; a scalar weight w I needs only the
+    scalar average of w^(alpha power), scaled by reducer(I).
+    """
+    box = _as_box(region)
+    _precheck_integrability(weight, box, alpha, power)
+    if weight.is_scalar():
+        e = alpha * power
+        res = average_box(lambda X: weight.scalar_profile(X) ** e, box, qspec,
+                          weight.singular_points, name=name)
+        c = reducer(np.eye(weight.m)[None])[0]
+        res.value, res.history = res.value * c, [h * c for h in res.history]
+        return res
+    return average_box(lambda X: reducer(weight.power_at(X, alpha)), box, qspec,
+                       weight.singular_points, name=name)
 
 
 def cube_average_matrix_norm(weight, p, region, M=None, qspec=None):
     """(avg over Q of ||W^(1/p)(x) M||^p dx)^(1/p) for a cube or box Q."""
-    box = _as_box(region)
-    if M is None:
-        M = np.eye(weight.m)
-    M = np.asarray(M, dtype=complex)
-    _precheck_integrability(weight, box, 1.0 / p, p)
-    prof_norm = float(linalg.op_norm(M))
-    if weight.is_scalar():
-        res = average_box(lambda X: weight.scalar_profile(X), box, qspec,
-                          weight.singular_points, name="cube average")
-        return float(res.value) ** (1.0 / p) * prof_norm
-
-    def fn(X):
-        mats = weight.power_at(X, 1.0 / p) @ M
-        return linalg.op_norm(mats) ** p
-
-    res = average_box(fn, box, qspec, weight.singular_points, name="cube average")
+    M = np.asarray(np.eye(weight.m) if M is None else M, dtype=complex)
+    res = cube_average(weight, region, 1.0 / p, p,
+                       lambda mats: linalg.op_norm(mats @ M) ** p, qspec)
     return float(res.value) ** (1.0 / p)
 
 
@@ -370,35 +375,36 @@ class ApCharacteristic:
     converged: bool = True
 
 
-def _pairwise_norm_pow(weight, Xs, Ys, p, power):
-    """||W^(1/p)(x) W^(-1/p)(y)||^power over the node grid, shape (Nx, Ny)."""
+def _graded_mesh(box, base_depth, grade_depth, emit_depth, singular_points):
+    """Nodes of the graded mesh on a box with probability weights."""
+    X, v = box_nodes(box, base_depth, grade_depth, emit_depth, singular_points)
+    return X, v / v.sum()
+
+
+def _ap_kernel(weight, p, X, wx, Y, wy, swapped=False, star=False):
+    """The A_p quantity over node sets X, Y with probability weights wx, wy.
+
+    F(x, y) = ||W^(1/p)(x) W^(-1/p)(y)||^s with s = p for p <= 1 (sup over y
+    of the x-average; the star variant averages the x-wise sup instead) and
+    s = p' otherwise (x-average of the y-average to the power p/p').
+    swapped exchanges the roles of the two node sets.
+    """
+    s = p if p <= 1.0 else p / (p - 1.0)
     if weight.is_scalar():
-        wx = weight.scalar_profile(Xs) ** (1.0 / p)
-        wy = weight.scalar_profile(Ys) ** (-1.0 / p)
-        return (wx[:, None] * wy[None, :]) ** power
-    A = weight.power_at(Xs, 1.0 / p)
-    B = weight.power_at(Ys, -1.0 / p)
-    prod = np.einsum("xij,yjk->xyik", A, B)
-    return linalg.op_norm(prod) ** power
-
-
-def _ap_quantity(weight, p, box, variant, base_depth, grade_depth):
-    """The defining A_p quantity on one cube, by graded-node discretization."""
-    sing = weight.singular_points
-    Xs, vx = box_nodes(box, base_depth, grade_depth, 1, sing)
-    wx = vx / vx.sum()
-    Ys, vy = box_nodes(box, base_depth, grade_depth, 0, sing)
-    wy = vy / vy.sum()
-    if p <= 1.0:
-        F = _pairwise_norm_pow(weight, Xs, Ys, p, p)
-        inner = wx @ F  # for each y: avg over x
-        if variant == "star":
-            return float(wx @ np.max(F, axis=1))
-        return float(np.max(inner))
-    pprime = p / (p - 1.0)
-    F = _pairwise_norm_pow(weight, Xs, Ys, p, pprime)
-    inner = F @ wy  # for each x: avg over y of ||.||^p'
-    return float(wx @ inner ** (p / pprime))
+        wpx = weight.scalar_profile(X) ** (1.0 / p)
+        wpy = weight.scalar_profile(Y) ** (-1.0 / p)
+        F = (wpx[:, None] * wpy[None, :]) ** s
+    else:
+        prod = np.einsum("xij,yjk->xyik", weight.power_at(X, 1.0 / p),
+                         weight.power_at(Y, -1.0 / p))
+        F = linalg.op_norm(prod) ** s
+    if swapped:
+        F, wx, wy = F.T, wy, wx
+    if p > 1.0:
+        return float(wx @ (F @ wy) ** (p / s))
+    if star:
+        return float(wx @ np.max(F, axis=1))
+    return float(np.max(wx @ F))
 
 
 def ap_constant(weight, p, window, variant="standard", base_depth=3, grade_depth=12):
@@ -421,8 +427,12 @@ def ap_constant(weight, p, window, variant="standard", base_depth=3, grade_depth
         _precheck_integrability(weight, box, 1.0 / p, p)
         if p > 1.0:
             _precheck_integrability(weight, box, -1.0 / p, p / (p - 1.0))
-        coarse = _ap_quantity(weight, p, box, variant, base_depth, grade_depth)
-        fine = _ap_quantity(weight, p, box, variant, base_depth + 1, grade_depth + 8)
+        vals = []
+        for bd, gd in ((base_depth, grade_depth), (base_depth + 1, grade_depth + 8)):
+            X, wx = _graded_mesh(box, bd, gd, 1, weight.singular_points)
+            Y, wy = _graded_mesh(box, bd, gd, 0, weight.singular_points)
+            vals.append(_ap_kernel(weight, p, X, wx, Y, wy, star=variant == "star"))
+        coarse, fine = vals
         if abs(fine - coarse) > 0.05 * abs(fine):
             converged = False
         if fine > best:

@@ -76,6 +76,22 @@ class TestMain:
         report = json.loads((tmp_path / "norms_report.json").read_text())
         assert report["sequence_norms"]["mean"] > 0
 
+    def test_norms_constant_weight_uses_its_operators(self, tmp_path):
+        # diag(4, 9) at p = 2 reduces to diag(2, 3): both norm means sit
+        # between 2 and 3 times those of the 2 x 2 identity weight
+        def means(matrix):
+            cfg = json.dumps({"weight": {"kind": "constant", "matrix": matrix},
+                              "p": 2.0, "draws": 2, "window": {"j_min": 2, "j_max": 4},
+                              "filters": {"grid_level": 8}})
+            assert main(["norms", "--config", cfg, "--out", str(tmp_path)]) == 0
+            report = json.loads((tmp_path / "norms_report.json").read_text())
+            return report["sequence_norms"]["mean"], report["function_norms"]["mean"]
+
+        diag = means([[[4.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [9.0, 0.0]]])
+        eye = means([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+        for d, e in zip(diag, eye):
+            assert 2.0 <= d / e <= 3.0
+
     def test_verify_exact_tier_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "v1", tmp_path / "v2"
         rc1 = main(["verify", "--tier", "exact", "--seed", "7",

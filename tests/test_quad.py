@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from matweight.errors import IntegrabilityError
-from matweight.geometry import Box
-from matweight.quad import average_ball, average_box, integrate_box
+from matweight.errors import IntegrabilityError, ResolutionError
+from matweight.geometry import Box, cube_box
+from matweight.quad import QuadSpec, average_ball, average_box, integrate_box
 
 
 def test_constant_average_exact():
@@ -31,6 +31,11 @@ def test_power_divergence_raises():
     with pytest.raises(IntegrabilityError):
         integrate_box(lambda x: np.abs(x[:, 0]) ** -1.5, Box((0.0,), (1.0,)),
                       singular_points=[(0.0,)])
+
+
+def test_first_round_over_budget_raises_resolution_error():
+    with pytest.raises(ResolutionError, match="10"):
+        average_box(lambda x: np.ones(len(x)), cube_box(1), QuadSpec(max_nodes=10))
 
 
 def test_log_divergence_never_converges():

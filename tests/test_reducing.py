@@ -3,6 +3,7 @@ import pytest
 
 from matweight import linalg
 from matweight.geometry import CubeWindow, DyadicCube
+from matweight.quad import QuadSpec
 from matweight.reducing import (CubeNorm, build_family, cube_norm, dual_reduce,
                                 identity_family, integrability_probe,
                                 mvee_centered, reduce_operator, unit_directions,
@@ -225,6 +226,15 @@ class TestFamily:
         f1 = build_family(W, 2.0, win)
         f2 = build_family(W, 2.0, win)
         assert f1 is f2
+
+    def test_cache_keyed_on_qspec_and_diag_K(self):
+        W = PowerLogWeight(1, 1, -0.5)
+        win = CubeWindow(1, 1, 2)
+        fams = [build_family(W, 2.0, win, qspec=QuadSpec(rel_tol=1e-2)),
+                build_family(W, 2.0, win, qspec=QuadSpec(rel_tol=1e-8)),
+                build_family(W, 2.0, win, diag_K=8),
+                build_family(W, 2.0, win)]
+        assert len({id(f) for f in fams}) == 4
 
     def test_level_field_and_points(self):
         W = PowerLogWeight(1, 1, -0.5)

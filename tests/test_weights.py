@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from matweight import weights
 from matweight.errors import (IntegrabilityError, InvalidExponentError,
                               InvalidVariantError, SingularityError)
 from matweight.geometry import CubeWindow, DyadicCube, cube_box
+from matweight.reducing import CubeNorm, unit_directions
 from matweight.weights import (ConjugatedBlockWeight, ConstantWeight,
                                GridSampledWeight, PowerLogWeight,
-                               analytic_ball_average, ap_constant,
+                               analytic_ball_average, ap_constant, cube_average,
                                cube_average_matrix_norm, dual_weight,
                                identity_weight, two_singularity,
                                weight_from_descriptor)
@@ -85,6 +89,74 @@ class TestCubeAverage:
         with pytest.raises(IntegrabilityError):
             cube_average_matrix_norm(PowerLogWeight(1, 1, -1.2), 1.0,
                                      DyadicCube(1, (0,)))
+
+
+PROPERTY = settings(max_examples=8, derandomize=True, deadline=None)
+cubes = st.builds(DyadicCube, st.integers(0, 4), st.tuples(st.integers(-2, 1)))
+cubes_at_zero = st.builds(DyadicCube, st.integers(0, 4), st.sampled_from([(-1,), (0,)]))
+
+
+def random_matrix(seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+
+def rel_err(x, y):
+    return float(np.max(np.abs(np.asarray(x) - np.asarray(y))) / np.max(np.abs(y)))
+
+
+class TestCubeAverageLayer:
+    """The scalar fast path, homogeneity and the integrability pre-check."""
+
+    @PROPERTY
+    @given(a=st.floats(-0.8, 0.8), p=st.floats(0.5, 4.0), Q=cubes,
+           seed=st.integers(0, 2 ** 16))
+    def test_scalar_path_matches_matrix_path(self, a, p, Q, seed):
+        # w I flagged scalar against the same w I built as a rotated block
+        scalar = PowerLogWeight(1, 2, a)
+        block = ConjugatedBlockWeight(PowerLogWeight(1, 1, a), PowerLogWeight(1, 1, a))
+        assert scalar.is_scalar() and not block.is_scalar()
+        dirs = unit_directions(2, 16)
+        assert rel_err(CubeNorm(scalar, p, Q).bundle(dirs),
+                       CubeNorm(block, p, Q).bundle(dirs)) <= 1e-10
+        M = random_matrix(seed)
+        assert rel_err(cube_average_matrix_norm(scalar, p, Q, M),
+                       cube_average_matrix_norm(block, p, Q, M)) <= 1e-10
+        avg = [cube_average(W, Q, 1.0, 1.0, lambda mats: mats).value
+               for W in (scalar, block)]
+        assert rel_err(*avg) <= 1e-10
+
+    @PROPERTY
+    @given(p=st.floats(0.5, 4.0), c=st.floats(1e-3, 1e3), Q=cubes,
+           seed=st.integers(0, 2 ** 16))
+    def test_matrix_norm_homogeneous(self, p, c, Q, seed):
+        M = random_matrix(seed)
+        for W in (conjugated_block(), PowerLogWeight(1, 2, -0.4)):
+            assert cube_average_matrix_norm(W, p, Q, c * M) == pytest.approx(
+                c * cube_average_matrix_norm(W, p, Q, M), rel=1e-10)
+
+    @PROPERTY
+    @given(t=st.floats(-3.0, -1.0), alpha=st.floats(0.25, 2.0), power=st.floats(0.5, 4.0),
+           sign=st.sampled_from([-1.0, 1.0]), Q=cubes_at_zero)
+    def test_non_integrable_raises_before_quadrature(self, t, alpha, power, sign, Q):
+        # ||W^alpha||^power = |x|^t near 0
+        W = PowerLogWeight(1, 1, t / (sign * alpha * power))
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "average_box", no_quadrature)
+            with pytest.raises(IntegrabilityError):
+                cube_average(W, Q, sign * alpha, power, lambda mats: mats[:, 0, 0] ** power)
+
+    @PROPERTY
+    @given(t=st.floats(-0.8, 2.0), alpha=st.floats(0.25, 2.0), power=st.floats(0.5, 4.0),
+           sign=st.sampled_from([-1.0, 1.0]), Q=cubes_at_zero)
+    def test_integrable_gives_finite_positive(self, t, alpha, power, sign, Q):
+        W = PowerLogWeight(1, 1, t / (sign * alpha * power))
+        res = cube_average(W, Q, sign * alpha, power, lambda mats: mats[:, 0, 0] ** power)
+        assert np.isfinite(res.value) and res.value > 0
 
 
 class TestApConstant:
