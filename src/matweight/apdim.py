@@ -180,13 +180,14 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
     sing, gd = weight.singular_points, config.grade_depth // 2
     for Q in cubes:
         box_small = Q.box()
+        if not weight.is_scalar():
+            X, wx = _graded_mesh(box_small, config.base_depth, gd, 0, sing)
         for i in range(i_eff + 1):
             box_big = double(Q, i)
             if weight.is_scalar():
                 q = _cross_quantity_scalar(weight, p, box_small, box_big, swapped,
                                            config, cache)
             else:
-                X, wx = _graded_mesh(box_small, config.base_depth, gd, 0, sing)
                 Y, wy = _graded_mesh(box_big, config.base_depth, gd, 0, sing)
                 q = _ap_kernel(weight, p, X, wx, Y, wy, swapped=swapped)
             vals[i] = max(vals[i], q)

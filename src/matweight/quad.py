@@ -89,35 +89,57 @@ def _emit_subgrid(lo, widths, emit_depth, n):
     return mids, vols
 
 
+def _touches(lo, widths, pads, points):
+    """`_contains` for one cell as float lists (pads: margin * max(widths, 1e-30))."""
+    for pt in points:
+        for q, a, x, e in zip(pt, lo, widths, pads):
+            if not a - e <= q <= a + x + e:
+                break
+        else:
+            return True
+    return False
+
+
 def _grade_toward(lo, widths, sing, grade_depth, fp_floor):
     """Chain-split cells toward singular points; deepest cells come last.
 
+    Past the base level at most 2^n cells per singular point touch it, so the
+    chain is walked with Python floats in the same IEEE operations as
+    `_contains` (children at lo + bit * half, offset-major, parent-minor).
     Halving stops at fp_floor so midpoints stay representable away from the
     singular points. Returns (lo, widths, tail_cell_count).
     """
     n = lo.shape[1]
-    out_lo = [np.empty((0, n))]
-    out_w = [np.empty((0, n))]
     flagged = np.zeros(lo.shape[0], dtype=bool)
     for s in sing:
         flagged |= _contains(lo, widths, s)
-    out_lo.append(lo[~flagged])
-    out_w.append(widths[~flagged])
-    cur_lo, cur_w = lo[flagged], widths[flagged]
+    pts = [np.broadcast_to(s, (n,)).tolist() for s in sing]
+    offsets = [[float((off >> i) & 1) for i in range(n)] for off in range(2 ** n)]
+    cur = list(zip(lo[flagged].tolist(), widths[flagged].tolist()))
+    out = []
     for _ in range(grade_depth):
-        if cur_lo.shape[0] == 0 or float(np.max(cur_w)) < fp_floor:
+        if not cur or max(max(w) for _, w in cur) < fp_floor:
             break
-        child_lo, child_w = _split_cells(cur_lo, cur_w)
-        fl = np.zeros(child_lo.shape[0], dtype=bool)
-        for s in sing:
-            fl |= _contains(child_lo, child_w, s)
-        out_lo.append(child_lo[~fl])
-        out_w.append(child_w[~fl])
-        cur_lo, cur_w = child_lo[fl], child_w[fl]
-    out_lo.append(cur_lo)
-    out_w.append(cur_w)
-    return (np.concatenate(out_lo, axis=0), np.concatenate(out_w, axis=0),
-            cur_lo.shape[0])
+        halves = [[0.5 * x for x in w] for _, w in cur]
+        pads = [[1e-12 * max(x, 1e-30) for x in h] for h in halves]
+        nxt = []
+        for bits in offsets:
+            for (parent, _), h, pad in zip(cur, halves, pads):
+                c = [a + b * x for a, b, x in zip(parent, bits, h)]
+                (nxt if _touches(c, h, pad, pts) else out).append((c, h))
+        cur = nxt
+    out += cur
+    chain = np.array([c + h for c, h in out], dtype=float).reshape(-1, 2 * n)
+    return (np.concatenate([lo[~flagged], chain[:, :n]]),
+            np.concatenate([widths[~flagged], chain[:, n:]]), len(cur))
+
+
+def _uniform_cells(box, depth):
+    """Lower corners and widths of the 2^depth-per-axis uniform grid on a box."""
+    m = 2 ** depth
+    edges = [np.linspace(box.lo[i], box.hi[i], m + 1)[:-1] for i in range(box.n)]
+    lo = np.stack([g.ravel() for g in np.meshgrid(*edges, indexing="ij")], axis=-1)
+    return lo, np.tile(box.sides / m, (lo.shape[0], 1))
 
 
 def box_nodes(box, base_depth, grade_depth, emit_depth, singular_points=(),
@@ -131,11 +153,7 @@ def box_nodes(box, base_depth, grade_depth, emit_depth, singular_points=(),
     cells is returned as well.
     """
     n = box.n
-    m = 2 ** base_depth
-    edges = [np.linspace(box.lo[i], box.hi[i], m + 1) for i in range(n)]
-    grids = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
-    lo = np.stack([g.ravel() for g in grids], axis=-1)
-    widths = np.tile(box.sides / m, (lo.shape[0], 1))
+    lo, widths = _uniform_cells(box, base_depth)
 
     sing = [np.asarray(s, dtype=float) for s in singular_points]
     sing = [s for s in sing if _contains(np.array([box.lo_arr]), np.array([box.sides]), s)[0]]
@@ -237,11 +255,7 @@ def ball_nodes(center, radius, base_depth, grade_depth, emit_depth,
         return box_nodes(bbox, base_depth, grade_depth, emit_depth, singular_points,
                          with_tail=True)
 
-    m = 2 ** base_depth
-    edges = [np.linspace(bbox.lo[i], bbox.hi[i], m + 1) for i in range(n)]
-    grids = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
-    lo = np.stack([g.ravel() for g in grids], axis=-1)
-    widths = np.tile(bbox.sides / m, (lo.shape[0], 1))
+    lo, widths = _uniform_cells(bbox, base_depth)
 
     def classify(lo_a, w_a):
         # squared distance range from the center over each cell

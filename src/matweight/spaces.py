@@ -172,7 +172,7 @@ def _sup_over_cubes(window, scale, vals_at):
     return NormResult(best * scale, *arg)
 
 
-def la_tau_norm(fields, params, window, grid_level, report_argmax=False):
+def la_tau_norm(fields, params, window, grid_level):
     """sup_P |P|^(-tau) ||{f_j}||_{LA(P^)} over the window cubes.
 
     fields: dict level -> scalar ndarray on the level-`grid_level` grid of
