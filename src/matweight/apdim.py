@@ -16,7 +16,7 @@ from . import linalg
 from .errors import IntegrabilityError
 from .geometry import CubeWindow, DyadicCube, cube_box, double
 from .quad import QuadSpec, box_nodes
-from .weights import _ap_kernel, _graded_mesh, cube_average, dual_weight
+from .weights import _ap_factor, _ap_kernel, _graded_mesh, cube_average, dual_weight
 
 
 @dataclass
@@ -79,14 +79,7 @@ def abutting_cubes(point, levels, domain):
             Q = DyadicCube(j, tuple(combo))
             if domain.contains_box(Q.box()):
                 out.append(Q)
-    seen = set()
-    uniq = []
-    for Q in out:
-        key = (Q.j, Q.k)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(Q)
-    return uniq
+    return list(dict.fromkeys(out))
 
 
 def default_base_cubes(weight, config):
@@ -97,14 +90,7 @@ def default_base_cubes(weight, config):
     cubes = win.cubes()
     for s in weight.singular_points:
         cubes.extend(abutting_cubes(s, config.abut_levels, domain))
-    seen = set()
-    uniq = []
-    for Q in cubes:
-        key = (Q.j, Q.k)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(Q)
-    return uniq, domain
+    return list(dict.fromkeys(cubes)), domain
 
 
 def _fits(Q, i, domain):
@@ -182,6 +168,7 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
         box_small = Q.box()
         if not weight.is_scalar():
             X, wx = _graded_mesh(box_small, config.base_depth, gd, 0, sing)
+            FX = _ap_factor(weight, X, 1.0 / p)
         for i in range(i_eff + 1):
             box_big = double(Q, i)
             if weight.is_scalar():
@@ -189,7 +176,8 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
                                            config, cache)
             else:
                 Y, wy = _graded_mesh(box_big, config.base_depth, gd, 0, sing)
-                q = _ap_kernel(weight, p, X, wx, Y, wy, swapped=swapped)
+                q = _ap_kernel(p, FX, wx, _ap_factor(weight, Y, -1.0 / p), wy,
+                               swapped=swapped)
             vals[i] = max(vals[i], q)
     return vals, i_eff, cubes
 

@@ -241,9 +241,7 @@ def cmd_norms(cfg, out_dir):
 def cmd_verify(cfg, out_dir):
     tier = cfg.get("tier", "all")
     names = cfg.get("criteria")
-    ctx = verify.Context(cfg["seed"])
-    results = [verify.run_criterion(name, ctx) for name, (t, _) in verify.CRITERIA.items()
-               if (names is None or name in names) and (tier == "all" or t == tier)]
+    results = verify.run_suite(tier, cfg["seed"], names)
     all_pass = all(r.passed for r in results)
     report = {
         "config": cfg,

@@ -167,13 +167,12 @@ def _reduce_mvee(weight, p, region, K, qspec):
     return linalg.matrix_power(H, 0.5)
 
 
-def reduce_operator(weight, p, region, method="auto", K=256, qspec=None,
-                    calibrate=True):
+def reduce_operator(weight, p, region, method="auto", K=256, qspec=None):
     """A positive definite matrix A with |Az| equivalent to the cube norm.
 
     method 'exact_p2' requires p = 2 and returns (avg_Q W)^(1/2); 'mvee'
-    fits the quasi-norm ball for any p. With calibrate=True the result is
-    rescaled so its equivalence bracket is geometrically centered at 1.
+    fits the quasi-norm ball for any p. The result is rescaled so its
+    equivalence bracket is geometrically centered at 1.
     """
     if method == "auto":
         method = "exact_p2" if p == 2.0 else "mvee"
@@ -187,11 +186,8 @@ def reduce_operator(weight, p, region, method="auto", K=256, qspec=None,
         A = _reduce_mvee(weight, p, region, K, qspec)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if calibrate:
-        lo, hi = verify_reducing(A, weight, p, region, K=64, qspec=qspec,
-                                 include_matrices=False)
-        A = A / np.sqrt(lo * hi)
-    return A
+    lo, hi = verify_reducing(A, weight, p, region, qspec=qspec, include_matrices=False)
+    return A / np.sqrt(lo * hi)
 
 
 def dual_reduce(weight, p, region, method="auto", K=256, qspec=None):
@@ -281,18 +277,19 @@ class ReducingFamily:
 _family_cache = {}
 
 
-def family_cache_key(weight, p, window, method, K, diag_K, qspec):
+def family_cache_key(weight, p, window, method, K, qspec):
     payload = json.dumps({
         "weight": weight.descriptor(), "p": p, "window": window.descriptor(),
-        "method": method, "K": K, "diag_K": diag_K,
+        "method": method, "K": K,
         "qspec": asdict(qspec or QuadSpec()),
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def build_family(weight, p, window, method="auto", K=256, diag_K=64, qspec=None):
-    """Construct reducing operators for every cube of the window."""
-    key = family_cache_key(weight, p, window, method, K, diag_K, qspec)
+def build_family(weight, p, window, method="auto", K=256, qspec=None):
+    """Construct reducing operators for every cube of the window; each cube's
+    bracket comes from verify_reducing's 64 directions and test matrices."""
+    key = family_cache_key(weight, p, window, method, K, qspec)
     if key in _family_cache:
         return _family_cache[key]
     mats, invs, brackets = {}, {}, {}
@@ -305,7 +302,7 @@ def build_family(weight, p, window, method="auto", K=256, diag_K=64, qspec=None)
         for Q in window.cubes_at_level(j):
             idx = window.index(Q)
             AQ = reduce_operator(weight, p, Q, method=method, K=K, qspec=qspec)
-            lo, hi = verify_reducing(AQ, weight, p, Q, K=diag_K, qspec=qspec)
+            lo, hi = verify_reducing(AQ, weight, p, Q, qspec=qspec)
             A[idx] = AQ
             lo_arr[idx], hi_arr[idx] = lo, hi
         mats[j] = A

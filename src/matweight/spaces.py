@@ -6,15 +6,18 @@ is l^q of L^p (B-kind) or L^p of l^q (F-kind). Per-level fields live on a
 common uniform grid, so all L^p masses over lattice cubes are exact block
 sums; q = infinity and p = infinity take explicit supremum paths. Tiny
 values are handled by rescaling with the global maximum, never by raw
-powers that could underflow.
+powers that could underflow. One function, weighted_fields, makes those
+scalar fields from vector fields under every weighting (none, a matrix
+weight, a reducing family), for sequences and functions alike.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import block_reduce, grid_points, grid_shape
-from .errors import CoverageError
+from .errors import CoverageError, InvalidExponentError
+from .weights import MatrixWeight
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,6 @@ class CoefficientField:
         t = CoefficientField(window, m)
         t.set_cube(Q, vec)
         return t
-
-
-def _upsample(level_values, factor, n):
-    out = level_values
-    for ax in range(n):
-        out = np.repeat(out, factor, axis=ax)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,28 +229,61 @@ def finfty_norm_fields(fields, q, window, grid_level):
 # ---------------------------------------------------------------------------
 # weightings
 
-def _level_scalar_fields(t, s, weighting, grid_level, selected_mask=None):
-    """Per-level scalar grid fields 2^{js} |weighting applied to t_j|."""
-    window = t.window
-    n = window.n
+def _upsample(values, factor, n):
+    """Repeat every cell of the trailing n axes factor times along each axis."""
+    if factor == 1:
+        return values
+    for ax in range(-n, 0):
+        values = np.repeat(values, factor, axis=ax)
+    return values
+
+
+def _apply_per_cube(A, v, n):
+    """A_Q v on the cells of every cube Q: A is (counts..., m, m) and v is an
+    (m, *cells) field with the same number of cells per cube on every axis."""
+    counts = A.shape[:n]
+    f = v.shape[1] // counts[0]
+    blocks = v.reshape(v.shape[:1] + sum(((c, f) for c in counts), ()))
+    A = A.reshape(sum(((c, 1) for c in counts), ()) + A.shape[n:])
+    return np.einsum("...ij,j...->i...", A, blocks).reshape(v.shape)
+
+
+def weighted_fields(vecs, weighting, s, box, grid_level, p_weight=None):
+    """Per level j, 2^(js) |weighting v_j| on the level-`grid_level` grid of box.
+
+    vecs: dict level j -> (m, *cells) vector field, constant on the cells of
+    one lattice level between j and grid_level. weighting is None (Euclidean
+    length), a ReducingFamily (|A_Q v| on the cells of each level-j cube Q) or
+    a MatrixWeight (|W^(1/p_weight)(x) v(x)|, W sampled once at the grid
+    midpoints). Only a matrix weight needs the vectors upsampled; the other
+    weightings upsample the lengths.
+    """
+    n = box.n
+    shape = grid_shape(box, grid_level)
+    if isinstance(weighting, MatrixWeight):
+        if p_weight is None:
+            raise InvalidExponentError("a matrix weight needs the exponent p_weight")
+        wpow = weighting.power_at(grid_points(box, grid_level), 1.0 / p_weight)
     fields = {}
-    if weighting is not None and not hasattr(weighting, "level_field"):
-        # matrix weight: sample W^(1/p) at the grid nodes once
-        raise TypeError("use seq_norm for matrix-weight weightings")
-    for j in window.levels():
-        vals = t.values[j]  # (counts..., m)
-        if weighting is None:
-            cube_scalar = np.linalg.norm(vals, axis=-1)
+    for j, v in vecs.items():
+        factor = shape[0] // v.shape[1]
+        if isinstance(weighting, MatrixWeight):
+            if weighting.m != v.shape[0]:
+                raise CoverageError("weight dimension does not match the field")
+            flat = _upsample(v, factor, n).reshape(v.shape[0], -1).T  # (N, m)
+            g = np.linalg.norm(np.einsum("nij,nj->ni", wpow, flat), axis=1).reshape(shape)
         else:
-            A = weighting.level_field(j)  # (counts..., m, m)
-            cube_scalar = np.linalg.norm(
-                np.einsum("...ij,...j->...i", A, vals), axis=-1)
-        cube_scalar = cube_scalar * 2.0 ** (j * n / 2.0)  # |Q|^(-1/2) factor
-        f = _upsample(cube_scalar, 2 ** (grid_level - j), n)
-        if selected_mask is not None:
-            f = f * selected_mask(j)
-        fields[j] = 2.0 ** (j * s) * f
+            if weighting is not None:
+                v = _apply_per_cube(weighting.level_field(j), v, n)
+            g = _upsample(np.linalg.norm(v, axis=0), factor, n)
+        fields[j] = 2.0 ** (j * s) * g
     return fields
+
+
+def _normalized_vectors(t):
+    """Level j -> the field of |Q|^(-1/2) t_Q, shape (m, *counts)."""
+    return {j: np.moveaxis(v, -1, 0) * 2.0 ** (j * t.window.n / 2.0)
+            for j, v in t.values.items()}
 
 
 def seq_norm(t, params, weighting=None, p_weight=None, grid_level=None,
@@ -266,33 +295,13 @@ def seq_norm(t, params, weighting=None, p_weight=None, grid_level=None,
     p_weight defaults to params.p). The grid level defaults to the window's
     finest level (+2 when a matrix weight must be resolved).
     """
-    from .weights import MatrixWeight
-
     window = t.window
-    n = window.n
-    if weighting is None or hasattr(weighting, "level_field"):
-        grid_level = grid_level if grid_level is not None else window.j_max
-        fields = _level_scalar_fields(t, params.s, weighting, grid_level,
-                                      selected_mask)
-        return la_tau_norm(fields, params, window, grid_level)
-    if not isinstance(weighting, MatrixWeight):
-        raise TypeError(f"unsupported weighting {type(weighting)!r}")
-    weight = weighting
-    if weight.m != t.m:
-        raise CoverageError("weight dimension does not match the field")
-    p_w = p_weight if p_weight is not None else params.p
-    grid_level = grid_level if grid_level is not None else window.j_max + 2
-    pts = grid_points(window.box, grid_level)
-    wpow = weight.power_at(pts, 1.0 / p_w)
-    shape = grid_shape(window.box, grid_level)
-    fields = {}
-    for j in window.levels():
-        vals = t.values[j] * 2.0 ** (j * n / 2.0)
-        tj = _upsample(vals, 2 ** (grid_level - j), n).reshape(-1, t.m)
-        g = np.linalg.norm(np.einsum("nij,nj->ni", wpow, tj), axis=1)
-        if selected_mask is not None:
-            g = g * selected_mask(j).ravel()
-        fields[j] = 2.0 ** (j * params.s) * g.reshape(shape)
+    if grid_level is None:
+        grid_level = window.j_max + (2 if isinstance(weighting, MatrixWeight) else 0)
+    fields = weighted_fields(_normalized_vectors(t), weighting, params.s, window.box, grid_level,
+                             p_weight if p_weight is not None else params.p)
+    if selected_mask is not None:
+        fields = {j: g * selected_mask(j) for j, g in fields.items()}
     return la_tau_norm(fields, params, window, grid_level)
 
 
@@ -300,7 +309,7 @@ def finfty_norm(t, s, q, weighting=None, grid_level=None):
     """The p = infinity Triebel-Lizorkin sequence norm over the window."""
     window = t.window
     grid_level = grid_level if grid_level is not None else window.j_max
-    fields = _level_scalar_fields(t, s, weighting, grid_level)
+    fields = weighted_fields(_normalized_vectors(t), weighting, s, window.box, grid_level)
     return finfty_norm_fields(fields, q, window, grid_level)
 
 
@@ -354,27 +363,15 @@ def maximal_sequence(seq, window, r, lam):
 
 def cube_scalar_sequence(t, family=None):
     """Per-cube scalars |A_Q t_Q| (or |t_Q| without a family) as level arrays."""
-    out = {}
-    for j in t.window.levels():
-        vals = t.values[j]
-        if family is None:
-            out[j] = np.linalg.norm(vals, axis=-1)
-        else:
-            A = family.level_field(j)
-            out[j] = np.linalg.norm(np.einsum("...ij,...j->...i", A, vals), axis=-1)
-    return out
+    box = t.window.box
+    return {j: weighted_fields({j: np.moveaxis(v, -1, 0)}, family, 0.0, box, j)[j]
+            for j, v in t.values.items()}
 
 
 def seq_norm_from_cube_scalars(seq, params, window):
     """Norm of a scalar per-cube sequence (the unweighted a-norm)."""
-    grid_level = window.j_max
-    n = window.n
-    fields = {}
-    for j, arr in seq.items():
-        f = _upsample(np.asarray(arr, dtype=float) * 2.0 ** (j * n / 2.0),
-                      2 ** (grid_level - j), n)
-        fields[j] = 2.0 ** (j * params.s) * f
-    return la_tau_norm(fields, params, window, grid_level)
+    return seq_norm(CoefficientField(window, 1, {j: np.asarray(a)[..., None]
+                                                 for j, a in seq.items()}), params)
 
 
 # ---------------------------------------------------------------------------

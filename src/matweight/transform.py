@@ -5,16 +5,18 @@ pair consists of a radial bump supported on the annulus 1/2 <= |xi| <= 2 and
 its companion normalized so the telescoping products sum to one; with both
 spectra inside the grid's safe band, analysis followed by synthesis is exact
 to rounding, which is the discrete counterpart of the reproducing identity.
+Function norms and the Peetre-type cube sup weight the per-scale
+convolutions through spaces.weighted_fields.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import grid_points, grid_shape
+from .dyadic import block_reduce, grid_points, grid_shape
 from .errors import ResolutionError, ScaleRangeError
 from .geometry import CubeWindow
-from .spaces import CoefficientField, la_tau_norm, finfty_norm_fields
+from .spaces import CoefficientField, finfty_norm_fields, la_tau_norm, weighted_fields
 
 
 def bump_profile(t, k):
@@ -250,93 +252,27 @@ def function_norm(f, filters, params, weighting=None, p_weight=None, window=None
     weighting is a MatrixWeight (pointwise |W^(1/p) .|), a ReducingFamily
     (piecewise-constant |A_j .|), or None for the plain Euclidean length.
     """
-    from .weights import MatrixWeight
-
     window = window or CubeWindow(filters.n, *filters.safe_levels(), filters.box)
-    conv = _level_conv_fields(f, filters, window)
-    fields = _weighted_scalar_fields(conv, filters, params.s, weighting, p_weight
-                                     if p_weight is not None else params.p, window)
+    fields = weighted_fields(_level_conv_fields(f, filters, window), weighting, params.s,
+                             filters.box, filters.grid_level,
+                             p_weight if p_weight is not None else params.p)
     return la_tau_norm(fields, params, window, filters.grid_level)
 
 
 def finfty_function_norm(f, filters, s, q, weighting=None, p_weight=2.0, window=None):
     window = window or CubeWindow(filters.n, *filters.safe_levels(), filters.box)
-    conv = _level_conv_fields(f, filters, window)
-    fields = _weighted_scalar_fields(conv, filters, s, weighting, p_weight, window)
+    fields = weighted_fields(_level_conv_fields(f, filters, window), weighting, s,
+                             filters.box, filters.grid_level, p_weight)
     return finfty_norm_fields(fields, q, window, filters.grid_level)
-
-
-def _weighted_scalar_fields(conv, filters, s, weighting, p_weight, window):
-    from .weights import MatrixWeight
-
-    n = filters.n
-    fields = {}
-    if weighting is None:
-        for j, v in conv.items():
-            fields[j] = 2.0 ** (j * s) * np.linalg.norm(v, axis=0)
-        return fields
-    if isinstance(weighting, MatrixWeight):
-        pts = grid_points(filters.box, filters.grid_level)
-        wpow = weighting.power_at(pts, 1.0 / p_weight)
-        shape = grid_shape(filters.box, filters.grid_level)
-        for j, v in conv.items():
-            flat = v.reshape(v.shape[0], -1).T  # (N, m)
-            g = np.linalg.norm(np.einsum("nij,nj->ni", wpow, flat), axis=1)
-            fields[j] = 2.0 ** (j * s) * g.reshape(shape)
-        return fields
-    # reducing family: apply the piecewise-constant A_j
-    for j, v in conv.items():
-        A = weighting.level_field(j)  # (counts..., m, m)
-        blocks = _to_blocks(v, window, j, filters.grid_level)  # (cells, m, block)
-        out = np.einsum("cij,cjb->cib", A.reshape(-1, v.shape[0], v.shape[0]), blocks)
-        g = np.linalg.norm(out, axis=1)  # (cells, block)
-        fields[j] = 2.0 ** (j * s) * _from_blocks(g, window, j, filters.grid_level)
-    return fields
-
-
-def _to_blocks(v, window, j, grid_level):
-    """(m, *grid) -> (cells, m, block) grouping grid cells by level-j cube."""
-    n = window.n
-    m = v.shape[0]
-    counts = tuple(window.counts_at_level(j))
-    f = 2 ** (grid_level - j)
-    shp = [m]
-    for c in counts:
-        shp.extend([c, f])
-    arr = v.reshape(shp)
-    # order axes as (m, c_1..c_n, f_1..f_n)
-    perm = [0] + [1 + 2 * i for i in range(n)] + [2 + 2 * i for i in range(n)]
-    arr = arr.transpose(perm)
-    cells = int(np.prod(counts))
-    return arr.reshape(m, cells, f ** n).transpose(1, 0, 2)
-
-
-def _from_blocks(g, window, j, grid_level):
-    """(cells, block) -> (*grid,) inverse of _to_blocks for scalar data."""
-    n = window.n
-    counts = tuple(window.counts_at_level(j))
-    f = 2 ** (grid_level - j)
-    arr = g.reshape(counts + (f,) * n)
-    perm = []
-    for i in range(n):
-        perm.extend([i, n + i])
-    arr = arr.transpose(perm)
-    return arr.reshape(tuple(c * f for c in counts))
 
 
 def peetre_sup(f, filters, family, window):
     """Per-cube |Q|^(1/2) sup over grid nodes in Q of |A_Q (phi_j * f)(y)|."""
-    out = {}
-    n = window.n
-    for j in window.levels():
-        v = convolve_scale(f, filters, j).values()
-        A = family.level_field(j)
-        blocks = _to_blocks(v, window, j, filters.grid_level)
-        applied = np.einsum("cij,cjb->cib", A.reshape(-1, f.m, f.m), blocks)
-        sup = np.abs(np.linalg.norm(applied, axis=1)).max(axis=1)
-        counts = tuple(window.counts_at_level(j))
-        out[j] = (2.0 ** (-j * n / 2.0)) * sup.reshape(counts)
-    return out
+    fields = weighted_fields(_level_conv_fields(f, filters, window), family, 0.0,
+                             filters.box, filters.grid_level)
+    return {j: 2.0 ** (-j * window.n / 2.0)
+            * block_reduce(g, window.n, 2 ** (filters.grid_level - j), np.maximum)
+            for j, g in fields.items()}
 
 
 def lifting(f, sigma):

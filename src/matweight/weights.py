@@ -381,8 +381,17 @@ def _graded_mesh(box, base_depth, grade_depth, emit_depth, singular_points):
     return X, v / v.sum()
 
 
-def _ap_kernel(weight, p, X, wx, Y, wy, swapped=False, star=False):
-    """The A_p quantity over node sets X, Y with probability weights wx, wy.
+def _ap_factor(weight, X, alpha):
+    """W^alpha on nodes X: the scalar profile's power, (N,), for scalar
+    weights, else the (N, m, m) matrix powers."""
+    if weight.is_scalar():
+        return weight.scalar_profile(X) ** alpha
+    return weight.power_at(X, alpha)
+
+
+def _ap_kernel(p, FX, wx, FY, wy, swapped=False, star=False):
+    """The A_p quantity over node sets X, Y with probability weights wx, wy,
+    given FX = W^(1/p)(X) and FY = W^(-1/p)(Y) from _ap_factor.
 
     F(x, y) = ||W^(1/p)(x) W^(-1/p)(y)||^s with s = p for p <= 1 (sup over y
     of the x-average; the star variant averages the x-wise sup instead) and
@@ -390,14 +399,10 @@ def _ap_kernel(weight, p, X, wx, Y, wy, swapped=False, star=False):
     swapped exchanges the roles of the two node sets.
     """
     s = p if p <= 1.0 else p / (p - 1.0)
-    if weight.is_scalar():
-        wpx = weight.scalar_profile(X) ** (1.0 / p)
-        wpy = weight.scalar_profile(Y) ** (-1.0 / p)
-        F = (wpx[:, None] * wpy[None, :]) ** s
+    if FX.ndim == 1:
+        F = (FX[:, None] * FY[None, :]) ** s
     else:
-        prod = np.einsum("xij,yjk->xyik", weight.power_at(X, 1.0 / p),
-                         weight.power_at(Y, -1.0 / p))
-        F = linalg.op_norm(prod) ** s
+        F = linalg.op_norm(np.einsum("xij,yjk->xyik", FX, FY)) ** s
     if swapped:
         F, wx, wy = F.T, wy, wx
     if p > 1.0:
@@ -431,7 +436,8 @@ def ap_constant(weight, p, window, variant="standard", base_depth=3, grade_depth
         for bd, gd in ((base_depth, grade_depth), (base_depth + 1, grade_depth + 8)):
             X, wx = _graded_mesh(box, bd, gd, 1, weight.singular_points)
             Y, wy = _graded_mesh(box, bd, gd, 0, weight.singular_points)
-            vals.append(_ap_kernel(weight, p, X, wx, Y, wy, star=variant == "star"))
+            vals.append(_ap_kernel(p, _ap_factor(weight, X, 1.0 / p), wx,
+                                   _ap_factor(weight, Y, -1.0 / p), wy, star=variant == "star"))
         coarse, fine = vals
         if abs(fine - coarse) > 0.05 * abs(fine):
             converged = False
