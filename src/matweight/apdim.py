@@ -125,27 +125,22 @@ def _scalar_avg(weight, box, power, qspec):
 def _cross_quantity_scalar(weight, p, box_small, box_big, swapped, config, cache):
     """The two-cube A_p quantity for scalar-kind weights."""
     qspec = QuadSpec(base_depth=config.base_depth, grade_depth=config.grade_depth)
+
+    def avg(box, power):
+        """The cached avg over the box of w^power."""
+        key = (power, box.lo, box.hi)
+        if key not in cache:
+            cache[key] = _scalar_avg(weight, box, power, qspec)
+        return cache[key]
+
     if p <= 1.0:
         sup_box, avg_box_ = (box_small, box_big) if swapped else (box_big, box_small)
-        avg = cache.get(("avg", avg_box_.lo, avg_box_.hi))
-        if avg is None:
-            avg = _scalar_avg(weight, avg_box_, 1.0, qspec)
-            cache[("avg", avg_box_.lo, avg_box_.hi)] = avg
         Y, _ = box_nodes(sup_box, config.sup_depth, config.sup_grade, 0,
                          weight.singular_points)
         wmin = float(np.min(weight.scalar_profile(Y)))
-        return avg / wmin
-    pr = 1.0 / (p - 1.0)  # p'/p
+        return avg(avg_box_, 1.0) / wmin
     outer, inner = (box_big, box_small) if swapped else (box_small, box_big)
-    a1 = cache.get(("avg", outer.lo, outer.hi))
-    if a1 is None:
-        a1 = _scalar_avg(weight, outer, 1.0, qspec)
-        cache[("avg", outer.lo, outer.hi)] = a1
-    a2 = cache.get(("neg", inner.lo, inner.hi))
-    if a2 is None:
-        a2 = _scalar_avg(weight, inner, -pr, qspec)
-        cache[("neg", inner.lo, inner.hi)] = a2
-    return a1 * a2 ** (p - 1.0)
+    return avg(outer, 1.0) * avg(inner, -1.0 / (p - 1.0)) ** (p - 1.0)
 
 
 def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=False):
@@ -275,14 +270,6 @@ def swapped_slope(weight, p, config=None):
     vals, i_eff, _ = a_sequence(weight, p, config=config, swapped=True)
     slope, _, _ = fit_growth(vals, config.fit_skip)
     return slope, vals
-
-
-def envelope_value(Q, R, dims, p):
-    pprime = p / (p - 1.0) if p > 1.0 else np.inf
-    dt_term = dims.dtilde / pprime if np.isfinite(pprime) else 0.0
-    size = max((R.side / Q.side) ** (dims.d / p), (Q.side / R.side) ** dt_term)
-    dist = np.linalg.norm(Q.lower - R.lower) / max(Q.side, R.side)
-    return size * (1.0 + dist) ** dims.delta
 
 
 def growth_envelope_check(family, dims, window=None):

@@ -300,17 +300,6 @@ def ball_nodes(center, radius, base_depth, grade_depth, emit_depth,
     return mids, vols, tail_cells * 2 ** (emit_depth * n)
 
 
-def integrate_ball(fn, center, radius, spec=None, singular_points=(), name="ball integral"):
-    center = np.asarray(center, dtype=float)
-    spec = (spec or QuadSpec()).for_dim(center.size)
-    bdepth = 10 if center.size == 1 else max(2, 13 - spec.base_depth)
-
-    def node_fn(bd, gd, ed):
-        return ball_nodes(center, radius, bd, gd, ed, singular_points, boundary_depth=bdepth)
-
-    return _refine_loop(node_fn, fn, spec, name)
-
-
 def average_ball(fn, center, radius, spec=None, singular_points=(), name="ball average"):
     """Average over the ball; normalized by the mesh measure so constants are exact."""
     center = np.asarray(center, dtype=float)

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import FitError, IntegrabilityError
 from .quad import QuadSpec, box_nodes
-from .weights import _as_box, cube_average, cube_average_matrix_norm, dual_weight
+from .weights import _as_box, cube_average, dual_weight
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +75,30 @@ def _hermitian_from_real_form(E):
 # ---------------------------------------------------------------------------
 # cube quasi-norms
 
+_DIAG_K = 64  # sampled directions, beyond the basis, of the calibration and the brackets
+
+
+def _test_matrices(m):
+    """The bracket's m^2 + 1 test matrices: the identity and the matrix units."""
+    return np.concatenate([np.eye(m, dtype=complex)[None],
+                           np.eye(m * m, dtype=complex).reshape(m * m, m, m)])
+
+
+def _cube_norms(weight, p, region, dirs, mats=(), qspec=None):
+    """One cube average giving rho_Q(z) = (avg |W^(1/p) z|^p)^(1/p) for each
+    row z of dirs and (avg ||W^(1/p) M||^p)^(1/p) for each M of mats."""
+
+    def reducer(Ws):
+        vals = [np.linalg.norm(Ws @ dirs.T, axis=1)]
+        if len(mats):
+            vals.append(linalg.op_norm(Ws[:, None] @ mats))
+        return np.concatenate(vals, axis=1) ** p
+
+    res = cube_average(weight, region, 1.0 / p, p, reducer, qspec, name="cube norm")
+    vals = np.asarray(res.value) ** (1.0 / p)
+    return vals[:len(dirs)], vals[len(dirs):]
+
+
 class CubeNorm:
     """z -> (avg over Q of |W^(1/p)(x) z|^p dx)^(1/p), batched over directions."""
 
@@ -87,13 +111,7 @@ class CubeNorm:
     def bundle(self, dirs):
         """Values on a (K, m) array of directions in one quadrature pass."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=complex))
-
-        def reducer(mats):
-            return np.linalg.norm(np.einsum("nij,kj->nki", mats, dirs), axis=2) ** self.p
-
-        res = cube_average(self.weight, self.box, 1.0 / self.p, self.p, reducer,
-                           self.qspec, name="cube norm")
-        return np.asarray(res.value) ** (1.0 / self.p)
+        return _cube_norms(self.weight, self.p, self.box, dirs, qspec=self.qspec)[0]
 
     def __call__(self, z):
         return float(self.bundle(np.asarray(z, dtype=complex)[None, :])[0])
@@ -152,19 +170,51 @@ def mvee_centered(points, tol=1e-8, max_iter=10_000, fail_violation=0.05):
 N_PHASES = 8
 
 
-def _reduce_mvee(weight, p, region, K, qspec):
+def _bracket(A, dirs, rho, mats=(), den=()):
+    """[lo, hi] of |Az| / rho_Q(z) over the rows z of dirs and of
+    ||AM|| / (avg ||W^(1/p) M||^p)^(1/p) over the test matrices M."""
+    ratios = np.linalg.norm(dirs @ A.T, axis=1) / rho
+    if len(mats):
+        ratios = np.concatenate([ratios, linalg.op_norm(A @ mats) / den])
+    return float(ratios.min()), float(ratios.max())
+
+
+def _reduce(weight, p, region, method, K, qspec):
+    """The calibrated operator A_Q and its bracket.
+
+    One cube average gives rho_Q on unit_directions(m, max(K, _DIAG_K)) and
+    the test-matrix norms; exact_p2 adds one for avg_Q W. The MVEE fit
+    reads the first K + m directions (unit_directions is prefix-stable),
+    the calibration centres |Az| / rho_Q(z) over the first _DIAG_K + m
+    geometrically at 1, and the bracket covers those directions and the
+    test matrices.
+    """
+    if method == "auto":
+        method = "exact_p2" if p == 2.0 else "mvee"
+    if method not in ("exact_p2", "mvee"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "exact_p2" and p != 2.0:
+        raise ValueError("exact_p2 construction requires p = 2")
     m = weight.m
-    norm = CubeNorm(weight, p, region, qspec)
-    if m == 1:
-        return np.array([[norm(np.ones(1, dtype=complex))]], dtype=complex)
-    dirs = unit_directions(m, K)
-    rho = norm.bundle(dirs)
-    boundary = dirs / rho[:, None]
-    phases = np.exp(2j * np.pi * np.arange(N_PHASES) / N_PHASES)
-    cloud = (boundary[None, :, :] * phases[:, None, None]).reshape(-1, m)
-    E = mvee_centered(_realify(cloud))
-    H = _hermitian_from_real_form(E)
-    return linalg.matrix_power(H, 0.5)
+    dirs = unit_directions(m, max(K, _DIAG_K))
+    mats = _test_matrices(m)
+    rho, den = _cube_norms(weight, p, region, dirs, mats, qspec)
+    if method == "exact_p2":
+        avg = cube_average(weight, region, 1.0, 1.0, lambda Ws: Ws, qspec,
+                           name="matrix average")
+        A = linalg.matrix_power(avg.value, 0.5)
+    elif m == 1:
+        A = np.array([[rho[0]]], dtype=complex)
+    else:
+        boundary = dirs[:K + m] / rho[:K + m, None]
+        phases = np.exp(2j * np.pi * np.arange(N_PHASES) / N_PHASES)
+        cloud = (boundary[None, :, :] * phases[:, None, None]).reshape(-1, m)
+        E = mvee_centered(_realify(cloud))
+        A = linalg.matrix_power(_hermitian_from_real_form(E), 0.5)
+    diag = _DIAG_K + m
+    lo, hi = _bracket(A, dirs[:diag], rho[:diag])
+    A = A / np.sqrt(lo * hi)
+    return A, _bracket(A, dirs[:diag], rho[:diag], mats, den)
 
 
 def reduce_operator(weight, p, region, method="auto", K=256, qspec=None):
@@ -174,20 +224,7 @@ def reduce_operator(weight, p, region, method="auto", K=256, qspec=None):
     fits the quasi-norm ball for any p. The result is rescaled so its
     equivalence bracket is geometrically centered at 1.
     """
-    if method == "auto":
-        method = "exact_p2" if p == 2.0 else "mvee"
-    if method == "exact_p2":
-        if p != 2.0:
-            raise ValueError("exact_p2 construction requires p = 2")
-        avg = cube_average(weight, region, 1.0, 1.0, lambda mats: mats, qspec,
-                           name="matrix average")
-        A = linalg.matrix_power(avg.value, 0.5)
-    elif method == "mvee":
-        A = _reduce_mvee(weight, p, region, K, qspec)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    lo, hi = verify_reducing(A, weight, p, region, qspec=qspec, include_matrices=False)
-    return A / np.sqrt(lo * hi)
+    return _reduce(weight, p, region, method, K, qspec)[0]
 
 
 def dual_reduce(weight, p, region, method="auto", K=256, qspec=None):
@@ -200,27 +237,12 @@ def verify_reducing(A, weight, p, region, K=64, qspec=None, include_matrices=Tru
     """Bracket [r_lo, r_hi] of |Az| / rho_Q(z) over sampled directions.
 
     With include_matrices=True the bracket also covers the matrix ratios
-    ||A M|| / (avg ||W^(1/p) M||^p)^(1/p) for a small basis of test matrices.
+    ||A M|| / (avg ||W^(1/p) M||^p)^(1/p) for the identity and the matrix units.
     """
-    A = np.asarray(A, dtype=complex)
-    m = weight.m
-    norm = CubeNorm(weight, p, region, qspec)
-    dirs = unit_directions(m, max(K, 64))
-    rho = norm.bundle(dirs)
-    ratios = np.linalg.norm(dirs @ A.T, axis=1) / rho
-    lo, hi = float(ratios.min()), float(ratios.max())
-    if include_matrices and m > 1:
-        mats = [np.eye(m, dtype=complex)]
-        for i in range(m):
-            for k in range(m):
-                M = np.zeros((m, m), dtype=complex)
-                M[i, k] = 1.0
-                mats.append(M)
-        for M in mats:
-            denom = cube_average_matrix_norm(weight, p, region, M, qspec)
-            r = float(linalg.op_norm(A @ M)) / denom
-            lo, hi = min(lo, r), max(hi, r)
-    return lo, hi
+    dirs = unit_directions(weight.m, max(K, _DIAG_K))
+    mats = _test_matrices(weight.m) if include_matrices else ()
+    rho, den = _cube_norms(weight, p, region, dirs, mats, qspec)
+    return _bracket(np.asarray(A, dtype=complex), dirs, rho, mats, den)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +310,8 @@ def family_cache_key(weight, p, window, method, K, qspec):
 
 def build_family(weight, p, window, method="auto", K=256, qspec=None):
     """Construct reducing operators for every cube of the window; each cube's
-    bracket comes from verify_reducing's 64 directions and test matrices."""
+    bracket covers _DIAG_K + m directions and the m^2 + 1 test matrices, from
+    the same cube average as its operator."""
     key = family_cache_key(weight, p, window, method, K, qspec)
     if key in _family_cache:
         return _family_cache[key]
@@ -301,10 +324,7 @@ def build_family(weight, p, window, method="auto", K=256, qspec=None):
         hi_arr = np.zeros(counts)
         for Q in window.cubes_at_level(j):
             idx = window.index(Q)
-            AQ = reduce_operator(weight, p, Q, method=method, K=K, qspec=qspec)
-            lo, hi = verify_reducing(AQ, weight, p, Q, qspec=qspec)
-            A[idx] = AQ
-            lo_arr[idx], hi_arr[idx] = lo, hi
+            A[idx], (lo_arr[idx], hi_arr[idx]) = _reduce(weight, p, Q, method, K, qspec)
         mats[j] = A
         invs[j] = np.linalg.inv(A)
         brackets[j] = (lo_arr, hi_arr)

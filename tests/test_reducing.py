@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matweight import linalg
+from matweight import linalg, reducing, weights
 from matweight.geometry import CubeWindow, DyadicCube
 from matweight.quad import QuadSpec
 from matweight.reducing import (CubeNorm, build_family, cube_norm, dual_reduce,
@@ -9,7 +9,8 @@ from matweight.reducing import (CubeNorm, build_family, cube_norm, dual_reduce,
                                 mvee_centered, reduce_operator, unit_directions,
                                 verify_reducing)
 from matweight.weights import (ConjugatedBlockWeight, ConstantWeight,
-                               PowerLogWeight, ap_constant, identity_weight)
+                               PowerLogWeight, ap_constant, cube_average,
+                               cube_average_matrix_norm, identity_weight)
 
 
 def conjugated_block():
@@ -244,3 +245,62 @@ class TestFamily:
         pts = Q.center[None, :]
         assert np.allclose(fam.at_points(2, pts)[0], A)
         assert np.allclose(fam.inverse_at_points(2, pts)[0], np.linalg.inv(A))
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("method, p, per_cube", [("mvee", 1.5, 1), ("exact_p2", 2.0, 2)])
+    def test_cube_averages_per_cube(self, monkeypatch, m, method, p, per_cube):
+        # the fit, the calibration and the bracket read one cube average;
+        # exact_p2 adds avg_Q W
+        calls = []
+        average_box = weights.average_box
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return average_box(*args, **kwargs)
+
+        monkeypatch.setattr(weights, "average_box", counted)
+        monkeypatch.setattr(reducing, "_family_cache", {})
+        W = conjugated_block() if m == 2 else PowerLogWeight(1, 1, -0.4)
+        win = CubeWindow(1, 1, 2)
+        fam = build_family(W, p, win, method=method, K=32)
+        assert fam.m == m
+        assert len(calls) == per_cube * win.num_cubes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_unit_directions_prefix_stable(self, m):
+        big = unit_directions(m, 300)
+        for K in (1, 16, 64, 256):
+            assert np.array_equal(unit_directions(m, K), big[:K + m])
+
+    @pytest.mark.parametrize("method, p", [("mvee", 1.5), ("exact_p2", 2.0)])
+    def test_family_bracket_is_verify_reducing(self, method, p):
+        W = conjugated_block()
+        win = CubeWindow(1, 1, 2)
+        fam = build_family(W, p, win, method=method, K=64)
+        for Q in win.cubes():
+            assert np.allclose(fam.bracket(Q), verify_reducing(fam.matrix(Q), W, p, Q),
+                               rtol=1e-12, atol=0.0)
+
+    def test_verify_reducing_matches_reference(self):
+        # directions from one cube average, each test matrix from its own
+        W = conjugated_block()
+        Q = DyadicCube(1, (0,))
+        p = 1.5
+        A = reduce_operator(W, p, Q, method="mvee", K=64)
+        dirs = unit_directions(2, 64)
+        res = cube_average(W, Q, 1.0 / p, p, lambda Ws: np.linalg.norm(
+            np.einsum("nij,kj->nki", Ws, dirs), axis=2) ** p)
+        ratios = list(np.linalg.norm(dirs @ A.T, axis=1) / res.value ** (1.0 / p))
+        mats = [np.eye(2)]
+        for i in range(2):
+            for k in range(2):
+                M = np.zeros((2, 2))
+                M[i, k] = 1.0
+                mats.append(M)
+        for M in mats:
+            ratios.append(float(linalg.op_norm(A @ M)) / cube_average_matrix_norm(W, p, Q, M))
+        lo, hi = verify_reducing(A, W, p, Q)
+        assert lo == pytest.approx(min(ratios), rel=1e-3)
+        assert hi == pytest.approx(max(ratios), rel=1e-3)
