@@ -116,12 +116,6 @@ def _filter_base_cubes(cubes, i_max, domain):
     raise ValueError("no base cube fits the working domain even at i = 1")
 
 
-def _scalar_avg(weight, box, power, qspec):
-    """avg over the box of w^power for a scalar weight w I."""
-    return float(cube_average(weight, box, power, 1.0, lambda mats: mats[:, 0, 0].real,
-                              qspec, name="cross average").value)
-
-
 def _cross_quantity_scalar(weight, p, box_small, box_big, swapped, config, cache):
     """The two-cube A_p quantity for scalar-kind weights."""
     qspec = QuadSpec(base_depth=config.base_depth, grade_depth=config.grade_depth)
@@ -130,12 +124,14 @@ def _cross_quantity_scalar(weight, p, box_small, box_big, swapped, config, cache
         """The cached avg over the box of w^power."""
         key = (power, box.lo, box.hi)
         if key not in cache:
-            cache[key] = _scalar_avg(weight, box, power, qspec)
+            cache[key] = float(cube_average(weight, box, power, 1.0,
+                                            lambda mats: mats[:, 0, 0].real, qspec,
+                                            name="cross average").value)
         return cache[key]
 
     if p <= 1.0:
         sup_box, avg_box_ = (box_small, box_big) if swapped else (box_big, box_small)
-        Y, _ = box_nodes(sup_box, config.sup_depth, config.sup_grade, 0,
+        Y, _ = box_nodes(sup_box, config.sup_depth, config.sup_grade, 1,
                          weight.singular_points)
         wmin = float(np.min(weight.scalar_profile(Y)))
         return avg(avg_box_, 1.0) / wmin
@@ -162,7 +158,7 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
     for Q in cubes:
         box_small = Q.box()
         if not weight.is_scalar():
-            X, wx = _graded_mesh(box_small, config.base_depth, gd, 0, sing)
+            X, wx = _graded_mesh(box_small, config.base_depth, gd, 1, sing)
             FX = _ap_factor(weight, X, 1.0 / p)
         for i in range(i_eff + 1):
             box_big = double(Q, i)
@@ -170,7 +166,7 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
                 q = _cross_quantity_scalar(weight, p, box_small, box_big, swapped,
                                            config, cache)
             else:
-                Y, wy = _graded_mesh(box_big, config.base_depth, gd, 0, sing)
+                Y, wy = _graded_mesh(box_big, config.base_depth, gd, 1, sing)
                 q = _ap_kernel(p, FX, wx, _ap_factor(weight, Y, -1.0 / p), wy,
                                swapped=swapped)
             vals[i] = max(vals[i], q)

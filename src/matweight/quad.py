@@ -1,14 +1,21 @@
-"""Cube and ball averages by graded dyadic midpoint quadrature.
+"""Cube and ball averages by an hp Gauss rule for point singularities.
 
-Integrands are smooth away from a finite set of singular points, so the mesh
-is a tensor midpoint rule refined dyadically toward each singular point.
-Between rounds the base and grading depths grow; the loop stops when the
-relative change of the integral drops below the requested tolerance.
-Midpoints never coincide with singular points (a coinciding node is offset
-by a fixed fraction of its cell, the convention used for grid sampling too).
+A box is split at its singular points, so each is a corner of the pieces
+around it; every piece gets 2^base_depth uniform cells per axis, and each
+cell at a singular corner is graded toward it geometrically (ratio 1/2,
+2^n - 1 cells per level). Every cell carries a tensor Gauss-Legendre rule of
+`order` points per axis (order 1 is the midpoint rule). The innermost cells
+are an untrusted tail that must be negligible before a result converges. In
+1-D, given the local exponent e at each singular point s, the grading stops
+within a quarter of the distance to the next singular point (or to 1) and
+that cell gets a Gauss-Jacobi rule for |x - s|^e, which leaves no tail.
+Rounds refine the rule until the relative change drops below the tolerance.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -18,36 +25,28 @@ from .geometry import Box
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Controls for the graded midpoint rule.
+    """Controls for the hp Gauss rule.
 
-    base_depth: uniform dyadic splits per axis on the smooth part.
-    grade_depth: extra dyadic halvings chained toward each singular point.
-    emit_depth: uniform sub-splits inside every emitted cell.
-    Per refinement round, base/emit grow by one and the grading by
-    grade_step; rel_tol is the stopping threshold on the relative change.
+    base_depth: uniform dyadic splits per axis of each piece of the box.
+    grade_depth: geometric levels toward each singular corner, down to a
+        floating-point floor, where no Gauss-Jacobi end cell applies.
+    order: Gauss-Legendre points per axis and cell, and Gauss-Jacobi points.
+    Per refinement round, base_depth and order grow by one and grade_depth
+    by grade_step; rel_tol is the stopping threshold on the relative change.
     """
 
     rel_tol: float = 1e-4
     base_depth: int = 4
     grade_depth: int = 32
-    emit_depth: int = 2
+    order: int = 3
     grade_step: int = 16
     max_rounds: int = 5
     max_nodes: int = 500_000
 
     def for_dim(self, n):
         """Shrink per-axis depths in higher dimension to keep node counts sane."""
-        if n <= 1:
-            return self
-        return QuadSpec(
-            rel_tol=self.rel_tol,
-            base_depth=min(self.base_depth, 3),
-            grade_depth=self.grade_depth,
-            emit_depth=min(self.emit_depth, 1),
-            grade_step=self.grade_step,
-            max_rounds=self.max_rounds,
-            max_nodes=self.max_nodes,
-        )
+        return self if n <= 1 else replace(self, base_depth=min(self.base_depth, 3),
+                                           order=min(self.order, 2))
 
 
 @dataclass
@@ -59,130 +58,138 @@ class QuadResult:
     history: list = field(default_factory=list)
 
 
-def _split_cells(lo, widths):
-    """Split each (lo, widths) cell into 2^n half-size children."""
+def _mesh(*axes):
+    """All combinations of one entry per axis, as rows ('ij' order)."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+@lru_cache(maxsize=512)
+def _gauss_jacobi(e, order):
+    """Gauss rule for int_0^1 t^e g(t) dt (e > -1) by Golub & Welsch from the
+    Jacobi matrix of P^(0, e), as nodes t_j and weights w_j t_j^-e, which
+    apply to the integrand t^e g(t) itself (e = 0: Gauss-Legendre)."""
+    k = np.arange(1, order, dtype=float)
+    s = 2.0 * k + e
+    diag = np.concatenate(([e / (e + 2.0)], e * e / (s * (s + 2.0))))
+    off = 2.0 * k * (k + e) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    t = 0.5 * (x + 1.0)
+    return t, v[0] ** 2 / (e + 1.0) * t ** -e
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(order, n):
+    """Tensor Gauss-Legendre rule on [0, 1]^n: nodes (order^n, n), weights summing to 1."""
+    t, w = _gauss_jacobi(0.0, order)
+    return _mesh(*[t] * n), _mesh(*[w / w.sum()] * n).prod(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _child_offsets(n, sign):
+    """Lower corners of one level's 2^n - 1 chain cells, in units of the level
+    width from the singular corner of a cell that extends along sign."""
+    return _unit_grid(1, n)[1:] * sign + np.minimum(sign, 0.0)
+
+
+def _cells(lo, hi, points, depth):
+    """Split the box [lo, hi] (float lists) at the points on it and give each
+    piece 2^depth uniform cells per axis: lower corners, widths, and the cells
+    at a point as (cell index, point index, direction, corner, widths)."""
+    n, m = len(lo), 2 ** depth
+    pads = [1e-12 * (b - a) for a, b in zip(lo, hi)]
+    axes = [[a, *sorted({s[i] for s in points if a + d < s[i] < b - d}), b]
+            for i, (a, b, d) in enumerate(zip(lo, hi, pads))]
+    pieces = list(product(*[list(zip(c[:-1], c[1:])) for c in axes]))
+    corners, seen = [], set()
+    for p, piece in enumerate(pieces):
+        for k, s in enumerate(points):
+            sign = tuple(1.0 if abs(x - a) <= d else -1.0 if abs(x - b) <= d else 0.0
+                         for x, (a, b), d in zip(s, piece, pads))
+            cell = p * m ** n + sum((m - 1) * m ** (n - 1 - i) for i, g in enumerate(sign)
+                                    if g < 0)
+            if 0.0 not in sign and cell not in seen:
+                seen.add(cell)
+                corner = [a if g > 0 else b for g, (a, b) in zip(sign, piece)]
+                corners.append((cell, k, sign, corner, [(b - a) / m for a, b in piece]))
+    return (*_uniform(np.array([[a for a, _ in piece] for piece in pieces]),
+                      np.array([[b - a for a, b in piece] for piece in pieces]), depth), corners)
+
+
+@lru_cache(maxsize=None)
+def _unit_grid(depth, n):
+    """Lower corners of the 2^depth-per-axis uniform grid, in cell widths."""
+    return _mesh(*[np.arange(2.0 ** depth)] * n)
+
+
+def _uniform(lo, widths, depth):
+    """The 2^depth-per-axis uniform subcells of every (lo, widths) cell."""
+    grid, w = _unit_grid(depth, lo.shape[1]), widths / 2 ** depth
+    return ((lo[:, None] + grid * w[:, None]).reshape(-1, lo.shape[1]),
+            np.repeat(w, len(grid), axis=0))
+
+
+def _emit(lo, widths, order):
+    """Tensor Gauss-Legendre nodes and weights on every (lo, widths) cell."""
+    t, w = _gauss_legendre(order, lo.shape[1])
+    nodes = (lo[:, None, :] + widths[:, None, :] * t[None]).reshape(-1, lo.shape[1])
+    return nodes, (widths.prod(axis=1)[:, None] * w[None]).ravel()
+
+
+def _graded_nodes(lo, widths, corners, order, grade_depth, floor, jacobi=None):
+    """Nodes, weights and tail node count of the cells with each corner cell
+    replaced by its chain: one geometric sequence of at most grade_depth
+    halvings, or, given jacobi ((exponent, reach) per point, 1-D), down to a
+    quarter of reach and a Gauss-Jacobi end cell; never below floor."""
     n = lo.shape[1]
-    half = 0.5 * widths
-    outs = []
-    for off in range(2 ** n):
-        bits = np.array([(off >> i) & 1 for i in range(n)], dtype=float)
-        outs.append(lo + bits * half)
-    return np.concatenate(outs, axis=0), np.tile(half, (2 ** n, 1))
+    if not corners:
+        return (*_emit(lo, widths, order), 0)
+    keep = np.ones(lo.shape[0], dtype=bool)
+    cells_lo, cells_w, inner_lo, inner_w = [None], [None], [], []
+    for cell, k, sign, c, w in corners:
+        keep[cell] = False
+        L = 0 if max(w) < floor else int(math.log2(max(w) / floor)) + 1
+        L = min(L, grade_depth if jacobi is None
+                else max(math.ceil(math.log2(4.0 * w[0] / jacobi[k][1])), 0))
+        if L:
+            lev = 0.5 ** np.arange(1.0, L + 1)[:, None] * w  # (L, n) level widths
+            cells_lo.append((c + _child_offsets(n, sign) * lev[:, None]).reshape(-1, n))
+            cells_w.append(np.repeat(lev, 2 ** n - 1, axis=0))
+        inner_w.append([v * 0.5 ** L for v in w])
+        inner_lo.append([x + min(g, 0.0) * v for x, g, v in zip(c, sign, inner_w[-1])])
+    cells_lo[0], cells_w[0] = lo[keep], widths[keep]
+    if jacobi is None:
+        mids, vols = _emit(np.concatenate(cells_lo + [np.array(inner_lo)]),
+                           np.concatenate(cells_w + [np.array(inner_w)]), order)
+        return mids, vols, len(corners) * order ** n
+    mids, vols = _emit(np.concatenate(cells_lo), np.concatenate(cells_w), order)
+    xs, vs = [mids[:, 0]], [vols]
+    for (_, k, (g,), (c,), _), (h,) in zip(corners, inner_w):
+        t, wt = _gauss_jacobi(jacobi[k][0], order)
+        xs.append(c + g * h * t)
+        vs.append(h * wt)
+    return np.concatenate(xs)[:, None], np.concatenate(vs), 0
 
 
-def _contains(lo, widths, point, margin=1e-12):
-    scaled = margin * np.maximum(widths, 1e-30)
-    return np.all((point >= lo - scaled) & (point <= lo + widths + scaled), axis=1)
-
-
-def _emit_subgrid(lo, widths, emit_depth, n):
-    e = 2 ** emit_depth
-    if e > 1:
-        offs = (np.arange(e) + 0.5) / e
-        grids = np.meshgrid(*([offs] * n), indexing="ij")
-        offs_nd = np.stack([g.ravel() for g in grids], axis=-1)  # (e^n, n)
-        mids = (lo[:, None, :] + widths[:, None, :] * offs_nd[None, :, :]).reshape(-1, n)
-        vols = np.repeat(np.prod(widths, axis=1) / e ** n, e ** n)
-    else:
-        mids = lo + 0.5 * widths
-        vols = np.prod(widths, axis=1)
-    return mids, vols
-
-
-def _touches(lo, widths, pads, points):
-    """`_contains` for one cell as float lists (pads: margin * max(widths, 1e-30))."""
-    for pt in points:
-        for q, a, x, e in zip(pt, lo, widths, pads):
-            if not a - e <= q <= a + x + e:
-                break
-        else:
-            return True
-    return False
-
-
-def _grade_toward(lo, widths, sing, grade_depth, fp_floor):
-    """Chain-split cells toward singular points; deepest cells come last.
-
-    Past the base level at most 2^n cells per singular point touch it, so the
-    chain is walked with Python floats in the same IEEE operations as
-    `_contains` (children at lo + bit * half, offset-major, parent-minor).
-    Halving stops at fp_floor so midpoints stay representable away from the
-    singular points. Returns (lo, widths, tail_cell_count).
-    """
-    n = lo.shape[1]
-    flagged = np.zeros(lo.shape[0], dtype=bool)
-    for s in sing:
-        flagged |= _contains(lo, widths, s)
-    pts = [np.broadcast_to(s, (n,)).tolist() for s in sing]
-    offsets = [[float((off >> i) & 1) for i in range(n)] for off in range(2 ** n)]
-    cur = list(zip(lo[flagged].tolist(), widths[flagged].tolist()))
-    out = []
-    for _ in range(grade_depth):
-        if not cur or max(max(w) for _, w in cur) < fp_floor:
-            break
-        halves = [[0.5 * x for x in w] for _, w in cur]
-        pads = [[1e-12 * max(x, 1e-30) for x in h] for h in halves]
-        nxt = []
-        for bits in offsets:
-            for (parent, _), h, pad in zip(cur, halves, pads):
-                c = [a + b * x for a, b, x in zip(parent, bits, h)]
-                (nxt if _touches(c, h, pad, pts) else out).append((c, h))
-        cur = nxt
-    out += cur
-    chain = np.array([c + h for c, h in out], dtype=float).reshape(-1, 2 * n)
-    return (np.concatenate([lo[~flagged], chain[:, :n]]),
-            np.concatenate([widths[~flagged], chain[:, n:]]), len(cur))
-
-
-def _uniform_cells(box, depth):
-    """Lower corners and widths of the 2^depth-per-axis uniform grid on a box."""
-    m = 2 ** depth
-    edges = [np.linspace(box.lo[i], box.hi[i], m + 1)[:-1] for i in range(box.n)]
-    lo = np.stack([g.ravel() for g in np.meshgrid(*edges, indexing="ij")], axis=-1)
-    return lo, np.tile(box.sides / m, (lo.shape[0], 1))
-
-
-def box_nodes(box, base_depth, grade_depth, emit_depth, singular_points=(),
+def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents=None,
               with_tail=False):
-    """Midpoints and volumes of the graded mesh on a box.
-
-    Uniform 2^base_depth cells per axis; cells touching a singular point are
-    chained through grade_depth further halvings; every emitted cell carries
-    a 2^(emit_depth n) uniform midpoint subgrid. With with_tail=True the
-    count of trailing nodes belonging to the deepest (untrusted) singular
-    cells is returned as well.
-    """
-    n = box.n
-    lo, widths = _uniform_cells(box, base_depth)
-
-    sing = [np.asarray(s, dtype=float) for s in singular_points]
-    sing = [s for s in sing if _contains(np.array([box.lo_arr]), np.array([box.sides]), s)[0]]
-
-    tail_cells = 0
-    if sing:
-        scale_fp = max(1.0, float(np.max(np.abs(box.lo_arr))), float(np.max(np.abs(box.hi_arr))))
-        lo, widths, tail_cells = _grade_toward(lo, widths, sing, grade_depth,
-                                               fp_floor=1e-12 * scale_fp)
-
-    mids, vols = _emit_subgrid(lo, widths, emit_depth, n)
-
-    # offset any midpoint that still landed on a singular point
-    for s in sing:
-        hit = np.all(np.abs(mids - s) <= 1e-13 * np.maximum(np.max(np.abs(mids), axis=0), 1.0), axis=1)
-        if np.any(hit):
-            step = (vols[hit] ** (1.0 / n))[:, None] * 0.37
-            mids[hit] = mids[hit] + step
-    if with_tail:
-        return mids, vols, tail_cells * 2 ** (emit_depth * n)
-    return mids, vols
-
-
-def _round_params(spec, rnd):
-    return (
-        spec.base_depth + rnd,
-        spec.grade_depth + rnd * spec.grade_step,
-        spec.emit_depth + rnd,
-    )
+    """Nodes and weights of the hp rule on a box; exponents (parallel to
+    singular_points) are the integrand's local exponents, which give 1-D
+    chains Gauss-Jacobi end cells. with_tail=True adds the tail node count."""
+    lo, hi = [float(v) for v in box.lo], [float(v) for v in box.hi]
+    pts = [(np.ravel(s).tolist() * box.n)[:box.n] for s in singular_points]
+    on = [k for k, s in enumerate(pts)
+          if all(a - 1e-12 * (b - a) <= x <= b + 1e-12 * (b - a) for x, a, b in zip(s, lo, hi))]
+    sing = [pts[k] for k in on]
+    cells = _cells(lo, hi, sing, max(base_depth, 1) if sing else base_depth)
+    jacobi = None
+    if box.n == 1 and exponents is not None:
+        # reach: the distance to the nearest other singular point, or 1
+        jacobi = [(float(exponents[k]),
+                   min([1.0] + [abs(pts[k][0] - t[0]) for t in pts if t[0] != pts[k][0]]))
+                  for k in on]
+    floor = 1e-12 * max(1.0, *map(abs, lo), *map(abs, hi))  # cells resolve points above it
+    mids, vols, tail = _graded_nodes(*cells, order, grade_depth, floor, jacobi)
+    return (mids, vols, tail) if with_tail else (mids, vols)
 
 
 def _refine_loop(node_fn, fn, spec, name):
@@ -191,9 +198,8 @@ def _refine_loop(node_fn, fn, spec, name):
     nodes = 0
     converged = False
     for rnd in range(spec.max_rounds):
-        out = node_fn(*_round_params(spec, rnd))
-        mids, vols = out[0], out[1]
-        n_tail = out[2] if len(out) > 2 else 0
+        mids, vols, n_tail = node_fn(spec.base_depth + rnd,
+                                     spec.grade_depth + rnd * spec.grade_step, spec.order + rnd)
         if mids.shape[0] > spec.max_nodes:
             if not history:
                 raise ResolutionError(f"{name}: the first round needs {mids.shape[0]} "
@@ -201,17 +207,17 @@ def _refine_loop(node_fn, fn, spec, name):
             break
         nodes = mids.shape[0]
         vals = np.asarray(fn(mids))
-        new = np.tensordot(vols, vals, axes=(0, 0))
+        new = (vols @ vals.reshape(vols.size, -1)).reshape(vals.shape[1:])
         history.append(new)
-        scale = max(float(np.sum(np.abs(new))), 1e-300)
-        # contribution of the deepest singular cells: their midpoint estimate
-        # is untrusted, so it must be negligible before we call it converged
+        scale = max(float(np.abs(new).sum()), 1e-300)
+        # contribution of the innermost singular cells: their estimate is
+        # untrusted, so it must be negligible before we call it converged
         tail = 0.0
         if n_tail:
             tail = float(np.sum(np.abs(
                 np.tensordot(vols[-n_tail:], vals[-n_tail:], axes=(0, 0)))))
         if value is not None:
-            change = float(np.sum(np.abs(new - value)))
+            change = float(np.abs(new - value).sum())
             value = new
             if change <= spec.rel_tol * scale and tail <= 10.0 * spec.rel_tol * scale:
                 converged = True
@@ -229,75 +235,65 @@ def _refine_loop(node_fn, fn, spec, name):
     return QuadResult(value, converged, len(history), nodes, history)
 
 
-def integrate_box(fn, box, spec=None, singular_points=(), name="box integral"):
-    """Integral of fn over a box; fn maps (N, n) points to (N, ...) values."""
+def integrate_box(fn, box, spec=None, singular_points=(), name="box integral",
+                  exponents=None):
+    """Integral of fn over a box; fn maps (N, n) points to (N, ...) values and
+    has the local exponents `exponents` (optional) at the singular points."""
     spec = (spec or QuadSpec()).for_dim(box.n)
 
-    def node_fn(bd, gd, ed):
-        return box_nodes(box, bd, gd, ed, singular_points, with_tail=True)
+    def node_fn(bd, gd, order):
+        return box_nodes(box, bd, gd, order, singular_points, exponents, with_tail=True)
 
     return _refine_loop(node_fn, fn, spec, name)
 
 
-def average_box(fn, box, spec=None, singular_points=(), name="box average"):
-    res = integrate_box(fn, box, spec, singular_points, name)
+def average_box(fn, box, spec=None, singular_points=(), name="box average", exponents=None):
+    res = integrate_box(fn, box, spec, singular_points, name, exponents)
     res.value = res.value / box.volume
     return res
 
 
-def ball_nodes(center, radius, base_depth, grade_depth, emit_depth,
-               singular_points=(), boundary_depth=10):
-    """Graded mesh on a Euclidean ball (extra dyadic refinement at the sphere)."""
+def ball_nodes(center, radius, base_depth, grade_depth, order, singular_points=(),
+               boundary_depth=10):
+    """Graded mesh on a Euclidean ball: the box rule on the bounding box,
+    with extra dyadic refinement of the cells that cross the sphere and only
+    the nodes inside the ball kept."""
     center = np.asarray(center, dtype=float)
     n = center.size
     bbox = Box(tuple(center - radius), tuple(center + radius))
     if n == 1:
-        return box_nodes(bbox, base_depth, grade_depth, emit_depth, singular_points,
+        return box_nodes(bbox, base_depth, grade_depth, order, singular_points,
                          with_tail=True)
 
-    lo, widths = _uniform_cells(bbox, base_depth)
+    sing = [(np.ravel(s).tolist() * n)[:n] for s in singular_points]
+    lo, widths, corners = _cells(list(bbox.lo), list(bbox.hi), sing, max(base_depth, 1))
+    graded = np.isin(np.arange(lo.shape[0]), [c[0] for c in corners])
 
     def classify(lo_a, w_a):
-        # squared distance range from the center over each cell
-        nearest = np.clip(center, lo_a, lo_a + w_a)
-        dmin2 = np.sum((nearest - center) ** 2, axis=1)
-        farthest = np.where(center < lo_a + 0.5 * w_a, lo_a + w_a, lo_a)
-        dmax2 = np.sum((farthest - center) ** 2, axis=1)
-        inside = dmax2 <= radius ** 2
-        outside = dmin2 >= radius ** 2
-        return inside, outside
+        """Cells wholly inside and wholly outside the ball."""
+        far = np.where(center < lo_a + 0.5 * w_a, lo_a + w_a, lo_a)
+        dmin2 = np.sum((np.clip(center, lo_a, lo_a + w_a) - center) ** 2, axis=1)
+        dmax2 = np.sum((far - center) ** 2, axis=1)
+        return dmax2 <= radius ** 2, dmin2 >= radius ** 2
 
-    inside_lo, inside_w = [], []
-    cur_lo, cur_w = lo, widths
+    inside_lo, inside_w = [lo[graded]], [widths[graded]]
+    cur_lo, cur_w = lo[~graded], widths[~graded]
     for _ in range(boundary_depth):
         ins, outs = classify(cur_lo, cur_w)
         inside_lo.append(cur_lo[ins])
         inside_w.append(cur_w[ins])
         strad = ~(ins | outs)
+        cur_lo, cur_w = cur_lo[strad], cur_w[strad]
         if not np.any(strad) or int(np.sum(strad)) > 20_000:
-            cur_lo, cur_w = cur_lo[strad], cur_w[strad]
             break
-        cur_lo, cur_w = _split_cells(cur_lo[strad], cur_w[strad])
-    if cur_lo.shape[0]:
-        mid_in = np.sum((cur_lo + 0.5 * cur_w - center) ** 2, axis=1) <= radius ** 2
-        inside_lo.append(cur_lo[mid_in])
-        inside_w.append(cur_w[mid_in])
-    lo = np.concatenate(inside_lo, axis=0)
-    widths = np.concatenate(inside_w, axis=0)
-
-    sing = [np.asarray(s, dtype=float) for s in singular_points]
-    tail_cells = 0
-    if sing:
-        scale_fp = max(1.0, float(np.max(np.abs(bbox.lo_arr))), float(np.max(np.abs(bbox.hi_arr))))
-        lo, widths, tail_cells = _grade_toward(lo, widths, sing, grade_depth,
-                                               fp_floor=1e-12 * scale_fp)
-
-    mids, vols = _emit_subgrid(lo, widths, emit_depth, n)
-    for s in sing:
-        hit = np.all(np.abs(mids - s) <= 1e-13, axis=1)
-        if np.any(hit):
-            mids[hit] = mids[hit] + (vols[hit] ** (1.0 / n))[:, None] * 0.37
-    return mids, vols, tail_cells * 2 ** (emit_depth * n)
+        cur_lo, cur_w = _uniform(cur_lo, cur_w, 1)
+    floor = 1e-12 * max(1.0, *map(abs, bbox.lo), *map(abs, bbox.hi))
+    X, v, tail = _graded_nodes(np.concatenate(inside_lo + [cur_lo]),
+                               np.concatenate(inside_w + [cur_w]),
+                               [(i, *c[1:]) for i, c in enumerate(corners)], order,
+                               grade_depth, floor)
+    keep = np.sum((X - center) ** 2, axis=1) <= radius ** 2
+    return X[keep], v[keep], int(keep[len(keep) - tail:].sum())
 
 
 def average_ball(fn, center, radius, spec=None, singular_points=(), name="ball average"):
@@ -306,8 +302,8 @@ def average_ball(fn, center, radius, spec=None, singular_points=(), name="ball a
     spec = (spec or QuadSpec()).for_dim(center.size)
     bdepth = 10 if center.size == 1 else max(2, 13 - spec.base_depth)
 
-    def node_fn(bd, gd, ed):
-        mids, vols, n_tail = ball_nodes(center, radius, bd, gd, ed, singular_points,
+    def node_fn(bd, gd, order):
+        mids, vols, n_tail = ball_nodes(center, radius, bd, gd, order, singular_points,
                                         boundary_depth=bdepth)
         return mids, vols / vols.sum(), n_tail
 

@@ -78,21 +78,15 @@ def _hermitian_from_real_form(E):
 _DIAG_K = 64  # sampled directions, beyond the basis, of the calibration and the brackets
 
 
-def _test_matrices(m):
-    """The bracket's m^2 + 1 test matrices: the identity and the matrix units."""
-    return np.concatenate([np.eye(m, dtype=complex)[None],
-                           np.eye(m * m, dtype=complex).reshape(m * m, m, m)])
-
-
-def _cube_norms(weight, p, region, dirs, mats=(), qspec=None):
+def _cube_norms(weight, p, region, dirs, identity=False, qspec=None):
     """One cube average giving rho_Q(z) = (avg |W^(1/p) z|^p)^(1/p) for each
-    row z of dirs and (avg ||W^(1/p) M||^p)^(1/p) for each M of mats."""
+    row z of dirs and, with identity=True, (avg ||W^(1/p)||^p)^(1/p)."""
 
     def reducer(Ws):
-        vals = [np.linalg.norm(Ws @ dirs.T, axis=1)]
-        if len(mats):
-            vals.append(linalg.op_norm(Ws[:, None] @ mats))
-        return np.concatenate(vals, axis=1) ** p
+        vals = np.linalg.norm(Ws @ dirs.T, axis=1)
+        if identity:
+            vals = np.concatenate([vals, linalg.op_norm(Ws)[:, None]], axis=1)
+        return vals ** p
 
     res = cube_average(weight, region, 1.0 / p, p, reducer, qspec, name="cube norm")
     vals = np.asarray(res.value) ** (1.0 / p)
@@ -170,12 +164,12 @@ def mvee_centered(points, tol=1e-8, max_iter=10_000, fail_violation=0.05):
 N_PHASES = 8
 
 
-def _bracket(A, dirs, rho, mats=(), den=()):
-    """[lo, hi] of |Az| / rho_Q(z) over the rows z of dirs and of
-    ||AM|| / (avg ||W^(1/p) M||^p)^(1/p) over the test matrices M."""
+def _bracket(A, dirs, rho, den=()):
+    """[lo, hi] of |Az| / rho_Q(z) over the rows z of dirs and, given den =
+    (avg ||W^(1/p)||^p)^(1/p), of the identity's ||A|| / den."""
     ratios = np.linalg.norm(dirs @ A.T, axis=1) / rho
-    if len(mats):
-        ratios = np.concatenate([ratios, linalg.op_norm(A @ mats) / den])
+    if len(den):
+        ratios = np.append(ratios, linalg.op_norm(A) / den)
     return float(ratios.min()), float(ratios.max())
 
 
@@ -187,7 +181,7 @@ def _reduce(weight, p, region, method, K, qspec):
     reads the first K + m directions (unit_directions is prefix-stable),
     the calibration centres |Az| / rho_Q(z) over the first _DIAG_K + m
     geometrically at 1, and the bracket covers those directions and the
-    test matrices.
+    identity (the matrix units would repeat the basis-direction ratios).
     """
     if method == "auto":
         method = "exact_p2" if p == 2.0 else "mvee"
@@ -197,8 +191,7 @@ def _reduce(weight, p, region, method, K, qspec):
         raise ValueError("exact_p2 construction requires p = 2")
     m = weight.m
     dirs = unit_directions(m, max(K, _DIAG_K))
-    mats = _test_matrices(m)
-    rho, den = _cube_norms(weight, p, region, dirs, mats, qspec)
+    rho, den = _cube_norms(weight, p, region, dirs, True, qspec)
     if method == "exact_p2":
         avg = cube_average(weight, region, 1.0, 1.0, lambda Ws: Ws, qspec,
                            name="matrix average")
@@ -214,7 +207,7 @@ def _reduce(weight, p, region, method, K, qspec):
     diag = _DIAG_K + m
     lo, hi = _bracket(A, dirs[:diag], rho[:diag])
     A = A / np.sqrt(lo * hi)
-    return A, _bracket(A, dirs[:diag], rho[:diag], mats, den)
+    return A, _bracket(A, dirs[:diag], rho[:diag], den)
 
 
 def reduce_operator(weight, p, region, method="auto", K=256, qspec=None):
@@ -234,15 +227,11 @@ def dual_reduce(weight, p, region, method="auto", K=256, qspec=None):
 
 
 def verify_reducing(A, weight, p, region, K=64, qspec=None, include_matrices=True):
-    """Bracket [r_lo, r_hi] of |Az| / rho_Q(z) over sampled directions.
-
-    With include_matrices=True the bracket also covers the matrix ratios
-    ||A M|| / (avg ||W^(1/p) M||^p)^(1/p) for the identity and the matrix units.
-    """
+    """Bracket [r_lo, r_hi] of |Az| / rho_Q(z) over sampled directions and,
+    with include_matrices=True, of the identity's ||A|| / (avg ||W^(1/p)||^p)^(1/p)."""
     dirs = unit_directions(weight.m, max(K, _DIAG_K))
-    mats = _test_matrices(weight.m) if include_matrices else ()
-    rho, den = _cube_norms(weight, p, region, dirs, mats, qspec)
-    return _bracket(np.asarray(A, dtype=complex), dirs, rho, mats, den)
+    rho, den = _cube_norms(weight, p, region, dirs, include_matrices, qspec)
+    return _bracket(np.asarray(A, dtype=complex), dirs, rho, den)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +299,8 @@ def family_cache_key(weight, p, window, method, K, qspec):
 
 def build_family(weight, p, window, method="auto", K=256, qspec=None):
     """Construct reducing operators for every cube of the window; each cube's
-    bracket covers _DIAG_K + m directions and the m^2 + 1 test matrices, from
-    the same cube average as its operator."""
+    bracket covers _DIAG_K + m directions and the identity, from the same
+    cube average as its operator."""
     key = family_cache_key(weight, p, window, method, K, qspec)
     if key in _family_cache:
         return _family_cache[key]
@@ -396,7 +385,7 @@ def integrability_probe(weight, p, family, window, r_grid):
     if p <= 1.0:
         for Q in cubes:
             A = family.matrix(Q)
-            X, _ = box_nodes(Q.box(), 3, 16, 0, weight.singular_points)
+            X, _ = box_nodes(Q.box(), 3, 16, 1, weight.singular_points)
             F = linalg.op_norm(np.einsum("ij,njk->nik", A, weight.power_at(X, -1.0 / p)))
             sup_form = max(sup_form, float(F.max()))
     stable = [row.r for row in rows if row.forward_ok and row.backward_ok]

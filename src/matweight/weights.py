@@ -44,6 +44,10 @@ class MatrixWeight:
         """Local power exponent of ||W^alpha|| at a singular point (0 if smooth)."""
         return 0.0
 
+    def local_power(self, point, alpha):
+        """e if W^alpha is |x - point|^e times a smooth matrix near the point."""
+        return self.norm_exponent(point, alpha) if self.is_scalar() else None
+
     def dual(self, p):
         """The order-p' companion weight W^(-1/(p-1)); requires p > 1."""
         if p <= 1:
@@ -71,7 +75,7 @@ class MatrixWeight:
 
 
 def _power_log_profile(X, a, b):
-    r = np.linalg.norm(X, axis=1)
+    r = np.abs(X[:, 0]) if X.shape[1] == 1 else np.linalg.norm(X, axis=1)
     out = np.ones_like(r)
     if a != 0.0:
         out = r ** a
@@ -104,7 +108,7 @@ class PowerLogWeight(MatrixWeight):
         return w[:, None, None] * np.eye(self.m)[None]
 
     def norm_exponent(self, point, alpha):
-        if self.a != 0.0 and np.allclose(point, 0.0):
+        if self.a != 0.0 and max(map(abs, np.ravel(point))) <= 1e-8:  # np.allclose(point, 0)
             return alpha * self.a
         return 0.0
 
@@ -140,7 +144,9 @@ class ProductPowerWeight(MatrixWeight):
         out = np.full(X.shape[0], self.scale)
         for c, a in zip(self.centers, self.exponents):
             if a != 0.0:
-                out = out * np.linalg.norm(X - np.asarray(c), axis=1) ** a
+                d = X - np.asarray(c)
+                r = np.abs(d[:, 0]) if X.shape[1] == 1 else np.linalg.norm(d, axis=1)
+                out = out * r ** a
         return out
 
     def power_at(self, X, alpha):
@@ -149,7 +155,9 @@ class ProductPowerWeight(MatrixWeight):
 
     def norm_exponent(self, point, alpha):
         for c, a in zip(self.centers, self.exponents):
-            if a != 0.0 and np.allclose(point, c):
+            # np.allclose(point, c) without its per-call overhead
+            if a != 0.0 and all(abs(x - y) <= 1e-8 + 1e-5 * abs(y)
+                                for x, y in zip(np.ravel(point), c)):
                 return alpha * a
         return 0.0
 
@@ -253,6 +261,10 @@ class ConjugatedBlockWeight(MatrixWeight):
         return min(self.branch1.norm_exponent(point, alpha),
                    self.branch2.norm_exponent(point, alpha))
 
+    def local_power(self, point, alpha):
+        e1, e2 = (b.norm_exponent(point, alpha) for b in (self.branch1, self.branch2))
+        return e1 if e1 == e2 else None
+
     def _dual_impl(self, p):
         return ConjugatedBlockWeight(self.branch1.dual(p), self.branch2.dual(p))
 
@@ -324,14 +336,18 @@ class GridSampledWeight(MatrixWeight):
 
 
 def _precheck_integrability(weight, box, alpha, p_eff):
-    """Reject ||W^alpha||^p_eff when a singular point on the closed box makes it
-    non-integrable."""
+    """Raise if a singular point on the closed box makes ||W^alpha||^p_eff
+    non-integrable; return its local exponents at the singular points (0 off
+    the box), or None if W^alpha is not |x - s|^e times a smooth matrix."""
+    exps = []
     for s in weight.singular_points:
-        s = np.asarray(s, dtype=float)
-        if np.all(s >= box.lo_arr - 1e-12) and np.all(s <= box.hi_arr + 1e-12):
-            if p_eff * weight.norm_exponent(s, alpha) <= -weight.n:
-                raise IntegrabilityError(
-                    f"||W^{alpha}||^{p_eff} has a non-integrable singularity at {s}")
+        on = all(a - 1e-12 <= x <= b + 1e-12 for a, x, b in zip(box.lo, np.ravel(s), box.hi))
+        if on and p_eff * weight.norm_exponent(s, alpha) <= -weight.n:
+            raise IntegrabilityError(
+                f"||W^{alpha}||^{p_eff} has a non-integrable singularity at {s}")
+        e = weight.local_power(s, alpha) if on else 0.0
+        exps = None if exps is None or e is None else exps + [p_eff * e]
+    return exps
 
 
 def cube_average(weight, region, alpha, power, reducer, qspec=None, name="cube average"):
@@ -339,20 +355,21 @@ def cube_average(weight, region, alpha, power, reducer, qspec=None, name="cube a
 
     reducer maps an (N, m, m) batch to (N, ...) values and must be
     homogeneous of degree `power`. Integrability of ||W^alpha||^power is
-    checked before any quadrature runs; a scalar weight w I needs only the
-    scalar average of w^(alpha power), scaled by reducer(I).
+    checked before any quadrature runs, and the local exponents it finds
+    give the quadrature its Gauss-Jacobi end cells; a scalar weight w I
+    needs only the scalar average of w^(alpha power), scaled by reducer(I).
     """
     box = _as_box(region)
-    _precheck_integrability(weight, box, alpha, power)
+    exps = _precheck_integrability(weight, box, alpha, power)
     if weight.is_scalar():
         e = alpha * power
         res = average_box(lambda X: weight.scalar_profile(X) ** e, box, qspec,
-                          weight.singular_points, name=name)
+                          weight.singular_points, name=name, exponents=exps)
         c = reducer(np.eye(weight.m)[None])[0]
         res.value, res.history = res.value * c, [h * c for h in res.history]
         return res
     return average_box(lambda X: reducer(weight.power_at(X, alpha)), box, qspec,
-                       weight.singular_points, name=name)
+                       weight.singular_points, name=name, exponents=exps)
 
 
 def cube_average_matrix_norm(weight, p, region, M=None, qspec=None):
@@ -375,9 +392,9 @@ class ApCharacteristic:
     converged: bool = True
 
 
-def _graded_mesh(box, base_depth, grade_depth, emit_depth, singular_points):
+def _graded_mesh(box, base_depth, grade_depth, order, singular_points):
     """Nodes of the graded mesh on a box with probability weights."""
-    X, v = box_nodes(box, base_depth, grade_depth, emit_depth, singular_points)
+    X, v = box_nodes(box, base_depth, grade_depth, order, singular_points)
     return X, v / v.sum()
 
 
@@ -434,8 +451,8 @@ def ap_constant(weight, p, window, variant="standard", base_depth=3, grade_depth
             _precheck_integrability(weight, box, -1.0 / p, p / (p - 1.0))
         vals = []
         for bd, gd in ((base_depth, grade_depth), (base_depth + 1, grade_depth + 8)):
-            X, wx = _graded_mesh(box, bd, gd, 1, weight.singular_points)
-            Y, wy = _graded_mesh(box, bd, gd, 0, weight.singular_points)
+            X, wx = _graded_mesh(box, bd, gd, 2, weight.singular_points)
+            Y, wy = _graded_mesh(box, bd, gd, 1, weight.singular_points)
             vals.append(_ap_kernel(p, _ap_factor(weight, X, 1.0 / p), wx,
                                    _ap_factor(weight, Y, -1.0 / p), wy, star=variant == "star"))
         coarse, fine = vals

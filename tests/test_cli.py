@@ -38,6 +38,12 @@ class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert main(["verify", "--config", '{"bogus": 1}']) == 2
 
+    def test_quadrature_keys_outside_apdim_schema_rejected(self, capsys):
+        # base_depth, grade_depth, sup_depth and sup_grade are the only mesh keys
+        for key in ("emit_depth", "order", "grade_step"):
+            cfg = json.dumps({"weight": "identity", "p": 2, "apdim": {key: 2}})
+            assert main(["apdim", "--config", cfg]) == 2
+
     def test_filters_subcommand(self, tmp_path):
         rc = main(["filters", "--out", str(tmp_path)])
         assert rc == 0

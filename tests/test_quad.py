@@ -1,14 +1,15 @@
-from unittest import mock
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matweight import quad
+from matweight.apdim import ApDimConfig, a_sequence
 from matweight.errors import IntegrabilityError, ResolutionError
-from matweight.geometry import Box, cube_box
-from matweight.quad import QuadSpec, average_ball, average_box, integrate_box
+from matweight.geometry import Box, cube_box, double
+from matweight.quad import QuadSpec, average_ball, average_box, box_nodes, integrate_box
+from matweight.weights import PowerLogWeight, ProductPowerWeight, cube_average
 
 
 def test_constant_average_exact():
@@ -79,117 +80,118 @@ def test_matrix_valued_average():
 
 
 # ---------------------------------------------------------------------------
-# graded mesh against the per-level numpy splitting it replaced
-
-def _reference_grade_toward(lo, widths, sing, grade_depth, fp_floor):
-    """Level-by-level chain splitting on numpy arrays (the frozen reference)."""
-
-    def split(lo, widths):
-        n = lo.shape[1]
-        half = 0.5 * widths
-        outs = []
-        for off in range(2 ** n):
-            bits = np.array([(off >> i) & 1 for i in range(n)], dtype=float)
-            outs.append(lo + bits * half)
-        return np.concatenate(outs, axis=0), np.tile(half, (2 ** n, 1))
-
-    def contains(lo, widths, point, margin=1e-12):
-        scaled = margin * np.maximum(widths, 1e-30)
-        return np.all((point >= lo - scaled) & (point <= lo + widths + scaled), axis=1)
-
-    n = lo.shape[1]
-    out_lo = [np.empty((0, n))]
-    out_w = [np.empty((0, n))]
-    flagged = np.zeros(lo.shape[0], dtype=bool)
-    for s in sing:
-        flagged |= contains(lo, widths, s)
-    out_lo.append(lo[~flagged])
-    out_w.append(widths[~flagged])
-    cur_lo, cur_w = lo[flagged], widths[flagged]
-    for _ in range(grade_depth):
-        if cur_lo.shape[0] == 0 or float(np.max(cur_w)) < fp_floor:
-            break
-        child_lo, child_w = split(cur_lo, cur_w)
-        fl = np.zeros(child_lo.shape[0], dtype=bool)
-        for s in sing:
-            fl |= contains(child_lo, child_w, s)
-        out_lo.append(child_lo[~fl])
-        out_w.append(child_w[~fl])
-        cur_lo, cur_w = child_lo[fl], child_w[fl]
-    out_lo.append(cur_lo)
-    out_w.append(cur_w)
-    return (np.concatenate(out_lo, axis=0), np.concatenate(out_w, axis=0),
-            cur_lo.shape[0])
+# closed-form oracles for the hp rule
 
 
-def _bitwise_equal(new, ref):
-    assert len(new) == len(ref)
-    for a, b in zip(new, ref):
-        a, b = np.asarray(a), np.asarray(b)
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
+def _power_average(e, lo, hi):
+    """avg over [lo, hi] of |x|^e, in closed form."""
+    F = lambda x: math.copysign(abs(x) ** (e + 1.0), x) / (e + 1.0)  # noqa: E731
+    return (F(hi) - F(lo)) / (hi - lo)
 
 
-def _against_reference(build):
-    with mock.patch.object(quad, "_grade_toward", _reference_grade_toward):
-        ref = build()
-    _bitwise_equal(build(), ref)
+def _scalar_average(weight, box, spec=None):
+    return cube_average(weight, box, 1.0, 1.0, lambda mats: mats[:, 0, 0].real, spec)
 
 
-# a singular point's position per axis, as a fraction of the box side:
-# a corner, an interior dyadic lattice plane, or a generic point
-_fraction = st.one_of(
-    st.sampled_from((0.0, 1.0)),
-    st.builds(lambda k, lev: k / 2 ** lev, st.integers(1, 7), st.integers(3, 9)),
-    st.floats(0.0, 1.0),
-)
+ORACLE = settings(max_examples=25, derandomize=True, deadline=None)
+TIGHT = QuadSpec(rel_tol=1e-9)
 
 
 @st.composite
-def _box_cases(draw):
-    n = draw(st.sampled_from((1, 2)))
-    side = 2.0 ** draw(st.integers(-9, 6))
-    shift = draw(st.sampled_from((0.0, 0.3)))
-    lo = tuple(side * draw(st.integers(-4, 3)) + shift for _ in range(n))
-    box = Box(lo, tuple(v + side for v in lo))
-    sing = [tuple(v + side * draw(_fraction) for v in lo)
-            for _ in range(draw(st.integers(1, 2)))]
-    return box, sing
+def _power_boxes(draw):
+    """A box of side 2^-14..2^10 with the singular point 0 at a corner, in
+    the interior or outside it (at least a quarter side away)."""
+    side = 2.0 ** draw(st.integers(-14, 10))
+    where = draw(st.sampled_from(("lo", "hi", "inside", "outside")))
+    if where == "lo":
+        lo = 0.0
+    elif where == "hi":
+        lo = -side
+    elif where == "inside":
+        lo = -side * draw(st.floats(0.01, 0.99))
+    else:
+        lo = side * draw(st.floats(0.25, 3.0)) * draw(st.sampled_from((1.0, -1.0)))
+        lo = lo if lo > 0.0 else lo - side
+    return lo, lo + side
 
 
-MESH_PROPERTY = settings(max_examples=20, derandomize=True, deadline=None)
+@ORACLE
+@given(e=st.floats(-0.95, 1.0), box=_power_boxes())
+@example(e=-0.5, box=(-512.0, 0.25))
+@example(e=-0.9, box=(-0.5, 0.5))
+@example(e=-0.9, box=(-512.0, 0.25))
+def test_power_average_matches_closed_form(e, box):
+    lo, hi = box
+    res = _scalar_average(PowerLogWeight(1, 1, e), Box((lo,), (hi,)), TIGHT)
+    assert res.converged
+    assert res.value == pytest.approx(_power_average(e, lo, hi), rel=1e-8)
 
 
-class TestGradedMesh:
-    @MESH_PROPERTY
-    @given(case=_box_cases(), base_depth=st.integers(1, 3),
-           grade_depth=st.sampled_from((16, 40, 64, 88)), emit_depth=st.integers(0, 2))
-    @example(case=(Box((0.0,), (1.0,)), [(0.0,)]), base_depth=3, grade_depth=88,
-             emit_depth=2)
-    @example(case=(Box((-1.0, -1.0), (1.0, 1.0)), [(0.0, 0.0), (0.25, -1.0)]),
-             base_depth=2, grade_depth=88, emit_depth=1)
-    @example(case=(Box((-512.0, 0.0), (512.0, 1024.0)), [(0.1234567, 3.0 / 64)]),
-             base_depth=3, grade_depth=64, emit_depth=0)
-    def test_box_nodes_match_reference(self, case, base_depth, grade_depth, emit_depth):
-        box, sing = case
-        _against_reference(lambda: quad.box_nodes(box, base_depth, grade_depth, emit_depth,
-                                                  sing, with_tail=True))
+@pytest.mark.parametrize("e, lo, hi", [(-0.5, -512.0, 0.25), (-0.9, -0.5, 0.5),
+                                       (-0.9, -512.0, 0.25)])
+def test_steep_power_averages_converge_at_the_default_spec(e, lo, hi):
+    res = _scalar_average(PowerLogWeight(1, 1, e), Box((lo,), (hi,)))
+    assert res.converged and res.rounds == 2
+    assert res.value == pytest.approx(_power_average(e, lo, hi), rel=1e-6)
 
-    @MESH_PROPERTY
-    @given(case=_box_cases(), base_depth=st.integers(1, 3),
-           grade_depth=st.sampled_from((16, 48, 88)), emit_depth=st.integers(0, 1),
-           boundary_depth=st.integers(2, 5))
-    @example(case=(Box((-1.0, -1.0), (1.0, 1.0)), [(0.0, 0.0), (0.5, 0.0)]),
-             base_depth=2, grade_depth=88, emit_depth=1, boundary_depth=5)
-    def test_ball_nodes_match_reference(self, case, base_depth, grade_depth, emit_depth,
-                                        boundary_depth):
-        box, sing = case
-        center, radius = box.center, 0.5 * float(box.sides[0])
-        _against_reference(lambda: quad.ball_nodes(center, radius, base_depth, grade_depth,
-                                                   emit_depth, sing, boundary_depth))
 
-    def test_grading_stops_at_fp_floor(self):
-        lo, widths = quad._uniform_cells(Box((0.0,), (1.0,)), 3)
-        glo, gw, tail = quad._grade_toward(lo, widths, [np.array([0.0])], 88, 1e-12)
-        assert tail == 1 and glo[-1, 0] == 0.0
-        assert 0.5e-12 <= gw[-1, 0] < 1e-12
+def _reference_integral(fn, lo, hi, sing, exps, points=20):
+    """int_lo^hi fn by composite Gauss-Legendre, independent of quad: the
+    interval is split at the singular points and at the midpoints between,
+    each half next to a singular point s is graded geometrically toward it
+    until the cells reach 1e-13 max(1, |s|), and the last cell [s, s + d]
+    adds its leading term fn(s + d) (|x - s| / d)^e integrated exactly."""
+    t, w = np.polynomial.legendre.leggauss(points)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+
+    def gl(a, b):
+        x = a + (b - a) * t
+        return (b - a) * float(w @ fn(x[:, None]))
+
+    cuts = sorted({lo, hi, *(s for s in sing if lo < s < hi)})
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (a + b)
+        for s, far in ((a, mid), (b, mid)):
+            e = dict(zip(sing, exps)).get(s)
+            if e is None:
+                total += gl(min(s, far), max(s, far))
+                continue
+            levels = max(1, int(math.log2(abs(far - s) / (1e-13 * max(1.0, abs(s))))))
+            edges = s + (far - s) * 0.5 ** np.arange(levels + 1)
+            total += sum(gl(min(u, v), max(u, v)) for u, v in zip(edges[:-1], edges[1:]))
+            d = abs(edges[-1] - s)
+            g = float(fn(np.array([[edges[-1]]]))[0]) / d ** e
+            total += g * d ** (e + 1.0) / (e + 1.0)
+    return total
+
+
+@ORACLE
+@given(e1=st.floats(-0.9, 0.8), e2=st.floats(-0.9, 0.8), gap=st.floats(0.05, 1.0),
+       left=st.floats(0.0, 1.0), right=st.floats(0.0, 1.0),
+       scale=st.sampled_from((2.0 ** -10, 1.0, 2.0 ** 8)))
+def test_two_point_product_average_matches_reference(e1, e2, gap, left, right, scale):
+    c1, c2 = 0.3 * scale, (0.3 + gap) * scale
+    lo, hi = c1 - left * gap * scale, c2 + right * gap * scale
+    W = ProductPowerWeight(1, 1, ((c1,), (c2,)), (e1, e2))
+    res = _scalar_average(W, Box((lo,), (hi,)), TIGHT)
+    ref = _reference_integral(W.scalar_profile, lo, hi, (c1, c2), (e1, e2)) / (hi - lo)
+    assert res.converged
+    assert res.value == pytest.approx(ref, rel=1e-8)
+
+
+@pytest.mark.parametrize("a", [-0.7, 0.4])
+def test_a_sequence_matches_closed_form(a):
+    """p = 2: a_i = max over the base cubes Q of avg_Q w * avg_{2^i Q} w^-1."""
+    config = ApDimConfig(i_max=6, abut_levels=(-2, 6))
+    vals, i_eff, cubes = a_sequence(PowerLogWeight(1, 1, a), 2.0, config=config)
+    for i in range(i_eff + 1):
+        exact = max(_power_average(a, Q.lower[0] * 1.0, Q.lower[0] + Q.side)
+                    * _power_average(-a, double(Q, i).lo[0], double(Q, i).hi[0])
+                    for Q in cubes)
+        assert vals[i] == pytest.approx(exact, rel=1e-6)
+
+
+def test_one_point_rule_is_the_midpoint_rule():
+    X, v = box_nodes(Box((0.0,), (1.0,)), 2, 8, 1)
+    assert np.array_equal(X[:, 0], [0.125, 0.375, 0.625, 0.875]) and np.all(v == 0.25)
