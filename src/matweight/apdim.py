@@ -116,6 +116,12 @@ def _filter_base_cubes(cubes, i_max, domain):
     raise ValueError("no base cube fits the working domain even at i = 1")
 
 
+def _scalar_avg(weight, box, power, qspec):
+    """avg over the box of w^power for a scalar weight w I."""
+    return float(cube_average(weight, box, power, 1.0, lambda mats: mats[:, 0, 0].real,
+                              qspec, name="cross average").value)
+
+
 def _cross_quantity_scalar(weight, p, box_small, box_big, swapped, config, cache):
     """The two-cube A_p quantity for scalar-kind weights."""
     qspec = QuadSpec(base_depth=config.base_depth, grade_depth=config.grade_depth)
@@ -124,9 +130,7 @@ def _cross_quantity_scalar(weight, p, box_small, box_big, swapped, config, cache
         """The cached avg over the box of w^power."""
         key = (power, box.lo, box.hi)
         if key not in cache:
-            cache[key] = float(cube_average(weight, box, power, 1.0,
-                                            lambda mats: mats[:, 0, 0].real, qspec,
-                                            name="cross average").value)
+            cache[key] = _scalar_avg(weight, box, power, qspec)
         return cache[key]
 
     if p <= 1.0:

@@ -170,13 +170,18 @@ def _graded_nodes(lo, widths, corners, order, grade_depth, floor, jacobi=None):
     return np.concatenate(xs)[:, None], np.concatenate(vs), 0
 
 
+def _as_point(s, n):
+    """A singular point as a list of n floats; a 1-point is broadcast, as numpy does."""
+    return (np.ravel(s).tolist() * n)[:n]
+
+
 def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents=None,
               with_tail=False):
     """Nodes and weights of the hp rule on a box; exponents (parallel to
     singular_points) are the integrand's local exponents, which give 1-D
     chains Gauss-Jacobi end cells. with_tail=True adds the tail node count."""
     lo, hi = [float(v) for v in box.lo], [float(v) for v in box.hi]
-    pts = [(np.ravel(s).tolist() * box.n)[:box.n] for s in singular_points]
+    pts = [_as_point(s, box.n) for s in singular_points]
     on = [k for k, s in enumerate(pts)
           if all(a - 1e-12 * (b - a) <= x <= b + 1e-12 * (b - a) for x, a, b in zip(s, lo, hi))]
     sing = [pts[k] for k in on]
@@ -192,14 +197,23 @@ def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents
     return (mids, vols, tail) if with_tail else (mids, vols)
 
 
+def _round_params(spec, rnd):
+    return (
+        spec.base_depth + rnd,
+        spec.grade_depth + rnd * spec.grade_step,
+        spec.order + rnd,
+    )
+
+
 def _refine_loop(node_fn, fn, spec, name):
     value = None
     history = []
     nodes = 0
     converged = False
     for rnd in range(spec.max_rounds):
-        mids, vols, n_tail = node_fn(spec.base_depth + rnd,
-                                     spec.grade_depth + rnd * spec.grade_step, spec.order + rnd)
+        out = node_fn(*_round_params(spec, rnd))
+        mids, vols = out[0], out[1]
+        n_tail = out[2] if len(out) > 2 else 0
         if mids.shape[0] > spec.max_nodes:
             if not history:
                 raise ResolutionError(f"{name}: the first round needs {mids.shape[0]} "
@@ -207,9 +221,9 @@ def _refine_loop(node_fn, fn, spec, name):
             break
         nodes = mids.shape[0]
         vals = np.asarray(fn(mids))
-        new = (vols @ vals.reshape(vols.size, -1)).reshape(vals.shape[1:])
+        new = np.tensordot(vols, vals, axes=(0, 0))
         history.append(new)
-        scale = max(float(np.abs(new).sum()), 1e-300)
+        scale = max(float(np.sum(np.abs(new))), 1e-300)
         # contribution of the innermost singular cells: their estimate is
         # untrusted, so it must be negligible before we call it converged
         tail = 0.0
@@ -217,7 +231,7 @@ def _refine_loop(node_fn, fn, spec, name):
             tail = float(np.sum(np.abs(
                 np.tensordot(vols[-n_tail:], vals[-n_tail:], axes=(0, 0)))))
         if value is not None:
-            change = float(np.abs(new - value).sum())
+            change = float(np.sum(np.abs(new - value)))
             value = new
             if change <= spec.rel_tol * scale and tail <= 10.0 * spec.rel_tol * scale:
                 converged = True
@@ -265,7 +279,7 @@ def ball_nodes(center, radius, base_depth, grade_depth, order, singular_points=(
         return box_nodes(bbox, base_depth, grade_depth, order, singular_points,
                          with_tail=True)
 
-    sing = [(np.ravel(s).tolist() * n)[:n] for s in singular_points]
+    sing = [_as_point(s, n) for s in singular_points]
     lo, widths, corners = _cells(list(bbox.lo), list(bbox.hi), sing, max(base_depth, 1))
     graded = np.isin(np.arange(lo.shape[0]), [c[0] for c in corners])
 

@@ -18,7 +18,7 @@ from .errors import (
     SingularityError,
 )
 from .geometry import Box, DyadicCube
-from .quad import average_ball, average_box, box_nodes
+from .quad import _as_point, average_ball, average_box, box_nodes
 
 
 def _as_box(region):
@@ -75,7 +75,7 @@ class MatrixWeight:
 
 
 def _power_log_profile(X, a, b):
-    r = np.abs(X[:, 0]) if X.shape[1] == 1 else np.linalg.norm(X, axis=1)
+    r = np.linalg.norm(X, axis=1)
     out = np.ones_like(r)
     if a != 0.0:
         out = r ** a
@@ -144,9 +144,7 @@ class ProductPowerWeight(MatrixWeight):
         out = np.full(X.shape[0], self.scale)
         for c, a in zip(self.centers, self.exponents):
             if a != 0.0:
-                d = X - np.asarray(c)
-                r = np.abs(d[:, 0]) if X.shape[1] == 1 else np.linalg.norm(d, axis=1)
-                out = out * r ** a
+                out = out * np.linalg.norm(X - np.asarray(c), axis=1) ** a
         return out
 
     def power_at(self, X, alpha):
@@ -154,10 +152,11 @@ class ProductPowerWeight(MatrixWeight):
         return w[:, None, None] * np.eye(self.m)[None]
 
     def norm_exponent(self, point, alpha):
+        x = _as_point(point, self.n)
         for c, a in zip(self.centers, self.exponents):
             # np.allclose(point, c) without its per-call overhead
-            if a != 0.0 and all(abs(x - y) <= 1e-8 + 1e-5 * abs(y)
-                                for x, y in zip(np.ravel(point), c)):
+            if a != 0.0 and all(abs(u - v) <= 1e-8 + 1e-5 * abs(v)
+                                for u, v in zip(x, _as_point(c, self.n))):
                 return alpha * a
         return 0.0
 
@@ -341,7 +340,8 @@ def _precheck_integrability(weight, box, alpha, p_eff):
     the box), or None if W^alpha is not |x - s|^e times a smooth matrix."""
     exps = []
     for s in weight.singular_points:
-        on = all(a - 1e-12 <= x <= b + 1e-12 for a, x, b in zip(box.lo, np.ravel(s), box.hi))
+        on = all(a - 1e-12 <= x <= b + 1e-12
+                 for a, x, b in zip(box.lo, _as_point(s, box.n), box.hi))
         if on and p_eff * weight.norm_exponent(s, alpha) <= -weight.n:
             raise IntegrabilityError(
                 f"||W^{alpha}||^{p_eff} has a non-integrable singularity at {s}")

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from matweight import weights
 from matweight.errors import (IntegrabilityError, InvalidExponentError,
                               InvalidVariantError, SingularityError)
-from matweight.geometry import CubeWindow, DyadicCube, cube_box
+from matweight.geometry import Box, CubeWindow, DyadicCube, cube_box
 from matweight.reducing import CubeNorm, unit_directions
 from matweight.weights import (ConjugatedBlockWeight, ConstantWeight,
-                               GridSampledWeight, PowerLogWeight,
+                               GridSampledWeight, PowerLogWeight, ProductPowerWeight,
                                analytic_ball_average, ap_constant, cube_average,
                                cube_average_matrix_norm, dual_weight,
                                identity_weight, two_singularity,
@@ -157,6 +157,23 @@ class TestCubeAverageLayer:
         W = PowerLogWeight(1, 1, t / (sign * alpha * power))
         res = cube_average(W, Q, sign * alpha, power, lambda mats: mats[:, 0, 0] ** power)
         assert np.isfinite(res.value) and res.value > 0
+
+    def test_scalar_center_is_broadcast_in_2d(self):
+        # x0 = 0.25 in n = 2 is the point (0.25, 0.25), as in the profile; the
+        # box holds x = 0.25 but lies away from that point, so |x - x0|^-2.5
+        # (not integrable in 2-D) is smooth on it
+        W = two_singularity(0.4, 1.0, 2.0, x0=0.25, n=2)
+        box = Box((0.125, 1.0), (0.5, 2.0))
+        res = cube_average(W, box, -1.0, 2.5, lambda mats: mats[:, 0, 0] ** 2.5)
+        g = (np.arange(256) + 0.5) / 256
+        X = np.stack([a.ravel() for a in np.meshgrid(0.125 + 0.375 * g, 1.0 + g)], axis=1)
+        assert res.converged
+        assert res.value == pytest.approx(np.mean(W.scalar_profile(X) ** -2.5), rel=1e-4)
+
+    def test_scalar_center_exponent_is_broadcast(self):
+        W = ProductPowerWeight(2, 1, ((0.25,),), (-1.0,))
+        assert W.norm_exponent((0.25, 0.25), 2.0) == -2.0
+        assert W.norm_exponent((0.25, 0.0), 2.0) == 0.0
 
 
 class TestApConstant:
