@@ -120,6 +120,13 @@ def parse_config(path_or_inline, subcommand):
         _check_keys(cfg["window"], {"j_min", "j_max", "half_side"}, "window")
     if "tier" in cfg and cfg["tier"] not in ("exact", "paper", "ratio", "all"):
         raise ConfigError(f"unknown tier {cfg['tier']!r}")
+    if cfg.get("method", "auto") not in ("auto", "exact_p2", "mvee"):
+        raise ConfigError(f"unknown method {cfg['method']!r}")
+    if cfg.get("method") == "exact_p2" and cfg["p"] != 2.0:
+        raise ConfigError("method exact_p2 requires p = 2")
+    K = cfg.get("directions", 256)
+    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
+        raise ConfigError(f"directions must be a positive integer, got {K!r}")
     return cfg
 
 
@@ -307,7 +314,7 @@ def cmd_reduce(cfg, out_dir):
     weight = parse_weight(cfg.get("weight"))
     window = _window_from_config(cfg, weight.n, (1, 4))
     fam = build_family(weight, cfg["p"], window, method=cfg.get("method", "auto"),
-                       K=int(cfg.get("directions", 256)))
+                       K=cfg.get("directions", 256))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_family_json(out_dir / "family.json", fam)

@@ -60,6 +60,13 @@ class TestMain:
         lo, hi = report["worst_bracket"]
         assert 0.1 <= lo <= hi <= 10.0
 
+    @pytest.mark.parametrize("bad", [{"method": "bogus"}, {"method": "exact_p2", "p": 1.5},
+                                     {"directions": "abc"}, {"directions": -1},
+                                     {"directions": -5}])
+    def test_reduce_bad_method_or_directions_is_config_error(self, tmp_path, bad):
+        cfg = json.dumps({"weight": {"kind": "power_log", "a": -0.4}, **bad})
+        assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 2
+
     def test_apdim_subcommand(self, tmp_path):
         cfg = json.dumps({
             "weight": {"kind": "power_log", "a": -0.5}, "p": 2.0,

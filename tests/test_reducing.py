@@ -48,6 +48,45 @@ class TestMvee:
         E = mvee_centered(pts)
         assert np.allclose(E, np.diag([0.25, 4.0]), atol=1e-5)
 
+    @pytest.mark.parametrize("c", [1.0, 2.5, 0.3 - 0.4j])
+    def test_unitary_rows_give_identity_over_abs_c_squared(self, c):
+        rng = np.random.default_rng(3)
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3))[:, None]
+        for rows in (c * U, c * phases * U):
+            assert np.allclose(mvee_centered(rows), np.eye(3) / abs(c) ** 2, atol=1e-9)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_circled_fit_is_real_fit_of_quarter_turns(self, m):
+        # the real MVEE of {z_k, i z_k} in R^(2m) is J-invariant, hence the
+        # circled ellipsoid of the z_k
+        rng = np.random.default_rng(m)
+        Z = rng.standard_normal((12, m)) + 1j * rng.standard_normal((12, m))
+        Z *= rng.uniform(0.1, 10.0, (12, 1))
+        H = mvee_centered(Z)
+        R = np.concatenate([Z, 1j * Z])
+        E = mvee_centered(np.concatenate([R.real, R.imag], axis=1))
+        assert np.allclose(H, E[:m, :m] + 1j * E[m:, :m], rtol=1e-6, atol=0.0)
+        scores = np.einsum("ni,ij,nj->n", Z.conj(), H, Z).real
+        assert scores.max() <= 1.0 + 1e-8
+        phased = Z * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (12, 1)))
+        assert np.allclose(mvee_centered(phased), H, rtol=1e-6, atol=0.0)
+
+    def test_family_fits_reach_tolerance(self, monkeypatch):
+        fits = []
+        fit = reducing.mvee_centered
+
+        def recorded(points):
+            fits.append((points, fit(points)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(reducing, "mvee_centered", recorded)
+        monkeypatch.setattr(reducing, "_family_cache", {})
+        build_family(conjugated_block(), 1.5, CubeWindow(1, 1, 3), method="mvee", K=64)
+        assert len(fits) == 14
+        for P, H in fits:
+            assert np.einsum("ni,ij,nj->n", P.conj(), H, P).real.max() - 1.0 <= 1e-8
+
 
 class TestReduce:
     def test_constant_any_p(self):
@@ -56,6 +95,16 @@ class TestReduce:
             A = reduce_operator(W, p, DyadicCube(1, (0,)), method=method, K=64)
             target = 8.0 ** (1.0 / p)
             assert np.allclose(A, target * np.eye(2), rtol=1e-6, atol=1e-5 * target)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 3.0])
+    def test_constant_complex_matrix_any_p(self, p):
+        # the boundary of a constant weight's ball is the ellipsoid of
+        # M^(1/p); cond(M^(1/p)) is at most 3.3 here, where the K sampled
+        # directions still hold its John points
+        M = linalg.random_psd(np.random.default_rng(0), 2, cond_max=np.sqrt(20.0))
+        A = reduce_operator(ConstantWeight(1, M), p, DyadicCube(1, (0,)), method="mvee", K=256)
+        target = linalg.matrix_power(M, 1.0 / p)
+        assert linalg.op_norm(A - target) <= 1e-6 * linalg.op_norm(target)
 
     def test_mvee_matches_exact_at_p2(self):
         W = conjugated_block()
