@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import IntegrabilityError
+from .errors import IntegrabilityError, OutOfDomainError
 from .geometry import CubeWindow, DyadicCube, cube_box, double
-from .quad import QuadSpec, box_nodes
-from .weights import _ap_factor, _ap_kernel, _graded_mesh, cube_average, dual_weight
+from .quad import QuadSpec
+from .weights import ap_pair, cube_average, dual_weight
 
 
 @dataclass
@@ -50,8 +50,6 @@ class ApDimConfig:
     abut_levels: tuple = (-2, 14)
     base_depth: int = 4
     grade_depth: int = 24
-    sup_depth: int = 3
-    sup_grade: int = 16
     fit_skip: int = 2
 
     def domain(self, n):
@@ -82,97 +80,51 @@ def abutting_cubes(point, levels, domain):
     return list(dict.fromkeys(out))
 
 
-def default_base_cubes(weight, config):
+def default_base_cubes(weight, config, domain):
     """Window cubes plus cubes abutting each singular point."""
-    n = weight.n
-    domain = config.domain(n)
-    win = CubeWindow(n, config.window_levels[0], config.window_levels[1], domain)
+    win = CubeWindow(weight.n, config.window_levels[0], config.window_levels[1], domain)
     cubes = win.cubes()
     for s in weight.singular_points:
         cubes.extend(abutting_cubes(s, config.abut_levels, domain))
-    return list(dict.fromkeys(cubes)), domain
-
-
-def _fits(Q, i, domain):
-    from .errors import OutOfDomainError
-
-    try:
-        double(Q, i, domain=domain, clip=False)
-        return True
-    except OutOfDomainError:
-        return False
+    return list(dict.fromkeys(cubes))
 
 
 def _filter_base_cubes(cubes, i_max, domain):
     """Keep cubes whose 2^i_max-dilation stays inside; shrink i_max if none fit."""
     i_eff = i_max
     while i_eff > 0:
-        kept = [Q for Q in cubes if _fits(Q, i_eff, domain)]
+        kept = [Q for Q in cubes if domain.contains_box(double(Q, i_eff))]
         if kept:
             if i_eff < i_max:
                 warnings.warn(f"i_max reduced from {i_max} to {i_eff} to fit the domain")
             return kept, i_eff
         i_eff -= 1
-    raise ValueError("no base cube fits the working domain even at i = 1")
-
-
-def _scalar_avg(weight, box, power, qspec):
-    """avg over the box of w^power for a scalar weight w I."""
-    return float(cube_average(weight, box, power, 1.0, lambda mats: mats[:, 0, 0].real,
-                              qspec, name="cross average").value)
-
-
-def _cross_quantity_scalar(weight, p, box_small, box_big, swapped, config, cache):
-    """The two-cube A_p quantity for scalar-kind weights."""
-    qspec = QuadSpec(base_depth=config.base_depth, grade_depth=config.grade_depth)
-
-    def avg(box, power):
-        """The cached avg over the box of w^power."""
-        key = (power, box.lo, box.hi)
-        if key not in cache:
-            cache[key] = _scalar_avg(weight, box, power, qspec)
-        return cache[key]
-
-    if p <= 1.0:
-        sup_box, avg_box_ = (box_small, box_big) if swapped else (box_big, box_small)
-        Y, _ = box_nodes(sup_box, config.sup_depth, config.sup_grade, 1,
-                         weight.singular_points)
-        wmin = float(np.min(weight.scalar_profile(Y)))
-        return avg(avg_box_, 1.0) / wmin
-    outer, inner = (box_big, box_small) if swapped else (box_small, box_big)
-    return avg(outer, 1.0) * avg(inner, -1.0 / (p - 1.0)) ** (p - 1.0)
+    raise OutOfDomainError("no base cube fits the working domain even at i = 1")
 
 
 def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=False):
-    """Windowed a_i, i = 0..i_max: sup over base cubes of the two-cube quantity.
+    """Windowed a_i, i = 0..i_max: sup over base cubes Q of the two-cube
+    quantity weights.ap_pair(Q, 2^i Q); swapped exchanges the two cubes.
 
-    Returns (a_values, i_max_used, cubes_used). Integrability failures
-    propagate as IntegrabilityError.
+    Scalar weights take their cube averages at (config.base_depth,
+    config.grade_depth); matrix weights and essential suprema use the order-1
+    node rule at (config.base_depth, config.grade_depth // 2). Returns
+    (a_values, i_max_used, cubes_used). Integrability failures propagate as
+    IntegrabilityError.
     """
     config = config or ApDimConfig()
     i_max = i_max if i_max is not None else config.i_max
+    domain = config.domain(weight.n)
     if base_cubes is None:
-        base_cubes, domain = default_base_cubes(weight, config)
-    else:
-        domain = config.domain(weight.n)
+        base_cubes = default_base_cubes(weight, config, domain)
     cubes, i_eff = _filter_base_cubes(base_cubes, i_max, domain)
     vals = np.zeros(i_eff + 1)
-    cache = {}
-    sing, gd = weight.singular_points, config.grade_depth // 2
+    qspec = QuadSpec(base_depth=config.base_depth, grade_depth=config.grade_depth)
     for Q in cubes:
-        box_small = Q.box()
-        if not weight.is_scalar():
-            X, wx = _graded_mesh(box_small, config.base_depth, gd, 1, sing)
-            FX = _ap_factor(weight, X, 1.0 / p)
+        small, cache = Q.box(), {}  # only the terms on Q recur across i
         for i in range(i_eff + 1):
-            box_big = double(Q, i)
-            if weight.is_scalar():
-                q = _cross_quantity_scalar(weight, p, box_small, box_big, swapped,
-                                           config, cache)
-            else:
-                Y, wy = _graded_mesh(box_big, config.base_depth, gd, 1, sing)
-                q = _ap_kernel(p, FX, wx, _ap_factor(weight, Y, -1.0 / p), wy,
-                               swapped=swapped)
+            boxes = (double(Q, i), small) if swapped else (small, double(Q, i))
+            q = ap_pair(weight, p, *boxes, qspec, cache=cache)
             vals[i] = max(vals[i], q)
     return vals, i_eff, cubes
 
@@ -307,15 +259,14 @@ def doubling_exponent(weight, p, window, K=16, qspec=None):
     dirs = unit_directions(weight.m, K)
     best = -np.inf
     for Q in window.cubes():
-        try:
-            big = double(Q, 1, domain=window.box, clip=False)
-        except Exception:
+        big = double(Q, 1)
+        if not window.box.contains_box(big):
             continue
         rho_small = CubeNorm(weight, p, Q, qspec).bundle(dirs) ** p * Q.volume
         rho_big = CubeNorm(weight, p, big, qspec).bundle(dirs) ** p * big.volume
         best = max(best, float(np.max(np.log2(rho_big / rho_small))))
     if not np.isfinite(best):
-        raise ValueError("no window cube has its double inside the domain")
+        raise OutOfDomainError("no window cube has its double inside the domain")
     return best
 
 

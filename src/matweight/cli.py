@@ -24,7 +24,8 @@ from .geometry import CubeWindow, cube_box
 from .reducing import build_family
 from .spaces import CoefficientField, SpaceParams, classify, seq_norm
 from .transform import build_filters, function_norm, random_band_limited
-from .weights import PowerLogWeight, identity_weight, weight_from_descriptor
+from .weights import (PowerLogWeight, identity_weight, two_singularity,
+                      weight_from_descriptor)
 
 
 def code_version():
@@ -49,13 +50,35 @@ _SCHEMA = {
 }
 
 _APDIM_KEYS = {"i_max", "domain_half", "window_levels", "abut_levels",
-               "base_depth", "grade_depth", "sup_depth", "sup_grade", "fit_skip"}
+               "base_depth", "grade_depth", "fit_skip"}
+
+# the window levels each subcommand uses when the config leaves them out
+_WINDOW_LEVELS = {"apdim": (1, 4), "norms": (2, 6), "reduce": (1, 4)}
 
 
 def _check_keys(d, allowed, where):
+    _check(isinstance(d, dict), f"{where} must be an object", d)
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _check(ok, what, value):
+    if not ok:
+        raise ConfigError(f"{what}, got {value!r}")
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_positive(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+
+
+def _is_levels(v):
+    return (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v))
+            and v[0] <= v[1])
 
 
 def parse_weight(spec):
@@ -64,21 +87,17 @@ def parse_weight(spec):
     if not isinstance(spec, dict):
         raise ConfigError(f"weight spec must be 'identity' or an object, got {spec!r}")
     _check_keys(spec, _WEIGHT_KEYS, "weight")
-    kind = spec.get("kind", "power_log")
-    if kind == "two_singularity":
-        from .weights import two_singularity
-
-        return two_singularity(spec["d"], spec["dtilde"], spec["p"],
-                               spec.get("x0"), spec.get("n", 1), spec.get("m", 1))
-    desc = dict(spec)
-    desc.setdefault("kind", kind)
-    desc.setdefault("n", 1)
-    desc.setdefault("m", 1)
+    desc = {"kind": "power_log", "n": 1, "m": 1, **spec}
     try:
-        weight = weight_from_descriptor(desc)
-    except (KeyError, ValueError) as exc:
+        if desc["kind"] == "two_singularity":
+            weight = two_singularity(desc["d"], desc["dtilde"], desc["p"], desc.get("x0"),
+                                     desc["n"], desc["m"])
+        else:
+            weight = weight_from_descriptor(desc)
+        divergent = isinstance(weight, PowerLogWeight) and weight.a <= -weight.n
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad weight spec: {exc}") from exc
-    if isinstance(weight, PowerLogWeight) and weight.a <= -weight.n:
+    if divergent:
         raise ConfigError(
             f"power exponent a = {weight.a} <= -n makes the weight non-integrable")
     return weight
@@ -89,23 +108,35 @@ def parse_config(path_or_inline, subcommand):
         cfg = dict(path_or_inline)
     else:
         text = path_or_inline
-        p = Path(text)
-        if p.exists():
-            text = p.read_text()
+        if not text.lstrip().startswith("{"):  # a path; inline JSON may exceed path limits
+            try:
+                text = Path(text).read_text()
+            except OSError as exc:
+                raise ConfigError(f"config is not inline JSON or a readable file: {exc}") from exc
         try:
             cfg = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _SCHEMA[subcommand], f"{subcommand} config")
     cfg.setdefault("seed", 0)
     p = cfg.get("p", 2.0)
-    if not (isinstance(p, (int, float)) and p > 0):
-        raise ConfigError(f"p must be a positive number, got {p!r}")
+    _check(_is_positive(p), "p must be a positive number", p)
     cfg["p"] = float(p)
     if "apdim" in cfg:
         _check_keys(cfg["apdim"], _APDIM_KEYS, "apdim options")
+        c = {**vars(apdim.ApDimConfig()), **cfg["apdim"]}
+        for key in ("base_depth", "grade_depth", "fit_skip"):
+            _check(_is_int(c[key]) and c[key] >= 0, f"apdim {key} must be an integer >= 0", c[key])
+        _check(_is_int(c["i_max"]) and c["i_max"] >= c["fit_skip"] + 2,
+               "apdim i_max must be an integer >= fit_skip + 2", c["i_max"])
+        _check(_is_positive(c["domain_half"]), "apdim domain_half must be positive",
+               c["domain_half"])
+        for key in ("window_levels", "abut_levels"):
+            _check(_is_levels(c[key]), f"apdim {key} must be two integers lo <= hi", c[key])
+    if "reverse_holder_grid" in cfg:
+        grid = cfg["reverse_holder_grid"]
+        _check(isinstance(grid, list) and grid and all(map(_is_positive, grid)),
+               "reverse_holder_grid must be a non-empty list of positive numbers", grid)
     if "space" in cfg:
         sp = cfg["space"]
         _check_keys(sp, {"s", "tau", "p", "q", "kind"}, "space")
@@ -114,27 +145,31 @@ def parse_config(path_or_inline, subcommand):
                         "p": sp.get("p", cfg["p"]),
                         "q": float("inf") if q in ("inf", None) else q,
                         "kind": sp.get("kind", "B")}
-        if cfg["space"]["p"] <= 0 or cfg["space"]["q"] <= 0:
-            raise ConfigError("space exponents must be positive")
+        _check(_is_positive(cfg["space"]["p"]) and _is_positive(cfg["space"]["q"]),
+               "space exponents must be positive numbers", sp)
     if "window" in cfg:
-        _check_keys(cfg["window"], {"j_min", "j_max", "half_side"}, "window")
-    if "tier" in cfg and cfg["tier"] not in ("exact", "paper", "ratio", "all"):
-        raise ConfigError(f"unknown tier {cfg['tier']!r}")
-    if cfg.get("method", "auto") not in ("auto", "exact_p2", "mvee"):
-        raise ConfigError(f"unknown method {cfg['method']!r}")
-    if cfg.get("method") == "exact_p2" and cfg["p"] != 2.0:
-        raise ConfigError("method exact_p2 requires p = 2")
+        w = cfg["window"]
+        _check_keys(w, {"j_min", "j_max", "half_side"}, "window")
+        lo, hi = _WINDOW_LEVELS[subcommand]
+        _check(_is_levels([w.get("j_min", lo), w.get("j_max", hi)]),
+               "window j_min <= j_max must be integers", w)
+        _check(_is_positive(w.get("half_side", 0.5)), "window half_side must be positive", w)
+    _check(cfg.get("tier", "all") in ("exact", "paper", "ratio", "all"), "unknown tier",
+           cfg.get("tier"))
+    _check(cfg.get("method", "auto") in ("auto", "exact_p2", "mvee"), "unknown method",
+           cfg.get("method"))
+    _check(cfg.get("method") != "exact_p2" or cfg["p"] == 2.0, "method exact_p2 requires p = 2",
+           cfg["p"])
     K = cfg.get("directions", 256)
-    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
-        raise ConfigError(f"directions must be a positive integer, got {K!r}")
+    _check(_is_int(K) and K >= 1, "directions must be a positive integer", K)
     return cfg
 
 
-def _window_from_config(cfg, n=1, default=(1, 5)):
+def _window_from_config(cfg, n, subcommand):
     w = cfg.get("window", {})
-    half = w.get("half_side", 0.5)
-    return CubeWindow(n, w.get("j_min", default[0]), w.get("j_max", default[1]),
-                      cube_box(n, half))
+    lo, hi = _WINDOW_LEVELS[subcommand]
+    return CubeWindow(n, w.get("j_min", lo), w.get("j_max", hi),
+                      cube_box(n, w.get("half_side", 0.5)))
 
 
 def _write_report(out_dir, name, payload):
@@ -164,7 +199,7 @@ def cmd_apdim(cfg, out_dir):
                                   for k, v in opts.items()})
     dims, ests = apdim.estimate_dimensions(weight, p, config)
     est = ests["direct"]
-    window = _window_from_config(cfg, weight.n, (1, 4))
+    window = _window_from_config(cfg, weight.n, "apdim")
     beta = apdim.doubling_exponent(weight, p, window)
     r_grid = cfg.get("reverse_holder_grid", [1.25, 1.5, 1.75, 2.0])
     r_hat, r_table = apdim.reverse_holder_probe(weight, p, window, r_grid)
@@ -208,7 +243,7 @@ def cmd_norms(cfg, out_dir):
     sp = cfg.get("space", {"s": 0.0, "tau": 0.0, "p": cfg["p"], "q": 2.0,
                            "kind": "B"})
     params = SpaceParams(sp["s"], sp["tau"], sp["p"], sp["q"], sp["kind"])
-    window = _window_from_config(cfg, weight.n, (2, 6))
+    window = _window_from_config(cfg, weight.n, "norms")
     rng = np.random.default_rng(cfg["seed"])
     draws = int(cfg.get("draws", 20))
     fam = build_family(weight, params.p, window, method="auto", K=64)
@@ -312,7 +347,7 @@ def cmd_filters(cfg, out_dir):
 
 def cmd_reduce(cfg, out_dir):
     weight = parse_weight(cfg.get("weight"))
-    window = _window_from_config(cfg, weight.n, (1, 4))
+    window = _window_from_config(cfg, weight.n, "reduce")
     fam = build_family(weight, cfg["p"], window, method=cfg.get("method", "auto"),
                        K=cfg.get("directions", 256))
     out_dir = Path(out_dir)

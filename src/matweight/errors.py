@@ -26,7 +26,7 @@ class InvalidVariantError(MatweightError, ValueError):
 
 
 class OutOfDomainError(MatweightError):
-    """A cube operation left the working domain with clipping disabled."""
+    """No cube, or no dilation of one, fits inside the working domain."""
 
 
 class ResolutionError(MatweightError):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomainError, ResolutionError
+from .errors import ResolutionError
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,6 @@ class Box:
             np.all(other.lo_arr >= self.lo_arr - tol)
             and np.all(other.hi_arr <= self.hi_arr + tol)
         )
-
-    def clip_to(self, domain):
-        lo = np.maximum(self.lo_arr, domain.lo_arr)
-        hi = np.minimum(self.hi_arr, domain.hi_arr)
-        if np.any(hi <= lo):
-            raise OutOfDomainError("box does not meet the domain")
-        return Box(tuple(lo), tuple(hi))
 
 
 def cube_box(n, half_side=0.5):
@@ -129,31 +122,18 @@ def containing_cube(j, x):
     return DyadicCube(int(j), tuple(int(v) for v in k))
 
 
-def dilate(Q, lam, domain=None, clip=False):
-    """Box with the center of Q and edge lam*l(Q).
-
-    With a domain given, the result is either clipped to it (clip=True,
-    returning (box, was_clipped)) or required to fit inside it.
-    """
+def dilate(Q, lam):
+    """Box with the center of Q and edge lam*l(Q)."""
     if lam <= 0:
         raise ValueError("dilation factor must be positive")
     c = Q.center
     h = 0.5 * lam * Q.side
-    box = Box(tuple(c - h), tuple(c + h))
-    if domain is None:
-        return box
-    if domain.contains_box(box):
-        return (box, False) if clip else box
-    if not clip:
-        raise OutOfDomainError(
-            f"dilation by {lam} of level-{Q.j} cube leaves the domain"
-        )
-    return box.clip_to(domain), True
+    return Box(tuple(c - h), tuple(c + h))
 
 
-def double(Q, i, domain=None, clip=False):
+def double(Q, i):
     """The cube 2^i Q: same center, edge 2^i * l(Q)."""
-    return dilate(Q, 2.0 ** i, domain=domain, clip=clip)
+    return dilate(Q, 2.0 ** i)
 
 
 class CubeWindow:

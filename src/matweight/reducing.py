@@ -18,8 +18,8 @@ import numpy as np
 
 from . import linalg
 from .errors import FitError, IntegrabilityError
-from .quad import QuadSpec, box_nodes
-from .weights import _as_box, cube_average, dual_weight
+from .quad import QuadSpec
+from .weights import _as_box, cube_average, dual_weight, sup_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +373,7 @@ def integrability_probe(weight, p, family, window, r_grid):
     if p <= 1.0:
         for Q in cubes:
             A = family.matrix(Q)
-            X, _ = box_nodes(Q.box(), 3, 16, 1, weight.singular_points)
+            X, _ = sup_nodes(weight, Q.box(), qspec)
             F = linalg.op_norm(np.einsum("ij,njk->nik", A, weight.power_at(X, -1.0 / p)))
             sup_form = max(sup_form, float(F.max()))
     stable = [row.r for row in rows if row.forward_ok and row.backward_ok]

@@ -4,9 +4,12 @@ A weight here is an evaluable map x -> positive definite m x m Hermitian
 matrix with a finite list of singular points where it may blow up or lose
 invertibility. Analytic kinds know their local power exponents, which lets
 cube averages pre-check integrability before any quadrature runs.
+
+ap_pair is the one two-cube A_p quantity: [W]_Ap (ap_constant) and the
+growth sequence a_i (apdim.a_sequence) are its suprema over cube pairs.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +21,7 @@ from .errors import (
     SingularityError,
 )
 from .geometry import Box, DyadicCube
-from .quad import _as_point, average_ball, average_box, box_nodes
+from .quad import QuadSpec, _as_point, average_ball, average_box, box_nodes
 
 
 def _as_box(region):
@@ -392,36 +395,24 @@ class ApCharacteristic:
     converged: bool = True
 
 
-def _graded_mesh(box, base_depth, grade_depth, order, singular_points):
-    """Nodes of the graded mesh on a box with probability weights."""
-    X, v = box_nodes(box, base_depth, grade_depth, order, singular_points)
+def sup_nodes(weight, box, qspec):
+    """The node rule of the pairwise kernel and of every essential supremum:
+    order-1 nodes of the hp rule at (base_depth, grade_depth // 2) on the
+    box, with probability weights."""
+    X, v = box_nodes(box, qspec.base_depth, qspec.grade_depth // 2, 1, weight.singular_points)
     return X, v / v.sum()
 
 
-def _ap_factor(weight, X, alpha):
-    """W^alpha on nodes X: the scalar profile's power, (N,), for scalar
-    weights, else the (N, m, m) matrix powers."""
-    if weight.is_scalar():
-        return weight.scalar_profile(X) ** alpha
-    return weight.power_at(X, alpha)
-
-
-def _ap_kernel(p, FX, wx, FY, wy, swapped=False, star=False):
+def _ap_kernel(p, FX, wx, FY, wy, star=False):
     """The A_p quantity over node sets X, Y with probability weights wx, wy,
-    given FX = W^(1/p)(X) and FY = W^(-1/p)(Y) from _ap_factor.
+    given the (N, m, m) matrix powers FX = W^(1/p)(X) and FY = W^(-1/p)(Y).
 
     F(x, y) = ||W^(1/p)(x) W^(-1/p)(y)||^s with s = p for p <= 1 (sup over y
     of the x-average; the star variant averages the x-wise sup instead) and
     s = p' otherwise (x-average of the y-average to the power p/p').
-    swapped exchanges the roles of the two node sets.
     """
     s = p if p <= 1.0 else p / (p - 1.0)
-    if FX.ndim == 1:
-        F = (FX[:, None] * FY[None, :]) ** s
-    else:
-        F = linalg.op_norm(np.einsum("xij,yjk->xyik", FX, FY)) ** s
-    if swapped:
-        F, wx, wy = F.T, wy, wx
+    F = linalg.op_norm(np.einsum("xij,yjk->xyik", FX, FY)) ** s
     if p > 1.0:
         return float(wx @ (F @ wy) ** (p / s))
     if star:
@@ -429,12 +420,54 @@ def _ap_kernel(p, FX, wx, FY, wy, swapped=False, star=False):
     return float(np.max(wx @ F))
 
 
-def ap_constant(weight, p, window, variant="standard", base_depth=3, grade_depth=12):
-    """Windowed [W]_Ap (or the starred variant for p <= 1).
+def ap_pair(weight, p, box_x, box_y, qspec, star=False, cache=None):
+    """The two-cube A_p quantity, W^(1/p) averaged over box_x against
+    W^(-1/p) over box_y: with F(x, y) = ||W^(1/p)(x) W^(-1/p)(y)||,
+    avg_x (avg_y F^p')^(p/p') for p > 1 and ess sup_y avg_x F^p for p <= 1
+    (star: avg_x ess sup_y F^p).
 
-    The y-supremum hidden in the p <= 1 form is discretized as a max over
-    graded nodes, so the result is a certified lower bound of the true
-    essential supremum.
+    A scalar weight w I factorises: avg_x w (avg_y w^(-1/(p-1)))^(p-1) from
+    cube averages at qspec, and avg_x w / min_y w for p <= 1, where star
+    changes nothing. Matrix weights run the pairwise kernel on sup_nodes.
+    Essential suprema are extrema over sup_nodes. cache, shared only by
+    calls with the same weight, p and qspec, keeps per-box terms keyed on
+    (term, exponent, box corners).
+    """
+    cache = {} if cache is None else cache
+
+    def term(kind, alpha, box):
+        """The cached per-box term: "avg" the average of w^alpha, "min" the
+        node minimum of w, "factor" the node rule with W^alpha on its nodes."""
+        key = (kind, alpha, box.lo, box.hi)
+        if key not in cache:
+            if kind == "avg":
+                cache[key] = float(cube_average(weight, box, alpha, 1.0,
+                                                lambda mats: mats[:, 0, 0].real, qspec,
+                                                name="cross average").value)
+            else:
+                X, v = sup_nodes(weight, box, qspec)
+                cache[key] = (float(np.min(weight.scalar_profile(X))) if kind == "min"
+                              else (weight.power_at(X, alpha), v))
+        return cache[key]
+
+    if weight.is_scalar():
+        if p > 1.0:
+            return term("avg", 1.0, box_x) * term("avg", -1.0 / (p - 1.0), box_y) ** (p - 1.0)
+        return term("avg", 1.0, box_x) / term("min", 1.0, box_y)
+    _precheck_integrability(weight, box_x, 1.0 / p, p)
+    if p > 1.0:
+        _precheck_integrability(weight, box_y, -1.0 / p, p / (p - 1.0))
+    return _ap_kernel(p, *term("factor", 1.0 / p, box_x), *term("factor", -1.0 / p, box_y),
+                      star)
+
+
+def ap_constant(weight, p, window, variant="standard", qspec=None):
+    """Windowed [W]_Ap (or the starred variant for p <= 1): the sup over the
+    window's cubes Q of ap_pair(Q, Q), at qspec and at its next refinement
+    round (base_depth + 1, grade_depth + grade_step), flagged not converged
+    where the two differ by more than 5%. The default qspec gives the matrix
+    kernel the depth pairs (3, 12) and (4, 20): 20 and 36 nodes per side on
+    a 1-D cube at a singular point.
     """
     if p <= 0:
         raise InvalidExponentError("p must be positive")
@@ -442,20 +475,15 @@ def ap_constant(weight, p, window, variant="standard", base_depth=3, grade_depth
         raise InvalidVariantError(f"unknown variant {variant!r}")
     if variant == "star" and p > 1.0:
         raise InvalidVariantError("star variant is defined only for p <= 1")
+    qspec = qspec or QuadSpec(base_depth=3, grade_depth=24)
+    finer = replace(qspec, base_depth=qspec.base_depth + 1,
+                    grade_depth=qspec.grade_depth + qspec.grade_step)
     best, witness = -np.inf, None
     converged = True
     for Q in window.cubes():
         box = Q.box()
-        _precheck_integrability(weight, box, 1.0 / p, p)
-        if p > 1.0:
-            _precheck_integrability(weight, box, -1.0 / p, p / (p - 1.0))
-        vals = []
-        for bd, gd in ((base_depth, grade_depth), (base_depth + 1, grade_depth + 8)):
-            X, wx = _graded_mesh(box, bd, gd, 2, weight.singular_points)
-            Y, wy = _graded_mesh(box, bd, gd, 1, weight.singular_points)
-            vals.append(_ap_kernel(p, _ap_factor(weight, X, 1.0 / p), wx,
-                                   _ap_factor(weight, Y, -1.0 / p), wy, star=variant == "star"))
-        coarse, fine = vals
+        coarse, fine = (ap_pair(weight, p, box, box, spec, star=variant == "star")
+                        for spec in (qspec, finer))
         if abs(fine - coarse) > 0.05 * abs(fine):
             converged = False
         if fine > best:

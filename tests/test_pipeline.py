@@ -6,6 +6,7 @@ import pytest
 from matweight import linalg
 from matweight.dyadic import grid_points
 from matweight.geometry import CubeWindow, DyadicCube, cube_box
+from matweight.quad import QuadSpec
 from matweight.reducing import (build_family, dual_reduce, integrability_probe,
                                 reduce_operator)
 from matweight.spaces import CoefficientField, SpaceParams, seq_norm
@@ -29,8 +30,8 @@ def sampled(analytic):
 
 def test_sampled_ap_close_to_analytic(analytic, sampled):
     win = CubeWindow(1, 1, 3)
-    ap_s = ap_constant(sampled, 2.0, win, base_depth=3, grade_depth=6).value
-    ap_a = ap_constant(analytic, 2.0, win, base_depth=3, grade_depth=10).value
+    ap_s = ap_constant(sampled, 2.0, win, qspec=QuadSpec(base_depth=3, grade_depth=12)).value
+    ap_a = ap_constant(analytic, 2.0, win, qspec=QuadSpec(base_depth=3, grade_depth=20)).value
     assert ap_s == pytest.approx(ap_a, rel=0.25)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import matweight.apdim as apdim
 from matweight.geometry import CubeWindow, DyadicCube
+from matweight.quad import QuadSpec
 from matweight.reducing import identity_family, reduce_operator, verify_reducing
 from matweight.spaces import (CoefficientField, SpaceParams,
                               cube_scalar_sequence, finfty_norm,
@@ -17,7 +18,7 @@ from matweight.weights import PowerLogWeight, ap_constant
 def test_ap_constant_plane():
     W = PowerLogWeight(2, 2, -0.8)  # integrable: a > -n
     win = CubeWindow(2, 1, 3)
-    ap = ap_constant(W, 2.0, win, base_depth=2, grade_depth=8)
+    ap = ap_constant(W, 2.0, win, qspec=QuadSpec(base_depth=2, grade_depth=16))
     assert np.isfinite(ap.value) and ap.value >= 1.0 - 1e-6
 
 

@@ -7,6 +7,7 @@ from matweight import weights
 from matweight.errors import (IntegrabilityError, InvalidExponentError,
                               InvalidVariantError, SingularityError)
 from matweight.geometry import Box, CubeWindow, DyadicCube, cube_box
+from matweight.quad import QuadSpec
 from matweight.reducing import CubeNorm, unit_directions
 from matweight.weights import (ConjugatedBlockWeight, ConstantWeight,
                                GridSampledWeight, PowerLogWeight, ProductPowerWeight,
@@ -195,16 +196,23 @@ class TestApConstant:
         # |x|^(1/2) is A_2 on the line; refinement changes the value little
         W = PowerLogWeight(1, 1, 0.5)
         win = CubeWindow(1, 1, 4)
-        coarse = ap_constant(W, 2.0, win, base_depth=3, grade_depth=10)
-        fine = ap_constant(W, 2.0, win, base_depth=4, grade_depth=18)
+        coarse = ap_constant(W, 2.0, win, qspec=QuadSpec(base_depth=3, grade_depth=20))
+        fine = ap_constant(W, 2.0, win, qspec=QuadSpec(base_depth=4, grade_depth=36))
         assert np.isfinite(fine.value)
         assert abs(fine.value - coarse.value) <= 0.05 * fine.value
+
+    @pytest.mark.parametrize("a", [-0.7, -0.5, 0.3, 0.8])
+    def test_power_weight_closed_form(self, a):
+        # cubes at the singular point attain [|x|^a]_A2 = 1/((1+a)(1-a))
+        ap = ap_constant(PowerLogWeight(1, 1, a), 2.0, CubeWindow(1, 1, 4))
+        assert ap.converged
+        assert ap.value == pytest.approx(1.0 / (1.0 - a * a), abs=1e-6)
 
     def test_standard_below_star(self):
         W = conjugated_block()
         win = CubeWindow(1, 1, 3)
-        std = ap_constant(W, 0.5, win, "standard", base_depth=3, grade_depth=8)
-        star = ap_constant(W, 0.5, win, "star", base_depth=3, grade_depth=8)
+        std = ap_constant(W, 0.5, win, "standard", qspec=QuadSpec(base_depth=3, grade_depth=16))
+        star = ap_constant(W, 0.5, win, "star", qspec=QuadSpec(base_depth=3, grade_depth=16))
         assert std.value <= star.value * (1 + 1e-12)
 
     def test_window_monotonicity(self):
