@@ -163,7 +163,13 @@ def fit_growth(a_values, i_skip=2):
     The extra regressor matches the poly-log growth the closed-form weight
     family exhibits, so d is not inflated when the critical dimension is
     approached but not attained (beta then measures the log perturbation).
+    Raises OutOfDomainError when fewer than three a_i remain, as when i_max
+    was reduced to fit the domain.
     """
+    if len(a_values) - i_skip < 3:
+        raise OutOfDomainError(
+            f"the growth fit needs three a_i at i >= fit_skip = {i_skip}, but i_max is "
+            f"{len(a_values) - 1} after fitting the domain")
     ii = np.arange(i_skip, len(a_values))
     logs = np.log2(a_values[i_skip:])
     X = np.stack([ii, np.log2(ii + 1.0), np.ones_like(ii, dtype=float)], axis=1)

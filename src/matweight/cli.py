@@ -24,8 +24,8 @@ from .geometry import CubeWindow, cube_box
 from .reducing import build_family
 from .spaces import CoefficientField, SpaceParams, classify, seq_norm
 from .transform import build_filters, function_norm, random_band_limited
-from .weights import (PowerLogWeight, identity_weight, two_singularity,
-                      weight_from_descriptor)
+from .weights import (ConjugatedBlockWeight, PowerLogWeight, identity_weight,
+                      two_singularity, weight_from_descriptor)
 
 
 def code_version():
@@ -72,8 +72,12 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_positive(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+    return _is_number(v) and v > 0
 
 
 def _is_levels(v):
@@ -88,10 +92,19 @@ def parse_weight(spec):
         raise ConfigError(f"weight spec must be 'identity' or an object, got {spec!r}")
     _check_keys(spec, _WEIGHT_KEYS, "weight")
     desc = {"kind": "power_log", "n": 1, "m": 1, **spec}
+    for key in ("n", "m"):
+        _check(_is_int(desc[key]) and desc[key] >= 1, f"weight {key} must be an integer >= 1",
+               desc[key])
+    for key in ("a", "b", "scale"):
+        if key in desc:
+            _check(_is_number(desc[key]), f"weight {key} must be a number", desc[key])
     try:
         if desc["kind"] == "two_singularity":
             weight = two_singularity(desc["d"], desc["dtilde"], desc["p"], desc.get("x0"),
                                      desc["n"], desc["m"])
+        elif desc["kind"] == "conjugated_block":
+            weight = ConjugatedBlockWeight(parse_weight(desc["branch1"]),
+                                           parse_weight(desc["branch2"]))
         else:
             weight = weight_from_descriptor(desc)
         divergent = isinstance(weight, PowerLogWeight) and weight.a <= -weight.n

@@ -171,18 +171,13 @@ def load_family_json(path):
 def save_filters_json(path, filters):
     """Frequency-sample table of the filter pair (radial profiles per level)."""
     ts = np.linspace(0.25, 4.0, 513)
-    from .transform import bump_profile
+    from .transform import bump_profile, psi_profile
 
-    prof = bump_profile(ts, filters.smoothness)
-    denom = np.zeros_like(ts)
-    for i in (-2, -1, 0, 1, 2):
-        denom += bump_profile(ts / 2.0 ** i, filters.smoothness) ** 2
-    psi = np.where(prof > 0, prof / np.where(denom > 0, denom, 1.0), 0.0)
     payload = {
         "descriptor": filters.descriptor(),
         "radial_grid": [float(v) for v in ts],
-        "phi_hat": [float(v) for v in prof],
-        "psi_hat": [float(v) for v in psi],
+        "phi_hat": [float(v) for v in bump_profile(ts, filters.smoothness)],
+        "psi_hat": [float(v) for v in psi_profile(ts, filters.smoothness)],
         "safe_band": list(filters.safe_band),
     }
     with open(path, "w") as fh:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ResolutionError
-from .geometry import Box
+from .geometry import Box, mesh
 
 
 def grid_shape(box, level):
@@ -29,8 +29,7 @@ def grid_points(box, level, flat=True):
     shape = grid_shape(box, level)
     h = 2.0 ** (-level)
     axes = [box.lo[i] + h * (np.arange(shape[i]) + 0.5) for i in range(box.n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = mesh(*axes)
     return pts if flat else pts.reshape(shape + (box.n,))
 
 

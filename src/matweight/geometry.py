@@ -10,7 +10,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import CoverageError, ResolutionError
+
+
+def mesh(*axes):
+    """All combinations of one entry per axis, as rows ('ij' order)."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def cell_index(lo, width, shape, X):
+    """Flat (C-order) index of the cell holding each point of X in the grid of
+    `shape` cells of edge `width` from the corner lo; points outside the grid
+    go to its nearest cell."""
+    idx = np.floor((np.atleast_2d(X) - lo) / width).astype(int)
+    return np.ravel_multi_index(tuple(np.clip(idx, 0, np.asarray(shape) - 1).T), tuple(shape))
 
 
 @dataclass(frozen=True)
@@ -152,9 +165,10 @@ class CubeWindow:
         self.box = box if box is not None else cube_box(n)
         if self.box.n != n:
             raise ValueError("box dimension mismatch")
-        self._level_index_ranges(j_min)  # validates alignment at the coarsest level
+        self._ranges = {j: self._level_index_ranges(j) for j in self.levels()}
 
     def _level_index_ranges(self, j):
+        """(k_lo, counts) of the level-j slice; the box must be aligned at j."""
         scale = 2.0 ** j
         k_lo = self.box.lo_arr * scale
         k_hi = self.box.hi_arr * scale
@@ -164,26 +178,33 @@ class CubeWindow:
             raise ResolutionError(f"base box is not lattice-aligned at level {j}")
         if np.any(k_hi_r - k_lo_r < 1):
             raise ResolutionError(f"level {j} cubes are larger than the base box")
-        return k_lo_r.astype(int), k_hi_r.astype(int)
+        return k_lo_r.astype(int), (k_hi_r - k_lo_r).astype(int)
+
+    def _level(self, j):
+        if j not in self._ranges:
+            raise CoverageError(f"level {j} outside window [{self.j_min}, {self.j_max}]")
+        return self._ranges[j]
 
     def index(self, Q):
         """Array index of the cube Q within its level slice."""
-        k_lo, _ = self._level_index_ranges(Q.j)
-        return tuple(int(ki - lo) for ki, lo in zip(Q.k, k_lo))
+        k_lo, counts = self._level(Q.j)
+        idx = tuple(int(ki - lo) for ki, lo in zip(Q.k, k_lo))
+        if len(idx) != self.n or not all(0 <= i < c for i, c in zip(idx, counts)):
+            raise CoverageError(f"cube {Q} lies outside the window")
+        return idx
+
+    def cell_index(self, j, X):
+        """Flat index within the level-j slice of the cube holding each point of X."""
+        k_lo, counts = self._level(j)
+        return cell_index(k_lo * 2.0 ** -j, 2.0 ** -j, counts, X)
 
     def counts_at_level(self, j):
-        k_lo, k_hi = self._level_index_ranges(j)
-        return k_hi - k_lo
+        return self._level(j)[1]
 
     def cubes_at_level(self, j):
-        if not (self.j_min <= j <= self.j_max):
-            raise ValueError(f"level {j} outside window [{self.j_min}, {self.j_max}]")
-        k_lo, k_hi = self._level_index_ranges(j)
-        grids = np.meshgrid(
-            *[np.arange(a, b) for a, b in zip(k_lo, k_hi)], indexing="ij"
-        )
-        ks = np.stack([g.ravel() for g in grids], axis=-1)
-        return [DyadicCube(j, tuple(int(v) for v in k)) for k in ks]
+        k_lo, counts = self._level(j)
+        return [DyadicCube(j, tuple(int(v) for v in k))
+                for k in mesh(*[np.arange(a, a + c) for a, c in zip(k_lo, counts)])]
 
     def cubes(self):
         out = []

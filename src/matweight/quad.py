@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .errors import IntegrabilityError, ResolutionError
-from .geometry import Box
+from .geometry import Box, mesh
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ class QuadResult:
     history: list = field(default_factory=list)
 
 
-def _mesh(*axes):
-    """All combinations of one entry per axis, as rows ('ij' order)."""
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-
-
 @lru_cache(maxsize=512)
 def _gauss_jacobi(e, order):
     """Gauss rule for int_0^1 t^e g(t) dt (e > -1) by Golub & Welsch from the
@@ -81,7 +76,7 @@ def _gauss_jacobi(e, order):
 def _gauss_legendre(order, n):
     """Tensor Gauss-Legendre rule on [0, 1]^n: nodes (order^n, n), weights summing to 1."""
     t, w = _gauss_jacobi(0.0, order)
-    return _mesh(*[t] * n), _mesh(*[w / w.sum()] * n).prod(axis=1)
+    return mesh(*[t] * n), mesh(*[w / w.sum()] * n).prod(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +113,7 @@ def _cells(lo, hi, points, depth):
 @lru_cache(maxsize=None)
 def _unit_grid(depth, n):
     """Lower corners of the 2^depth-per-axis uniform grid, in cell widths."""
-    return _mesh(*[np.arange(2.0 ** depth)] * n)
+    return mesh(*[np.arange(2.0 ** depth)] * n)
 
 
 def _uniform(lo, widths, depth):
@@ -175,11 +170,10 @@ def _as_point(s, n):
     return (np.ravel(s).tolist() * n)[:n]
 
 
-def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents=None,
-              with_tail=False):
-    """Nodes and weights of the hp rule on a box; exponents (parallel to
-    singular_points) are the integrand's local exponents, which give 1-D
-    chains Gauss-Jacobi end cells. with_tail=True adds the tail node count."""
+def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents=None):
+    """Nodes, weights and tail node count of the hp rule on a box; exponents
+    (parallel to singular_points) are the integrand's local exponents, which
+    give 1-D chains Gauss-Jacobi end cells."""
     lo, hi = [float(v) for v in box.lo], [float(v) for v in box.hi]
     pts = [_as_point(s, box.n) for s in singular_points]
     on = [k for k, s in enumerate(pts)
@@ -193,8 +187,7 @@ def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents
                    min([1.0] + [abs(pts[k][0] - t[0]) for t in pts if t[0] != pts[k][0]]))
                   for k in on]
     floor = 1e-12 * max(1.0, *map(abs, lo), *map(abs, hi))  # cells resolve points above it
-    mids, vols, tail = _graded_nodes(*cells, order, grade_depth, floor, jacobi)
-    return (mids, vols, tail) if with_tail else (mids, vols)
+    return _graded_nodes(*cells, order, grade_depth, floor, jacobi)
 
 
 def _round_params(spec, rnd):
@@ -211,9 +204,7 @@ def _refine_loop(node_fn, fn, spec, name):
     nodes = 0
     converged = False
     for rnd in range(spec.max_rounds):
-        out = node_fn(*_round_params(spec, rnd))
-        mids, vols = out[0], out[1]
-        n_tail = out[2] if len(out) > 2 else 0
+        mids, vols, n_tail = node_fn(*_round_params(spec, rnd))
         if mids.shape[0] > spec.max_nodes:
             if not history:
                 raise ResolutionError(f"{name}: the first round needs {mids.shape[0]} "
@@ -256,7 +247,7 @@ def integrate_box(fn, box, spec=None, singular_points=(), name="box integral",
     spec = (spec or QuadSpec()).for_dim(box.n)
 
     def node_fn(bd, gd, order):
-        return box_nodes(box, bd, gd, order, singular_points, exponents, with_tail=True)
+        return box_nodes(box, bd, gd, order, singular_points, exponents)
 
     return _refine_loop(node_fn, fn, spec, name)
 
@@ -267,58 +258,31 @@ def average_box(fn, box, spec=None, singular_points=(), name="box average", expo
     return res
 
 
-def ball_nodes(center, radius, base_depth, grade_depth, order, singular_points=(),
-               boundary_depth=10):
-    """Graded mesh on a Euclidean ball: the box rule on the bounding box,
-    with extra dyadic refinement of the cells that cross the sphere and only
-    the nodes inside the ball kept."""
-    center = np.asarray(center, dtype=float)
-    n = center.size
-    bbox = Box(tuple(center - radius), tuple(center + radius))
-    if n == 1:
-        return box_nodes(bbox, base_depth, grade_depth, order, singular_points,
-                         with_tail=True)
-
-    sing = [_as_point(s, n) for s in singular_points]
-    lo, widths, corners = _cells(list(bbox.lo), list(bbox.hi), sing, max(base_depth, 1))
-    graded = np.isin(np.arange(lo.shape[0]), [c[0] for c in corners])
-
-    def classify(lo_a, w_a):
-        """Cells wholly inside and wholly outside the ball."""
-        far = np.where(center < lo_a + 0.5 * w_a, lo_a + w_a, lo_a)
-        dmin2 = np.sum((np.clip(center, lo_a, lo_a + w_a) - center) ** 2, axis=1)
-        dmax2 = np.sum((far - center) ** 2, axis=1)
-        return dmax2 <= radius ** 2, dmin2 >= radius ** 2
-
-    inside_lo, inside_w = [lo[graded]], [widths[graded]]
-    cur_lo, cur_w = lo[~graded], widths[~graded]
-    for _ in range(boundary_depth):
-        ins, outs = classify(cur_lo, cur_w)
-        inside_lo.append(cur_lo[ins])
-        inside_w.append(cur_w[ins])
-        strad = ~(ins | outs)
-        cur_lo, cur_w = cur_lo[strad], cur_w[strad]
-        if not np.any(strad) or int(np.sum(strad)) > 20_000:
-            break
-        cur_lo, cur_w = _uniform(cur_lo, cur_w, 1)
-    floor = 1e-12 * max(1.0, *map(abs, bbox.lo), *map(abs, bbox.hi))
-    X, v, tail = _graded_nodes(np.concatenate(inside_lo + [cur_lo]),
-                               np.concatenate(inside_w + [cur_w]),
-                               [(i, *c[1:]) for i, c in enumerate(corners)], order,
-                               grade_depth, floor)
-    keep = np.sum((X - center) ** 2, axis=1) <= radius ** 2
-    return X[keep], v[keep], int(keep[len(keep) - tail:].sum())
-
-
 def average_ball(fn, center, radius, spec=None, singular_points=(), name="ball average"):
-    """Average over the ball; normalized by the mesh measure so constants are exact."""
-    center = np.asarray(center, dtype=float)
-    spec = (spec or QuadSpec()).for_dim(center.size)
-    bdepth = 10 if center.size == 1 else max(2, 13 - spec.base_depth)
+    """Average over the ball. In 1-D the ball is a box; in 2-D the nodes are
+    c + r rho (cos 2 pi theta, sin 2 pi theta) from two 1-D rules on [0, 1],
+    rho graded toward 0 and the radius of each singular point in the closed
+    disc, theta toward the angle of each one off the centre, with weights
+    w_rho w_theta rho normalized to sum 1, so constants are exact."""
+    c = np.asarray(center, dtype=float)
+    if c.size == 1:
+        return average_box(fn, Box((c[0] - radius,), (c[0] + radius,)), spec,
+                           singular_points, name)
+    if c.size != 2:
+        raise ResolutionError(f"{name}: ball averages support n <= 2, not n = {c.size}")
+    polar = [(math.hypot(x, y) / radius, math.atan2(y, x) / (2.0 * math.pi))
+             for x, y in (np.asarray(_as_point(s, 2)) - c for s in singular_points)]
+    radii = [(0.0,)] + [(q,) for q, _ in polar if q <= 1.0 + 1e-12]
+    # an angle in [-1/2, 1/2] and its image one period up: those on [0, 1]
+    angles = [(t + k,) for q, t in polar if 1e-12 < q <= 1.0 + 1e-12 for k in (0, 1)]
+    unit = Box((0.0,), (1.0,))
 
     def node_fn(bd, gd, order):
-        mids, vols, n_tail = ball_nodes(center, radius, bd, gd, order, singular_points,
-                                        boundary_depth=bdepth)
-        return mids, vols / vols.sum(), n_tail
+        rho, w_rho, tail = box_nodes(unit, bd, gd, order, radii)
+        theta, w_theta, _ = box_nodes(unit, bd, gd, order, angles)
+        rho, theta = mesh(rho[:, 0], 2.0 * math.pi * theta[:, 0]).T  # radius-major
+        w = mesh(w_rho, w_theta).prod(axis=1) * rho
+        X = c + radius * rho[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return X, w / w.sum(), tail * len(w_theta)
 
-    return _refine_loop(node_fn, fn, spec, name)
+    return _refine_loop(node_fn, fn, (spec or QuadSpec()).for_dim(2), name)

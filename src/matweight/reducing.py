@@ -238,34 +238,29 @@ class ReducingFamily:
     m: int
 
     def matrix(self, Q):
-        return self.mats[Q.j][self.window.index(Q)]
+        idx = self.window.index(Q)
+        return self.mats[Q.j][idx]
 
     def inverse(self, Q):
-        return self.inv[Q.j][self.window.index(Q)]
+        idx = self.window.index(Q)
+        return self.inv[Q.j][idx]
 
     def bracket(self, Q):
+        idx = self.window.index(Q)
         lo, hi = self.brackets[Q.j]
-        return float(lo[self.window.index(Q)]), float(hi[self.window.index(Q)])
+        return float(lo[idx]), float(hi[idx])
 
     def level_field(self, j):
         """A_j = sum_Q A_Q 1_Q as a (counts..., m, m) array."""
         return self.mats[j]
 
-    def _cell_index(self, j, X):
-        X = np.atleast_2d(X)
-        k_lo, k_hi = self.window._level_index_ranges(j)
-        shape = tuple(k_hi - k_lo)
-        rel = X * 2.0 ** j - k_lo
-        idx = np.clip(np.floor(rel).astype(int), 0, np.asarray(shape) - 1)
-        return np.ravel_multi_index(tuple(idx.T), shape)
-
     def at_points(self, j, X):
         flat = self.mats[j].reshape(-1, self.m, self.m)
-        return flat[self._cell_index(j, X)]
+        return flat[self.window.cell_index(j, X)]
 
     def inverse_at_points(self, j, X):
         flat = self.inv[j].reshape(-1, self.m, self.m)
-        return flat[self._cell_index(j, X)]
+        return flat[self.window.cell_index(j, X)]
 
     def worst_bracket(self):
         lo = min(float(l.min()) for l, _ in self.brackets.values())

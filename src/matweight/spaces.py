@@ -77,10 +77,12 @@ class CoefficientField:
                 self.values[j] = np.zeros(counts + (m,), dtype=complex)
 
     def set_cube(self, Q, vec):
-        self.values[Q.j][self.window.index(Q)] = np.asarray(vec, dtype=complex)
+        idx = self.window.index(Q)
+        self.values[Q.j][idx] = np.asarray(vec, dtype=complex)
 
     def cube_value(self, Q):
-        return self.values[Q.j][self.window.index(Q)]
+        idx = self.window.index(Q)
+        return self.values[Q.j][idx]
 
     def copy(self):
         return CoefficientField(self.window, self.m,
@@ -344,10 +346,7 @@ def maximal_sequence(seq, window, r, lam):
     for j, arr in seq.items():
         counts = tuple(window.counts_at_level(j))
         vals = np.abs(np.asarray(arr, dtype=float)).reshape(-1)
-        k_lo, k_hi = window._level_index_ranges(j)
-        grids = np.meshgrid(*[np.arange(a, b) for a, b in zip(k_lo, k_hi)],
-                            indexing="ij")
-        pos = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+        pos = np.array([Q.k for Q in window.cubes_at_level(j)], dtype=float)
         # l(R)^-1 |x_R - x_Q| = |k_R - k_Q| in index units
         N = pos.shape[0]
         res = np.empty(N)

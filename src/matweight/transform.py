@@ -28,6 +28,14 @@ def bump_profile(t, k):
     return out
 
 
+def psi_profile(t, k):
+    """Scale-invariant synthesis profile bump(t) / sum_{i=-2..2} bump(t / 2^i)^2,
+    0 off the bump's support."""
+    prof = bump_profile(t, k)
+    denom = sum(bump_profile(t / 2.0 ** i, k) ** 2 for i in (-2, -1, 0, 1, 2))
+    return np.where(prof > 0, prof / np.where(denom > 0, denom, 1.0), 0.0)
+
+
 class FilterPair:
     """Frequency samples of a Littlewood-Paley analysis/synthesis pair.
 
@@ -104,13 +112,8 @@ class FilterPair:
     def annulus_lower_bound(self, which="phi"):
         """min |profile| over 3/5 <= |xi|/2^j <= 5/3 (scale-invariant)."""
         ts = np.linspace(0.6, 5.0 / 3.0, 2001)
-        vals = bump_profile(ts, self.smoothness)
-        if which == "psi":
-            denom = np.zeros_like(ts)
-            for i in (-2, -1, 0, 1, 2):
-                denom += bump_profile(ts / 2.0 ** i, self.smoothness) ** 2
-            vals = vals / denom
-        return float(np.min(vals))
+        profile = psi_profile if which == "psi" else bump_profile
+        return float(np.min(profile(ts, self.smoothness)))
 
     def descriptor(self):
         return {"grid_level": self.grid_level, "smoothness": self.smoothness,

@@ -20,7 +20,7 @@ from .errors import (
     InvalidVariantError,
     SingularityError,
 )
-from .geometry import Box, DyadicCube
+from .geometry import Box, DyadicCube, cell_index
 from .quad import QuadSpec, _as_point, average_ball, average_box, box_nodes
 
 
@@ -296,13 +296,6 @@ class GridSampledWeight(MatrixWeight):
         self.singular_points = []
         self._eig = None
 
-    def _cells(self, X):
-        X = np.atleast_2d(X)
-        shape = np.array(self.samples.shape[: self.n])
-        rel = (X - self.box.lo_arr) / self.box.sides * shape
-        idx = np.clip(np.floor(rel).astype(int), 0, shape - 1)
-        return np.ravel_multi_index(tuple(idx.T), tuple(shape))
-
     def _eigen(self):
         if self._eig is None:
             flat = self.samples.reshape(-1, self.m, self.m)
@@ -314,7 +307,8 @@ class GridSampledWeight(MatrixWeight):
 
     def power_at(self, X, alpha):
         lam, u = self._eigen()
-        cells = self._cells(X)
+        shape = self.samples.shape[: self.n]
+        cells = cell_index(self.box.lo_arr, self.box.sides / shape, shape, X)
         lam_a = lam[cells] ** alpha
         uu = u[cells]
         return np.einsum("nij,nj,nkj->nik", uu, lam_a, np.conj(uu))
@@ -399,7 +393,7 @@ def sup_nodes(weight, box, qspec):
     """The node rule of the pairwise kernel and of every essential supremum:
     order-1 nodes of the hp rule at (base_depth, grade_depth // 2) on the
     box, with probability weights."""
-    X, v = box_nodes(box, qspec.base_depth, qspec.grade_depth // 2, 1, weight.singular_points)
+    X, v, _ = box_nodes(box, qspec.base_depth, qspec.grade_depth // 2, 1, weight.singular_points)
     return X, v / v.sum()
 
 

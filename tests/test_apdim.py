@@ -196,3 +196,13 @@ def test_base_cube_filter_reduces_imax():
     assert i_eff < 12 and len(vals) == i_eff + 1
     with pytest.raises(OutOfDomainError):
         a_sequence(W, 2.0, base_cubes=[DyadicCube(-3, (0,))], config=cfg)
+
+
+@pytest.mark.parametrize("route", [estimate_dimensions, swapped_slope])
+def test_growth_fit_after_imax_shrinks_below_fit_skip(route):
+    # i_max 12 shrinks to 6 on this domain, leaving no a_i at i >= fit_skip = 8
+    cfg = ApDimConfig(i_max=12, fit_skip=8, domain_half=4.0, window_levels=(1, 2),
+                      abut_levels=(1, 4))
+    with (pytest.warns(UserWarning),
+          pytest.raises(OutOfDomainError, match="fit_skip = 8.*i_max is 6")):
+        route(PowerLogWeight(1, 1, -0.5), 2.0, config=cfg)

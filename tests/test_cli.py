@@ -88,6 +88,31 @@ class TestMain:
         cfg = json.dumps({"weight": {"kind": "power_log", "a": -0.4}, **bad})
         assert main(["apdim", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_apdim_growth_fit_without_points_is_numerical_error(self, tmp_path, capsys):
+        cfg = json.dumps({"weight": {"kind": "power_log", "a": -0.5},
+                          "apdim": {"i_max": 12, "fit_skip": 8, "domain_half": 4.0,
+                                    "window_levels": [1, 2], "abut_levels": [1, 4]}})
+        with pytest.warns(UserWarning, match="i_max reduced from 12 to 6"):
+            assert main(["apdim", "--config", cfg, "--out", str(tmp_path)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert "fit_skip = 8" in err["message"] and "i_max is 6" in err["message"]
+
+    @pytest.mark.parametrize("weight", [
+        {"kind": "power_log", "a": -0.5, "b": "x"},
+        {"kind": "power_log", "a": -0.5, "scale": "x"},
+        {"kind": "power_log", "a": -0.5, "m": 0},
+        {"kind": "conjugated_block", "branch1": {"a": "x"}},
+        {"kind": "conjugated_block", "branch1": {"a": -1.5}},
+        {"kind": "conjugated_block", "branch1": {"a": -0.4, "bogus": 1}}])
+    def test_reduce_bad_weight_spec_is_config_error(self, tmp_path, capsys, weight):
+        branch = {"kind": "power_log", "n": 1, "m": 1, "a": 0.3}
+        if "branch1" in weight:
+            weight = dict(weight, branch1={**branch, **weight["branch1"]}, branch2=branch)
+        cfg = json.dumps({"weight": weight, "window": {"j_min": 1, "j_max": 2}})
+        assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
     def test_apdim_subcommand(self, tmp_path):
         cfg = json.dumps({
             "weight": {"kind": "power_log", "a": -0.5}, "p": 2.0,

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matweight.errors import ResolutionError
-from matweight.geometry import (CubeWindow, DyadicCube, containing_cube,
+from matweight.errors import CoverageError, ResolutionError
+from matweight.geometry import (Box, CubeWindow, DyadicCube, containing_cube,
                                 cube_box, dilate, double)
+from matweight.reducing import build_family
+from matweight.spaces import CoefficientField
+from matweight.weights import PowerLogWeight
 
 
 def test_unit_dilation_is_identity():
@@ -65,3 +70,30 @@ def test_negative_levels_on_large_domain():
     win = CubeWindow(1, -3, -2, cube_box(1, 16.0))
     cubes = win.cubes_at_level(-3)
     assert len(cubes) == 4 and cubes[0].side == 8.0
+
+
+@pytest.mark.parametrize("Q", [DyadicCube(1, (-2,)), DyadicCube(1, (1,)),
+                               DyadicCube(0, (0,)), DyadicCube(4, (0,))])
+def test_cube_outside_window_raises_coverage_error(Q):
+    # CubeWindow(1, 1, 3) holds the level-1 cubes k = -1, 0 of [-1/2, 1/2)
+    win = CubeWindow(1, 1, 3)
+    family = build_family(PowerLogWeight(1, 1, -0.5), 2.0, win)
+    with pytest.raises(CoverageError):
+        family.matrix(Q)
+    with pytest.raises(CoverageError):
+        CoefficientField(win, 1).set_cube(Q, [1.0])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(1, 2), j_min=st.integers(-2, 2), span=st.integers(0, 2),
+       data=st.data())
+def test_cell_index_agrees_with_cube_index(n, j_min, span, data):
+    k0 = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    size = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    h = 2.0 ** -j_min
+    win = CubeWindow(n, j_min, j_min + span,
+                     Box(tuple(h * k for k in k0), tuple(h * (k + c) for k, c in zip(k0, size))))
+    for Q in win.cubes():
+        flat = np.ravel_multi_index(win.index(Q), tuple(win.counts_at_level(Q.j)))
+        assert win.cell_index(Q.j, Q.center)[0] == flat
+        assert win.cubes_at_level(Q.j)[flat] == Q

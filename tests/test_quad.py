@@ -61,11 +61,31 @@ def test_ball_average_2d_constant():
     assert res.value == pytest.approx(1.0, rel=1e-12)
 
 
-def test_ball_average_2d_singular():
-    # avg over the unit disc of |x|^(-1) = 2
-    res = average_ball(lambda x: np.linalg.norm(x, axis=1) ** -1.0, (0.0, 0.0), 1.0,
+@pytest.mark.parametrize("e", [-1.5, -1.0, 0.5])
+def test_ball_average_2d_singular(e):
+    # avg over the unit disc of |x|^e = 2 / (2 + e)
+    res = average_ball(lambda x: np.linalg.norm(x, axis=1) ** e, (0.0, 0.0), 1.0,
                        singular_points=[(0.0, 0.0)])
-    assert res.value == pytest.approx(2.0, rel=5e-3)
+    assert res.converged and res.value == pytest.approx(2.0 / (2.0 + e), rel=1e-6)
+
+
+def test_ball_average_2d_off_centre_singularity():
+    # avg over the unit disc around c of |x - s|^-1.2 = (1/pi) int R^0.8 / 0.8 dtheta,
+    # R(theta) the distance from s to the circle along theta (periodic midpoint sum)
+    c, s = np.array([0.1, 0.0]), np.array([0.3, 0.2])
+    theta = 2.0 * np.pi * (np.arange(4096) + 0.5) / 4096
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    b = u @ (s - c)
+    R = np.sqrt(b ** 2 + 1.0 - (s - c) @ (s - c)) - b
+    exact = 2.0 * np.mean(R ** 0.8 / 0.8)
+    res = average_ball(lambda x: np.linalg.norm(x - s, axis=1) ** -1.2, c, 1.0,
+                       singular_points=[s])
+    assert res.converged and res.value == pytest.approx(exact, rel=1e-6)
+
+
+def test_ball_average_3d_unsupported():
+    with pytest.raises(ResolutionError, match="n = 3"):
+        average_ball(lambda x: np.ones(len(x)), (0.0, 0.0, 0.0), 1.0)
 
 
 def test_matrix_valued_average():
@@ -193,5 +213,5 @@ def test_a_sequence_matches_closed_form(a):
 
 
 def test_one_point_rule_is_the_midpoint_rule():
-    X, v = box_nodes(Box((0.0,), (1.0,)), 2, 8, 1)
+    X, v, _ = box_nodes(Box((0.0,), (1.0,)), 2, 8, 1)
     assert np.array_equal(X[:, 0], [0.125, 0.375, 0.625, 0.875]) and np.all(v == 0.25)

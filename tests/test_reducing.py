@@ -228,7 +228,7 @@ class TestSmallPInverse:
         Q = DyadicCube(1, (0,))
         A = reduce_operator(W, p, Q, method="mvee", K=128)
         Ainv = np.linalg.inv(A)
-        X, _ = box_nodes(Q.box(), 4, 20, 1, W.singular_points)
+        X, _, _ = box_nodes(Q.box(), 4, 20, 1, W.singular_points)
         Wneg = W.power_at(X, -1.0 / p)
         dirs = unit_directions(2, 64)
         lhs = np.linalg.norm(dirs @ Ainv.T, axis=1)

@@ -204,9 +204,8 @@ class TestMaximalSequence:
         seq = cube_scalar_sequence(t, fam)
         lam = 3.0
         star = maximal_sequence(seq, WIN, 1.0, lam)
-        k_lo, _ = WIN._level_index_ranges(3)
-        own = star[3][2 - k_lo[0]]
-        nbr = star[3][3 - k_lo[0]]
+        own = star[3][WIN.index(Q0)]
+        nbr = star[3][WIN.index(DyadicCube(3, (3,)))]
         assert own == pytest.approx(1.0)
         assert nbr == pytest.approx((1.0 + 1.0) ** -lam)
 
