@@ -14,9 +14,9 @@ import numpy as np
 
 from . import linalg
 from .errors import IntegrabilityError, OutOfDomainError
-from .geometry import CubeWindow, DyadicCube, cube_box, double
+from .geometry import CubeWindow, DyadicCube, cube_box, dilated_boxes, double
 from .quad import QuadSpec
-from .weights import ap_pair, cube_average, dual_weight
+from .weights import ap_pairs, cube_average, dual_weight
 
 
 @dataclass
@@ -93,7 +93,10 @@ def _filter_base_cubes(cubes, i_max, domain):
     """Keep cubes whose 2^i_max-dilation stays inside; shrink i_max if none fit."""
     i_eff = i_max
     while i_eff > 0:
-        kept = [Q for Q in cubes if domain.contains_box(double(Q, i_eff))]
+        boxes = dilated_boxes(cubes, [2.0 ** i_eff])[:, 0]
+        inside = np.all((boxes[:, 0] >= domain.lo_arr - 1e-12)
+                        & (boxes[:, 1] <= domain.hi_arr + 1e-12), axis=1)
+        kept = [Q for Q, ok in zip(cubes, inside) if ok]
         if kept:
             if i_eff < i_max:
                 warnings.warn(f"i_max reduced from {i_max} to {i_eff} to fit the domain")
@@ -104,7 +107,8 @@ def _filter_base_cubes(cubes, i_max, domain):
 
 def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=False):
     """Windowed a_i, i = 0..i_max: sup over base cubes Q of the two-cube
-    quantity weights.ap_pair(Q, 2^i Q); swapped exchanges the two cubes.
+    quantity weights.ap_pairs(Q, 2^i Q); swapped exchanges the two cubes.
+    All pairs go to ap_pairs in one call, ordered cube by cube.
 
     Scalar weights take their cube averages at (config.base_depth,
     config.grade_depth); matrix weights and essential suprema use the order-1
@@ -118,15 +122,12 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
     if base_cubes is None:
         base_cubes = default_base_cubes(weight, config, domain)
     cubes, i_eff = _filter_base_cubes(base_cubes, i_max, domain)
-    vals = np.zeros(i_eff + 1)
     qspec = QuadSpec(base_depth=config.base_depth, grade_depth=config.grade_depth)
-    for Q in cubes:
-        small, cache = Q.box(), {}  # only the terms on Q recur across i
-        for i in range(i_eff + 1):
-            boxes = (double(Q, i), small) if swapped else (small, double(Q, i))
-            q = ap_pair(weight, p, *boxes, qspec, cache=cache)
-            vals[i] = max(vals[i], q)
-    return vals, i_eff, cubes
+    boxes = dilated_boxes(cubes, 2.0 ** np.arange(i_eff + 1))  # (cube, i, corner, axis)
+    small = np.broadcast_to(boxes[:, :1], boxes.shape).reshape(-1, 2, weight.n)
+    big = boxes.reshape(-1, 2, weight.n)
+    q = ap_pairs(weight, p, *((big, small) if swapped else (small, big)), qspec)
+    return np.max(q.reshape(len(cubes), -1), axis=0, initial=0.0), i_eff, cubes
 
 
 def a_sequence_via_reducing(weight, p, base_cubes, i_max, config=None, qspec=None):

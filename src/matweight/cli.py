@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,12 +186,18 @@ def _window_from_config(cfg, n, subcommand):
                       cube_box(n, w.get("half_side", 0.5)))
 
 
-def _write_report(out_dir, name, payload):
+def _messages(caught):
+    """The distinct messages of the recorded warnings, in order."""
+    return list(dict.fromkeys(str(w.message) for w in caught))
+
+
+def _write_report(out_dir, name, payload, caught):
+    """Write the report with the messages of the warnings recorded so far."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump({**payload, "warnings": _messages(caught)}, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return path
 
@@ -204,7 +211,7 @@ def _write_csv(out_dir, name, header, rows):
     return path
 
 
-def cmd_apdim(cfg, out_dir):
+def cmd_apdim(cfg, out_dir, caught):
     weight = parse_weight(cfg.get("weight"))
     p = cfg["p"]
     opts = cfg.get("apdim", {})
@@ -240,7 +247,7 @@ def cmd_apdim(cfg, out_dir):
         "flags": dims.flags,
         "num_base_cubes": est.num_base_cubes,
     }
-    path = _write_report(out_dir, "apdim_report", report)
+    path = _write_report(out_dir, "apdim_report", report, caught)
     _write_csv(out_dir, "a_sequence",
                ["i", "a_i", "log2_a_i"],
                [[int(i), float(v), float(np.log2(v))]
@@ -251,7 +258,7 @@ def cmd_apdim(cfg, out_dir):
     return 0
 
 
-def cmd_norms(cfg, out_dir):
+def cmd_norms(cfg, out_dir, caught):
     weight = parse_weight(cfg.get("weight"))
     sp = cfg.get("space", {"s": 0.0, "tau": 0.0, "p": cfg["p"], "q": 2.0,
                            "kind": "B"})
@@ -286,14 +293,14 @@ def cmd_norms(cfg, out_dir):
                            "max": float(np.max(fun_vals))},
         "draws": draws,
     }
-    path = _write_report(out_dir, "norms_report", report)
+    path = _write_report(out_dir, "norms_report", report, caught)
     _write_csv(out_dir, "norms", ["draw", "sequence_norm", "function_norm"],
                [[i, s, f] for i, (s, f) in enumerate(zip(seq_vals, fun_vals))])
     print(f"norms report written to {path}")
     return 0
 
 
-def cmd_verify(cfg, out_dir):
+def cmd_verify(cfg, out_dir, caught):
     tier = cfg.get("tier", "all")
     names = cfg.get("criteria")
     results = verify.run_suite(tier, cfg["seed"], names)
@@ -306,7 +313,7 @@ def cmd_verify(cfg, out_dir):
                               "details": _jsonable(r.details)} for r in results},
         "all_passed": all_pass,
     }
-    path = _write_report(out_dir, "verify_report", report)
+    path = _write_report(out_dir, "verify_report", report, caught)
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.tier}, {r.seconds:.1f}s)",
               file=sys.stderr)
@@ -331,7 +338,7 @@ def _jsonable(obj):
     return obj if isinstance(obj, (str, type(None))) else str(obj)
 
 
-def cmd_filters(cfg, out_dir):
+def cmd_filters(cfg, out_dir, caught):
     fcfg = cfg.get("filters", {})
     _check_keys(fcfg, {"grid_level", "smoothness", "half_side", "n"}, "filters")
     n = fcfg.get("n", 1)
@@ -353,12 +360,12 @@ def cmd_filters(cfg, out_dir):
         "annulus_lower_bound_phi": flt.annulus_lower_bound("phi"),
         "annulus_lower_bound_psi": flt.annulus_lower_bound("psi"),
     }
-    path = _write_report(out_dir, "filters_report", report)
+    path = _write_report(out_dir, "filters_report", report, caught)
     print(f"filter pair written to {out_dir / 'filters.json'}; report {path}")
     return 0
 
 
-def cmd_reduce(cfg, out_dir):
+def cmd_reduce(cfg, out_dir, caught):
     weight = parse_weight(cfg.get("weight"))
     window = _window_from_config(cfg, weight.n, "reduce")
     fam = build_family(weight, cfg["p"], window, method=cfg.get("method", "auto"),
@@ -375,16 +382,19 @@ def cmd_reduce(cfg, out_dir):
         "worst_bracket": [lo, hi],
         "method": fam.method,
     }
-    path = _write_report(out_dir, "reduce_report", report)
+    path = _write_report(out_dir, "reduce_report", report, caught)
     print(f"family written to {out_dir / 'family.json'}; report {path}")
     return 0
+
+
+_COMMANDS = {"apdim": cmd_apdim, "norms": cmd_norms, "verify": cmd_verify,
+             "filters": cmd_filters, "reduce": cmd_reduce}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="matweight",
                                      description=__doc__.splitlines()[0])
-    parser.add_argument("subcommand",
-                        choices=["apdim", "norms", "verify", "filters", "reduce"])
+    parser.add_argument("subcommand", choices=list(_COMMANDS))
     parser.add_argument("--config", default="{}",
                         help="path to a JSON config or inline JSON")
     parser.add_argument("--seed", type=int, default=None)
@@ -399,26 +409,24 @@ def main(argv=None):
         if args.tier is not None and args.subcommand == "verify":
             cfg["tier"] = args.tier
     except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return 2
-    try:
-        if args.subcommand == "apdim":
-            return cmd_apdim(cfg, args.out)
-        if args.subcommand == "norms":
-            return cmd_norms(cfg, args.out)
-        if args.subcommand == "verify":
-            return cmd_verify(cfg, args.out)
-        if args.subcommand == "filters":
-            return cmd_filters(cfg, args.out)
-        if args.subcommand == "reduce":
-            return cmd_reduce(cfg, args.out)
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except MatweightError as exc:
-        print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
-        return 4
-    return 0
+        return _error(2, "config", exc, ())
+    # warnings go into the report or the JSON error, so stderr holds at most one JSON object
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return _COMMANDS[args.subcommand](cfg, args.out, caught)
+        except ConfigError as exc:
+            return _error(2, "config", exc, caught)
+        except MatweightError as exc:
+            return _error(4, "numerical", exc, caught)
+
+
+def _error(code, kind, exc, caught):
+    err = {"error": kind, "message": str(exc)}
+    if caught:
+        err["warnings"] = _messages(caught)
+    print(json.dumps(err), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -144,6 +144,16 @@ def dilate(Q, lam):
     return Box(tuple(c - h), tuple(c + h))
 
 
+def dilated_boxes(cubes, lams):
+    """The boxes dilate(Q, lam) for every cube Q and factor lam, computed as
+    dilate does, as a (len(cubes), len(lams), 2, n) array of lower and upper
+    corners."""
+    side = np.array([Q.side for Q in cubes])[:, None, None]
+    c = side * np.array([Q.k for Q in cubes], dtype=float)[:, None, :] + 0.5 * side
+    h = 0.5 * np.asarray(lams, dtype=float)[None, :, None] * side
+    return np.stack([c - h, c + h], axis=2)
+
+
 def double(Q, i):
     """The cube 2^i Q: same center, edge 2^i * l(Q)."""
     return dilate(Q, 2.0 ** i)

@@ -10,10 +10,12 @@ are an untrusted tail that must be negligible before a result converges. In
 within a quarter of the distance to the next singular point (or to 1) and
 that cell gets a Gauss-Jacobi rule for |x - s|^e, which leaves no tail.
 Rounds refine the rule until the relative change drops below the tolerance.
+Many boxes refine together: each round evaluates the integrand on the nodes
+of every box still refining, CHUNK_NODES nodes at a time.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 
@@ -21,6 +23,8 @@ import numpy as np
 
 from .errors import IntegrabilityError, ResolutionError
 from .geometry import Box, mesh
+
+CHUNK_NODES = 2 ** 12  # integrand nodes per call: 32 KB per coordinate array
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,18 @@ class QuadSpec:
 
 @dataclass
 class QuadResult:
+    """A region's value, convergence flag, rounds and last round's node count;
+    for a batch of regions, arrays with one entry per region, and result[k]
+    is region k's QuadResult."""
+
     value: object
     converged: bool
     rounds: int
     nodes: int
-    history: list = field(default_factory=list)
+
+    def __getitem__(self, k):
+        return QuadResult(self.value[k], bool(self.converged[k]), int(self.rounds[k]),
+                          int(self.nodes[k]))
 
 
 @lru_cache(maxsize=512)
@@ -86,28 +97,42 @@ def _child_offsets(n, sign):
     return _unit_grid(1, n)[1:] * sign + np.minimum(sign, 0.0)
 
 
-def _cells(lo, hi, points, depth):
-    """Split the box [lo, hi] (float lists) at the points on it and give each
-    piece 2^depth uniform cells per axis: lower corners, widths, and the cells
-    at a point as (cell index, point index, direction, corner, widths)."""
-    n, m = len(lo), 2 ** depth
+def _plan(lo, hi, base_depth, grade_depth, order, points, reach, exps):
+    """The layout of the hp rule on the box [lo, hi] (float lists) with the
+    singular points `points` on it, their reach (the distance to the next
+    singular point, or 1) and their local exponents (NaN where unknown): the
+    pieces' lower corners and sides, the cells at a point as (cell index,
+    direction, corner, widths, chain length, exponent), and the node count.
+
+    The box is split at the points; each piece gets 2^base_depth (at least 2)
+    cells per axis, and each cell at a point becomes its chain: geometric
+    halvings toward the point, at most grade_depth of them and an innermost
+    tail cell, or, given the exponent (1-D), down to a quarter of the reach
+    and a Gauss-Jacobi end cell; never below a floor of 1e-12 max(1, |x|)."""
+    n, m, q = len(lo), 2 ** max(base_depth, 1), order ** len(lo)
     pads = [1e-12 * (b - a) for a, b in zip(lo, hi)]
     axes = [[a, *sorted({s[i] for s in points if a + d < s[i] < b - d}), b]
             for i, (a, b, d) in enumerate(zip(lo, hi, pads))]
     pieces = list(product(*[list(zip(c[:-1], c[1:])) for c in axes]))
-    corners, seen = [], set()
+    floor = 1e-12 * max(1.0, *map(abs, lo), *map(abs, hi))  # cells resolve points above it
+    corners, seen, count = [], set(), len(pieces) * m ** n * q
     for p, piece in enumerate(pieces):
-        for k, s in enumerate(points):
+        for s, r, e in zip(points, reach, exps):
             sign = tuple(1.0 if abs(x - a) <= d else -1.0 if abs(x - b) <= d else 0.0
                          for x, (a, b), d in zip(s, piece, pads))
             cell = p * m ** n + sum((m - 1) * m ** (n - 1 - i) for i, g in enumerate(sign)
                                     if g < 0)
             if 0.0 not in sign and cell not in seen:
                 seen.add(cell)
-                corner = [a if g > 0 else b for g, (a, b) in zip(sign, piece)]
-                corners.append((cell, k, sign, corner, [(b - a) / m for a, b in piece]))
-    return (*_uniform(np.array([[a for a, _ in piece] for piece in pieces]),
-                      np.array([[b - a for a, b in piece] for piece in pieces]), depth), corners)
+                w = [(b - a) / m for a, b in piece]
+                L = 0 if max(w) < floor else int(math.log2(max(w) / floor)) + 1
+                L = min(L, grade_depth if math.isnan(e)
+                        else max(math.ceil(math.log2(4.0 * w[0] / r)), 0))
+                corners.append((cell, sign, [a if g > 0 else b for g, (a, b) in zip(sign, piece)],
+                                w, L, e))
+                count += (L * (2 ** n - 1) - 1) * q + (q if math.isnan(e) else order)
+    return ([[a for a, _ in piece] for piece in pieces],
+            [[b - a for a, b in piece] for piece in pieces], corners, count)
 
 
 @lru_cache(maxsize=None)
@@ -130,64 +155,62 @@ def _emit(lo, widths, order):
     return nodes, (widths.prod(axis=1)[:, None] * w[None]).ravel()
 
 
-def _graded_nodes(lo, widths, corners, order, grade_depth, floor, jacobi=None):
-    """Nodes, weights and tail node count of the cells with each corner cell
-    replaced by its chain: one geometric sequence of at most grade_depth
-    halvings, or, given jacobi ((exponent, reach) per point, 1-D), down to a
-    quarter of reach and a Gauss-Jacobi end cell; never below floor."""
-    n = lo.shape[1]
-    if not corners:
-        return (*_emit(lo, widths, order), 0)
-    keep = np.ones(lo.shape[0], dtype=bool)
-    cells_lo, cells_w, inner_lo, inner_w = [None], [None], [], []
-    for cell, k, sign, c, w in corners:
-        keep[cell] = False
-        L = 0 if max(w) < floor else int(math.log2(max(w) / floor)) + 1
-        L = min(L, grade_depth if jacobi is None
-                else max(math.ceil(math.log2(4.0 * w[0] / jacobi[k][1])), 0))
-        if L:
-            lev = 0.5 ** np.arange(1.0, L + 1)[:, None] * w  # (L, n) level widths
-            cells_lo.append((c + _child_offsets(n, sign) * lev[:, None]).reshape(-1, n))
-            cells_w.append(np.repeat(lev, 2 ** n - 1, axis=0))
-        inner_w.append([v * 0.5 ** L for v in w])
-        inner_lo.append([x + min(g, 0.0) * v for x, g, v in zip(c, sign, inner_w[-1])])
-    cells_lo[0], cells_w[0] = lo[keep], widths[keep]
-    if jacobi is None:
-        mids, vols = _emit(np.concatenate(cells_lo + [np.array(inner_lo)]),
-                           np.concatenate(cells_w + [np.array(inner_w)]), order)
-        return mids, vols, len(corners) * order ** n
-    mids, vols = _emit(np.concatenate(cells_lo), np.concatenate(cells_w), order)
-    xs, vs = [mids[:, 0]], [vols]
-    for (_, k, (g,), (c,), _), (h,) in zip(corners, inner_w):
-        t, wt = _gauss_jacobi(jacobi[k][0], order)
-        xs.append(c + g * h * t)
-        vs.append(h * wt)
-    return np.concatenate(xs)[:, None], np.concatenate(vs), 0
-
-
 def _as_point(s, n):
     """A singular point as a list of n floats; a 1-point is broadcast, as numpy does."""
     return (np.ravel(s).tolist() * n)[:n]
 
 
+def _build(plans, base_depth, order, n):
+    """Nodes, weights, node counts and tail node counts of the planned boxes
+    (position, _plan) in one pass, box after box; in each box, the uniform
+    cells, the chains, the tail cells and the Gauss-Jacobi end cells."""
+    m = 2 ** max(base_depth, 1)
+    piece_box, piece_lo, piece_w, corners = [], [], [], []
+    for b, (_, (p_lo, p_w, cells, _)) in enumerate(plans):
+        corners += [(b, len(piece_lo) * m ** n + cell, *rest) for cell, *rest in cells]
+        piece_box += [b] * len(p_lo)
+        piece_lo += p_lo
+        piece_w += p_w
+    u_lo, u_w = _uniform(np.array(piece_lo), np.array(piece_w), max(base_depth, 1))
+    keep = np.ones(len(u_lo), dtype=bool)
+    cb, cell, sign, C, W, Ls, es = (np.array(v) for v in zip(*corners))
+    keep[cell] = False
+    # chain level l of a corner: 2^n - 1 cells of width 2^-l w next to it
+    rep = np.repeat(np.arange(len(corners)), Ls)
+    lev = 0.5 ** (np.arange(rep.size) - np.repeat(np.cumsum(Ls) - Ls, Ls) + 1.0)[:, None]
+    lev = lev * W[rep]
+    offs = np.array([_child_offsets(n, tuple(g)) for g in sign])
+    IW = W * 0.5 ** Ls[:, None]
+    tail = np.isnan(es)  # no exponent: the innermost cell is an untrusted tail
+    X, v = _emit(np.concatenate([u_lo[keep],
+                                 (C[rep][:, None] + offs[rep] * lev[:, None]).reshape(-1, n),
+                                 (C + np.minimum(sign, 0.0) * IW)[tail]]),
+                 np.concatenate([u_w[keep], np.repeat(lev, 2 ** n - 1, axis=0), IW[tail]]),
+                 order)
+    key = np.repeat(np.concatenate([np.repeat(piece_box, m ** n)[keep] * 4,
+                                    np.repeat(cb[rep], 2 ** n - 1) * 4 + 1, cb[tail] * 4 + 2]),
+                    order ** n)
+    jac = ~tail
+    if jac.any():
+        T, WT = (np.array(r) for r in zip(*[_gauss_jacobi(e, order) for e in es[jac]]))
+        g, h = sign[jac, 0], IW[jac, 0]
+        X = np.concatenate([X, (C[jac, 0][:, None] + (g * h)[:, None] * T).reshape(-1, 1)])
+        v = np.concatenate([v, (h[:, None] * WT).ravel()])
+        key = np.concatenate([key, np.repeat(cb[jac] * 4 + 3, order)])
+    at = np.lexsort((key,))  # stable
+    return (np.array([k for k, _ in plans]), X[at], v[at],
+            np.array([plan[-1] for _, plan in plans]),
+            np.bincount(cb[tail], minlength=len(plans)) * order ** n)
+
+
 def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents=None):
-    """Nodes, weights and tail node count of the hp rule on a box; exponents
-    (parallel to singular_points) are the integrand's local exponents, which
-    give 1-D chains Gauss-Jacobi end cells."""
-    lo, hi = [float(v) for v in box.lo], [float(v) for v in box.hi]
-    pts = [_as_point(s, box.n) for s in singular_points]
-    on = [k for k, s in enumerate(pts)
-          if all(a - 1e-12 * (b - a) <= x <= b + 1e-12 * (b - a) for x, a, b in zip(s, lo, hi))]
-    sing = [pts[k] for k in on]
-    cells = _cells(lo, hi, sing, max(base_depth, 1) if sing else base_depth)
-    jacobi = None
-    if box.n == 1 and exponents is not None:
-        # reach: the distance to the nearest other singular point, or 1
-        jacobi = [(float(exponents[k]),
-                   min([1.0] + [abs(pts[k][0] - t[0]) for t in pts if t[0] != pts[k][0]]))
-                  for k in on]
-    floor = 1e-12 * max(1.0, *map(abs, lo), *map(abs, hi))  # cells resolve points above it
-    return _graded_nodes(*cells, order, grade_depth, floor, jacobi)
+    """Nodes, weights and tail node count of the hp rule on a box (see _plan);
+    exponents (parallel to singular_points) are the integrand's local
+    exponents. The one-box case of _box_chunks."""
+    chunks = _box_chunks(np.array([[box.lo, box.hi]], dtype=float), singular_points,
+                         None if exponents is None else [exponents])
+    (_, X, v, _, tails), = chunks(base_depth, grade_depth, order, np.arange(1))
+    return X, v, int(tails[0])
 
 
 def _round_params(spec, rnd):
@@ -198,63 +221,139 @@ def _round_params(spec, rnd):
     )
 
 
-def _refine_loop(node_fn, fn, spec, name):
-    value = None
-    history = []
-    nodes = 0
-    converged = False
+def _refine_loop(chunks, fn, spec, name, count=1):
+    """Refine `count` regions together: each round builds the nodes of every
+    region still active, and each region stops on its own once its relative
+    change drops below rel_tol with a negligible tail. chunks(bd, gd, order,
+    idx) yields (positions in idx, nodes, weights, node counts, tail counts)
+    for the regions idx, whole regions of at most CHUNK_NODES nodes per piece
+    (a single region may exceed it); fn sees one piece at a time. Returns
+    the integrals over the regions as one batch QuadResult."""
+    active = np.arange(count)
+    rounds, nodes = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    hist = None  # the last three rounds' values per region, newest first
     for rnd in range(spec.max_rounds):
-        mids, vols, n_tail = node_fn(*_round_params(spec, rnd))
-        if mids.shape[0] > spec.max_nodes:
-            if not history:
-                raise ResolutionError(f"{name}: the first round needs {mids.shape[0]} "
-                                      f"nodes, over the budget of {spec.max_nodes}")
+        if not active.size:
             break
-        nodes = mids.shape[0]
-        vals = np.asarray(fn(mids))
-        new = np.tensordot(vols, vals, axes=(0, 0))
-        history.append(new)
-        scale = max(float(np.sum(np.abs(new))), 1e-300)
-        # contribution of the innermost singular cells: their estimate is
-        # untrusted, so it must be negligible before we call it converged
-        tail = 0.0
-        if n_tail:
-            tail = float(np.sum(np.abs(
-                np.tensordot(vols[-n_tail:], vals[-n_tail:], axes=(0, 0)))))
-        if value is not None:
-            change = float(np.sum(np.abs(new - value)))
-            value = new
-            if change <= spec.rel_tol * scale and tail <= 10.0 * spec.rel_tol * scale:
-                converged = True
-                break
-        else:
-            value = new
-    if not converged and len(history) >= 3:
-        mags = [float(np.sum(np.abs(h))) for h in history]
-        d1 = float(np.sum(np.abs(history[-1] - history[-2])))
-        d0 = float(np.sum(np.abs(history[-2] - history[-3])))
-        scale = max(mags[-1], 1e-300)
-        growing = mags[-1] > 1.05 * mags[-3]
-        if d0 > 0 and d1 / d0 >= 0.75 and growing and d1 > spec.rel_tol * scale:
-            raise IntegrabilityError(f"{name}: divergent refinement (ratio {d1 / d0:.2f})")
-    return QuadResult(value, converged, len(history), nodes, history)
+        new, tail = None, np.zeros(active.size)
+        ran = np.ones(active.size, dtype=bool)
+        for pos, X, v, sizes, tails in chunks(*_round_params(spec, rnd), active):
+            over = sizes > spec.max_nodes
+            if over.any():
+                if rnd == 0:
+                    raise ResolutionError(f"{name}: the first round needs {sizes[over][0]} "
+                                          f"nodes, over the budget of {spec.max_nodes}")
+                ran[pos[over]] = False  # stops at its last round's value
+                keep = np.repeat(~over, sizes)
+                X, v, pos, sizes, tails = X[keep], v[keep], pos[~over], sizes[~over], tails[~over]
+                if not pos.size:
+                    continue
+            vals = np.asarray(fn(X))
+            V = vals.reshape(len(v), -1)
+            if hist is None:
+                shape, hist = vals.shape[1:], np.zeros((3, count, V.shape[1]), dtype=V.dtype)
+            if new is None:
+                new = np.zeros((active.size, V.shape[1]), dtype=hist.dtype)
+            for k, end, size, t in zip(pos, np.cumsum(sizes), sizes, tails):
+                # the contribution of the innermost singular cells is untrusted,
+                # so it must be negligible before a region converges
+                new[k] = np.dot(v[end - size:end][None], V[end - size:end])[0]
+                if t:
+                    tail[k] = np.sum(np.abs(np.dot(v[end - t:end][None], V[end - t:end])))
+            nodes[active[pos]] = sizes
+            del X, v, vals, V  # free this chunk before the next one is built
+        if new is None:
+            break
+        idx, new, tail = active[ran], new[ran], tail[ran]
+        rounds[idx] += 1
+        hist[1:, idx] = hist[:2, idx]
+        hist[0, idx] = new
+        active = idx
+        if rnd:
+            scale = np.maximum(np.sum(np.abs(new), axis=1), 1e-300)
+            change = np.sum(np.abs(new - hist[1, idx]), axis=1)
+            done = (change <= spec.rel_tol * scale) & (tail <= 10.0 * spec.rel_tol * scale)
+            converged[idx[done]] = True
+            active = idx[~done]
+    # an unconverged region whose last three rounds grow like a non-integrable
+    # singularity, rather than settle slowly, diverges
+    h = hist[:, ~converged & (rounds >= 3)]
+    mag0, mag2 = np.sum(np.abs(h[0]), axis=1), np.sum(np.abs(h[2]), axis=1)
+    d1, d0 = np.sum(np.abs(h[0] - h[1]), axis=1), np.sum(np.abs(h[1] - h[2]), axis=1)
+    ratio = d1 / np.where(d0 > 0, d0, 1.0)
+    bad = ((d0 > 0) & (ratio >= 0.75) & (mag0 > 1.05 * mag2)
+           & (d1 > spec.rel_tol * np.maximum(mag0, 1e-300)))
+    if bad.any():
+        raise IntegrabilityError(f"{name}: divergent refinement (ratio {ratio[bad][0]:.2f})")
+    return QuadResult(hist[0].reshape((count,) + shape), converged, rounds, nodes)
+
+
+def _box_chunks(boxes, singular_points, exponents):
+    """The chunks of _refine_loop over boxes ((B, 2, n) lower and upper
+    corners) with local exponents at the singular points (B, S; None or NaN:
+    unknown). Boxes with no singular point on them take their nodes from one
+    broadcast of the uniform rule; the others are planned one by one and
+    built together, at most CHUNK_NODES nodes at a time unless one box alone
+    exceeds it."""
+    lo, hi = boxes[:, 0], boxes[:, 1]
+    n = lo.shape[1]
+    pts = [_as_point(s, n) for s in singular_points]
+    P, pad = np.reshape(pts, (-1, n)), 1e-12 * (hi - lo)
+    on = np.all((lo[:, None] - pad[:, None] <= P) & (P <= hi[:, None] + pad[:, None]), axis=2)
+    reach = np.array([min([1.0] + [abs(s[0] - t[0]) for t in pts if t[0] != s[0]]) for s in pts])
+    exps = (np.full(on.shape, np.nan) if exponents is None or n > 1
+            else np.asarray(exponents, dtype=float))
+
+    def chunks(bd, gd, order, idx):
+        singular, size = on[idx].any(axis=1), (2 ** bd * order) ** n
+        plain, step = np.flatnonzero(~singular), max(1, CHUNK_NODES // size)
+        for first in range(0, plain.size, step):
+            pos = plain[first:first + step]
+            b = idx[pos]
+            yield (pos, *_emit(*_uniform(lo[b], hi[b] - lo[b], bd), order),
+                   np.full(pos.size, size), np.zeros(pos.size, dtype=int))
+        plans, total = [], 0
+        for k in np.flatnonzero(singular):
+            b, ks = idx[k], np.flatnonzero(on[idx[k]])
+            plan = _plan(lo[b].tolist(), hi[b].tolist(), bd, gd, order, [pts[j] for j in ks],
+                         reach[ks].tolist(), exps[b, ks].tolist())
+            if plans and total + plan[-1] > CHUNK_NODES:
+                yield _build(plans, bd, order, n)
+                plans, total = [], 0
+            plans.append((k, plan))
+            total += plan[-1]
+        if plans:
+            yield _build(plans, bd, order, n)
+
+    return chunks
+
+
+def average_boxes(fn, boxes, spec=None, singular_points=(), name="box average",
+                  exponents=None):
+    """Averages of fn over boxes ((B, 2, n) lower and upper corners), refined
+    together; fn maps (N, n) points to (N, ...) values and has, on box b, the
+    local exponents exponents[b] (optional, NaN: unknown) at the singular
+    points. Returns a batch QuadResult."""
+    boxes = np.asarray(boxes, dtype=float)
+    spec = (spec or QuadSpec()).for_dim(boxes.shape[2])
+    res = _refine_loop(_box_chunks(boxes, singular_points, exponents), fn, spec, name,
+                       len(boxes))
+    vol = np.prod(boxes[:, 1] - boxes[:, 0], axis=1)
+    res.value = res.value / vol.reshape(vol.shape + (1,) * (res.value.ndim - 1))
+    return res
+
+
+def average_box(fn, box, spec=None, singular_points=(), name="box average", exponents=None):
+    return average_boxes(fn, [[box.lo, box.hi]], spec, singular_points, name,
+                         None if exponents is None else [exponents])[0]
 
 
 def integrate_box(fn, box, spec=None, singular_points=(), name="box integral",
                   exponents=None):
-    """Integral of fn over a box; fn maps (N, n) points to (N, ...) values and
-    has the local exponents `exponents` (optional) at the singular points."""
-    spec = (spec or QuadSpec()).for_dim(box.n)
-
-    def node_fn(bd, gd, order):
-        return box_nodes(box, bd, gd, order, singular_points, exponents)
-
-    return _refine_loop(node_fn, fn, spec, name)
-
-
-def average_box(fn, box, spec=None, singular_points=(), name="box average", exponents=None):
-    res = integrate_box(fn, box, spec, singular_points, name, exponents)
-    res.value = res.value / box.volume
+    """Integral of fn over a box: its average times the volume."""
+    res = average_box(fn, box, spec, singular_points, name, exponents)
+    res.value = res.value * box.volume
     return res
 
 
@@ -277,12 +376,12 @@ def average_ball(fn, center, radius, spec=None, singular_points=(), name="ball a
     angles = [(t + k,) for q, t in polar if 1e-12 < q <= 1.0 + 1e-12 for k in (0, 1)]
     unit = Box((0.0,), (1.0,))
 
-    def node_fn(bd, gd, order):
+    def chunks(bd, gd, order, idx):
         rho, w_rho, tail = box_nodes(unit, bd, gd, order, radii)
         theta, w_theta, _ = box_nodes(unit, bd, gd, order, angles)
         rho, theta = mesh(rho[:, 0], 2.0 * math.pi * theta[:, 0]).T  # radius-major
         w = mesh(w_rho, w_theta).prod(axis=1) * rho
         X = c + radius * rho[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return X, w / w.sum(), tail * len(w_theta)
+        yield np.arange(1), X, w / w.sum(), np.array([w.size]), np.array([tail * len(w_theta)])
 
-    return _refine_loop(node_fn, fn, (spec or QuadSpec()).for_dim(2), name)
+    return _refine_loop(chunks, fn, (spec or QuadSpec()).for_dim(2), name)[0]

@@ -5,8 +5,9 @@ matrix with a finite list of singular points where it may blow up or lose
 invertibility. Analytic kinds know their local power exponents, which lets
 cube averages pre-check integrability before any quadrature runs.
 
-ap_pair is the one two-cube A_p quantity: [W]_Ap (ap_constant) and the
-growth sequence a_i (apdim.a_sequence) are its suprema over cube pairs.
+ap_pairs is the one two-cube A_p quantity, over a batch of box pairs:
+[W]_Ap (ap_constant) and the growth sequence a_i (apdim.a_sequence) are its
+suprema over cube pairs.
 """
 
 from dataclasses import dataclass, replace
@@ -20,8 +21,8 @@ from .errors import (
     InvalidVariantError,
     SingularityError,
 )
-from .geometry import Box, DyadicCube, cell_index
-from .quad import QuadSpec, _as_point, average_ball, average_box, box_nodes
+from .geometry import Box, DyadicCube, cell_index, dilated_boxes
+from .quad import QuadSpec, _as_point, average_ball, average_boxes, box_nodes
 
 
 def _as_box(region):
@@ -331,42 +332,55 @@ class GridSampledWeight(MatrixWeight):
 # cube averages and A_p characteristics
 
 
-def _precheck_integrability(weight, box, alpha, p_eff):
-    """Raise if a singular point on the closed box makes ||W^alpha||^p_eff
-    non-integrable; return its local exponents at the singular points (0 off
-    the box), or None if W^alpha is not |x - s|^e times a smooth matrix."""
-    exps = []
-    for s in weight.singular_points:
-        on = all(a - 1e-12 <= x <= b + 1e-12
-                 for a, x, b in zip(box.lo, _as_point(s, box.n), box.hi))
-        if on and p_eff * weight.norm_exponent(s, alpha) <= -weight.n:
+def _precheck_integrability(weight, boxes, alpha, p_eff):
+    """Raise if a singular point on a closed box of boxes ((B, 2, n) lower and
+    upper corners) makes ||W^alpha||^p_eff non-integrable; return per box its
+    local exponents at the singular points (0 off the box), all NaN if W^alpha
+    is not |x - s|^e times a smooth matrix at a point on it."""
+    n = boxes.shape[2]
+    pts = np.array([_as_point(s, n) for s in weight.singular_points]).reshape(-1, n)
+    on = np.all((boxes[:, :1, :] - 1e-12 <= pts) & (pts <= boxes[:, 1:, :] + 1e-12), axis=2)
+    exps = np.zeros(on.shape)
+    for k, s in enumerate(weight.singular_points):
+        if not on[:, k].any():
+            continue
+        if p_eff * weight.norm_exponent(s, alpha) <= -weight.n:
             raise IntegrabilityError(
                 f"||W^{alpha}||^{p_eff} has a non-integrable singularity at {s}")
-        e = weight.local_power(s, alpha) if on else 0.0
-        exps = None if exps is None or e is None else exps + [p_eff * e]
+        e = weight.local_power(s, alpha)
+        exps[on[:, k], k] = np.nan if e is None else p_eff * e
+    exps[np.isnan(exps).any(axis=1)] = np.nan
     return exps
 
 
-def cube_average(weight, region, alpha, power, reducer, qspec=None, name="cube average"):
-    """avg over a cube or box Q of reducer(W^alpha(x)) dx, as a QuadResult.
+def cube_averages(weight, boxes, alpha, power, reducer, qspec=None, name="cube average"):
+    """avg over each box ((B, 2, n) lower and upper corners) of
+    reducer(W^alpha(x)) dx, refined together, as a batch QuadResult.
 
     reducer maps an (N, m, m) batch to (N, ...) values and must be
     homogeneous of degree `power`. Integrability of ||W^alpha||^power is
-    checked before any quadrature runs, and the local exponents it finds
-    give the quadrature its Gauss-Jacobi end cells; a scalar weight w I
-    needs only the scalar average of w^(alpha power), scaled by reducer(I).
+    checked on every box before any quadrature runs, and the local exponents
+    it finds give the quadrature its Gauss-Jacobi end cells; a scalar weight
+    w I needs only the scalar average of w^(alpha power), scaled by reducer(I).
     """
+    boxes = np.asarray(boxes, dtype=float)
+    exps = _precheck_integrability(weight, boxes, alpha, power)
+    if not weight.is_scalar():
+        return average_boxes(lambda X: reducer(weight.power_at(X, alpha)), boxes, qspec,
+                             weight.singular_points, name=name, exponents=exps)
+    e = alpha * power
+    res = average_boxes(lambda X: weight.scalar_profile(X) ** e, boxes, qspec,
+                        weight.singular_points, name=name, exponents=exps)
+    c = np.asarray(reducer(np.eye(weight.m)[None])[0])
+    res.value = res.value.reshape(res.value.shape + (1,) * c.ndim) * c
+    return res
+
+
+def cube_average(weight, region, alpha, power, reducer, qspec=None, name="cube average"):
+    """avg over a cube or box Q of reducer(W^alpha(x)) dx, as a QuadResult:
+    the one-box case of cube_averages."""
     box = _as_box(region)
-    exps = _precheck_integrability(weight, box, alpha, power)
-    if weight.is_scalar():
-        e = alpha * power
-        res = average_box(lambda X: weight.scalar_profile(X) ** e, box, qspec,
-                          weight.singular_points, name=name, exponents=exps)
-        c = reducer(np.eye(weight.m)[None])[0]
-        res.value, res.history = res.value * c, [h * c for h in res.history]
-        return res
-    return average_box(lambda X: reducer(weight.power_at(X, alpha)), box, qspec,
-                       weight.singular_points, name=name, exponents=exps)
+    return cube_averages(weight, [[box.lo, box.hi]], alpha, power, reducer, qspec, name)[0]
 
 
 def cube_average_matrix_norm(weight, p, region, M=None, qspec=None):
@@ -414,54 +428,66 @@ def _ap_kernel(p, FX, wx, FY, wy, star=False):
     return float(np.max(wx @ F))
 
 
-def ap_pair(weight, p, box_x, box_y, qspec, star=False, cache=None):
-    """The two-cube A_p quantity, W^(1/p) averaged over box_x against
-    W^(-1/p) over box_y: with F(x, y) = ||W^(1/p)(x) W^(-1/p)(y)||,
-    avg_x (avg_y F^p')^(p/p') for p > 1 and ess sup_y avg_x F^p for p <= 1
-    (star: avg_x ess sup_y F^p).
+def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
+    """The two-cube A_p quantity of each box pair (X_k, Y_k), boxes_x and
+    boxes_y (K, 2, n) arrays of lower and upper corners: W^(1/p) averaged
+    over X_k against W^(-1/p) over Y_k. With F(x, y) = ||W^(1/p)(x)
+    W^(-1/p)(y)||, it is avg_x (avg_y F^p')^(p/p') for p > 1 and ess sup_y
+    avg_x F^p for p <= 1 (star: avg_x ess sup_y F^p).
 
-    A scalar weight w I factorises: avg_x w (avg_y w^(-1/(p-1)))^(p-1) from
-    cube averages at qspec, and avg_x w / min_y w for p <= 1, where star
-    changes nothing. Matrix weights run the pairwise kernel on sup_nodes.
-    Essential suprema are extrema over sup_nodes. cache, shared only by
-    calls with the same weight, p and qspec, keeps per-box terms keyed on
-    (term, exponent, box corners).
+    A scalar weight w I factorises: avg_x w (avg_y w^(-1/(p-1)))^(p-1) for
+    p > 1, from one batch of cube averages at qspec per exponent over the
+    distinct boxes, and avg_x w / min_y w for p <= 1, where star changes
+    nothing. Matrix weights run the pairwise kernel on sup_nodes, keeping a
+    box's node factors only while consecutive pairs share it. Essential
+    suprema are extrema over sup_nodes.
     """
-    cache = {} if cache is None else cache
-
-    def term(kind, alpha, box):
-        """The cached per-box term: "avg" the average of w^alpha, "min" the
-        node minimum of w, "factor" the node rule with W^alpha on its nodes."""
-        key = (kind, alpha, box.lo, box.hi)
-        if key not in cache:
-            if kind == "avg":
-                cache[key] = float(cube_average(weight, box, alpha, 1.0,
-                                                lambda mats: mats[:, 0, 0].real, qspec,
-                                                name="cross average").value)
-            else:
-                X, v = sup_nodes(weight, box, qspec)
-                cache[key] = (float(np.min(weight.scalar_profile(X))) if kind == "min"
-                              else (weight.power_at(X, alpha), v))
-        return cache[key]
-
     if weight.is_scalar():
+        def terms(boxes, alpha):
+            """Per box the average of w^alpha (alpha None: the node minimum of
+            w), computed once per distinct box."""
+            keys = boxes.reshape(len(boxes), -1)
+            at = np.lexsort(keys.T)
+            ordered = keys[at]
+            first = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
+            inv = np.empty(len(keys), dtype=int)
+            inv[at] = np.cumsum(first) - 1
+            u = boxes[at[first]]
+            if alpha is None:
+                vals = [np.min(weight.scalar_profile(sup_nodes(weight, _box(b), qspec)[0]))
+                        for b in u]
+            else:
+                vals = cube_averages(weight, u, alpha, 1.0, lambda mats: mats[:, 0, 0].real,
+                                     qspec, name="cross average").value
+            return np.asarray(vals, dtype=float)[inv]
+
         if p > 1.0:
-            return term("avg", 1.0, box_x) * term("avg", -1.0 / (p - 1.0), box_y) ** (p - 1.0)
-        return term("avg", 1.0, box_x) / term("min", 1.0, box_y)
-    _precheck_integrability(weight, box_x, 1.0 / p, p)
+            return terms(boxes_x, 1.0) * terms(boxes_y, -1.0 / (p - 1.0)) ** (p - 1.0)
+        return terms(boxes_x, 1.0) / terms(boxes_y, None)
+    _precheck_integrability(weight, boxes_x, 1.0 / p, p)
     if p > 1.0:
-        _precheck_integrability(weight, box_y, -1.0 / p, p / (p - 1.0))
-    return _ap_kernel(p, *term("factor", 1.0 / p, box_x), *term("factor", -1.0 / p, box_y),
-                      star)
+        _precheck_integrability(weight, boxes_y, -1.0 / p, p / (p - 1.0))
+    out, factors = np.empty(len(boxes_x)), {}
+    for k, pair in enumerate(zip(boxes_x, boxes_y)):
+        for side, alpha, box in zip("xy", (1.0 / p, -1.0 / p), pair):
+            if side not in factors or not np.array_equal(factors[side][0], box):
+                X, v = sup_nodes(weight, _box(box), qspec)
+                factors[side] = (box, weight.power_at(X, alpha), v)
+        out[k] = _ap_kernel(p, *factors["x"][1:], *factors["y"][1:], star)
+    return out
+
+
+def _box(corners):
+    return Box(*map(tuple, corners.tolist()))
 
 
 def ap_constant(weight, p, window, variant="standard", qspec=None):
     """Windowed [W]_Ap (or the starred variant for p <= 1): the sup over the
-    window's cubes Q of ap_pair(Q, Q), at qspec and at its next refinement
-    round (base_depth + 1, grade_depth + grade_step), flagged not converged
-    where the two differ by more than 5%. The default qspec gives the matrix
-    kernel the depth pairs (3, 12) and (4, 20): 20 and 36 nodes per side on
-    a 1-D cube at a singular point.
+    window's cubes Q of the two-cube quantity on (Q, Q), at qspec and at its
+    next refinement round (base_depth + 1, grade_depth + grade_step), flagged
+    not converged where the two differ by more than 5%. The default qspec
+    gives the matrix kernel the depth pairs (3, 12) and (4, 20): 20 and 36
+    nodes per side on a 1-D cube at a singular point.
     """
     if p <= 0:
         raise InvalidExponentError("p must be positive")
@@ -472,17 +498,13 @@ def ap_constant(weight, p, window, variant="standard", qspec=None):
     qspec = qspec or QuadSpec(base_depth=3, grade_depth=24)
     finer = replace(qspec, base_depth=qspec.base_depth + 1,
                     grade_depth=qspec.grade_depth + qspec.grade_step)
-    best, witness = -np.inf, None
-    converged = True
-    for Q in window.cubes():
-        box = Q.box()
-        coarse, fine = (ap_pair(weight, p, box, box, spec, star=variant == "star")
-                        for spec in (qspec, finer))
-        if abs(fine - coarse) > 0.05 * abs(fine):
-            converged = False
-        if fine > best:
-            best, witness = fine, Q
-    return ApCharacteristic(p, best, variant, window.descriptor(), witness, converged)
+    cubes = window.cubes()
+    boxes = dilated_boxes(cubes, [1.0])[:, 0]
+    coarse, fine = (ap_pairs(weight, p, boxes, boxes, spec, star=variant == "star")
+                    for spec in (qspec, finer))
+    k = int(np.argmax(fine))
+    converged = not np.any(np.abs(fine - coarse) > 0.05 * np.abs(fine))
+    return ApCharacteristic(p, float(fine[k]), variant, window.descriptor(), cubes[k], converged)
 
 
 def dual_weight(weight, p):

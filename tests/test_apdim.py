@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from matweight.apdim import (ApDimConfig, ApDimensions, a_sequence,
+from matweight.apdim import (ApDimConfig, ApDimensions, _filter_base_cubes, a_sequence,
                              a_sequence_via_reducing, abutting_cubes,
-                             admissible_m, doubling_exponent,
+                             admissible_m, default_base_cubes, doubling_exponent,
                              estimate_dimensions, fit_growth,
                              growth_envelope_check, reverse_holder_probe,
                              swapped_slope, tail_slope)
 from matweight.errors import IntegrabilityError, OutOfDomainError
-from matweight.geometry import CubeWindow, DyadicCube
+from matweight.geometry import CubeWindow, DyadicCube, double
+from matweight.quad import QuadSpec
 from matweight.reducing import build_family, identity_family
-from matweight.weights import (ConjugatedBlockWeight, PowerLogWeight, identity_weight,
+from matweight.weights import (ConjugatedBlockWeight, PowerLogWeight, _ap_kernel,
+                               cube_average, dual_weight, identity_weight, sup_nodes,
                                two_singularity)
 
 SMALL = ApDimConfig(i_max=4, domain_half=32.0, window_levels=(-1, 0),
@@ -206,3 +208,51 @@ def test_growth_fit_after_imax_shrinks_below_fit_skip(route):
     with (pytest.warns(UserWarning),
           pytest.raises(OutOfDomainError, match="fit_skip = 8.*i_max is 6")):
         route(PowerLogWeight(1, 1, -0.5), 2.0, config=cfg)
+
+
+def _reference_a_sequence(weight, p, config, swapped):
+    """a_i by the definition, pair by pair: max over the base cubes Q of the
+    two-cube quantity on (Q, 2^i Q), each term its own one-box average (or,
+    for matrix weights, the kernel on each pair's own node factors)."""
+    domain = config.domain(weight.n)
+    cubes, i_eff = _filter_base_cubes(default_base_cubes(weight, config, domain),
+                                      config.i_max, domain)
+    qspec = QuadSpec(base_depth=config.base_depth, grade_depth=config.grade_depth)
+
+    def avg(box, alpha):
+        return float(cube_average(weight, box, alpha, 1.0, lambda mats: mats[:, 0, 0].real,
+                                  qspec).value)
+
+    def factor(box, alpha):
+        X, v = sup_nodes(weight, box, qspec)
+        return weight.power_at(X, alpha), v
+
+    vals = np.zeros(i_eff + 1)
+    for Q in cubes:
+        for i in range(i_eff + 1):
+            x, y = (double(Q, i), Q.box()) if swapped else (Q.box(), double(Q, i))
+            if weight.is_scalar():
+                q = avg(x, 1.0) * avg(y, -1.0 / (p - 1.0)) ** (p - 1.0)
+            else:
+                q = _ap_kernel(p, *factor(x, 1.0 / p), *factor(y, -1.0 / p))
+            vals[i] = max(vals[i], q)
+    return vals
+
+
+PLANE_CFG = ApDimConfig(i_max=3, domain_half=8.0, window_levels=(0, 0), abut_levels=(0, 4),
+                        base_depth=3, grade_depth=10)
+
+
+@pytest.mark.parametrize("weight, config", [
+    (PowerLogWeight(1, 1, -0.5), SMALL),
+    (two_singularity(0.4, 0.3, 2.0), SMALL),
+    (dual_weight(two_singularity(0.4, 0.3, 2.0), 2.0), SMALL),
+    (PowerLogWeight(2, 1, -0.8), PLANE_CFG),
+    (ConjugatedBlockWeight(PowerLogWeight(1, 1, -0.4), PowerLogWeight(1, 1, 0.3)),
+     ApDimConfig(i_max=3, domain_half=8.0, window_levels=(0, 0), abut_levels=(0, 3),
+                 base_depth=3, grade_depth=12))])
+@pytest.mark.parametrize("swapped", [False, True])
+def test_a_sequence_is_the_max_over_its_pairs(weight, config, swapped):
+    vals, _, _ = a_sequence(weight, 2.0, config=config, swapped=swapped)
+    ref = _reference_a_sequence(weight, 2.0, config, swapped)
+    assert np.allclose(vals, ref, rtol=1e-14, atol=0.0)

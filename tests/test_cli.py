@@ -92,9 +92,9 @@ class TestMain:
         cfg = json.dumps({"weight": {"kind": "power_log", "a": -0.5},
                           "apdim": {"i_max": 12, "fit_skip": 8, "domain_half": 4.0,
                                     "window_levels": [1, 2], "abut_levels": [1, 4]}})
-        with pytest.warns(UserWarning, match="i_max reduced from 12 to 6"):
-            assert main(["apdim", "--config", cfg, "--out", str(tmp_path)]) == 4
-        err = json.loads(capsys.readouterr().err)
+        assert main(["apdim", "--config", cfg, "--out", str(tmp_path)]) == 4
+        err = json.loads(capsys.readouterr().err)  # the whole of stderr is one JSON object
+        assert err["warnings"] == ["i_max reduced from 12 to 6 to fit the domain"]
         assert err["error"] == "numerical"
         assert "fit_skip = 8" in err["message"] and "i_max is 6" in err["message"]
 
@@ -124,7 +124,16 @@ class TestMain:
         report = json.loads((tmp_path / "apdim_report.json").read_text())
         assert 0.35 <= report["d_hat"] <= 0.65
         assert (tmp_path / "a_sequence.csv").exists()
-        assert report["code_version"]
+        assert report["code_version"] and report["warnings"] == []
+
+    def test_apdim_warnings_go_into_the_report(self, tmp_path, capsys):
+        cfg = json.dumps({"weight": {"kind": "power_log", "a": -0.5},
+                          "apdim": {"i_max": 12, "domain_half": 4.0,
+                                    "window_levels": [1, 2], "abut_levels": [1, 4]}})
+        assert main(["apdim", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "apdim_report.json").read_text())
+        assert report["warnings"] == ["i_max reduced from 12 to 6 to fit the domain"]
+        assert capsys.readouterr().err == ""
 
     def test_norms_subcommand(self, tmp_path):
         cfg = json.dumps({"weight": "identity", "p": 2.0, "draws": 2,

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matweight import quad, weights
 from matweight.apdim import ApDimConfig, a_sequence
 from matweight.errors import IntegrabilityError, ResolutionError
 from matweight.geometry import Box, cube_box, double
-from matweight.quad import QuadSpec, average_ball, average_box, box_nodes, integrate_box
-from matweight.weights import PowerLogWeight, ProductPowerWeight, cube_average
+from matweight.quad import (QuadSpec, average_ball, average_box, average_boxes, box_nodes,
+                            integrate_box)
+from matweight.weights import PowerLogWeight, ProductPowerWeight, cube_average, cube_averages
 
 
 def test_constant_average_exact():
@@ -215,3 +217,98 @@ def test_a_sequence_matches_closed_form(a):
 def test_one_point_rule_is_the_midpoint_rule():
     X, v, _ = box_nodes(Box((0.0,), (1.0,)), 2, 8, 1)
     assert np.array_equal(X[:, 0], [0.125, 0.375, 0.625, 0.875]) and np.all(v == 0.25)
+
+
+# ---------------------------------------------------------------------------
+# batches of boxes: one refine loop over many boxes equals the one-box calls
+
+SINGULAR = {1: [(0.0,), (0.25,)], 2: [(0.0, 0.0), (0.25, 0.25)]}
+
+
+@st.composite
+def _batches(draw):
+    """Boxes of one dimension with the singular points at corners, inside or
+    outside them, some exponents unknown, and a chunk bound small enough to
+    split a round into several integrand calls or large enough for one."""
+    n = draw(st.sampled_from((1, 2)))
+    corner = st.sampled_from((-1.0, -0.25, 0.0, 0.25, 0.5))
+    sides = st.sampled_from((0.25, 0.75, 2.0))
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = [draw(corner) for _ in range(n)]
+        boxes.append([lo, [a + draw(sides) for a in lo]])
+    known = st.sampled_from(([-0.5, 0.3], [np.nan, np.nan]))
+    exps = [draw(known) for _ in boxes] if n == 1 else None
+    return n, np.array(boxes), exps, draw(st.sampled_from((64, 2 ** 15))), draw(st.booleans())
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(batch=_batches())
+def test_batched_averages_equal_one_box_averages(batch):
+    n, boxes, exps, chunk, matrix = batch
+    W = ProductPowerWeight(n, 1, SINGULAR[n], (-0.5, 0.3))
+
+    def fn(X):
+        w = W.scalar_profile(X)
+        return np.stack([w, w * X[:, 0], np.ones(len(X))], axis=1) if matrix else w
+
+    spec = QuadSpec(max_rounds=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "CHUNK_NODES", chunk)
+        batched = average_boxes(fn, boxes, spec, SINGULAR[n], exponents=exps)
+    for k, box in enumerate(boxes):
+        one = average_box(fn, Box(tuple(box[0]), tuple(box[1])), spec, SINGULAR[n],
+                          exponents=None if exps is None else exps[k])
+        assert np.allclose(batched[k].value, one.value, rtol=1e-15, atol=0.0)
+        assert (batched[k].converged, batched[k].rounds) == (one.converged, one.rounds)
+    for pos, X, v, sizes, tails in quad._box_chunks(boxes, SINGULAR[n], exps)(3, 20, 2,
+                                                                         np.arange(len(boxes))):
+        assert len(X) == len(v) == sizes.sum()
+        for k, end, size, t in zip(pos, np.cumsum(sizes), sizes, tails):
+            box = Box(tuple(boxes[k, 0]), tuple(boxes[k, 1]))
+            Xk, vk, tk = box_nodes(box, 3, 20, 2, SINGULAR[n], None if exps is None else exps[k])
+            assert np.array_equal(X[end - size:end], Xk)
+            assert np.array_equal(v[end - size:end], vk) and t == tk
+
+
+def test_one_box_over_budget_in_a_batch_raises():
+    # plain boxes need 48 nodes in the first round (and stop unconverged
+    # before the 128 of the second), the one at 0 more
+    boxes = [[[1.0], [2.0]], [[0.0], [1.0]], [[3.0], [4.0]]]
+    fn = lambda X: np.abs(X[:, 0]) ** -0.5  # noqa: E731
+    plain = average_boxes(fn, boxes[::2], QuadSpec(max_nodes=60), [(0.0,)])
+    assert np.all(plain.rounds == 1) and not plain.converged.any()
+    with pytest.raises(ResolutionError, match="budget of 60"):
+        average_boxes(fn, boxes, QuadSpec(max_nodes=60), [(0.0,)])
+
+
+def test_non_integrable_box_in_a_batch_raises_before_quadrature(monkeypatch):
+    W = PowerLogWeight(1, 1, -1.5)
+    boxes = [[[1.0], [2.0]], [[-1.0], [1.0]], [[3.0], [4.0]]]
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(weights, "average_boxes", no_quadrature)
+    with pytest.raises(IntegrabilityError):
+        cube_averages(W, boxes, 1.0, 1.0, lambda mats: mats[:, 0, 0].real)
+
+
+@pytest.mark.parametrize("n, chunk", [(1, 2 ** 15), (1, 100), (2, 100)])
+def test_integrand_calls_stay_within_the_chunk_bound(monkeypatch, n, chunk):
+    # 2-D boxes at a singular corner need more than 100 nodes per round on
+    # their own: only such a box may reach the integrand above the bound
+    monkeypatch.setattr(quad, "CHUNK_NODES", chunk)
+    rng = np.random.default_rng(0)
+    lo = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0], (400 if n == 1 else 40, n))
+    boxes = np.stack([lo, lo + rng.choice([0.5, 1.0], (len(lo), 1))], axis=1)
+    calls = []
+    W = PowerLogWeight(n, 1, -0.5)
+    spec = QuadSpec().for_dim(n)
+    res = average_boxes(lambda X: calls.append(len(X)) or W.scalar_profile(X), boxes, spec,
+                        W.singular_points)
+    assert len(calls) > 1 and res.converged.all()
+    one_box = {len(box_nodes(Box(tuple(b[0]), tuple(b[1])), *quad._round_params(spec, rnd),
+                             W.singular_points)[1]) for b in boxes for rnd in range(3)}
+    assert all(c <= chunk or c in one_box for c in calls)
+    assert max(calls) > chunk or n == 1

@@ -303,13 +303,13 @@ class TestOnePass:
         # the fit, the calibration and the bracket read one cube average;
         # exact_p2 adds avg_Q W
         calls = []
-        average_box = weights.average_box
+        average_boxes = weights.average_boxes
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return average_box(*args, **kwargs)
+            return average_boxes(*args, **kwargs)
 
-        monkeypatch.setattr(weights, "average_box", counted)
+        monkeypatch.setattr(weights, "average_boxes", counted)
         monkeypatch.setattr(reducing, "_family_cache", {})
         W = conjugated_block() if m == 2 else PowerLogWeight(1, 1, -0.4)
         win = CubeWindow(1, 1, 2)

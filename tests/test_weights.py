@@ -147,7 +147,7 @@ class TestCubeAverageLayer:
             raise AssertionError("quadrature ran")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(weights, "average_box", no_quadrature)
+            mp.setattr(weights, "average_boxes", no_quadrature)
             with pytest.raises(IntegrabilityError):
                 cube_average(W, Q, sign * alpha, power, lambda mats: mats[:, 0, 0] ** power)
 
