@@ -11,9 +11,9 @@ from .weights import (ConjugatedBlockWeight, ConstantWeight, GridSampledWeight,
                       ap_constant, analytic_ball_average, cube_average,
                       cube_average_matrix_norm, dual_weight, identity_weight,
                       two_singularity)
-from .reducing import (CubeNorm, ReducingFamily, build_family, cube_norm,
-                       dual_reduce, identity_family, integrability_probe,
-                       reduce_operator, verify_reducing)
+from .reducing import (CubeNorm, ReducingFamily, build_family, dual_reduce,
+                       identity_family, integrability_probe, reduce_operator,
+                       verify_reducing)
 from .apdim import (ApDimConfig, ApDimensions, a_sequence, admissible_m,
                     doubling_exponent, estimate_dimensions, growth_envelope_check,
                     reverse_holder_probe)

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import linalg
 from .errors import IntegrabilityError, OutOfDomainError
-from .geometry import CubeWindow, DyadicCube, cube_box, dilated_boxes, double
+from .geometry import CubeWindow, DyadicCube, cube_box, dilated_boxes
 from .quad import QuadSpec
-from .weights import ap_pairs, cube_average, dual_weight
+from .weights import ap_pairs, cube_averages, dual_weight
 
 
 @dataclass
@@ -94,9 +94,7 @@ def _filter_base_cubes(cubes, i_max, domain):
     i_eff = i_max
     while i_eff > 0:
         boxes = dilated_boxes(cubes, [2.0 ** i_eff])[:, 0]
-        inside = np.all((boxes[:, 0] >= domain.lo_arr - 1e-12)
-                        & (boxes[:, 1] <= domain.hi_arr + 1e-12), axis=1)
-        kept = [Q for Q, ok in zip(cubes, inside) if ok]
+        kept = [Q for Q, ok in zip(cubes, domain.contains_boxes(boxes)) if ok]
         if kept:
             if i_eff < i_max:
                 warnings.warn(f"i_max reduced from {i_max} to {i_eff} to fit the domain")
@@ -131,20 +129,17 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
 
 
 def a_sequence_via_reducing(weight, p, base_cubes, i_max, config=None, qspec=None):
-    """Alternative route: a_i as sup over cubes of ||A_Q A_(2^i Q)^(-1)||^p."""
-    from .reducing import reduce_operator
+    """Alternative route: a_i as sup over cubes of ||A_Q A_(2^i Q)^(-1)||^p,
+    from one batch of reducing operators over every cube and dilation."""
+    from .reducing import _reduce
 
-    config = config or ApDimConfig()
-    domain = config.domain(weight.n)
+    domain = (config or ApDimConfig()).domain(weight.n)
     cubes, i_eff = _filter_base_cubes(base_cubes, i_max, domain)
-    vals = np.zeros(i_eff + 1)
-    for Q in cubes:
-        AQ = reduce_operator(weight, p, Q, qspec=qspec)
-        for i in range(i_eff + 1):
-            Abig = reduce_operator(weight, p, double(Q, i), qspec=qspec)
-            val = float(linalg.op_norm(AQ @ np.linalg.inv(Abig))) ** p
-            vals[i] = max(vals[i], val)
-    return vals, i_eff, cubes
+    boxes = dilated_boxes(cubes, 2.0 ** np.arange(i_eff + 1))  # (cube, i, corner, axis)
+    A = _reduce(weight, p, boxes.reshape(-1, 2, weight.n), "auto", 256, qspec)[0]
+    A = A.reshape(len(cubes), i_eff + 1, weight.m, weight.m)
+    vals = linalg.op_norm(A[:, :1] @ np.linalg.inv(A)) ** p
+    return np.max(vals, axis=0), i_eff, cubes
 
 
 def tail_slope(a_values, i_max=None):
@@ -259,22 +254,19 @@ def growth_envelope_check(family, dims, window=None):
 
 def doubling_exponent(weight, p, window, K=16, qspec=None):
     """Least beta with int_{2Q} |W^(1/p) z|^p <= 2^beta int_Q |W^(1/p) z|^p,
-    maximized over window cubes with 2Q inside the domain and sampled z."""
-    from .reducing import CubeNorm, unit_directions
+    maximized over window cubes with 2Q inside the domain and sampled z,
+    from one batch of cube norms over every such Q and 2Q."""
+    from .reducing import _cube_norms, unit_directions
 
-    n = weight.n
-    dirs = unit_directions(weight.m, K)
-    best = -np.inf
-    for Q in window.cubes():
-        big = double(Q, 1)
-        if not window.box.contains_box(big):
-            continue
-        rho_small = CubeNorm(weight, p, Q, qspec).bundle(dirs) ** p * Q.volume
-        rho_big = CubeNorm(weight, p, big, qspec).bundle(dirs) ** p * big.volume
-        best = max(best, float(np.max(np.log2(rho_big / rho_small))))
-    if not np.isfinite(best):
+    boxes = dilated_boxes(window.cubes(), [1.0, 2.0])  # (cube, Q or 2Q, corner, axis)
+    boxes = boxes[window.box.contains_boxes(boxes[:, 1])]
+    if not len(boxes):
         raise OutOfDomainError("no window cube has its double inside the domain")
-    return best
+    dirs = unit_directions(weight.m, K)
+    rho = _cube_norms(weight, p, boxes.reshape(-1, 2, weight.n), dirs, qspec=qspec)[0]
+    vol = np.prod(boxes[:, :, 1] - boxes[:, :, 0], axis=2)
+    mass = rho.reshape(len(boxes), 2, -1) ** p * vol[:, :, None]
+    return float(np.max(np.log2(mass[:, 1] / mass[:, 0])))
 
 
 def reverse_holder_probe(weight, p, window, r_grid, ratio_cap=8.0, qspec=None):
@@ -285,41 +277,39 @@ def reverse_holder_probe(weight, p, window, r_grid, ratio_cap=8.0, qspec=None):
     Near the integrability edge the integrand resists refinement, so the
     probe runs at a 0.5% quadrature standard; entries that still fail to
     stabilize are reported as nan (unstable), which is the probe's signal.
+    Per M, one batch over the window's cubes gives the base averages and
+    one more each r; an entry is nan if any of its averages fails.
     """
     qspec = qspec or QuadSpec(rel_tol=5e-3)
-    m = weight.m
-    mats = [np.eye(m, dtype=complex)]
-    if not weight.is_scalar():
-        for i in range(m):
-            M = np.zeros((m, m), dtype=complex)
-            M[i, i] = 1.0
-            mats.append(M)
+    eye = np.eye(weight.m, dtype=complex)
+    mats = [eye] + ([] if weight.is_scalar() else [np.diag(e) for e in eye])
+    boxes = dilated_boxes(window.cubes(), [1.0])[:, 0]
 
-    def average(Q, M, s):
-        """avg over Q of ||W^(1/p)(x) M||^s."""
-        return cube_average(weight, Q, 1.0 / p, s, lambda Ws: linalg.op_norm(Ws @ M) ** s,
-                            qspec, name="rh average")
+    def average(M, s):
+        """avg over each cube of ||W^(1/p)(x) M||^s, or None if one fails."""
+        try:
+            res = cube_averages(weight, boxes, 1.0 / p, s,
+                                lambda Ws: linalg.op_norm(Ws @ M) ** s, qspec,
+                                name="rh average")
+        except IntegrabilityError:
+            return None
+        return res.value if res.converged.all() else None
 
+    bases = [average(M, p) for M in mats]
     table = {}
     for r in r_grid:
         worst = 0.0
-        ok = True
-        for Q in window.cubes():
-            for M in mats:
-                try:
-                    base, high = average(Q, M, p), average(Q, M, p * r)
-                    ok = base.converged and high.converged
-                except IntegrabilityError:
-                    ok = False
-                if not ok:
-                    break
-                worst = max(worst, float(high.value) ** (1.0 / r) / float(base.value))
-            if not ok:
+        for M, base in zip(mats, bases):
+            high = None if base is None else average(M, p * r)
+            if high is None:
+                worst = float("nan")
                 break
-        table[float(r)] = worst if ok else float("nan")
+            # libm pow on Python floats, as the per-cube formula h^(1/r) / b takes it;
+            # numpy's vectorised pow can differ from it in the last bit
+            worst = max(worst, float(np.max(high.astype(object) ** (1.0 / r) / base)))
+        table[float(r)] = worst
     stable = [r for r, v in table.items() if np.isfinite(v) and v <= ratio_cap]
-    r_hat = max(stable) if stable else float("nan")
-    return r_hat, table
+    return (max(stable) if stable else float("nan")), table
 
 
 def admissible_m(s, tau, p, dims, n, variant="general"):

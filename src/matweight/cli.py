@@ -117,7 +117,8 @@ def parse_weight(spec):
     return weight
 
 
-def parse_config(path_or_inline, subcommand):
+def parse_config(path_or_inline, subcommand, seed=None):
+    """The validated config of a subcommand; seed, when given, overrides the config's."""
     if isinstance(path_or_inline, dict):
         cfg = dict(path_or_inline)
     else:
@@ -132,7 +133,25 @@ def parse_config(path_or_inline, subcommand):
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_keys(cfg, _SCHEMA[subcommand], f"{subcommand} config")
+    if seed is not None:
+        cfg["seed"] = seed
     cfg.setdefault("seed", 0)
+    _check(_is_int(cfg["seed"]) and cfg["seed"] >= 0, "seed must be an integer >= 0", cfg["seed"])
+    draws = cfg.get("draws", 1)
+    _check(_is_int(draws) and draws >= 1, "draws must be a positive integer", draws)
+    names = cfg.get("criteria", list(verify.CRITERIA))
+    _check(isinstance(names, list) and names
+           and all(isinstance(c, str) and c in verify.CRITERIA for c in names),
+           f"criteria must be a non-empty list of names from {sorted(verify.CRITERIA)}", names)
+    if "filters" in cfg:
+        f = cfg["filters"]
+        _check_keys(f, {"grid_level", "smoothness"}
+                    | ({"half_side", "n"} if subcommand == "filters" else set()), "filters")
+        _check(_is_int(f.get("grid_level", 0)), "filters grid_level must be an integer", f)
+        for key in ("smoothness", "n"):
+            _check(_is_int(f.get(key, 1)) and f.get(key, 1) >= 1,
+                   f"filters {key} must be an integer >= 1", f)
+        _check(_is_positive(f.get("half_side", 0.5)), "filters half_side must be positive", f)
     p = cfg.get("p", 2.0)
     _check(_is_positive(p), "p must be a positive number", p)
     cfg["p"] = float(p)
@@ -191,13 +210,15 @@ def _messages(caught):
     return list(dict.fromkeys(str(w.message) for w in caught))
 
 
-def _write_report(out_dir, name, payload, caught):
-    """Write the report with the messages of the warnings recorded so far."""
+def _write_report(out_dir, name, cfg, payload, caught):
+    """Write the report: the config, the source hash, the payload and the
+    messages of the warnings recorded so far."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.json"
     with open(path, "w") as fh:
-        json.dump({**payload, "warnings": _messages(caught)}, fh, sort_keys=True, indent=1)
+        json.dump({"config": cfg, "code_version": code_version(), **payload,
+                   "warnings": _messages(caught)}, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return path
 
@@ -228,8 +249,6 @@ def cmd_apdim(cfg, out_dir, caught):
                                 dims.delta + 0.2, dims.n)
     env_ratio, witness, pairs = apdim.growth_envelope_check(fam, padded)
     report = {
-        "config": cfg,
-        "code_version": code_version(),
         "p": p,
         "weight": weight.descriptor(),
         "a_table": {str(i): float(v) for i, v in zip(est.i_values, est.a_values)},
@@ -247,7 +266,7 @@ def cmd_apdim(cfg, out_dir, caught):
         "flags": dims.flags,
         "num_base_cubes": est.num_base_cubes,
     }
-    path = _write_report(out_dir, "apdim_report", report, caught)
+    path = _write_report(out_dir, "apdim_report", cfg, report, caught)
     _write_csv(out_dir, "a_sequence",
                ["i", "a_i", "log2_a_i"],
                [[int(i), float(v), float(np.log2(v))]
@@ -265,7 +284,7 @@ def cmd_norms(cfg, out_dir, caught):
     params = SpaceParams(sp["s"], sp["tau"], sp["p"], sp["q"], sp["kind"])
     window = _window_from_config(cfg, weight.n, "norms")
     rng = np.random.default_rng(cfg["seed"])
-    draws = int(cfg.get("draws", 20))
+    draws = cfg.get("draws", 20)
     fam = build_family(weight, params.p, window, method="auto", K=64)
     seq_vals, fun_vals = [], []
     for _ in range(draws):
@@ -274,26 +293,19 @@ def cmd_norms(cfg, out_dir, caught):
     fcfg = cfg.get("filters", {})
     flt = build_filters(window.box, fcfg.get("grid_level", 10),
                         fcfg.get("smoothness", 6))
-    fwin = window
     for _ in range(draws):
         f = random_band_limited(flt, weight.m, rng)
-        fun_vals.append(function_norm(f, flt, params, fam, window=fwin).value)
+        fun_vals.append(function_norm(f, flt, params, fam, window=window).value)
     report = {
-        "config": cfg,
-        "code_version": code_version(),
         "space": {"s": params.s, "tau": params.tau, "p": params.p,
                   "q": "inf" if np.isinf(params.q) else params.q,
                   "kind": params.kind},
         "criticality": classify(params).cls,
-        "sequence_norms": {"mean": float(np.mean(seq_vals)),
-                           "min": float(np.min(seq_vals)),
-                           "max": float(np.max(seq_vals))},
-        "function_norms": {"mean": float(np.mean(fun_vals)),
-                           "min": float(np.min(fun_vals)),
-                           "max": float(np.max(fun_vals))},
+        **{key: {"mean": float(np.mean(v)), "min": float(np.min(v)), "max": float(np.max(v))}
+           for key, v in (("sequence_norms", seq_vals), ("function_norms", fun_vals))},
         "draws": draws,
     }
-    path = _write_report(out_dir, "norms_report", report, caught)
+    path = _write_report(out_dir, "norms_report", cfg, report, caught)
     _write_csv(out_dir, "norms", ["draw", "sequence_norm", "function_norm"],
                [[i, s, f] for i, (s, f) in enumerate(zip(seq_vals, fun_vals))])
     print(f"norms report written to {path}")
@@ -304,16 +316,16 @@ def cmd_verify(cfg, out_dir, caught):
     tier = cfg.get("tier", "all")
     names = cfg.get("criteria")
     results = verify.run_suite(tier, cfg["seed"], names)
+    if not results:
+        raise ConfigError(f"no criterion of {names} is in tier {tier!r}")
     all_pass = all(r.passed for r in results)
     report = {
-        "config": cfg,
-        "code_version": code_version(),
         "tier": tier,
         "criteria": {r.name: {"tier": r.tier, "passed": r.passed,
                               "details": _jsonable(r.details)} for r in results},
         "all_passed": all_pass,
     }
-    path = _write_report(out_dir, "verify_report", report, caught)
+    path = _write_report(out_dir, "verify_report", cfg, report, caught)
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.tier}, {r.seconds:.1f}s)",
               file=sys.stderr)
@@ -340,7 +352,6 @@ def _jsonable(obj):
 
 def cmd_filters(cfg, out_dir, caught):
     fcfg = cfg.get("filters", {})
-    _check_keys(fcfg, {"grid_level", "smoothness", "half_side", "n"}, "filters")
     n = fcfg.get("n", 1)
     flt = build_filters(cube_box(n, fcfg.get("half_side", 0.5)),
                         fcfg.get("grid_level", 12), fcfg.get("smoothness", 6))
@@ -352,15 +363,13 @@ def cmd_filters(cfg, out_dir, caught):
                ["radial_xi", "phi_hat", "psi_hat"],
                list(zip(table["radial_grid"], table["phi_hat"], table["psi_hat"])))
     report = {
-        "config": cfg,
-        "code_version": code_version(),
         "resolvable_scales": [flt.j_min, flt.j_max],
         "safe_band": list(flt.safe_band),
         "calderon_defect": flt.calderon_defect(),
         "annulus_lower_bound_phi": flt.annulus_lower_bound("phi"),
         "annulus_lower_bound_psi": flt.annulus_lower_bound("psi"),
     }
-    path = _write_report(out_dir, "filters_report", report, caught)
+    path = _write_report(out_dir, "filters_report", cfg, report, caught)
     print(f"filter pair written to {out_dir / 'filters.json'}; report {path}")
     return 0
 
@@ -375,14 +384,12 @@ def cmd_reduce(cfg, out_dir, caught):
     save_family_json(out_dir / "family.json", fam)
     lo, hi = fam.worst_bracket()
     report = {
-        "config": cfg,
-        "code_version": code_version(),
         "weight": weight.descriptor(),
         "num_cubes": window.num_cubes(),
         "worst_bracket": [lo, hi],
         "method": fam.method,
     }
-    path = _write_report(out_dir, "reduce_report", report, caught)
+    path = _write_report(out_dir, "reduce_report", cfg, report, caught)
     print(f"family written to {out_dir / 'family.json'}; report {path}")
     return 0
 
@@ -403,9 +410,7 @@ def main(argv=None):
                         default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config, args.subcommand)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = parse_config(args.config, args.subcommand, args.seed)
         if args.tier is not None and args.subcommand == "verify":
             cfg["tier"] = args.tier
     except ConfigError as exc:

@@ -68,10 +68,12 @@ class Box:
         return bool(np.all(x >= self.lo_arr) and np.all(x < self.hi_arr))
 
     def contains_box(self, other, tol=1e-12):
-        return bool(
-            np.all(other.lo_arr >= self.lo_arr - tol)
-            and np.all(other.hi_arr <= self.hi_arr + tol)
-        )
+        return bool(self.contains_boxes(box_corners(other), tol)[0])
+
+    def contains_boxes(self, boxes, tol=1e-12):
+        """contains_box for each of boxes ((B, 2, n) lower and upper corners)."""
+        return np.all((boxes[:, 0] >= self.lo_arr - tol) & (boxes[:, 1] <= self.hi_arr + tol),
+                      axis=1)
 
 
 def cube_box(n, half_side=0.5):
@@ -128,6 +130,12 @@ class DyadicCube:
         return out
 
 
+def box_corners(region):
+    """A cube or box as a one-box batch: its (1, 2, n) lower and upper corners."""
+    box = region.box() if isinstance(region, DyadicCube) else region
+    return np.array([[box.lo, box.hi]], dtype=float)
+
+
 def containing_cube(j, x):
     """The level-j lattice cube containing the point x."""
     x = np.asarray(x, dtype=float)
@@ -152,11 +160,6 @@ def dilated_boxes(cubes, lams):
     c = side * np.array([Q.k for Q in cubes], dtype=float)[:, None, :] + 0.5 * side
     h = 0.5 * np.asarray(lams, dtype=float)[None, :, None] * side
     return np.stack([c - h, c + h], axis=2)
-
-
-def double(Q, i):
-    """The cube 2^i Q: same center, edge 2^i * l(Q)."""
-    return dilate(Q, 2.0 ** i)
 
 
 class CubeWindow:

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .errors import IntegrabilityError, ResolutionError
-from .geometry import Box, mesh
+from .geometry import Box, box_corners, mesh
 
 CHUNK_NODES = 2 ** 12  # integrand nodes per call: 32 KB per coordinate array
 
@@ -207,7 +207,7 @@ def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents
     """Nodes, weights and tail node count of the hp rule on a box (see _plan);
     exponents (parallel to singular_points) are the integrand's local
     exponents. The one-box case of _box_chunks."""
-    chunks = _box_chunks(np.array([[box.lo, box.hi]], dtype=float), singular_points,
+    chunks = _box_chunks(box_corners(box), singular_points,
                          None if exponents is None else [exponents])
     (_, X, v, _, tails), = chunks(base_depth, grade_depth, order, np.arange(1))
     return X, v, int(tails[0])
@@ -345,16 +345,8 @@ def average_boxes(fn, boxes, spec=None, singular_points=(), name="box average",
 
 
 def average_box(fn, box, spec=None, singular_points=(), name="box average", exponents=None):
-    return average_boxes(fn, [[box.lo, box.hi]], spec, singular_points, name,
+    return average_boxes(fn, box_corners(box), spec, singular_points, name,
                          None if exponents is None else [exponents])[0]
-
-
-def integrate_box(fn, box, spec=None, singular_points=(), name="box integral",
-                  exponents=None):
-    """Integral of fn over a box: its average times the volume."""
-    res = average_box(fn, box, spec, singular_points, name, exponents)
-    res.value = res.value * box.volume
-    return res
 
 
 def average_ball(fn, center, radius, spec=None, singular_points=(), name="ball average"):

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import linalg
 from .errors import FitError, IntegrabilityError
-from .quad import QuadSpec
-from .weights import _as_box, cube_average, dual_weight, sup_nodes
+from .geometry import box_corners, dilated_boxes
+from .quad import CHUNK_NODES, QuadSpec
+from .weights import cube_average, cube_averages, dual_weight, sup_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -57,19 +58,23 @@ def unit_directions(m, K):
 _DIAG_K = 64  # sampled directions, beyond the basis, of the calibration and the brackets
 
 
-def _cube_norms(weight, p, region, dirs, identity=False, qspec=None):
-    """One cube average giving rho_Q(z) = (avg |W^(1/p) z|^p)^(1/p) for each
-    row z of dirs and, with identity=True, (avg ||W^(1/p)||^p)^(1/p)."""
+def _cube_norms(weight, p, boxes, dirs, identity=False, qspec=None):
+    """One batch of cube averages over boxes ((B, 2, n) corners) giving per box
+    rho_Q(z) = (avg |W^(1/p) z|^p)^(1/p) on each row z of dirs and, with
+    identity=True, (avg ||W^(1/p)||^p)^(1/p) (else None)."""
+    # node rows per product Ws @ dirs.T: no larger than a chunk's at _DIAG_K directions
+    rows = max(1, CHUNK_NODES * _DIAG_K // len(dirs))
 
     def reducer(Ws):
-        vals = np.linalg.norm(Ws @ dirs.T, axis=1)
+        vals = np.concatenate([np.linalg.norm(Ws[k:k + rows] @ dirs.T, axis=1)
+                               for k in range(0, len(Ws), rows)])
         if identity:
             vals = np.concatenate([vals, linalg.op_norm(Ws)[:, None]], axis=1)
         return vals ** p
 
-    res = cube_average(weight, region, 1.0 / p, p, reducer, qspec, name="cube norm")
+    res = cube_averages(weight, boxes, 1.0 / p, p, reducer, qspec, name="cube norm")
     vals = np.asarray(res.value) ** (1.0 / p)
-    return vals[:len(dirs)], vals[len(dirs):]
+    return vals[:, :len(dirs)], vals[:, len(dirs)] if identity else None
 
 
 class CubeNorm:
@@ -78,20 +83,16 @@ class CubeNorm:
     def __init__(self, weight, p, region, qspec=None):
         self.weight = weight
         self.p = float(p)
-        self.box = _as_box(region)
+        self.corners = box_corners(region)
         self.qspec = qspec
 
     def bundle(self, dirs):
         """Values on a (K, m) array of directions in one quadrature pass."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=complex))
-        return _cube_norms(self.weight, self.p, self.box, dirs, qspec=self.qspec)[0]
+        return _cube_norms(self.weight, self.p, self.corners, dirs, qspec=self.qspec)[0][0]
 
     def __call__(self, z):
         return float(self.bundle(np.asarray(z, dtype=complex)[None, :])[0])
-
-
-def cube_norm(weight, p, region, z, qspec=None):
-    return CubeNorm(weight, p, region, qspec)(z)
 
 
 # ---------------------------------------------------------------------------
@@ -158,24 +159,25 @@ def mvee_centered(points):
 # ---------------------------------------------------------------------------
 # reducing operators
 
-def _bracket(A, dirs, rho, den=()):
-    """[lo, hi] of |Az| / rho_Q(z) over the rows z of dirs and, given den =
-    (avg ||W^(1/p)||^p)^(1/p), of the identity's ||A|| / den."""
-    ratios = np.linalg.norm(dirs @ A.T, axis=1) / rho
-    if len(den):
-        ratios = np.append(ratios, linalg.op_norm(A) / den)
-    return float(ratios.min()), float(ratios.max())
+def _bracket(A, dirs, rho, den=None):
+    """Per operator of the batch A, [lo, hi] of |Az| / rho_Q(z) over the rows z of
+    dirs and, given den = (avg ||W^(1/p)||^p)^(1/p), of the identity's ||A|| / den."""
+    ratios = np.linalg.norm(dirs @ np.swapaxes(A, -1, -2), axis=-1) / rho
+    if den is not None:
+        ratios = np.concatenate([ratios, (linalg.op_norm(A) / den)[:, None]], axis=1)
+    return ratios.min(axis=1), ratios.max(axis=1)
 
 
-def _reduce(weight, p, region, method, K, qspec):
-    """The calibrated operator A_Q and its bracket.
+def _reduce(weight, p, boxes, method, K, qspec):
+    """The calibrated operators A_Q (B, m, m) of the boxes ((B, 2, n) lower
+    and upper corners) and their brackets, (B,) arrays lo and hi.
 
-    One cube average gives rho_Q on unit_directions(m, max(K, _DIAG_K)) and
-    the test-matrix norms; exact_p2 adds one for avg_Q W. The MVEE fit
-    reads the first K + m directions (unit_directions is prefix-stable),
-    the calibration centres |Az| / rho_Q(z) over the first _DIAG_K + m
-    geometrically at 1, and the bracket covers those directions and the
-    identity (the matrix units would repeat the basis-direction ratios).
+    One batch of cube averages gives rho_Q on unit_directions(m, max(K,
+    _DIAG_K)) and the identity norms; exact_p2 adds one for avg_Q W. Each
+    box's MVEE fit reads the first K + m directions (unit_directions is
+    prefix-stable), the calibration centres |Az| / rho_Q(z) over the first
+    _DIAG_K + m geometrically at 1, and the bracket covers those directions
+    and the identity (the matrix units would repeat the basis ratios).
     """
     if method == "auto":
         method = "exact_p2" if p == 2.0 else "mvee"
@@ -185,17 +187,17 @@ def _reduce(weight, p, region, method, K, qspec):
         raise ValueError("exact_p2 construction requires p = 2")
     m = weight.m
     dirs = unit_directions(m, max(K, _DIAG_K))
-    rho, den = _cube_norms(weight, p, region, dirs, True, qspec)
+    rho, den = _cube_norms(weight, p, boxes, dirs, True, qspec)
     if method == "exact_p2":
-        avg = cube_average(weight, region, 1.0, 1.0, lambda Ws: Ws, qspec,
-                           name="matrix average")
-        A = linalg.matrix_power(avg.value, 0.5)
+        H = cube_averages(weight, boxes, 1.0, 1.0, lambda Ws: Ws, qspec,
+                          name="matrix average").value
     else:
-        A = linalg.matrix_power(mvee_centered(dirs[:K + m] / rho[:K + m, None]), 0.5)
+        H = np.array([mvee_centered(dirs[:K + m] / r[:K + m, None]) for r in rho])
+    A = linalg.matrix_power(H, 0.5)
     diag = _DIAG_K + m
-    lo, hi = _bracket(A, dirs[:diag], rho[:diag])
-    A = A / np.sqrt(lo * hi)
-    return A, _bracket(A, dirs[:diag], rho[:diag], den)
+    lo, hi = _bracket(A, dirs[:diag], rho[:, :diag])
+    A = A / np.sqrt(lo * hi)[:, None, None]
+    return (A, *_bracket(A, dirs[:diag], rho[:, :diag], den))
 
 
 def reduce_operator(weight, p, region, method="auto", K=256, qspec=None):
@@ -205,7 +207,7 @@ def reduce_operator(weight, p, region, method="auto", K=256, qspec=None):
     fits the quasi-norm ball for any p. The result is rescaled so its
     equivalence bracket is geometrically centered at 1.
     """
-    return _reduce(weight, p, region, method, K, qspec)[0]
+    return _reduce(weight, p, box_corners(region), method, K, qspec)[0][0]
 
 
 def dual_reduce(weight, p, region, method="auto", K=256, qspec=None):
@@ -218,8 +220,9 @@ def verify_reducing(A, weight, p, region, K=64, qspec=None, include_matrices=Tru
     """Bracket [r_lo, r_hi] of |Az| / rho_Q(z) over sampled directions and,
     with include_matrices=True, of the identity's ||A|| / (avg ||W^(1/p)||^p)^(1/p)."""
     dirs = unit_directions(weight.m, max(K, _DIAG_K))
-    rho, den = _cube_norms(weight, p, region, dirs, include_matrices, qspec)
-    return _bracket(np.asarray(A, dtype=complex), dirs, rho, den)
+    rho, den = _cube_norms(weight, p, box_corners(region), dirs, include_matrices, qspec)
+    lo, hi = _bracket(np.asarray(A, dtype=complex)[None], dirs, rho, den)
+    return float(lo[0]), float(hi[0])
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +250,17 @@ class ReducingFamily:
 
     def bracket(self, Q):
         idx = self.window.index(Q)
-        lo, hi = self.brackets[Q.j]
-        return float(lo[idx]), float(hi[idx])
+        return tuple(float(b[idx]) for b in self.brackets[Q.j])
 
     def level_field(self, j):
         """A_j = sum_Q A_Q 1_Q as a (counts..., m, m) array."""
         return self.mats[j]
 
     def at_points(self, j, X):
-        flat = self.mats[j].reshape(-1, self.m, self.m)
-        return flat[self.window.cell_index(j, X)]
+        return self.mats[j].reshape(-1, self.m, self.m)[self.window.cell_index(j, X)]
 
     def inverse_at_points(self, j, X):
-        flat = self.inv[j].reshape(-1, self.m, self.m)
-        return flat[self.window.cell_index(j, X)]
+        return self.inv[j].reshape(-1, self.m, self.m)[self.window.cell_index(j, X)]
 
     def worst_bracket(self):
         lo = min(float(l.min()) for l, _ in self.brackets.values())
@@ -281,9 +281,9 @@ def family_cache_key(weight, p, window, method, K, qspec):
 
 
 def build_family(weight, p, window, method="auto", K=256, qspec=None):
-    """Construct reducing operators for every cube of the window; each cube's
-    bracket covers _DIAG_K + m directions and the identity, from the same
-    cube average as its operator."""
+    """Construct reducing operators for every cube of the window, one _reduce
+    batch per level; each cube's bracket covers _DIAG_K + m directions and
+    the identity, from the same cube average as its operator."""
     key = family_cache_key(weight, p, window, method, K, qspec)
     if key in _family_cache:
         return _family_cache[key]
@@ -291,15 +291,11 @@ def build_family(weight, p, window, method="auto", K=256, qspec=None):
     m = weight.m
     for j in window.levels():
         counts = tuple(window.counts_at_level(j))
-        A = np.zeros(counts + (m, m), dtype=complex)
-        lo_arr = np.zeros(counts)
-        hi_arr = np.zeros(counts)
-        for Q in window.cubes_at_level(j):
-            idx = window.index(Q)
-            A[idx], (lo_arr[idx], hi_arr[idx]) = _reduce(weight, p, Q, method, K, qspec)
-        mats[j] = A
-        invs[j] = np.linalg.inv(A)
-        brackets[j] = (lo_arr, hi_arr)
+        boxes = dilated_boxes(window.cubes_at_level(j), [1.0])[:, 0]  # C order, as counts
+        A, lo, hi = _reduce(weight, p, boxes, method, K, qspec)
+        mats[j] = A.reshape(counts + (m, m))
+        invs[j] = np.linalg.inv(mats[j])
+        brackets[j] = (lo.reshape(counts), hi.reshape(counts))
     fam = ReducingFamily(window, float(p), method, mats, invs, brackets, m)
     _family_cache[key] = fam
     return fam

@@ -21,12 +21,8 @@ from .errors import (
     InvalidVariantError,
     SingularityError,
 )
-from .geometry import Box, DyadicCube, cell_index, dilated_boxes
+from .geometry import Box, DyadicCube, box_corners, cell_index, dilated_boxes
 from .quad import QuadSpec, _as_point, average_ball, average_boxes, box_nodes
-
-
-def _as_box(region):
-    return region.box() if isinstance(region, DyadicCube) else region
 
 
 class MatrixWeight:
@@ -379,8 +375,7 @@ def cube_averages(weight, boxes, alpha, power, reducer, qspec=None, name="cube a
 def cube_average(weight, region, alpha, power, reducer, qspec=None, name="cube average"):
     """avg over a cube or box Q of reducer(W^alpha(x)) dx, as a QuadResult:
     the one-box case of cube_averages."""
-    box = _as_box(region)
-    return cube_averages(weight, [[box.lo, box.hi]], alpha, power, reducer, qspec, name)[0]
+    return cube_averages(weight, box_corners(region), alpha, power, reducer, qspec, name)[0]
 
 
 def cube_average_matrix_norm(weight, p, region, M=None, qspec=None):
@@ -525,18 +520,6 @@ def analytic_ball_average(a, b, x0, r, n=1, qspec=None):
     t = float(np.linalg.norm(x0)) + r
     envelope = t ** a * np.log(2.0 + t) ** b
     return float(res.value), float(envelope)
-
-
-def validate_on_window(weight, p, window, qspec=None):
-    """Check local integrability of the weight over every window cube.
-
-    Raises IntegrabilityError if any cube average of ||W^(1/p)||^p diverges;
-    returns the largest cube average otherwise.
-    """
-    worst = 0.0
-    for Q in window.cubes():
-        worst = max(worst, cube_average_matrix_norm(weight, p, Q, qspec=qspec))
-    return worst
 
 
 def weight_from_descriptor(desc):

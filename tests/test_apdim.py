@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matweight import linalg
 from matweight.apdim import (ApDimConfig, ApDimensions, _filter_base_cubes, a_sequence,
                              a_sequence_via_reducing, abutting_cubes,
                              admissible_m, default_base_cubes, doubling_exponent,
@@ -8,9 +9,9 @@ from matweight.apdim import (ApDimConfig, ApDimensions, _filter_base_cubes, a_se
                              growth_envelope_check, reverse_holder_probe,
                              swapped_slope, tail_slope)
 from matweight.errors import IntegrabilityError, OutOfDomainError
-from matweight.geometry import CubeWindow, DyadicCube, double
+from matweight.geometry import CubeWindow, DyadicCube, dilate
 from matweight.quad import QuadSpec
-from matweight.reducing import build_family, identity_family
+from matweight.reducing import CubeNorm, build_family, identity_family, unit_directions
 from matweight.weights import (ConjugatedBlockWeight, PowerLogWeight, _ap_kernel,
                                cube_average, dual_weight, identity_weight, sup_nodes,
                                two_singularity)
@@ -189,6 +190,56 @@ class TestReverseHolder:
             assert 1.0 / r_hat >= d_ref - 0.1
 
 
+PROBE_WEIGHTS = [(PowerLogWeight(1, 1, -0.5), 2.0), (PowerLogWeight(1, 1, 0.5), 2.0),
+                 (two_singularity(0.4, 0.3, 2.0), 2.0),
+                 (ConjugatedBlockWeight(PowerLogWeight(1, 1, -0.4), PowerLogWeight(1, 1, 0.3)),
+                  1.5),
+                 (PowerLogWeight(2, 2, -0.5), 2.0)]
+
+
+@pytest.mark.parametrize("weight, p", PROBE_WEIGHTS)
+def test_doubling_exponent_is_the_max_over_its_cubes(weight, p):
+    # the batch against one CubeNorm pass per cube and per double
+    win = CubeWindow(weight.n, 1, 3 if weight.n == 1 else 2)
+    dirs = unit_directions(weight.m, 16)
+    best = -np.inf
+    for Q in win.cubes():
+        big = dilate(Q, 2.0)
+        if win.box.contains_box(big):
+            small_mass = CubeNorm(weight, p, Q).bundle(dirs) ** p * Q.volume
+            big_mass = CubeNorm(weight, p, big).bundle(dirs) ** p * big.volume
+            best = max(best, float(np.max(np.log2(big_mass / small_mass))))
+    assert doubling_exponent(weight, p, win) == best
+
+
+@pytest.mark.parametrize("weight, p", PROBE_WEIGHTS)
+def test_reverse_holder_table_is_the_max_over_its_cubes(weight, p):
+    # the batches against one pair of cube averages per cube and test matrix;
+    # an entry is nan when one of them diverges or does not converge
+    win = CubeWindow(weight.n, 1, 3 if weight.n == 1 else 2)
+    r_grid = [1.25, 2.0, 2.45, 4.0]  # 2.45: conjugated-block averages that do not converge
+    qspec = QuadSpec(rel_tol=5e-3)
+    eye = np.eye(weight.m)
+    mats = [eye] + ([] if weight.is_scalar() else [np.diag(e) for e in eye])
+
+    def average(Q, M, s):
+        try:
+            res = cube_average(weight, Q, 1.0 / p, s,
+                               lambda Ws: linalg.op_norm(Ws @ M) ** s, qspec)
+        except IntegrabilityError:
+            return None
+        return float(res.value) if res.converged else None
+
+    _, table = reverse_holder_probe(weight, p, win, r_grid)
+    assert list(table) == r_grid
+    for r in r_grid:
+        ratios = [(average(Q, M, p * r), average(Q, M, p)) for Q in win.cubes() for M in mats]
+        if any(None in pair for pair in ratios):
+            assert np.isnan(table[r])
+        else:
+            assert table[r] == max(h ** (1.0 / r) / b for h, b in ratios)
+
+
 def test_base_cube_filter_reduces_imax():
     W = PowerLogWeight(1, 1, -0.5)
     cfg = ApDimConfig(i_max=12, domain_half=4.0, window_levels=(1, 2),
@@ -230,7 +281,7 @@ def _reference_a_sequence(weight, p, config, swapped):
     vals = np.zeros(i_eff + 1)
     for Q in cubes:
         for i in range(i_eff + 1):
-            x, y = (double(Q, i), Q.box()) if swapped else (Q.box(), double(Q, i))
+            x, y = (dilate(Q, 2.0 ** i), Q.box()) if swapped else (Q.box(), dilate(Q, 2.0 ** i))
             if weight.is_scalar():
                 q = avg(x, 1.0) * avg(y, -1.0 / (p - 1.0)) ** (p - 1.0)
             else:

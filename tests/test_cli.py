@@ -40,6 +40,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config({"tier": "everything"}, "verify")
 
+    def test_criteria_names(self):
+        cfg = parse_config({"criteria": ["determinism", "doubling"]}, "verify")
+        assert cfg["criteria"] == ["determinism", "doubling"]
+
+    def test_seed_override_is_validated(self):
+        assert parse_config({"seed": 3}, "filters", seed=5)["seed"] == 5
+        with pytest.raises(ConfigError):
+            parse_config({}, "filters", seed=-1)
+
 
 class TestMain:
     def test_config_error_exit_code(self, capsys):
@@ -170,3 +179,29 @@ class TestMain:
         b1 = (out1 / "verify_report.json").read_bytes()
         b2 = (out2 / "verify_report.json").read_bytes()
         assert b1 == b2
+
+    @pytest.mark.parametrize("cfg", [{"criteria": ["bogus"]}, {"criteria": []},
+                                     {"criteria": "determinism"}, {"criteria": [["doubling"]]},
+                                     {"tier": "exact", "criteria": ["ratio_suites"]}])
+    def test_verify_without_a_criterion_to_run_is_config_error(self, tmp_path, capsys, cfg):
+        # a run that checks nothing must not report all_passed
+        assert main(["verify", "--config", json.dumps(cfg), "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (tmp_path / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["filters", "--config", '{"seed": "x"}'], ["filters", "--config", '{"seed": -1}'],
+        ["filters", "--seed", "-1"], ["norms", "--config", '{"draws": 0}'],
+        ["norms", "--config", '{"draws": -1}'], ["norms", "--config", '{"draws": "x"}'],
+        ["norms", "--config", '{"draws": 2.5}'], ["norms", "--config", '{"filters": 5}'],
+        ["norms", "--config", '{"filters": {"grid_level": "x"}}'],
+        ["norms", "--config", '{"filters": {"bogus": 1}}'],
+        ["norms", "--config", '{"filters": {"n": 2}}'],
+        ["filters", "--config", '{"filters": {"n": "a"}}'],
+        ["filters", "--config", '{"filters": {"n": 0}}'],
+        ["filters", "--config", '{"filters": {"smoothness": 0}}'],
+        ["filters", "--config", '{"filters": {"half_side": "x"}}']])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["message"]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from matweight.errors import CoverageError, ResolutionError
 from matweight.geometry import (Box, CubeWindow, DyadicCube, containing_cube,
-                                cube_box, dilate, double)
+                                cube_box, dilate)
 from matweight.reducing import build_family
 from matweight.spaces import CoefficientField
 from matweight.weights import PowerLogWeight
@@ -19,7 +19,7 @@ def test_unit_dilation_is_identity():
 
 def test_double_interval():
     Q = DyadicCube(2, (1,))
-    box = double(Q, 1)
+    box = dilate(Q, 2.0)
     assert box.sides[0] == pytest.approx(2 * 2.0 ** -2)
     assert box.center[0] == pytest.approx(Q.center[0])
 
@@ -57,7 +57,7 @@ def test_containing_cube():
 def test_out_of_domain_raises_and_clips():
     domain = cube_box(1)
     Q = DyadicCube(1, (0,))
-    assert not domain.contains_box(double(Q, 3))
+    assert not domain.contains_box(dilate(Q, 8.0))
     assert domain.contains_box(dilate(Q, 1.0))
 
 

@@ -4,7 +4,7 @@ import pytest
 from matweight import linalg, reducing, weights
 from matweight.geometry import CubeWindow, DyadicCube
 from matweight.quad import QuadSpec
-from matweight.reducing import (CubeNorm, build_family, cube_norm, dual_reduce,
+from matweight.reducing import (CubeNorm, build_family, dual_reduce,
                                 identity_family, integrability_probe,
                                 mvee_centered, reduce_operator, unit_directions,
                                 verify_reducing)
@@ -20,15 +20,15 @@ def conjugated_block():
 
 class TestCubeNorm:
     def test_identity(self):
-        assert cube_norm(identity_weight(1, 2), 2.0, DyadicCube(1, (0,)),
-                         [1.0, 0.0]) == pytest.approx(1.0)
+        assert CubeNorm(identity_weight(1, 2), 2.0, DyadicCube(1, (0,)))(
+            [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_constant_four(self):
         W = ConstantWeight(1, 4.0 * np.eye(2))
-        assert cube_norm(W, 2.0, DyadicCube(1, (0,)), [1.0, 0.0]) == pytest.approx(2.0)
+        assert CubeNorm(W, 2.0, DyadicCube(1, (0,)))([1.0, 0.0]) == pytest.approx(2.0)
 
     def test_power_log_integral(self):
-        val = cube_norm(PowerLogWeight(1, 1, -0.5), 1.0, DyadicCube(0, (0,)), [1.0])
+        val = CubeNorm(PowerLogWeight(1, 1, -0.5), 1.0, DyadicCube(0, (0,)))([1.0])
         assert val == pytest.approx(2.0, rel=1e-3)
 
     def test_homogeneous(self):
@@ -298,10 +298,10 @@ class TestFamily:
 
 class TestOnePass:
     @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("method, p, per_cube", [("mvee", 1.5, 1), ("exact_p2", 2.0, 2)])
-    def test_cube_averages_per_cube(self, monkeypatch, m, method, p, per_cube):
-        # the fit, the calibration and the bracket read one cube average;
-        # exact_p2 adds avg_Q W
+    @pytest.mark.parametrize("method, p, per_level", [("mvee", 1.5, 1), ("exact_p2", 2.0, 2)])
+    def test_cube_averages_per_cube(self, monkeypatch, m, method, p, per_level):
+        # the fits, the calibrations and the brackets of a level read one
+        # batch of cube averages; exact_p2 adds one batch of avg_Q W
         calls = []
         average_boxes = weights.average_boxes
 
@@ -315,7 +315,9 @@ class TestOnePass:
         win = CubeWindow(1, 1, 2)
         fam = build_family(W, p, win, method=method, K=32)
         assert fam.m == m
-        assert len(calls) == per_cube * win.num_cubes()
+        assert len(calls) == per_level * len(win.levels())
+        assert sorted(len(args[1]) for args in calls) == sorted(
+            per_level * [int(np.prod(win.counts_at_level(j))) for j in win.levels()])
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_unit_directions_prefix_stable(self, m):
@@ -331,6 +333,25 @@ class TestOnePass:
         for Q in win.cubes():
             assert np.allclose(fam.bracket(Q), verify_reducing(fam.matrix(Q), W, p, Q),
                                rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("weight, p, method, window", [
+        (PowerLogWeight(1, 1, -0.4), 1.5, "mvee", CubeWindow(1, 1, 2)),
+        (PowerLogWeight(1, 1, -0.4), 2.0, "exact_p2", CubeWindow(1, 1, 2)),
+        (conjugated_block(), 1.5, "mvee", CubeWindow(1, 1, 2)),
+        (conjugated_block(), 2.0, "exact_p2", CubeWindow(1, 1, 2)),
+        (PowerLogWeight(2, 1, -0.8), 1.5, "mvee", CubeWindow(2, 1, 2)),
+        (ConjugatedBlockWeight(PowerLogWeight(2, 1, -0.8), PowerLogWeight(2, 1, 0.5)), 2.0,
+         "exact_p2", CubeWindow(2, 1, 2))])
+    def test_family_is_the_one_box_reduce_on_each_cube(self, monkeypatch, weight, p, method,
+                                                       window):
+        # one batch per level gives each cube exactly what the cube alone gets
+        monkeypatch.setattr(reducing, "_family_cache", {})
+        fam = build_family(weight, p, window, method=method, K=64)
+        assert fam.m == weight.m
+        for Q in window.cubes():
+            A = reduce_operator(weight, p, Q, method=method, K=64)
+            assert np.array_equal(fam.matrix(Q), A)
+            assert fam.bracket(Q) == verify_reducing(A, weight, p, Q)
 
     def test_verify_reducing_matches_reference(self):
         # directions from one cube average, each test matrix from its own

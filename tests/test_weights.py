@@ -289,16 +289,6 @@ class TestBallAverage:
         assert 0.05 <= min(ratios) and max(ratios) <= 10.0
 
 
-def test_validate_on_window():
-    from matweight.weights import validate_on_window
-
-    win = CubeWindow(1, 1, 3)
-    worst = validate_on_window(PowerLogWeight(1, 1, -0.5), 2.0, win)
-    assert np.isfinite(worst) and worst > 0
-    with pytest.raises(IntegrabilityError):
-        validate_on_window(PowerLogWeight(1, 1, -1.5, 0.0, 1.0), 1.0, win)
-
-
 class TestGridSampled:
     def test_piecewise_constant_eval(self):
         box = cube_box(1)
