@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -178,8 +179,14 @@ def parse_config(path_or_inline, subcommand, seed=None):
                         "p": sp.get("p", cfg["p"]),
                         "q": float("inf") if q in ("inf", None) else q,
                         "kind": sp.get("kind", "B")}
+        s, tau, kind = (cfg["space"][k] for k in ("s", "tau", "kind"))
         _check(_is_positive(cfg["space"]["p"]) and _is_positive(cfg["space"]["q"]),
                "space exponents must be positive numbers", sp)
+        _check(_is_number(s) and math.isfinite(s), "space s must be a finite number", sp)
+        _check(_is_number(tau) and tau >= 0, "space tau must be a number >= 0", sp)
+        _check(kind in ("B", "F"), 'space kind must be "B" or "F"', sp)
+        _check(kind == "B" or math.isfinite(cfg["space"]["p"]),
+               "space kind F needs a finite p", sp)
     if "window" in cfg:
         w = cfg["window"]
         _check_keys(w, {"j_min", "j_max", "half_side"}, "window")

@@ -10,11 +10,14 @@ are an untrusted tail that must be negligible before a result converges. In
 within a quarter of the distance to the next singular point (or to 1) and
 that cell gets a Gauss-Jacobi rule for |x - s|^e, which leaves no tail.
 Rounds refine the rule until the relative change drops below the tolerance.
-Many boxes refine together: each round evaluates the integrand on the nodes
-of every box still refining, CHUNK_NODES nodes at a time.
+Many boxes refine together: each box is laid out (its pieces and singular
+corners) once per batch, and each round derives its cells from that layout
+and evaluates the integrand on the nodes of every box still refining,
+CHUNK_NODES nodes at a time.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -90,49 +93,25 @@ def _gauss_legendre(order, n):
     return mesh(*[t] * n), mesh(*[w / w.sum()] * n).prod(axis=1)
 
 
-@lru_cache(maxsize=None)
-def _child_offsets(n, sign):
-    """Lower corners of one level's 2^n - 1 chain cells, in units of the level
-    width from the singular corner of a cell that extends along sign."""
-    return _unit_grid(1, n)[1:] * sign + np.minimum(sign, 0.0)
-
-
-def _plan(lo, hi, base_depth, grade_depth, order, points, reach, exps):
-    """The layout of the hp rule on the box [lo, hi] (float lists) with the
-    singular points `points` on it, their reach (the distance to the next
-    singular point, or 1) and their local exponents (NaN where unknown): the
-    pieces' lower corners and sides, the cells at a point as (cell index,
-    direction, corner, widths, chain length, exponent), and the node count.
-
-    The box is split at the points; each piece gets 2^base_depth (at least 2)
-    cells per axis, and each cell at a point becomes its chain: geometric
-    halvings toward the point, at most grade_depth of them and an innermost
-    tail cell, or, given the exponent (1-D), down to a quarter of the reach
-    and a Gauss-Jacobi end cell; never below a floor of 1e-12 max(1, |x|)."""
-    n, m, q = len(lo), 2 ** max(base_depth, 1), order ** len(lo)
-    pads = [1e-12 * (b - a) for a, b in zip(lo, hi)]
-    axes = [[a, *sorted({s[i] for s in points if a + d < s[i] < b - d}), b]
-            for i, (a, b, d) in enumerate(zip(lo, hi, pads))]
-    pieces = list(product(*[list(zip(c[:-1], c[1:])) for c in axes]))
-    floor = 1e-12 * max(1.0, *map(abs, lo), *map(abs, hi))  # cells resolve points above it
-    corners, seen, count = [], set(), len(pieces) * m ** n * q
-    for p, piece in enumerate(pieces):
-        for s, r, e in zip(points, reach, exps):
-            sign = tuple(1.0 if abs(x - a) <= d else -1.0 if abs(x - b) <= d else 0.0
-                         for x, (a, b), d in zip(s, piece, pads))
-            cell = p * m ** n + sum((m - 1) * m ** (n - 1 - i) for i, g in enumerate(sign)
-                                    if g < 0)
-            if 0.0 not in sign and cell not in seen:
-                seen.add(cell)
-                w = [(b - a) / m for a, b in piece]
-                L = 0 if max(w) < floor else int(math.log2(max(w) / floor)) + 1
-                L = min(L, grade_depth if math.isnan(e)
-                        else max(math.ceil(math.log2(4.0 * w[0] / r)), 0))
-                corners.append((cell, sign, [a if g > 0 else b for g, (a, b) in zip(sign, piece)],
-                                w, L, e))
-                count += (L * (2 ** n - 1) - 1) * q + (q if math.isnan(e) else order)
-    return ([[a for a, _ in piece] for piece in pieces],
-            [[b - a for a, b in piece] for piece in pieces], corners, count)
+def _layout(b, lo, hi, points, owner, pieces, corners):
+    """Append box b's round-independent layout to the flat buffers. The
+    singular points on it ({index: point}) split [lo, hi] (float lists) into
+    pieces: owner gets b per piece, and pieces its lower and upper corner. A
+    piece's corners at the points become rows (piece, point, direction per
+    axis) of corners; the first point found at a corner stands for it."""
+    pads = [1e-12 * (y - x) for x, y in zip(lo, hi)]
+    axes = [[x, *sorted({s[i] for s in points.values() if x + d < s[i] < y - d}), y]
+            for i, (x, y, d) in enumerate(zip(lo, hi, pads))]
+    for piece in product(*[list(zip(c[:-1], c[1:])) for c in axes]):
+        found = {}
+        for j, s in points.items():
+            sign = tuple(1 if abs(u - x) <= d else -1 if abs(u - y) <= d else 0
+                         for u, (x, y), d in zip(s, piece, pads))
+            if 0 not in sign:
+                found.setdefault(sign, j)
+        corners.extend([v for sign, j in found.items() for v in (len(owner), j, *sign)])
+        owner.append(b)
+        pieces.extend([*[x for x, _ in piece], *[y for _, y in piece]])
 
 
 @lru_cache(maxsize=None)
@@ -160,26 +139,22 @@ def _as_point(s, n):
     return (np.ravel(s).tolist() * n)[:n]
 
 
-def _build(plans, base_depth, order, n):
-    """Nodes, weights, node counts and tail node counts of the planned boxes
-    (position, _plan) in one pass, box after box; in each box, the uniform
-    cells, the chains, the tail cells and the Gauss-Jacobi end cells."""
-    m = 2 ** max(base_depth, 1)
-    piece_box, piece_lo, piece_w, corners = [], [], [], []
-    for b, (_, (p_lo, p_w, cells, _)) in enumerate(plans):
-        corners += [(b, len(piece_lo) * m ** n + cell, *rest) for cell, *rest in cells]
-        piece_box += [b] * len(p_lo)
-        piece_lo += p_lo
-        piece_w += p_w
-    u_lo, u_w = _uniform(np.array(piece_lo), np.array(piece_w), max(base_depth, 1))
+def _build(pb, rows, piece, sign, Ls, es, depth, order):
+    """Nodes, weights and tail node counts of consecutive laid-out boxes in one
+    pass, box after box; in each box, the uniform cells, the chains, the tail
+    cells and the Gauss-Jacobi end cells. The pieces have boxes pb, counted
+    from 0, and rows (lower corner, upper corner); the corners have pieces
+    (indices into rows), directions, chain lengths and exponents."""
+    n, m, cb = rows.shape[1] // 2, 2 ** depth, pb[piece]
+    p_lo, p_hi = rows[:, :n], rows[:, n:]
+    u_lo, u_w = _uniform(p_lo, p_hi - p_lo, depth)
     keep = np.ones(len(u_lo), dtype=bool)
-    cb, cell, sign, C, W, Ls, es = (np.array(v) for v in zip(*corners))
-    keep[cell] = False
+    keep[piece * m ** n + ((sign < 0) * (m - 1) * m ** np.arange(n)[::-1]).sum(axis=1)] = False
+    C, W = np.where(sign > 0, p_lo[piece], p_hi[piece]), (p_hi - p_lo)[piece] / m
     # chain level l of a corner: 2^n - 1 cells of width 2^-l w next to it
-    rep = np.repeat(np.arange(len(corners)), Ls)
-    lev = 0.5 ** (np.arange(rep.size) - np.repeat(np.cumsum(Ls) - Ls, Ls) + 1.0)[:, None]
-    lev = lev * W[rep]
-    offs = np.array([_child_offsets(n, tuple(g)) for g in sign])
+    rep = np.repeat(np.arange(len(Ls)), Ls)
+    lev = 0.5 ** (np.arange(rep.size) - np.repeat(np.cumsum(Ls) - Ls, Ls) + 1.0)[:, None] * W[rep]
+    offs = _unit_grid(1, n)[1:] * sign[:, None] + np.minimum(sign, 0.0)[:, None]
     IW = W * 0.5 ** Ls[:, None]
     tail = np.isnan(es)  # no exponent: the innermost cell is an untrusted tail
     X, v = _emit(np.concatenate([u_lo[keep],
@@ -187,7 +162,7 @@ def _build(plans, base_depth, order, n):
                                  (C + np.minimum(sign, 0.0) * IW)[tail]]),
                  np.concatenate([u_w[keep], np.repeat(lev, 2 ** n - 1, axis=0), IW[tail]]),
                  order)
-    key = np.repeat(np.concatenate([np.repeat(piece_box, m ** n)[keep] * 4,
+    key = np.repeat(np.concatenate([np.repeat(pb, m ** n)[keep] * 4,
                                     np.repeat(cb[rep], 2 ** n - 1) * 4 + 1, cb[tail] * 4 + 2]),
                     order ** n)
     jac = ~tail
@@ -198,15 +173,13 @@ def _build(plans, base_depth, order, n):
         v = np.concatenate([v, (h[:, None] * WT).ravel()])
         key = np.concatenate([key, np.repeat(cb[jac] * 4 + 3, order)])
     at = np.lexsort((key,))  # stable
-    return (np.array([k for k, _ in plans]), X[at], v[at],
-            np.array([plan[-1] for _, plan in plans]),
-            np.bincount(cb[tail], minlength=len(plans)) * order ** n)
+    return X[at], v[at], np.bincount(cb[tail], minlength=pb[-1] + 1) * order ** n
 
 
 def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents=None):
-    """Nodes, weights and tail node count of the hp rule on a box (see _plan);
-    exponents (parallel to singular_points) are the integrand's local
-    exponents. The one-box case of _box_chunks."""
+    """Nodes, weights and tail node count of the hp rule on a box (see _layout
+    and _build); exponents (parallel to singular_points) are the integrand's
+    local exponents. The one-box case of _box_chunks."""
     chunks = _box_chunks(box_corners(box), singular_points,
                          None if exponents is None else [exponents])
     (_, X, v, _, tails), = chunks(base_depth, grade_depth, order, np.arange(1))
@@ -214,11 +187,7 @@ def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents
 
 
 def _round_params(spec, rnd):
-    return (
-        spec.base_depth + rnd,
-        spec.grade_depth + rnd * spec.grade_step,
-        spec.order + rnd,
-    )
+    return spec.base_depth + rnd, spec.grade_depth + rnd * spec.grade_step, spec.order + rnd
 
 
 def _refine_loop(chunks, fn, spec, name, count=1):
@@ -293,8 +262,9 @@ def _box_chunks(boxes, singular_points, exponents):
     """The chunks of _refine_loop over boxes ((B, 2, n) lower and upper
     corners) with local exponents at the singular points (B, S; None or NaN:
     unknown). Boxes with no singular point on them take their nodes from one
-    broadcast of the uniform rule; the others are planned one by one and
-    built together, at most CHUNK_NODES nodes at a time unless one box alone
+    broadcast of the uniform rule. The others are laid out once, into flat
+    arrays; each round derives their cells from the layouts and builds them
+    together, at most CHUNK_NODES nodes at a time unless one box alone
     exceeds it."""
     lo, hi = boxes[:, 0], boxes[:, 1]
     n = lo.shape[1]
@@ -304,6 +274,13 @@ def _box_chunks(boxes, singular_points, exponents):
     reach = np.array([min([1.0] + [abs(s[0] - t[0]) for t in pts if t[0] != s[0]]) for s in pts])
     exps = (np.full(on.shape, np.nan) if exponents is None or n > 1
             else np.asarray(exponents, dtype=float))
+    floor = 1e-12 * np.maximum(1.0, np.abs(boxes).max(axis=(1, 2)))  # cells resolve above it
+    owner, pieces, corners = array("i"), array("d"), array("i")
+    for b in np.flatnonzero(on.any(axis=1)).tolist():
+        _layout(b, lo[b].tolist(), hi[b].tolist(),
+                {j: pts[j] for j in np.flatnonzero(on[b]).tolist()}, owner, pieces, corners)
+    owner, pieces, corners = np.array(owner), np.array(pieces), np.array(corners)
+    pieces, corners = pieces.reshape(-1, 2 * n), corners.reshape(-1, n + 2)
 
     def chunks(bd, gd, order, idx):
         singular, size = on[idx].any(axis=1), (2 ** bd * order) ** n
@@ -313,18 +290,41 @@ def _box_chunks(boxes, singular_points, exponents):
             b = idx[pos]
             yield (pos, *_emit(*_uniform(lo[b], hi[b] - lo[b], bd), order),
                    np.full(pos.size, size), np.zeros(pos.size, dtype=int))
-        plans, total = [], 0
-        for k in np.flatnonzero(singular):
-            b, ks = idx[k], np.flatnonzero(on[idx[k]])
-            plan = _plan(lo[b].tolist(), hi[b].tolist(), bd, gd, order, [pts[j] for j in ks],
-                         reach[ks].tolist(), exps[b, ks].tolist())
-            if plans and total + plan[-1] > CHUNK_NODES:
-                yield _build(plans, bd, order, n)
-                plans, total = [], 0
-            plans.append((k, plan))
-            total += plan[-1]
-        if plans:
-            yield _build(plans, bd, order, n)
+        pos = np.flatnonzero(singular)
+        if not pos.size:
+            return
+        # the chain length of each of the round's corners, in box order
+        sel, depth, q = idx[pos], max(bd, 1), order ** n
+        act = np.zeros(len(boxes), dtype=bool)
+        act[sel] = True
+        ci = np.flatnonzero(act[owner[corners[:, 0]]])
+        (cp, pt), box = corners[ci, :2].T, owner[corners[ci, 0]]
+        e, W = exps[box, pt], (pieces[cp, n:] - pieces[cp, :n]) / 2 ** depth
+        # halvings down to the floor, or given the exponent, to a quarter of the reach
+        L = np.array([0 if w < f else int(math.log2(w / f)) + 1
+                      for w, f in zip(W.max(axis=1), floor[box])], dtype=int)
+        jac, cap = ~np.isnan(e), np.full(len(ci), gd)
+        cap[jac] = [max(math.ceil(math.log2(x)), 0) for x in 4.0 * W[jac, 0] / reach[pt[jac]]]
+        L = np.minimum(L, cap)
+        sizes = np.bincount(box, (L * (2 ** n - 1) - 1) * q + np.where(jac, order, q), len(boxes))
+        sizes = (np.bincount(owner, minlength=len(boxes)) * 2 ** (depth * n) * q
+                 + sizes.astype(int))[sel]
+        cuts, total = [0], 0
+        for k, s in enumerate(sizes.tolist()):
+            if k > cuts[-1] and total + s > CHUNK_NODES:
+                cuts.append(k)
+            total = s if cuts[-1] == k else total + s
+        cuts.append(len(sel))
+        # each chunk's pieces and corners, boxes and pieces numbered from 0
+        pi, ends = np.flatnonzero(act[owner]), np.append(sel, len(boxes))[cuts]
+        pc, kc = np.searchsorted(owner[pi], ends), np.searchsorted(box, ends)
+        del act, cp, pt, box, e, W, jac, cap  # the chunks need only L of these
+        for k, (a, z) in enumerate(zip(cuts, cuts[1:])):
+            ps, rows = pi[pc[k]:pc[k + 1]], corners[ci[kc[k]:kc[k + 1]]]
+            X, v, tails = _build(np.searchsorted(sel[a:z], owner[ps]), pieces[ps],
+                                 np.searchsorted(ps, rows[:, 0]), rows[:, 2:], L[kc[k]:kc[k + 1]],
+                                 exps[owner[rows[:, 0]], rows[:, 1]], depth, order)
+            yield pos[a:z], X, v, sizes[a:z], tails
 
     return chunks
 

@@ -10,9 +10,7 @@ operator is H^(1/2). Every constructed operator carries an empirical
 equivalence bracket.
 """
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,25 +266,10 @@ class ReducingFamily:
         return lo, hi
 
 
-_family_cache = {}
-
-
-def family_cache_key(weight, p, window, method, K, qspec):
-    payload = json.dumps({
-        "weight": weight.descriptor(), "p": p, "window": window.descriptor(),
-        "method": method, "K": K,
-        "qspec": asdict(qspec or QuadSpec()),
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def build_family(weight, p, window, method="auto", K=256, qspec=None):
     """Construct reducing operators for every cube of the window, one _reduce
     batch per level; each cube's bracket covers _DIAG_K + m directions and
     the identity, from the same cube average as its operator."""
-    key = family_cache_key(weight, p, window, method, K, qspec)
-    if key in _family_cache:
-        return _family_cache[key]
     mats, invs, brackets = {}, {}, {}
     m = weight.m
     for j in window.levels():
@@ -296,9 +279,7 @@ def build_family(weight, p, window, method="auto", K=256, qspec=None):
         mats[j] = A.reshape(counts + (m, m))
         invs[j] = np.linalg.inv(mats[j])
         brackets[j] = (lo.reshape(counts), hi.reshape(counts))
-    fam = ReducingFamily(window, float(p), method, mats, invs, brackets, m)
-    _family_cache[key] = fam
-    return fam
+    return ReducingFamily(window, float(p), method, mats, invs, brackets, m)
 
 
 def identity_family(window, m, p=2.0):
@@ -362,10 +343,9 @@ def integrability_probe(weight, p, family, window, r_grid):
                              max(bwd) if bwd_ok else float("nan"), fwd_ok, bwd_ok))
     sup_form = 0.0
     if p <= 1.0:
-        for Q in cubes:
-            A = family.matrix(Q)
-            X, _ = sup_nodes(weight, Q.box(), qspec)
-            F = linalg.op_norm(np.einsum("ij,njk->nik", A, weight.power_at(X, -1.0 / p)))
+        for Q, (X, _) in zip(cubes, sup_nodes(weight, dilated_boxes(cubes, [1.0])[:, 0], qspec)):
+            F = linalg.op_norm(np.einsum("ij,njk->nik", family.matrix(Q),
+                                         weight.power_at(X, -1.0 / p)))
             sup_form = max(sup_form, float(F.max()))
     stable = [row.r for row in rows if row.forward_ok and row.backward_ok]
     return ProbeTable(rows, sup_form, max(stable) if stable else float("nan"))

@@ -253,9 +253,9 @@ def crit_growth_envelope(ctx):
             lowered = apdim.ApDimensions(dims.d + 0.1 - 0.3, dims.dtilde + 0.1,
                                          dims.delta + 0.2, dims.n)
             seq = []
-            for j_hi in (3, 4, 5):
+            for j_hi in (3, 4, 5):  # the window itself at j_hi = 5
                 sub = window.with_levels(1, j_hi)
-                subfam = build_family(weight, 2.0, sub, method="exact_p2")
+                subfam = fam if j_hi == 5 else build_family(weight, 2.0, sub, method="exact_p2")
                 r, _, _ = apdim.growth_envelope_check(subfam, lowered)
                 seq.append(r)
             results[label]["lowered_sequence"] = seq
@@ -317,12 +317,13 @@ def _embed_coeffs(coeffs, flt_small, flt_big):
 
 def _ratio_suite_for(ctx, weight, levels, draws=100):
     out = {}
-    for gi, glevel in enumerate((10, 11)):
+    flt0 = ctx.filters(1, 10)
+    # both grids cover cube_box(1), so one window and one family serve them
+    window = CubeWindow(1, levels[0], levels[1], flt0.box)
+    fam = build_family(weight, 2.0, window, method="exact_p2")
+    for glevel in (10, 11):
         flt = ctx.filters(1, glevel)
-        window = CubeWindow(1, levels[0], levels[1], flt.box)
-        fam = build_family(weight, 2.0, window, method="exact_p2")
         rng = ctx.rng(8)  # same seed for both grids: same spectral draws
-        flt0 = ctx.filters(1, 10)
         per_tuple = {}
         for ti, params in enumerate(_RATIO_TUPLES):
             trips = []

@@ -22,7 +22,7 @@ from .errors import (
     SingularityError,
 )
 from .geometry import Box, DyadicCube, box_corners, cell_index, dilated_boxes
-from .quad import QuadSpec, _as_point, average_ball, average_boxes, box_nodes
+from .quad import QuadSpec, _as_point, _box_chunks, average_ball, average_boxes
 
 
 class MatrixWeight:
@@ -398,12 +398,19 @@ class ApCharacteristic:
     converged: bool = True
 
 
-def sup_nodes(weight, box, qspec):
+def sup_nodes(weight, boxes, qspec):
     """The node rule of the pairwise kernel and of every essential supremum:
-    order-1 nodes of the hp rule at (base_depth, grade_depth // 2) on the
-    box, with probability weights."""
-    X, v, _ = box_nodes(box, qspec.base_depth, qspec.grade_depth // 2, 1, weight.singular_points)
-    return X, v / v.sum()
+    order-1 nodes of the hp rule at (base_depth, grade_depth // 2) on each of
+    boxes ((B, 2, n) lower and upper corners), from one batch, as a list of
+    (nodes, probability weights) per box."""
+    boxes = np.asarray(boxes, dtype=float)
+    out = [None] * len(boxes)
+    chunks = _box_chunks(boxes, weight.singular_points, None)
+    for pos, X, v, sizes, _ in chunks(qspec.base_depth, qspec.grade_depth // 2, 1,
+                                      np.arange(len(boxes))):
+        for k, a, z in zip(pos, np.cumsum(sizes) - sizes, np.cumsum(sizes)):
+            out[k] = X[a:z], v[a:z] / v[a:z].sum()
+    return out
 
 
 def _ap_kernel(p, FX, wx, FY, wy, star=False):
@@ -430,50 +437,39 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
     W^(-1/p)(y)||, it is avg_x (avg_y F^p')^(p/p') for p > 1 and ess sup_y
     avg_x F^p for p <= 1 (star: avg_x ess sup_y F^p).
 
-    A scalar weight w I factorises: avg_x w (avg_y w^(-1/(p-1)))^(p-1) for
-    p > 1, from one batch of cube averages at qspec per exponent over the
-    distinct boxes, and avg_x w / min_y w for p <= 1, where star changes
-    nothing. Matrix weights run the pairwise kernel on sup_nodes, keeping a
-    box's node factors only while consecutive pairs share it. Essential
-    suprema are extrema over sup_nodes.
+    Each side's distinct boxes are computed once. A scalar weight w I
+    factorises: avg_x w (avg_y w^(-1/(p-1)))^(p-1) for p > 1, from one batch
+    of cube averages at qspec per exponent, and avg_x w / min_y w for p <= 1,
+    where star changes nothing. Matrix weights evaluate W^(1/p) and W^(-1/p)
+    once per distinct box on its sup_nodes and run the pairwise kernel on
+    each pair's factors. Essential suprema are extrema over sup_nodes.
     """
+    (ux, ix), (uy, iy) = _distinct(boxes_x), _distinct(boxes_y)
     if weight.is_scalar():
-        def terms(boxes, alpha):
-            """Per box the average of w^alpha (alpha None: the node minimum of
-            w), computed once per distinct box."""
-            keys = boxes.reshape(len(boxes), -1)
-            at = np.lexsort(keys.T)
-            ordered = keys[at]
-            first = np.r_[True, np.any(ordered[1:] != ordered[:-1], axis=1)]
-            inv = np.empty(len(keys), dtype=int)
-            inv[at] = np.cumsum(first) - 1
-            u = boxes[at[first]]
-            if alpha is None:
-                vals = [np.min(weight.scalar_profile(sup_nodes(weight, _box(b), qspec)[0]))
-                        for b in u]
-            else:
-                vals = cube_averages(weight, u, alpha, 1.0, lambda mats: mats[:, 0, 0].real,
-                                     qspec, name="cross average").value
-            return np.asarray(vals, dtype=float)[inv]
+        def avg(boxes, alpha):
+            return cube_averages(weight, boxes, alpha, 1.0, lambda mats: mats[:, 0, 0].real,
+                                 qspec, name="cross average").value
 
         if p > 1.0:
-            return terms(boxes_x, 1.0) * terms(boxes_y, -1.0 / (p - 1.0)) ** (p - 1.0)
-        return terms(boxes_x, 1.0) / terms(boxes_y, None)
-    _precheck_integrability(weight, boxes_x, 1.0 / p, p)
+            return avg(ux, 1.0)[ix] * avg(uy, -1.0 / (p - 1.0))[iy] ** (p - 1.0)
+        inf_y = [np.min(weight.scalar_profile(X)) for X, _ in sup_nodes(weight, uy, qspec)]
+        return avg(ux, 1.0)[ix] / np.array(inf_y)[iy]
+    _precheck_integrability(weight, ux, 1.0 / p, p)
     if p > 1.0:
-        _precheck_integrability(weight, boxes_y, -1.0 / p, p / (p - 1.0))
-    out, factors = np.empty(len(boxes_x)), {}
-    for k, pair in enumerate(zip(boxes_x, boxes_y)):
-        for side, alpha, box in zip("xy", (1.0 / p, -1.0 / p), pair):
-            if side not in factors or not np.array_equal(factors[side][0], box):
-                X, v = sup_nodes(weight, _box(box), qspec)
-                factors[side] = (box, weight.power_at(X, alpha), v)
-        out[k] = _ap_kernel(p, *factors["x"][1:], *factors["y"][1:], star)
-    return out
+        _precheck_integrability(weight, uy, -1.0 / p, p / (p - 1.0))
+    FX, FY = ([(weight.power_at(X, alpha), v) for X, v in sup_nodes(weight, u, qspec)]
+              for u, alpha in ((ux, 1.0 / p), (uy, -1.0 / p)))
+    return np.array([_ap_kernel(p, *FX[i], *FY[j], star) for i, j in zip(ix, iy)])
 
 
-def _box(corners):
-    return Box(*map(tuple, corners.tolist()))
+def _distinct(boxes):
+    """The distinct boxes of a (K, 2, n) array and each box's index among them."""
+    keys = boxes.reshape(len(boxes), -1)
+    at = np.lexsort(keys.T)
+    first = np.r_[True, np.any(keys[at[1:]] != keys[at[:-1]], axis=1)]
+    inv = np.empty(len(keys), dtype=int)
+    inv[at] = np.cumsum(first) - 1
+    return boxes[at[first]], inv
 
 
 def ap_constant(weight, p, window, variant="standard", qspec=None):

@@ -9,7 +9,7 @@ from matweight.apdim import (ApDimConfig, ApDimensions, _filter_base_cubes, a_se
                              growth_envelope_check, reverse_holder_probe,
                              swapped_slope, tail_slope)
 from matweight.errors import IntegrabilityError, OutOfDomainError
-from matweight.geometry import CubeWindow, DyadicCube, dilate
+from matweight.geometry import CubeWindow, DyadicCube, box_corners, dilate
 from matweight.quad import QuadSpec
 from matweight.reducing import CubeNorm, build_family, identity_family, unit_directions
 from matweight.weights import (ConjugatedBlockWeight, PowerLogWeight, _ap_kernel,
@@ -275,7 +275,7 @@ def _reference_a_sequence(weight, p, config, swapped):
                                   qspec).value)
 
     def factor(box, alpha):
-        X, v = sup_nodes(weight, box, qspec)
+        (X, v), = sup_nodes(weight, box_corners(box), qspec)
         return weight.power_at(X, alpha), v
 
     vals = np.zeros(i_eff + 1)

@@ -205,3 +205,13 @@ class TestMain:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and err["message"]
+
+    @pytest.mark.parametrize("space", ['{"s": "x"}', '{"tau": "x"}', '{"kind": "Z"}',
+                                       '{"tau": -1}', '{"s": NaN}',
+                                       '{"kind": "F", "p": Infinity}'])
+    def test_malformed_space_is_config_error(self, tmp_path, capsys, space):
+        cfg = f'{{"space": {space}, "draws": 1}}'
+        assert main(["norms", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "space" in err["message"]
+        assert not (tmp_path / "norms_report.json").exists()

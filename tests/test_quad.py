@@ -293,6 +293,19 @@ def test_non_integrable_box_in_a_batch_raises_before_quadrature(monkeypatch):
         cube_averages(W, boxes, 1.0, 1.0, lambda mats: mats[:, 0, 0].real)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_singular_box_is_laid_out_once_per_batch(monkeypatch, n):
+    # boxes at, around and away from the singular points, three rounds each
+    laid, layout = [], quad._layout
+    monkeypatch.setattr(quad, "_layout", lambda b, *args: laid.append(b) or layout(b, *args))
+    boxes = [[np.full(n, a), np.full(n, a + s)] for a in (-1.0, 0.0, 0.5, 2.0) for s in (0.5, 2.0)]
+    res = average_boxes(lambda X: np.abs(X[:, 0]) ** -0.5, boxes,
+                        QuadSpec(rel_tol=1e-12, max_rounds=3), SINGULAR[n])
+    singular = [k for k, (lo, hi) in enumerate(boxes)
+                if any(np.all((lo <= s) & (s <= hi)) for s in np.array(SINGULAR[n]))]
+    assert res.rounds[singular].min() == 3 and sorted(laid) == singular
+
+
 @pytest.mark.parametrize("n, chunk", [(1, 2 ** 15), (1, 100), (2, 100)])
 def test_integrand_calls_stay_within_the_chunk_bound(monkeypatch, n, chunk):
     # 2-D boxes at a singular corner need more than 100 nodes per round on

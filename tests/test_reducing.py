@@ -81,7 +81,6 @@ class TestMvee:
             return fits[-1][1]
 
         monkeypatch.setattr(reducing, "mvee_centered", recorded)
-        monkeypatch.setattr(reducing, "_family_cache", {})
         build_family(conjugated_block(), 1.5, CubeWindow(1, 1, 3), method="mvee", K=64)
         assert len(fits) == 14
         for P, H in fits:
@@ -270,21 +269,6 @@ class TestProbe:
 
 
 class TestFamily:
-    def test_cache_returns_same_object(self):
-        W = PowerLogWeight(1, 1, -0.5)
-        win = CubeWindow(1, 1, 3)
-        f1 = build_family(W, 2.0, win)
-        f2 = build_family(W, 2.0, win)
-        assert f1 is f2
-
-    def test_cache_keyed_on_qspec_and_diag_K(self):
-        W = PowerLogWeight(1, 1, -0.5)
-        win = CubeWindow(1, 1, 2)
-        fams = [build_family(W, 2.0, win, qspec=QuadSpec(rel_tol=1e-2)),
-                build_family(W, 2.0, win, qspec=QuadSpec(rel_tol=1e-8)),
-                build_family(W, 2.0, win)]
-        assert len({id(f) for f in fams}) == 3
-
     def test_level_field_and_points(self):
         W = PowerLogWeight(1, 1, -0.5)
         win = CubeWindow(1, 1, 3)
@@ -310,7 +294,6 @@ class TestOnePass:
             return average_boxes(*args, **kwargs)
 
         monkeypatch.setattr(weights, "average_boxes", counted)
-        monkeypatch.setattr(reducing, "_family_cache", {})
         W = conjugated_block() if m == 2 else PowerLogWeight(1, 1, -0.4)
         win = CubeWindow(1, 1, 2)
         fam = build_family(W, p, win, method=method, K=32)
@@ -342,10 +325,8 @@ class TestOnePass:
         (PowerLogWeight(2, 1, -0.8), 1.5, "mvee", CubeWindow(2, 1, 2)),
         (ConjugatedBlockWeight(PowerLogWeight(2, 1, -0.8), PowerLogWeight(2, 1, 0.5)), 2.0,
          "exact_p2", CubeWindow(2, 1, 2))])
-    def test_family_is_the_one_box_reduce_on_each_cube(self, monkeypatch, weight, p, method,
-                                                       window):
+    def test_family_is_the_one_box_reduce_on_each_cube(self, weight, p, method, window):
         # one batch per level gives each cube exactly what the cube alone gets
-        monkeypatch.setattr(reducing, "_family_cache", {})
         fam = build_family(weight, p, window, method=method, K=64)
         assert fam.m == weight.m
         for Q in window.cubes():

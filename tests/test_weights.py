@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matweight import weights
+from matweight import linalg, weights
 from matweight.errors import (IntegrabilityError, InvalidExponentError,
                               InvalidVariantError, SingularityError)
-from matweight.geometry import Box, CubeWindow, DyadicCube, cube_box
-from matweight.quad import QuadSpec
+from matweight.geometry import Box, CubeWindow, DyadicCube, cube_box, dilated_boxes
+from matweight.quad import QuadSpec, box_nodes
 from matweight.reducing import CubeNorm, unit_directions
 from matweight.weights import (ConjugatedBlockWeight, ConstantWeight,
                                GridSampledWeight, PowerLogWeight, ProductPowerWeight,
@@ -228,6 +228,57 @@ class TestApConstant:
         for p in (2.0, 3.0):
             val = ap_constant(W, p, win)
             assert np.isfinite(val.value) and val.value >= 1.0 - 1e-6
+
+
+@st.composite
+def _ap_cases(draw, kind):
+    """A scalar, conjugated-block or constant-matrix weight, a p on either
+    side of 1, and a shuffled list of (Q, Q) and (Q, 2Q) pairs with repeats."""
+    exponent = st.sampled_from((-0.8, -0.45, 0.3, 0.7))
+    if kind == "scalar":
+        weight = PowerLogWeight(1, 1, draw(exponent))
+    elif kind == "conjugated":
+        weight = ConjugatedBlockWeight(PowerLogWeight(1, 1, draw(exponent)),
+                                       PowerLogWeight(1, 1, draw(exponent)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        weight = ConstantWeight(1, linalg.random_psd(rng, 2, cond_max=20.0))
+    pairs = dilated_boxes(CubeWindow(1, 1, 2).cubes(), [1.0, 2.0])
+    order = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=12))
+    return weight, draw(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0))), pairs[order]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "conjugated", "constant"])
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ap_constant_and_ap_pairs_properties(kind, data):
+    # [W]_Ap >= 1, the window sup never falls as the window grows, and a
+    # pair's value does not depend on the batch it comes in
+    weight, p, pairs = data.draw(_ap_cases(kind))
+    try:
+        small, large = (ap_constant(weight, p, CubeWindow(1, 1, j)) for j in (2, 3))
+    except IntegrabilityError:
+        return
+    assert small.value >= 1.0 - 1e-12 and large.value >= small.value
+    qspec = QuadSpec(base_depth=3, grade_depth=24)
+    batch = weights.ap_pairs(weight, p, pairs[:, 0], pairs[:, 1], qspec)
+    one = [weights.ap_pairs(weight, p, pair[:1], pair[1:], qspec)[0] for pair in pairs]
+    assert np.array_equal(batch, one)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sup_nodes_of_a_batch_are_the_one_box_order_1_nodes(n):
+    # boxes with the singular points at corners, inside, outside, and twice
+    W = ProductPowerWeight(n, 1, (np.zeros(n), np.full(n, 0.25)), (-0.5, 0.3))
+    boxes = np.array([[np.full(n, a), np.full(n, a + s)] for a in (-1.0, -0.25, 0.0, 0.5)
+                      for s in (0.25, 0.75, 2.0)] + [[np.zeros(n), np.full(n, 0.25)]] * 2)
+    qspec = QuadSpec(base_depth=3, grade_depth=24).for_dim(n)
+    nodes = weights.sup_nodes(W, boxes, qspec)
+    assert len(nodes) == len(boxes)
+    for b, (X, v) in zip(boxes, nodes):
+        Xb, vb, _ = box_nodes(Box(tuple(b[0]), tuple(b[1])), qspec.base_depth,
+                              qspec.grade_depth // 2, 1, W.singular_points)
+        assert np.array_equal(X, Xb) and np.array_equal(v, vb / vb.sum())
 
 
 class TestDualWeight:
