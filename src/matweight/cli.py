@@ -154,7 +154,7 @@ def parse_config(path_or_inline, subcommand, seed=None):
                    f"filters {key} must be an integer >= 1", f)
         _check(_is_positive(f.get("half_side", 0.5)), "filters half_side must be positive", f)
     p = cfg.get("p", 2.0)
-    _check(_is_positive(p), "p must be a positive number", p)
+    _check(_is_positive(p) and math.isfinite(p), "p must be a finite positive number", p)
     cfg["p"] = float(p)
     if "apdim" in cfg:
         _check_keys(cfg["apdim"], _APDIM_KEYS, "apdim options")
@@ -180,13 +180,12 @@ def parse_config(path_or_inline, subcommand, seed=None):
                         "q": float("inf") if q in ("inf", None) else q,
                         "kind": sp.get("kind", "B")}
         s, tau, kind = (cfg["space"][k] for k in ("s", "tau", "kind"))
-        _check(_is_positive(cfg["space"]["p"]) and _is_positive(cfg["space"]["q"]),
-               "space exponents must be positive numbers", sp)
+        _check(_is_positive(cfg["space"]["p"]) and math.isfinite(cfg["space"]["p"])
+               and _is_positive(cfg["space"]["q"]),
+               "space p must be a finite positive number and q a positive number", sp)
         _check(_is_number(s) and math.isfinite(s), "space s must be a finite number", sp)
         _check(_is_number(tau) and tau >= 0, "space tau must be a number >= 0", sp)
         _check(kind in ("B", "F"), 'space kind must be "B" or "F"', sp)
-        _check(kind == "B" or math.isfinite(cfg["space"]["p"]),
-               "space kind F needs a finite p", sp)
     if "window" in cfg:
         w = cfg["window"]
         _check_keys(w, {"j_min", "j_max", "half_side"}, "window")

@@ -1,7 +1,8 @@
 """Small Hermitian-matrix kernel: fractional powers, operator norms, definiteness.
 
-All matrices here are tiny (m <= 4), so everything goes through dense
-eigendecompositions; batched inputs use the leading axes.
+All matrices here are tiny (m <= 4); batched inputs use the leading axes.
+Powers and definiteness go through dense eigendecompositions. Operator
+norms of 1 x 1 and 2 x 2 matrices are closed-form; larger ones use the SVD.
 """
 
 import numpy as np
@@ -20,13 +21,27 @@ def hermitize(a):
 
 
 def op_norm(a):
-    """Largest singular value of a (possibly batched) m x m matrix.
+    """Largest singular value of a (possibly batched) matrix.
 
     For positive semidefinite input this equals the largest eigenvalue.
+    A 1 x 1 matrix gives |a|. A 2 x 2 matrix A, scaled by its largest entry
+    modulus, gives sqrt((alpha + gamma)/2 + hypot((alpha - gamma)/2, beta))
+    from its Gram matrix A*A = [[alpha, b], [conj(b), gamma]], beta = |b|:
+    every term is a sum of squares, so nothing cancels. Any other shape
+    takes the SVD.
     """
-    a = np.asarray(a, dtype=complex)
-    s = np.linalg.svd(a, compute_uv=False)
-    return s[..., 0]
+    a = np.asarray(a)
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0, 0])
+    if a.shape[-2:] != (2, 2):
+        return np.linalg.svd(a.astype(complex), compute_uv=False)[..., 0]
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    b = a / np.where(scale > 0, scale, 1.0)[..., None, None]
+    sq = (b * np.conj(b)).real
+    alpha = sq[..., 0, 0] + sq[..., 1, 0]
+    gamma = sq[..., 0, 1] + sq[..., 1, 1]
+    beta = np.abs(np.conj(b[..., 0, 0]) * b[..., 0, 1] + np.conj(b[..., 1, 0]) * b[..., 1, 1])
+    return scale * np.sqrt(0.5 * (alpha + gamma) + np.hypot(0.5 * (alpha - gamma), beta))
 
 
 def is_positive_definite(h, tol=None):

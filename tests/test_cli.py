@@ -200,7 +200,11 @@ class TestMain:
         ["filters", "--config", '{"filters": {"n": "a"}}'],
         ["filters", "--config", '{"filters": {"n": 0}}'],
         ["filters", "--config", '{"filters": {"smoothness": 0}}'],
-        ["filters", "--config", '{"filters": {"half_side": "x"}}']])
+        ["filters", "--config", '{"filters": {"half_side": "x"}}'],
+        # at p = infinity W^(1/p) = I, so the weight drops out of every A_p quantity
+        ["apdim", "--config", '{"weight": {"kind": "power_log", "a": -0.4, "m": 2}, "p": Infinity}'],
+        ["reduce", "--config", '{"p": Infinity}'],
+        ["norms", "--config", '{"p": Infinity, "draws": 1}']])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -208,7 +212,7 @@ class TestMain:
 
     @pytest.mark.parametrize("space", ['{"s": "x"}', '{"tau": "x"}', '{"kind": "Z"}',
                                        '{"tau": -1}', '{"s": NaN}',
-                                       '{"kind": "F", "p": Infinity}'])
+                                       '{"kind": "F", "p": Infinity}', '{"p": Infinity}'])
     def test_malformed_space_is_config_error(self, tmp_path, capsys, space):
         cfg = f'{{"space": {space}, "draws": 1}}'
         assert main(["norms", "--config", cfg, "--out", str(tmp_path)]) == 2

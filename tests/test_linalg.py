@@ -64,6 +64,49 @@ def test_op_norm_exchange_identity_psd():
     assert worst <= 1e-12
 
 
+def _with_singular_values(rng, s, shape, real):
+    """U diag(s) V* for random unitary (orthogonal when real) U, V of batch shape."""
+    def unitary():
+        z = rng.standard_normal(shape + (2, 2))
+        return np.linalg.qr(z if real else z + 1j * rng.standard_normal(shape + (2, 2)))[0]
+    return (unitary() * np.asarray(s)) @ np.conj(np.swapaxes(unitary(), -1, -2))
+
+
+@pytest.mark.parametrize("shape", [(), (3, 4)])
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("ratio", [1.0, 1 - 1e-12, 1 - 1e-8, 0.5, 0.0])
+def test_op_norm_2x2_matches_svd(ratio, scale, real, shape):
+    # s2/s1 from isotropic (where a cancelling closed form loses ~1e-8) to rank 1
+    rng = np.random.default_rng(5)
+    A = _with_singular_values(rng, [scale, scale * ratio], shape, real)
+    got = linalg.op_norm(A)
+    ref = np.linalg.svd(A, compute_uv=False)[..., 0]
+    assert np.shape(got) == shape
+    np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0)
+
+
+def test_op_norm_2x2_rank_one_and_zero():
+    rng = np.random.default_rng(6)
+    u, v = rng.standard_normal((2, 3, 4, 2)) + 1j * rng.standard_normal((2, 3, 4, 2))
+    A = u[..., :, None] * np.conj(v[..., None, :])
+    ref = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
+    np.testing.assert_allclose(linalg.op_norm(A), ref, rtol=4e-15, atol=0)
+    assert linalg.op_norm(np.zeros((2, 2))) == 0.0
+    assert np.array_equal(linalg.op_norm(np.zeros((3, 4, 2, 2))), np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_op_norm_other_sizes_match_svd(m):
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((5, m, m)) + 1j * rng.standard_normal((5, m, m))
+    ref = np.linalg.svd(A, compute_uv=False)[..., 0]
+    got = linalg.op_norm(A)
+    if m == 3:
+        assert np.array_equal(got, ref)
+    np.testing.assert_allclose(got, ref, rtol=4e-15, atol=0)
+
+
 def test_op_norm_submultiplicative():
     rng = np.random.default_rng(4)
     for _ in range(100):

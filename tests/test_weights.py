@@ -252,8 +252,10 @@ def _ap_cases(draw, kind):
 @settings(max_examples=8, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_ap_constant_and_ap_pairs_properties(kind, data):
-    # [W]_Ap >= 1, the window sup never falls as the window grows, and a
-    # pair's value does not depend on the batch it comes in
+    # [W]_Ap >= 1, the window sup never falls as the window grows, a pair's
+    # value does not depend on the batch it comes in, and a constant weight's
+    # pairs are products W^(1/p) W^(-1/p) = I, of norm 1 at every p (on a grid
+    # of step 1/8 in [1/4, 4])
     weight, p, pairs = data.draw(_ap_cases(kind))
     try:
         small, large = (ap_constant(weight, p, CubeWindow(1, 1, j)) for j in (2, 3))
@@ -264,6 +266,10 @@ def test_ap_constant_and_ap_pairs_properties(kind, data):
     batch = weights.ap_pairs(weight, p, pairs[:, 0], pairs[:, 1], qspec)
     one = [weights.ap_pairs(weight, p, pair[:1], pair[1:], qspec)[0] for pair in pairs]
     assert np.array_equal(batch, one)
+    if kind == "constant":
+        for q in np.arange(2, 33) / 8:
+            values = weights.ap_pairs(weight, q, pairs[:, 0], pairs[:, 1], qspec)
+            np.testing.assert_allclose(values, 1.0, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 2])
