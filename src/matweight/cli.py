@@ -100,6 +100,11 @@ def parse_weight(spec):
     for key in ("a", "b", "scale"):
         if key in desc:
             _check(_is_number(desc[key]), f"weight {key} must be a number", desc[key])
+    if desc["kind"] == "two_singularity":
+        for key in ("d", "dtilde", "p"):
+            _check(_is_number(desc.get(key)) and math.isfinite(desc[key]),
+                   f"weight {key} must be a finite number", desc.get(key))
+        _check(desc["p"] > 1.0, "weight p must be > 1", desc["p"])
     try:
         if desc["kind"] == "two_singularity":
             weight = two_singularity(desc["d"], desc["dtilde"], desc["p"], desc.get("x0"),

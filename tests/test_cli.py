@@ -204,7 +204,18 @@ class TestMain:
         # at p = infinity W^(1/p) = I, so the weight drops out of every A_p quantity
         ["apdim", "--config", '{"weight": {"kind": "power_log", "a": -0.4, "m": 2}, "p": Infinity}'],
         ["reduce", "--config", '{"p": Infinity}'],
-        ["norms", "--config", '{"p": Infinity, "draws": 1}']])
+        ["norms", "--config", '{"p": Infinity, "draws": 1}'],
+        # a two-singularity weight's exponents are -d and (p - 1) dtilde
+        ["apdim", "--config", '{"weight": {"kind": "two_singularity", "d": 0.4, '
+                              '"dtilde": 0.3, "p": Infinity}, "p": 2}'],
+        ["apdim", "--config", '{"weight": {"kind": "two_singularity", "d": 0.4, '
+                              '"dtilde": 0.3, "p": 0.5}, "p": 2}'],
+        ["apdim", "--config", '{"weight": {"kind": "two_singularity", "d": 0.4, '
+                              '"dtilde": 0.3, "p": -1}, "p": 2}'],
+        ["apdim", "--config", '{"weight": {"kind": "two_singularity", "d": "x", '
+                              '"dtilde": 0.3, "p": 2}, "p": 2}'],
+        ["apdim", "--config", '{"weight": {"kind": "two_singularity", "d": 0.4, '
+                              '"dtilde": NaN, "p": 2}, "p": 2}']])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err)

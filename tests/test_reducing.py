@@ -1,21 +1,55 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matweight import linalg, reducing, weights
-from matweight.geometry import CubeWindow, DyadicCube
+from matweight.dyadic import grid_points
+from matweight.geometry import CubeWindow, DyadicCube, cube_box
 from matweight.quad import QuadSpec
 from matweight.reducing import (CubeNorm, build_family, dual_reduce,
                                 identity_family, integrability_probe,
                                 mvee_centered, reduce_operator, unit_directions,
                                 verify_reducing)
 from matweight.weights import (ConjugatedBlockWeight, ConstantWeight,
-                               PowerLogWeight, ap_constant, cube_average,
-                               cube_average_matrix_norm, identity_weight)
+                               GridSampledWeight, PowerLogWeight, ap_constant,
+                               cube_average, cube_average_matrix_norm,
+                               identity_weight)
 
 
 def conjugated_block():
     return ConjugatedBlockWeight(PowerLogWeight(1, 1, -0.4),
                                  PowerLogWeight(1, 1, 0.3))
+
+
+def sampled_block():
+    """The conjugated block sampled at the 16 cell midpoints of cube_box(1)."""
+    box = cube_box(1)
+    return GridSampledWeight(box, conjugated_block().power_at(grid_points(box, 4), 1.0))
+
+
+def scores(P, H):
+    return np.einsum("ni,ij,nj->n", P.conj(), H, P).real
+
+
+def cloud(m, N, real, shape, seed):
+    """N points in R^m or C^m: scattered, on one ellipsoid, or N - 1
+    scattered points and one at 1 - 1e-5 of their optimal ellipsoid."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        Z = rng.standard_normal((n, m))
+        return Z if real else Z + 1j * rng.standard_normal((n, m))
+
+    if shape == "ellipsoid":
+        U = draw(N)
+        return U / np.linalg.norm(U, axis=1, keepdims=True) @ draw(m)
+    if shape == "scattered":
+        return draw(N) * rng.uniform(0.1, 10.0, (N, 1))
+    P = draw(N - 1) * rng.uniform(0.1, 10.0, (N - 1, 1))
+    z = draw(1)
+    z *= (1.0 - 1e-5) / np.sqrt(scores(z, mvee_centered(P)))[:, None]
+    return np.concatenate([P, z])
 
 
 class TestCubeNorm:
@@ -73,18 +107,48 @@ class TestMvee:
         assert np.allclose(mvee_centered(phased), H, rtol=1e-6, atol=0.0)
 
     def test_family_fits_reach_tolerance(self, monkeypatch):
+        # every fit ends in the first-order pre-steps or the Newton finish
         fits = []
-        fit = reducing.mvee_centered
+        fit, steps = reducing.mvee_centered, reducing._away_steps
 
         def recorded(points):
             fits.append((points, fit(points)))
             return fits[-1][1]
 
+        def pre_steps_only(P, u, cap):
+            if cap != reducing._MVEE_PRESTEPS:
+                pytest.fail("the fit fell back to the step loop")
+            return steps(P, u, cap)
+
         monkeypatch.setattr(reducing, "mvee_centered", recorded)
-        build_family(conjugated_block(), 1.5, CubeWindow(1, 1, 3), method="mvee", K=64)
-        assert len(fits) == 14
+        monkeypatch.setattr(reducing, "_away_steps", pre_steps_only)
+        for weight in (conjugated_block(), sampled_block()):
+            build_family(weight, 1.5, CubeWindow(1, 1, 3), method="mvee", K=64)
+        assert len(fits) == 28
         for P, H in fits:
-            assert np.einsum("ni,ij,nj->n", P.conj(), H, P).real.max() - 1.0 <= 1e-8
+            assert scores(P, H).max() - 1.0 <= 1e-8
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(mN=st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), st.integers(m + 1, 80))),
+           real=st.booleans(), shape=st.sampled_from(["scattered", "ellipsoid", "near"]),
+           seed=st.integers(0, 2 ** 16))
+    @example(mN=(2, 5), real=False, shape="near", seed=0)  # a fifth point in C^2
+    @example(mN=(2, 66), real=False, shape="ellipsoid", seed=1)
+    @example(mN=(3, 40), real=False, shape="near", seed=2)
+    @example(mN=(3, 80), real=True, shape="scattered", seed=3)
+    def test_fit_is_the_step_loop_optimum(self, mN, real, shape, seed):
+        P = cloud(*mN, real, shape, seed)
+        H = mvee_centered(P)
+        assert scores(P, H).max() <= 1.0 + 1e-8
+        # the step loop alone, run to the same tolerance
+        u, viol = np.full(len(P), 1.0 / len(P)), np.inf
+        for _ in range(10):
+            if viol < reducing._MVEE_TOL:
+                break
+            u, viol = reducing._away_steps(P, u, reducing._MVEE_MAX_ITER)
+        assert viol < reducing._MVEE_TOL
+        ref = reducing._scores(P, u)[0] / P.shape[1]
+        assert abs(np.linalg.slogdet(H)[1] - np.linalg.slogdet(ref)[1]) <= 1e-7
 
 
 class TestReduce:
