@@ -265,23 +265,22 @@ def weighted_fields(vecs, weighting, s, box, grid_level, p_weight=None):
     """
     n = box.n
     shape = grid_shape(box, grid_level)
-    if isinstance(weighting, MatrixWeight):
+    matrix = isinstance(weighting, MatrixWeight)
+    if matrix:
         if p_weight is None:
             raise InvalidExponentError("a matrix weight needs the exponent p_weight")
         wpow = weighting.power_at(grid_points(box, grid_level), 1.0 / p_weight)
+        wpow = wpow.reshape(shape + wpow.shape[1:])  # one cube per grid cell
     fields = {}
     for j, v in vecs.items():
         factor = shape[0] // v.shape[1]
-        if isinstance(weighting, MatrixWeight):
+        if matrix:
             if weighting.m != v.shape[0]:
                 raise CoverageError("weight dimension does not match the field")
-            flat = _upsample(v, factor, n).reshape(v.shape[0], -1).T  # (N, m)
-            g = np.linalg.norm(np.einsum("nij,nj->ni", wpow, flat), axis=1).reshape(shape)
-        else:
-            if weighting is not None:
-                v = _apply_per_cube(weighting.level_field(j), v, n)
-            g = _upsample(np.linalg.norm(v, axis=0), factor, n)
-        fields[j] = 2.0 ** (j * s) * g
+            v, factor = _apply_per_cube(wpow, _upsample(v, factor, n), n), 1
+        elif weighting is not None:
+            v = _apply_per_cube(weighting.level_field(j), v, n)
+        fields[j] = 2.0 ** (j * s) * _upsample(np.linalg.norm(v, axis=0), factor, n)
     return fields
 
 

@@ -9,12 +9,13 @@ Function norms and the Peetre-type cube sup weight the per-scale
 convolutions through spaces.weighted_fields.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import block_reduce, grid_points, grid_shape
-from .errors import ResolutionError, ScaleRangeError
+from .errors import CoverageError, ResolutionError, ScaleRangeError
 from .geometry import CubeWindow
 from .spaces import CoefficientField, finfty_norm_fields, la_tau_norm, weighted_fields
 
@@ -78,6 +79,7 @@ class FilterPair:
                                           for i in range(self.n)))
         self._phase_corner = np.exp(1j * sum(self.xi[i] * lo[i]
                                              for i in range(self.n)))
+        self._conv_slot = (None, None, None)  # see _level_conv_fields
 
     @property
     def safe_band(self):
@@ -125,6 +127,16 @@ def build_filters(box, grid_level, smoothness=6):
     return FilterPair(box, grid_level, smoothness)
 
 
+def _check_grid(filters, f=None, window=None):
+    """Raise unless f's coefficients live on the filters' grid and the window
+    on the filters' box."""
+    g = f.filters if f is not None else filters
+    if (g.box, g.grid_level) != (filters.box, filters.grid_level):
+        raise ResolutionError("the function lives on another grid than the filters")
+    if window is not None and window.box != filters.box:
+        raise CoverageError("the window's box is not the filters' box")
+
+
 @dataclass
 class BandLimitedFunction:
     """Vector-valued periodic function as fft coefficients on the filter grid.
@@ -138,9 +150,13 @@ class BandLimitedFunction:
     band: tuple = None
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim == self.filters.n:
-            self.coeffs = self.coeffs[None]
+        # read-only, so that a cache keyed on the array's identity stays valid;
+        # a view is copied, since writes through its base would bypass the flag
+        coeffs = np.asarray(self.coeffs, dtype=complex)
+        if not coeffs.flags.owndata:
+            coeffs = coeffs.copy()
+        coeffs.flags.writeable = False
+        self.coeffs = coeffs[None] if coeffs.ndim == self.filters.n else coeffs
         self.m = self.coeffs.shape[0]
 
     def band_defect(self):
@@ -156,20 +172,25 @@ class BandLimitedFunction:
     def values(self):
         """Samples at the grid cell midpoints, shape (m, *grid)."""
         F = self.coeffs * self.filters._phase_mid
-        ntot = self.filters.N ** self.filters.n
-        return np.fft.ifftn(F, axes=tuple(range(1, self.filters.n + 1))) * ntot
+        np.fft.ifftn(F, axes=tuple(range(1, self.filters.n + 1)), out=F)
+        F *= self.filters.N ** self.filters.n
+        return F
 
     def corner_values(self, j):
-        """Samples at the level-j lattice corners 2^-j k, shape (m, counts...)."""
+        """Samples at the level-j lattice corners 2^-j k, shape (m, M, ..., M) with
+        M = N / 2^(grid_level - j). Frequencies k and k + M agree on that lattice,
+        so the spectrum is folded onto M^n of them (Poisson summation)."""
         flt = self.filters
         if j > flt.grid_level:
             raise ResolutionError(f"level {j} finer than the grid")
+        n, stride = flt.n, 2 ** (flt.grid_level - j)
+        M = flt.N // stride
         F = self.coeffs * flt._phase_corner
-        ntot = flt.N ** flt.n
-        vals = np.fft.ifftn(F, axes=tuple(range(1, flt.n + 1))) * ntot
-        stride = 2 ** (flt.grid_level - j)
-        sl = (slice(None),) + (slice(0, None, stride),) * flt.n
-        return vals[sl]
+        if stride > 1:
+            F = F.reshape((self.m,) + (stride, M) * n).sum(axis=tuple(range(1, 2 * n, 2)))
+        np.fft.ifftn(F, axes=tuple(range(1, n + 1)), out=F)
+        F *= M ** n
+        return F
 
     def zero_mean_defect(self):
         zero = (0,) * self.filters.n
@@ -185,6 +206,9 @@ class BandLimitedFunction:
         return float(np.sqrt(np.sum(np.abs(vals) ** 2) * cellvol))
 
     def __add__(self, other):
+        _check_grid(self.filters, other)
+        if other.m != self.m:
+            raise CoverageError(f"cannot add an m = {other.m} function to an m = {self.m} one")
         band = self.band if self.band == other.band else None
         return BandLimitedFunction(self.filters, self.coeffs + other.coeffs, band)
 
@@ -210,43 +234,64 @@ def convolve_scale(f, filters, j):
 
 def analyze(f, filters, window):
     """Coefficients <f, phi_Q> = |Q|^(1/2) (conj-reflected phi)_j * f at x_Q."""
+    _check_grid(filters, f, window)
     if window.j_max > filters.grid_level:
         raise ResolutionError("window finer than the grid")
     if window.j_min < filters.j_min or window.j_max > filters.j_max:
         raise ScaleRangeError("window scales outside the resolvable range")
-    t = CoefficientField(window, f.m)
+    values = {}
     for j in window.levels():
-        conv = BandLimitedFunction(filters, f.coeffs * np.conj(filters.phi_hat(j)))
-        vals = conv.corner_values(j)  # (m, counts...)
-        vol_half = 2.0 ** (-j * window.n / 2.0)
-        t.values[j] = np.moveaxis(vals, 0, -1) * vol_half
-    return t
+        # phi_hat is real, so the conjugate-reflected filter has the same multipliers
+        vals = BandLimitedFunction(filters, f.coeffs * filters.phi_hat(j)).corner_values(j)
+        vals *= 2.0 ** (-j * window.n / 2.0)
+        values[j] = np.moveaxis(vals, 0, -1)
+    return CoefficientField(window, f.m, values)
 
 
 def synthesize(t, filters):
-    """sum_Q t_Q psi_Q accumulated scale by scale in frequency space."""
+    """sum_Q t_Q psi_Q accumulated scale by scale in frequency space. The
+    level-j coefficients sit on an M^n sub-lattice of the grid, so their
+    spectrum is the M^n-point one repeated 2^(grid_level - j) times per axis."""
     window = t.window
+    _check_grid(filters, window=window)
     if window.j_min < filters.j_min or window.j_max > filters.j_max:
         raise ScaleRangeError("window scales outside the resolvable range")
     n = filters.n
     side = float(filters.box.sides[0])
-    shape = (t.m,) + filters.xi_norm.shape
-    out = np.zeros(shape, dtype=complex)
+    out = np.zeros((t.m,) + filters.xi_norm.shape, dtype=complex)
+    phase = np.conj(filters._phase_corner)
     for j in window.levels():
-        vals = np.moveaxis(t.values[j], -1, 0)  # (m, counts...)
-        grid = np.zeros((t.m,) + grid_shape(filters.box, filters.grid_level),
-                        dtype=complex)
         stride = 2 ** (filters.grid_level - j)
-        sl = (slice(None),) + (slice(0, None, stride),) * n
-        grid[sl] = vals
-        F = np.fft.fftn(grid, axes=tuple(range(1, n + 1))) * np.conj(filters._phase_corner)
-        vol_half = 2.0 ** (-j * n / 2.0)
-        out += filters.psi_hat(j) * F * vol_half / side ** n
+        M = filters.N // stride
+        F = np.ascontiguousarray(np.moveaxis(t.values[j], -1, 0))  # (m, M, ..., M)
+        np.fft.fftn(F, axes=tuple(range(1, n + 1)), out=F)
+        F = F.reshape((t.m,) + (1, M) * n)
+        mult = (filters.psi_hat(j) * phase).reshape((stride, M) * n)
+        mult *= 2.0 ** (-j * n / 2.0) / side ** n
+        blocks = out.reshape((t.m,) + (stride, M) * n)
+        for i in range(t.m):  # one component at a time keeps one grid-sized temporary
+            blocks[i] += F[i] * mult
     return BandLimitedFunction(filters, out)
 
 
 def _level_conv_fields(f, filters, window):
-    return {j: convolve_scale(f, filters, j).values() for j in window.levels()}
+    """Level j -> the read-only field (phi_j * f) at the grid midpoints.
+
+    The filters keep the fields of the last function asked for, so the
+    function norms and the Peetre sup of one draw share one convolution
+    pass. The slot holds the coefficient array weakly and is keyed on its
+    identity, which is sound because BandLimitedFunction makes it read-only.
+    """
+    _check_grid(filters, f, window)
+    levels = tuple(window.levels())
+    ref, slot_levels, fields = filters._conv_slot
+    if ref is None or ref() is not f.coeffs or slot_levels != levels:
+        filters._conv_slot = (None, None, None)  # free the old fields first
+        fields = {j: convolve_scale(f, filters, j).values() for j in levels}
+        for v in fields.values():
+            v.flags.writeable = False
+        filters._conv_slot = (weakref.ref(f.coeffs), levels, fields)
+    return fields
 
 
 def function_norm(f, filters, params, weighting=None, p_weight=None, window=None):

@@ -1,14 +1,18 @@
+import gc
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matweight.errors import ResolutionError, ScaleRangeError
-from matweight.geometry import CubeWindow, DyadicCube, cube_box
+from matweight import transform
+from matweight.errors import CoverageError, ResolutionError, ScaleRangeError
+from matweight.geometry import Box, CubeWindow, DyadicCube, cube_box
 from matweight.reducing import build_family, identity_family
-from matweight.spaces import SpaceParams, seq_norm_from_cube_scalars
-from matweight.transform import (BandLimitedFunction, analyze, build_filters,
-                                 bump_profile, convolve_scale,
+from matweight.spaces import CoefficientField, SpaceParams, seq_norm, seq_norm_from_cube_scalars
+from matweight.transform import (BandLimitedFunction, _level_conv_fields, analyze,
+                                 build_filters, bump_profile, convolve_scale,
                                  finfty_function_norm, function_norm, lifting,
                                  peetre_sup, random_band_limited,
                                  schwartz_seminorm, synthesize)
@@ -309,3 +313,233 @@ class TestSeminorm:
         rough = build_filters(cube_box(1), 12, smoothness=3)
         smooth = build_filters(cube_box(1), 12, smoothness=8)
         assert schwartz_seminorm(smooth, 2) < schwartz_seminorm(rough, 2)
+
+
+class TestPackageErrors:
+    def test_adding_another_dimension_is_rejected(self, flt):
+        rng = np.random.default_rng(16)
+        f, g = random_band_limited(flt, 1, rng), random_band_limited(flt, 2, rng)
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(CoverageError):
+                a + b
+
+    def test_adding_another_grid_is_rejected(self, flt):
+        other = build_filters(cube_box(1), 11)
+        rng = np.random.default_rng(17)
+        with pytest.raises(ResolutionError):
+            random_band_limited(flt, 1, rng) + random_band_limited(other, 1, rng)
+
+    def test_filters_on_another_grid_are_rejected(self, flt):
+        other = build_filters(cube_box(1), 11)
+        f = random_band_limited(other, 1, np.random.default_rng(18))
+        window = CubeWindow(1, 4, 8, flt.box)
+        fam = identity_family(window, 1)
+        params = SpaceParams(0.1, 0.2, 2.0, 2.0, "F")
+        calls = (lambda: function_norm(f, flt, params, None, window=window),
+                 lambda: finfty_function_norm(f, flt, 0.1, 2.0, None, window=window),
+                 lambda: peetre_sup(f, flt, fam, window),
+                 lambda: analyze(f, flt, window))
+        for call in calls:
+            with pytest.raises(ResolutionError):
+                call()
+
+    def test_filters_on_the_same_grid_are_accepted(self, flt):
+        # another filter pair on the same grid reads the same coefficients
+        rough = build_filters(cube_box(1), 12, smoothness=3)
+        f = random_band_limited(flt, 1, np.random.default_rng(19))
+        window = CubeWindow(1, 4, 8, flt.box)
+        t = analyze(f, rough, window)
+        assert synthesize(t, rough).m == 1
+
+    def test_window_on_another_box_is_rejected(self, flt):
+        f = random_band_limited(flt, 1, np.random.default_rng(20))
+        half = CubeWindow(1, 3, 5, Box((-0.5,), (0.0,)))
+        fam = identity_family(half, 1)
+        params = SpaceParams(0.1, 0.2, 2.0, 2.0, "F")
+        calls = (lambda: analyze(f, flt, half),
+                 lambda: synthesize(CoefficientField(half, 1), flt),
+                 lambda: function_norm(f, flt, params, None, window=half),
+                 lambda: finfty_function_norm(f, flt, 0.1, 2.0, None, window=half),
+                 lambda: peetre_sup(f, flt, fam, half))
+        for call in calls:
+            with pytest.raises(CoverageError):
+                call()
+
+
+PROPS = settings(max_examples=10, derandomize=True, deadline=None)
+
+# grid level per dimension for the property tests
+PROP_GRIDS = {1: 10, 2: 6}
+
+
+@pytest.fixture(scope="module")
+def prop_filters():
+    return {n: build_filters(cube_box(n), level) for n, level in PROP_GRIDS.items()}
+
+
+class TestTransformProperties:
+    @PROPS
+    @given(n=st.sampled_from([1, 2]), m=st.sampled_from([1, 2, 3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_analysis_then_synthesis_is_exact(self, prop_filters, n, m, seed):
+        flt = prop_filters[n]
+        window = CubeWindow(n, flt.j_min, flt.j_max, flt.box)
+        f = random_band_limited(flt, m, np.random.default_rng(seed))
+        g = synthesize(analyze(f, flt, window), flt)
+        assert g.m == m
+        assert (g + f.scaled(-1.0)).sup_norm() <= 1e-12 * f.sup_norm()
+
+    @PROPS
+    @given(n=st.sampled_from([1, 2]), m=st.sampled_from([1, 2, 3]),
+           seed=st.integers(0, 2 ** 32 - 1), full_band=st.booleans())
+    def test_corner_values_match_the_strided_grid(self, prop_filters, n, m, seed, full_band):
+        flt = prop_filters[n]
+        rng = np.random.default_rng(seed)
+        if full_band:  # every frequency of the grid, so every alias class is hit
+            shape = (m,) + (flt.N,) * n
+            f = BandLimitedFunction(flt, rng.standard_normal(shape)
+                                    + 1j * rng.standard_normal(shape))
+        else:
+            f = random_band_limited(flt, m, rng)
+        # the oracle: the full-grid inverse FFT at the corners, read at the level's stride
+        full = np.fft.ifftn(f.coeffs * flt._phase_corner, axes=tuple(range(1, n + 1)))
+        full *= flt.N ** n
+        for j in range(flt.j_min, flt.grid_level + 1):
+            stride = 2 ** (flt.grid_level - j)
+            want = full[(slice(None),) + (slice(0, None, stride),) * n]
+            got = f.corner_values(j)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @PROPS
+    @given(s=st.floats(-1.0, 1.0), tau=st.floats(0.0, 1.0), p=st.floats(0.5, 4.0),
+           q=st.one_of(st.floats(0.5, 4.0), st.just(math.inf)), with_family=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_embedding_chain(self, flt, chain_family, s, tau, p, q, with_family, seed):
+        window = chain_family.window
+        fam = chain_family if with_family else None
+        rng = np.random.default_rng(seed)
+        f = random_band_limited(flt, 1, rng)
+        t = CoefficientField.random(window, 1, rng)
+        chain = (SpaceParams(s, tau, p, max(p, q), "B"), SpaceParams(s, tau, p, q, "F"),
+                 SpaceParams(s, tau, p, min(p, q), "B"))
+        for norm in (lambda prm: function_norm(f, flt, prm, fam, window=window),
+                     lambda prm: seq_norm(t, prm, fam)):
+            hi, mid, lo = (norm(prm).value for prm in chain)
+            assert hi <= mid * (1 + 1e-12) and mid <= lo * (1 + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def chain_family(flt):
+    return build_family(PowerLogWeight(1, 1, -0.5), 2.0, CubeWindow(1, 4, 7, flt.box),
+                        method="exact_p2")
+
+
+def _fresh_fields(f, flt, window):
+    return {j: convolve_scale(f, flt, j).values() for j in window.levels()}
+
+
+@pytest.fixture
+def conv_calls(monkeypatch):
+    """Counts the convolve_scale calls made through the module."""
+    calls = []
+    orig = transform.convolve_scale
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "convolve_scale", counted)
+    return calls
+
+
+class TestConvolutionSlot:
+    def test_hit_is_bitwise_a_fresh_computation(self, flt, conv_calls):
+        window = CubeWindow(1, 4, 8, flt.box)
+        f = random_band_limited(flt, 2, np.random.default_rng(21))
+        first = _level_conv_fields(f, flt, window)
+        again = _level_conv_fields(f, flt, window)
+        assert again is first and len(conv_calls) == 5
+        fresh = _fresh_fields(f, flt, window)
+        assert all(np.array_equal(again[j], fresh[j]) for j in window.levels())
+
+    def test_another_function_filters_or_levels_miss(self, flt, conv_calls):
+        window = CubeWindow(1, 4, 8, flt.box)
+        rng = np.random.default_rng(22)
+        f = random_band_limited(flt, 1, rng)
+        twin = BandLimitedFunction(flt, f.coeffs.copy())
+        rough = build_filters(cube_box(1), 12, smoothness=3)
+        for g, pair, win in ((twin, flt, window), (f, rough, window),
+                             (f, flt, CubeWindow(1, 4, 7, flt.box))):
+            base = _level_conv_fields(f, flt, window)  # the slot now holds f's fields
+            before = len(conv_calls)
+            got = _level_conv_fields(g, pair, win)
+            assert len(conv_calls) == before + len(win.levels())
+            fresh = _fresh_fields(g, pair, win)
+            assert all(np.array_equal(got[j], fresh[j]) for j in win.levels())
+        assert not np.array_equal(_level_conv_fields(f, rough, window)[6], base[6])
+
+    def test_coefficients_and_fields_are_read_only(self, flt):
+        window = CubeWindow(1, 4, 8, flt.box)
+        rng = np.random.default_rng(23)
+        given_array = rng.standard_normal((1, flt.N)) + 1j * rng.standard_normal((1, flt.N))
+        f = BandLimitedFunction(flt, given_array)
+        assert f.coeffs is given_array  # not copied
+        for arr in (f.coeffs, given_array):
+            with pytest.raises(ValueError):
+                arr[0, 3] = 1.0
+        fields = _level_conv_fields(f, flt, window)
+        for v in fields.values():
+            with pytest.raises(ValueError):
+                v[0, 0] = 0.0
+
+    def test_view_is_copied(self, flt):
+        rng = np.random.default_rng(24)
+        base = rng.standard_normal((2, flt.N)) + 1j * rng.standard_normal((2, flt.N))
+        f = BandLimitedFunction(flt, base[:1])
+        base[0, 3] = 7.0  # the caller's array stays writable, the function does not see it
+        assert f.coeffs[0, 3] != 7.0
+
+    def test_slot_forgets_a_deleted_function(self, flt, conv_calls):
+        window = CubeWindow(1, 4, 8, flt.box)
+        rng = np.random.default_rng(25)
+        f = random_band_limited(flt, 1, rng)
+        _level_conv_fields(f, flt, window)
+        ref = flt._conv_slot[0]
+        assert ref() is f.coeffs
+        del f
+        gc.collect()
+        assert ref() is None
+        g = random_band_limited(flt, 1, rng)
+        before = len(conv_calls)
+        _level_conv_fields(g, flt, window)
+        assert len(conv_calls) == before + 5
+
+
+def test_one_convolution_pass_per_2d_draw(conv_calls, monkeypatch):
+    """One 2-D draw of the norms_fft benchmark job: the reconstruction, the
+    Peetre sup and the W and A norms at three parameter tuples. The
+    convolution fields are computed once, and the FFT count stays at one per
+    analysis level, one per synthesis level and one per field or sup norm."""
+    ffts = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        orig = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _orig=orig, **k: ffts.append(1) or _orig(*a, **k))
+    flt = build_filters(cube_box(2), 8)
+    weight = PowerLogWeight(2, 2, -0.4)
+    window = CubeWindow(2, 2, 3, flt.box)
+    full = CubeWindow(2, flt.j_min, flt.j_max, flt.box)
+    fam = build_family(weight, 2.0, window, method="exact_p2")
+    rng = np.random.default_rng(26)
+    f = random_band_limited(flt, 2, rng, band=flt.safe_band)
+    ffts.clear()
+    g = synthesize(analyze(f, flt, full), flt)
+    assert (g + f.scaled(-1.0)).sup_norm() <= 1e-8 * f.sup_norm()
+    peetre_sup(f, flt, fam, window)
+    for prm in (SpaceParams(0.0, 0.0, 2.0, 2.0, "F"), SpaceParams(0.2, 0.3, 2.0, 1.5, "B"),
+                SpaceParams(-0.1, 0.5, 2.0, math.inf, "F")):
+        function_norm(f, flt, prm, weight, window=window)
+        function_norm(f, flt, prm, fam, window=window)
+    assert sorted(conv_calls) == list(window.levels())
+    assert len(ffts) == 2 * len(full.levels()) + 2 + len(window.levels())
