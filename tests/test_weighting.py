@@ -13,14 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matweight.dyadic import grid_points
+from matweight.dyadic import grid_points, grid_shape
 from matweight.errors import InvalidExponentError
 from matweight.geometry import CubeWindow, DyadicCube, cube_box
 from matweight.reducing import ReducingFamily
 from matweight.spaces import (CoefficientField, SpaceParams, cube_scalar_sequence, finfty_norm,
-                              seq_norm)
+                              seq_norm, weighted_fields)
 from matweight.transform import BandLimitedFunction, build_filters, convolve_scale, peetre_sup
-from matweight.weights import ConjugatedBlockWeight, PowerLogWeight, identity_weight
+from matweight.weights import (ConjugatedBlockWeight, GridSampledWeight, PowerLogWeight,
+                               identity_weight)
 
 ORACLE = settings(max_examples=8, derandomize=True, deadline=None)
 
@@ -152,3 +153,39 @@ def test_matrix_weight_without_exponent_is_rejected():
     t = CoefficientField.random(_window(1), 2, np.random.default_rng(0))
     with pytest.raises(InvalidExponentError):
         finfty_norm(t, 0.1, 2.0, identity_weight(1, 2))
+
+
+@ORACLE
+@given(n=st.sampled_from([1, 2]), m=st.sampled_from([1, 2, 3]), real=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2, m=2, real=True, seed=0)
+@example(n=2, m=3, real=False, seed=0)
+def test_matrix_weight_fields_equal_the_pointwise_einsum(n, m, real, seed):
+    """A matrix weight goes through the per-cube product with one cube per grid
+    cell. For a real W^(1/p) the pointwise einsum it replaced gives the same
+    fields bit for bit; for a complex one, einsum's complex products round
+    differently."""
+    rng = np.random.default_rng(seed)
+    window = _window(n)
+    grid_level = window.j_max + 2
+    B = rng.standard_normal((4,) * n + (m, m))
+    if not real:
+        B = B + 1j * rng.standard_normal(B.shape)
+    weight = GridSampledWeight(window.box, B @ np.conj(np.swapaxes(B, -1, -2)) + 0.1 * np.eye(m))
+    vecs = {j: rng.standard_normal((m,) + tuple(window.counts_at_level(j)))
+            + 1j * rng.standard_normal((m,) + tuple(window.counts_at_level(j)))
+            for j in window.levels()}
+    got = weighted_fields(vecs, weight, 0.3, window.box, grid_level, 1.5)
+    shape = grid_shape(window.box, grid_level)
+    wpow = weight.power_at(grid_points(window.box, grid_level), 1.0 / 1.5)
+    if real:
+        wpow = wpow.real  # power_at returns complex for a sampled weight
+    for j, v in vecs.items():
+        for ax in range(1, n + 1):
+            v = np.repeat(v, shape[0] // v.shape[ax], axis=ax)
+        applied = np.einsum("nij,nj->ni", wpow, v.reshape(m, -1).T)
+        want = 2.0 ** (j * 0.3) * np.linalg.norm(applied, axis=1).reshape(shape)
+        if real:
+            assert np.array_equal(got[j], want)
+        else:
+            np.testing.assert_allclose(got[j], want, rtol=1e-14, atol=0)
