@@ -127,11 +127,10 @@ def build_filters(box, grid_level, smoothness=6):
     return FilterPair(box, grid_level, smoothness)
 
 
-def _check_grid(filters, f=None, window=None):
+def _check_grid(filters, f, window=None):
     """Raise unless f's coefficients live on the filters' grid and the window
     on the filters' box."""
-    g = f.filters if f is not None else filters
-    if (g.box, g.grid_level) != (filters.box, filters.grid_level):
+    if (f.filters.box, f.filters.grid_level) != (filters.box, filters.grid_level):
         raise ResolutionError("the function lives on another grid than the filters")
     if window is not None and window.box != filters.box:
         raise CoverageError("the window's box is not the filters' box")
@@ -253,7 +252,8 @@ def synthesize(t, filters):
     level-j coefficients sit on an M^n sub-lattice of the grid, so their
     spectrum is the M^n-point one repeated 2^(grid_level - j) times per axis."""
     window = t.window
-    _check_grid(filters, window=window)
+    if window.box != filters.box:
+        raise CoverageError("the window's box is not the filters' box")
     if window.j_min < filters.j_min or window.j_max > filters.j_max:
         raise ScaleRangeError("window scales outside the resolvable range")
     n = filters.n
@@ -263,7 +263,7 @@ def synthesize(t, filters):
     for j in window.levels():
         stride = 2 ** (filters.grid_level - j)
         M = filters.N // stride
-        F = np.ascontiguousarray(np.moveaxis(t.values[j], -1, 0))  # (m, M, ..., M)
+        F = np.moveaxis(t.values[j], -1, 0).copy()  # (m, M, ..., M), never t's own array
         np.fft.fftn(F, axes=tuple(range(1, n + 1)), out=F)
         F = F.reshape((t.m,) + (1, M) * n)
         mult = (filters.psi_hat(j) * phase).reshape((stride, M) * n)
@@ -280,18 +280,31 @@ def _level_conv_fields(f, filters, window):
     The filters keep the fields of the last function asked for, so the
     function norms and the Peetre sup of one draw share one convolution
     pass. The slot holds the coefficient array weakly and is keyed on its
-    identity, which is sound because BandLimitedFunction makes it read-only.
+    identity, which is sound because BandLimitedFunction makes it read-only;
+    the slot is emptied when that array dies.
     """
     _check_grid(filters, f, window)
     levels = tuple(window.levels())
-    ref, slot_levels, fields = filters._conv_slot
+    ref, slot_levels = filters._conv_slot[:2]
     if ref is None or ref() is not f.coeffs or slot_levels != levels:
         filters._conv_slot = (None, None, None)  # free the old fields first
         fields = {j: convolve_scale(f, filters, j).values() for j in levels}
         for v in fields.values():
             v.flags.writeable = False
-        filters._conv_slot = (weakref.ref(f.coeffs), levels, fields)
-    return fields
+        filters._conv_slot = (weakref.ref(f.coeffs, _slot_emptier(filters)), levels, fields)
+    return filters._conv_slot[2]
+
+
+def _slot_emptier(filters):
+    """Weakref callback that empties the filters' slot if it still holds the
+    dead array; it holds the filters weakly, so it keeps nothing alive."""
+    owner = weakref.ref(filters)
+
+    def empty(ref):
+        flt = owner()
+        if flt is not None and flt._conv_slot[0] is ref:
+            flt._conv_slot = (None, None, None)
+    return empty
 
 
 def function_norm(f, filters, params, weighting=None, p_weight=None, window=None):

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -136,6 +137,22 @@ class TestTransformPair:
             f = random_band_limited(flt2, 2, rng)
             g = synthesize(analyze(f, flt2, win2), flt2)
             assert (g + f.scaled(-1)).sup_norm() <= 1e-8 * f.sup_norm()
+
+    @pytest.mark.parametrize("n, level", [(1, 10), (2, 6)])
+    def test_synthesize_leaves_its_input_alone(self, n, level):
+        # an m = 1 level array moved to (1, M, ..., M) is C-contiguous already
+        flt_n = build_filters(cube_box(n), level)
+        window = CubeWindow(n, flt_n.j_min, flt_n.j_max, flt_n.box)
+        rng = np.random.default_rng(8)
+        for t in (analyze(random_band_limited(flt_n, 1, rng), flt_n, window),
+                  CoefficientField.random(window, 1, rng),
+                  CoefficientField.atom(window, 1, DyadicCube(flt_n.j_min + 1, (0,) * n), [1.0])):
+            before = {j: v.copy() for j, v in t.values.items()}
+            first = synthesize(t, flt_n).coeffs
+            assert all(np.array_equal(t.values[j], before[j]) for j in before)
+            for v in t.values.values():
+                v.flags.writeable = False
+            assert np.array_equal(synthesize(t, flt_n).coeffs, first)
 
     def test_band_invariant_respected(self, flt):
         rng = np.random.default_rng(6)
@@ -507,13 +524,32 @@ class TestConvolutionSlot:
         _level_conv_fields(f, flt, window)
         ref = flt._conv_slot[0]
         assert ref() is f.coeffs
+        field = weakref.ref(flt._conv_slot[2][4])
         del f
         gc.collect()
-        assert ref() is None
+        assert ref() is None and field() is None
+        assert flt._conv_slot == (None, None, None)
         g = random_band_limited(flt, 1, rng)
         before = len(conv_calls)
         _level_conv_fields(g, flt, window)
         assert len(conv_calls) == before + 5
+
+
+    def test_old_fields_die_before_new_ones_are_computed(self, flt, monkeypatch):
+        window = CubeWindow(1, 4, 8, flt.box)
+        rng = np.random.default_rng(27)
+        f, g = random_band_limited(flt, 1, rng), random_band_limited(flt, 1, rng)
+        old = weakref.ref(_level_conv_fields(f, flt, window)[4])
+        assert old() is not None
+        orig = transform.convolve_scale
+
+        def checked(*args, **kwargs):
+            assert old() is None
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(transform, "convolve_scale", checked)
+        _level_conv_fields(g, flt, window)
+        assert f.coeffs is not None  # f stays alive throughout
 
 
 def test_one_convolution_pass_per_2d_draw(conv_calls, monkeypatch):
