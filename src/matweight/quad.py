@@ -10,17 +10,16 @@ are an untrusted tail that must be negligible before a result converges. In
 within a quarter of the distance to the next singular point (or to 1) and
 that cell gets a Gauss-Jacobi rule for |x - s|^e, which leaves no tail.
 Rounds refine the rule until the relative change drops below the tolerance.
-Many boxes refine together: each box is laid out (its pieces and singular
-corners) once per batch, and each round derives its cells from that layout
-and evaluates the integrand on the nodes of every box still refining,
-CHUNK_NODES nodes at a time.
+Many boxes refine together: one array pass per batch lays out every box with
+a singular point on it (its pieces and singular corners), and each round
+derives its cells from that layout, evaluates the integrand on the nodes of
+every box still refining, CHUNK_NODES nodes at a time, and sums each chunk in
+one reduction per 32 integrand columns.
 """
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -93,25 +92,30 @@ def _gauss_legendre(order, n):
     return mesh(*[t] * n), mesh(*[w / w.sum()] * n).prod(axis=1)
 
 
-def _layout(b, lo, hi, points, owner, pieces, corners):
-    """Append box b's round-independent layout to the flat buffers. The
-    singular points on it ({index: point}) split [lo, hi] (float lists) into
-    pieces: owner gets b per piece, and pieces its lower and upper corner. A
-    piece's corners at the points become rows (piece, point, direction per
-    axis) of corners; the first point found at a corner stands for it."""
-    pads = [1e-12 * (y - x) for x, y in zip(lo, hi)]
-    axes = [[x, *sorted({s[i] for s in points.values() if x + d < s[i] < y - d}), y]
-            for i, (x, y, d) in enumerate(zip(lo, hi, pads))]
-    for piece in product(*[list(zip(c[:-1], c[1:])) for c in axes]):
-        found = {}
-        for j, s in points.items():
-            sign = tuple(1 if abs(u - x) <= d else -1 if abs(u - y) <= d else 0
-                         for u, (x, y), d in zip(s, piece, pads))
-            if 0 not in sign:
-                found.setdefault(sign, j)
-        corners.extend([v for sign, j in found.items() for v in (len(owner), j, *sign)])
-        owner.append(b)
-        pieces.extend([*[x for x, _ in piece], *[y for _, y in piece]])
+def _layouts(lo, hi, pad, P, on):
+    """The round-independent layout of every box (corners lo, hi) with a point
+    of P on it (on[b]): each axis splits at the box's distinct point coordinates
+    inside it (pad from its ends); per piece, in itertools.product order, owner
+    gets b, pieces its lower and upper corner, and corners a row (piece, point,
+    direction per axis) per corner at a point, from the first point there."""
+    sb = np.flatnonzero(on.any(axis=1))
+    lo, hi, pad, on = lo[sb], hi[sb], pad[sb], on[sb]
+    inner = on[:, :, None] & (lo[:, None] + pad[:, None] < P) & (P < hi[:, None] - pad[:, None])
+    cut = np.sort(np.where(inner, P, np.inf), axis=1)  # (boxes, points, axes)
+    cut[:, 1:][cut[:, 1:] == cut[:, :-1]] = np.inf
+    axes = np.sort(np.concatenate([lo[:, None], hi[:, None], cut], axis=1), axis=1)
+    radix = np.isfinite(cut).sum(axis=1) + 1  # pieces per axis
+    # the mixed-radix digits of each piece's rank in its box, the last axis fastest
+    box = np.repeat(np.arange(len(sb)), radix.prod(axis=1))
+    stride = np.cumprod(radix[:, ::-1], axis=1)[:, ::-1] // radix
+    digit = (np.arange(len(box)) - np.searchsorted(box, box))[:, None] // stride[box] % radix[box]
+    corner = axes[box[:, None, None], digit[:, None] + np.arange(2)[:, None], np.arange(P.shape[1])]
+    near = np.abs(P - corner[:, :, None]) <= pad[box][:, None, None]  # (pieces, 2, points, axes)
+    sign = np.where(near[:, 0], 1, np.where(near[:, 1], -1, 0))
+    hit = np.nonzero(on[box] & np.all(sign != 0, axis=2))  # (pieces, points), row-major
+    rows = np.column_stack([*hit, sign[hit]])
+    first = np.unique(np.delete(rows, 1, axis=1), axis=0, return_index=True)[1]
+    return sb[box], corner.reshape(len(box), 2 * P.shape[1]), rows[np.sort(first)]
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +181,7 @@ def _build(pb, rows, piece, sign, Ls, es, depth, order):
 
 
 def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents=None):
-    """Nodes, weights and tail node count of the hp rule on a box (see _layout
+    """Nodes, weights and tail node count of the hp rule on a box (see _layouts
     and _build); exponents (parallel to singular_points) are the integrand's
     local exponents. The one-box case of _box_chunks."""
     chunks = _box_chunks(box_corners(box), singular_points,
@@ -196,8 +200,8 @@ def _refine_loop(chunks, fn, spec, name, count=1):
     change drops below rel_tol with a negligible tail. chunks(bd, gd, order,
     idx) yields (positions in idx, nodes, weights, node counts, tail counts)
     for the regions idx, whole regions of at most CHUNK_NODES nodes per piece
-    (a single region may exceed it); fn sees one piece at a time. Returns
-    the integrals over the regions as one batch QuadResult."""
+    (a single region may exceed it); fn sees one piece at a time, and one
+    reduction per 32 of its columns sums it. Returns a batch QuadResult."""
     active = np.arange(count)
     rounds, nodes = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
@@ -224,12 +228,15 @@ def _refine_loop(chunks, fn, spec, name, count=1):
                 shape, hist = vals.shape[1:], np.zeros((3, count, V.shape[1]), dtype=V.dtype)
             if new is None:
                 new = np.zeros((active.size, V.shape[1]), dtype=hist.dtype)
-            for k, end, size, t in zip(pos, np.cumsum(sizes), sizes, tails):
-                # the contribution of the innermost singular cells is untrusted,
-                # so it must be negligible before a region converges
-                new[k] = np.dot(v[end - size:end][None], V[end - size:end])[0]
-                if t:
-                    tail[k] = np.sum(np.abs(np.dot(v[end - t:end][None], V[end - t:end])))
+            # numpy sums an unpadded segment as in a one-box batch; the innermost
+            # singular cells' share is untrusted and must be negligible to converge
+            ends, t = np.cumsum(sizes), tails > 0
+            cuts = np.stack([ends[t] - tails[t], ends[t]], axis=1).ravel()
+            cuts = cuts[cuts < len(v)]
+            for c in range(0, V.shape[1], 32):  # 32 columns at a time bound the weighted copy
+                vV = v[:, None] * V[:, c:c + 32]
+                new[pos, c:c + 32] = np.add.reduceat(vV, ends - sizes, axis=0)
+                tail[pos[t]] += np.abs(np.add.reduceat(vV, cuts, axis=0)[::2]).sum(axis=1)
             nodes[active[pos]] = sizes
             del X, v, vals, V  # free this chunk before the next one is built
         if new is None:
@@ -262,12 +269,11 @@ def _box_chunks(boxes, singular_points, exponents):
     """The chunks of _refine_loop over boxes ((B, 2, n) lower and upper
     corners) with local exponents at the singular points (B, S; None or NaN:
     unknown). Boxes with no singular point on them take their nodes from one
-    broadcast of the uniform rule. The others are laid out once, into flat
-    arrays; each round derives their cells from the layouts and builds them
-    together, at most CHUNK_NODES nodes at a time unless one box alone
+    broadcast of the uniform rule. The others are laid out together, once
+    (_layouts); each round derives their cells from that layout and builds
+    them together, at most CHUNK_NODES nodes at a time unless one box alone
     exceeds it."""
-    lo, hi = boxes[:, 0], boxes[:, 1]
-    n = lo.shape[1]
+    lo, hi, n = boxes[:, 0], boxes[:, 1], boxes.shape[2]
     pts = [_as_point(s, n) for s in singular_points]
     P, pad = np.reshape(pts, (-1, n)), 1e-12 * (hi - lo)
     on = np.all((lo[:, None] - pad[:, None] <= P) & (P <= hi[:, None] + pad[:, None]), axis=2)
@@ -275,12 +281,7 @@ def _box_chunks(boxes, singular_points, exponents):
     exps = (np.full(on.shape, np.nan) if exponents is None or n > 1
             else np.asarray(exponents, dtype=float))
     floor = 1e-12 * np.maximum(1.0, np.abs(boxes).max(axis=(1, 2)))  # cells resolve above it
-    owner, pieces, corners = array("i"), array("d"), array("i")
-    for b in np.flatnonzero(on.any(axis=1)).tolist():
-        _layout(b, lo[b].tolist(), hi[b].tolist(),
-                {j: pts[j] for j in np.flatnonzero(on[b]).tolist()}, owner, pieces, corners)
-    owner, pieces, corners = np.array(owner), np.array(pieces), np.array(corners)
-    pieces, corners = pieces.reshape(-1, 2 * n), corners.reshape(-1, n + 2)
+    owner, pieces, corners = _layouts(lo, hi, pad, P, on)
 
     def chunks(bd, gd, order, idx):
         singular, size = on[idx].any(axis=1), (2 ** bd * order) ** n
@@ -301,11 +302,10 @@ def _box_chunks(boxes, singular_points, exponents):
         (cp, pt), box = corners[ci, :2].T, owner[corners[ci, 0]]
         e, W = exps[box, pt], (pieces[cp, n:] - pieces[cp, :n]) / 2 ** depth
         # halvings down to the floor, or given the exponent, to a quarter of the reach
-        L = np.array([0 if w < f else int(math.log2(w / f)) + 1
-                      for w, f in zip(W.max(axis=1), floor[box])], dtype=int)
-        jac, cap = ~np.isnan(e), np.full(len(ci), gd)
-        cap[jac] = [max(math.ceil(math.log2(x)), 0) for x in 4.0 * W[jac, 0] / reach[pt[jac]]]
-        L = np.minimum(L, cap)
+        L = np.floor(np.log2(np.maximum(W.max(axis=1) / floor[box], 0.5))) + 1
+        jac = ~np.isnan(e)
+        cap = np.where(jac, np.ceil(np.log2(np.maximum(4.0 * W[:, 0] / reach[pt], 1.0))), gd)
+        L = np.minimum(L, cap).astype(int)
         sizes = np.bincount(box, (L * (2 ** n - 1) - 1) * q + np.where(jac, order, q), len(boxes))
         sizes = (np.bincount(owner, minlength=len(boxes)) * 2 ** (depth * n) * q
                  + sizes.astype(int))[sel]

@@ -12,6 +12,7 @@ optimality conditions; the away steps continue only if no candidate passes.
 Every constructed operator carries an empirical equivalence bracket.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,7 +291,8 @@ def mvee_centered(points):
 
     If no candidate passes by t = 1e10 N, the step loop of phase 1 goes on
     from its weights for up to _MVEE_MAX_ITER steps. Returns H = X^(-1) / d;
-    raises FitError if the violation is then above _MVEE_FAIL.
+    raises FitError if the violation is then above _MVEE_FAIL, and warns if
+    it is above _MVEE_TOL.
     """
     P = np.asarray(points)
     N, d = P.shape
@@ -300,6 +302,8 @@ def mvee_centered(points):
         u, viol = _away_steps(P, u0, _MVEE_MAX_ITER)
         if viol > _MVEE_FAIL:
             raise FitError(f"ellipsoid fit stalled at violation {viol:.2e}")
+        if viol >= _MVEE_TOL:
+            warnings.warn(f"ellipsoid fit ended at violation {viol:.2e}, above {_MVEE_TOL:.0e}")
     return _scores(P, u)[0] / d
 
 

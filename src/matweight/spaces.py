@@ -89,6 +89,11 @@ class CoefficientField:
                                 {j: v.copy() for j, v in self.values.items()})
 
     def __add__(self, other):
+        if other.m != self.m:
+            raise CoverageError(f"cannot add an m = {other.m} field to an m = {self.m} one")
+        a, b = self.window, other.window
+        if (a.j_min, a.j_max, a.box) != (b.j_min, b.j_max, b.box):
+            raise CoverageError("cannot add fields on different cube windows")
         out = self.copy()
         for j in out.values:
             out.values[j] = out.values[j] + other.values[j]

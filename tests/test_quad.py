@@ -293,17 +293,47 @@ def test_non_integrable_box_in_a_batch_raises_before_quadrature(monkeypatch):
         cube_averages(W, boxes, 1.0, 1.0, lambda mats: mats[:, 0, 0].real)
 
 
+def _spy_layouts(monkeypatch):
+    """The list each quad._layouts call appends its (owner, pieces, corners) to."""
+    laid, layouts = [], quad._layouts
+    monkeypatch.setattr(quad, "_layouts", lambda *args: laid.append(layouts(*args)) or laid[-1])
+    return laid
+
+
 @pytest.mark.parametrize("n", [1, 2])
-def test_each_singular_box_is_laid_out_once_per_batch(monkeypatch, n):
+def test_singular_boxes_are_laid_out_once_per_batch(monkeypatch, n):
     # boxes at, around and away from the singular points, three rounds each
-    laid, layout = [], quad._layout
-    monkeypatch.setattr(quad, "_layout", lambda b, *args: laid.append(b) or layout(b, *args))
+    laid = _spy_layouts(monkeypatch)
     boxes = [[np.full(n, a), np.full(n, a + s)] for a in (-1.0, 0.0, 0.5, 2.0) for s in (0.5, 2.0)]
     res = average_boxes(lambda X: np.abs(X[:, 0]) ** -0.5, boxes,
                         QuadSpec(rel_tol=1e-12, max_rounds=3), SINGULAR[n])
     singular = [k for k, (lo, hi) in enumerate(boxes)
                 if any(np.all((lo <= s) & (s <= hi)) for s in np.array(SINGULAR[n]))]
-    assert res.rounds[singular].min() == 3 and sorted(laid) == singular
+    (owner, _, _), = laid
+    assert res.rounds[singular].min() == 3 and np.unique(owner).tolist() == singular
+
+
+@pytest.mark.parametrize("boxes, points, owner, pieces, corners", [
+    # a point inside, the same point again, one at a corner of two boxes, one off them
+    ([[[3.0], [4.0]], [[0.0], [1.0]], [[-1.0], [0.0]]], [(0.5,), (0.0,), (0.5,), (2.0,)],
+     [1, 1, 2], [[0.0, 0.5], [0.5, 1.0], [-1.0, 0.0]],
+     [[0, 0, -1], [0, 1, 1], [1, 0, 1], [2, 1, -1]]),
+    # points at a corner, on a face and inside, the last two sharing x, the last
+    # one listed twice, one off the box; pieces split x at 0.5 and y at 0.25
+    ([[[0.0, 0.0], [1.0, 1.0]]], [(0.0, 0.0), (0.5, 0.0), (0.5, 0.25), (0.5, 0.25), (2.0, 2.0)],
+     [0, 0, 0, 0],
+     [[0.0, 0.0, 0.5, 0.25], [0.0, 0.25, 0.5, 1.0], [0.5, 0.0, 1.0, 0.25], [0.5, 0.25, 1.0, 1.0]],
+     [[0, 0, 1, 1], [0, 1, -1, 1], [0, 2, -1, -1], [1, 2, -1, 1], [2, 1, 1, 1], [2, 2, 1, -1],
+      [3, 2, 1, 1]]),
+])
+def test_layout_of_hand_written_boxes(monkeypatch, boxes, points, owner, pieces, corners):
+    # corner rows are (piece, point, direction per axis), one per piece corner at
+    # a point, from the first point listed there
+    laid = _spy_layouts(monkeypatch)
+    quad._box_chunks(np.array(boxes), points, None)
+    (got_owner, got_pieces, got_corners), = laid
+    assert got_owner.tolist() == owner and got_pieces.tolist() == pieces
+    assert got_corners.tolist() == corners
 
 
 @pytest.mark.parametrize("n, chunk", [(1, 2 ** 15), (1, 100), (2, 100)])

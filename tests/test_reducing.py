@@ -12,7 +12,7 @@ from matweight.reducing import (CubeNorm, build_family, dual_reduce,
                                 mvee_centered, reduce_operator, unit_directions,
                                 verify_reducing)
 from matweight.weights import (ConjugatedBlockWeight, ConstantWeight,
-                               GridSampledWeight, PowerLogWeight, ap_constant,
+                               GridSampledWeight, MatrixWeight, PowerLogWeight, ap_constant,
                                cube_average, cube_average_matrix_norm,
                                identity_weight)
 
@@ -50,6 +50,23 @@ def cloud(m, N, real, shape, seed):
     z = draw(1)
     z *= (1.0 - 1e-5) / np.sqrt(scores(z, mvee_centered(P)))[:, None]
     return np.concatenate([P, z])
+
+
+class UnitarilyConjugated(MatrixWeight):
+    """U W(x) U* for a constant unitary U."""
+
+    def __init__(self, weight, U):
+        self.weight, self.U = weight, U
+        self.n, self.m, self.singular_points = weight.n, weight.m, weight.singular_points
+
+    def power_at(self, X, alpha):
+        return self.U @ self.weight.power_at(X, alpha) @ self.U.conj().T
+
+    def norm_exponent(self, point, alpha):
+        return self.weight.norm_exponent(point, alpha)
+
+    def local_power(self, point, alpha):
+        return self.weight.local_power(point, alpha)
 
 
 class TestCubeNorm:
@@ -128,6 +145,16 @@ class TestMvee:
         for P, H in fits:
             assert scores(P, H).max() - 1.0 <= 1e-8
 
+    def test_fallback_short_of_tolerance_warns(self, monkeypatch):
+        # no Newton finish and two fallback steps leave 16 points within 1e-3
+        # of the unit circle at a violation between _MVEE_TOL and _MVEE_FAIL
+        monkeypatch.setattr(reducing, "_newton_finish", lambda P, u: None)
+        monkeypatch.setattr(reducing, "_MVEE_MAX_ITER", 2)
+        th = 2.0 * np.pi * np.arange(16) / 16
+        radius = 1.0 + 1e-3 * np.random.default_rng(0).uniform(-1.0, 1.0, (16, 1))
+        with pytest.warns(UserWarning, match="ellipsoid fit ended at violation 3.52e-03"):
+            mvee_centered(np.stack([np.cos(th), np.sin(th)], axis=1) * radius)
+
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(mN=st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), st.integers(m + 1, 80))),
            real=st.booleans(), shape=st.sampled_from(["scattered", "ellipsoid", "near"]),
@@ -183,6 +210,17 @@ class TestReduce:
             A1 = reduce_operator(ConstantWeight(1, 3.0 * np.eye(2)), p, Q, K=64)
             A2 = reduce_operator(ConstantWeight(1, 6.0 * np.eye(2)), p, Q, K=64)
             assert np.allclose(A2, 2.0 ** (1.0 / p) * A1, rtol=1e-6)
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(j=st.integers(0, 4), k=st.integers(-2, 1), seed=st.integers(0, 2 ** 16))
+    def test_unitary_equivariance(self, j, k, seed):
+        # A_Q(U W U*) = U A_Q(W) U* on cubes at, next to and away from the singular point
+        Z = np.random.default_rng(seed).standard_normal((2, 2, 2))
+        U = np.linalg.qr(Z[0] + 1j * Z[1])[0]
+        W, Q = conjugated_block(), DyadicCube(j, (k,))
+        A = reduce_operator(UnitarilyConjugated(W, U), 2.0, Q, method="exact_p2")
+        ref = U @ reduce_operator(W, 2.0, Q, method="exact_p2") @ U.conj().T
+        assert linalg.op_norm(A - ref) <= 1e-10 * linalg.op_norm(ref)
 
     def test_power_weight_scale_law(self):
         # |A_Q z|^p tracks (|c_Q| + l(Q))^(-d) |z|^p on cubes abutting zero

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from matweight.geometry import CubeWindow, DyadicCube
+from matweight.errors import CoverageError
+from matweight.geometry import Box, CubeWindow, DyadicCube
 from matweight.reducing import build_family, identity_family
 from matweight.spaces import (CoefficientField, SpaceParams, classify,
                               cube_scalar_sequence, finfty_norm, identity_checks,
@@ -163,6 +164,23 @@ class TestNormAxioms:
                 rhs = (seq_norm(t, params, fam).value ** kappa
                        + seq_norm(u, params, fam).value ** kappa)
                 assert lhs <= rhs * (1 + 1e-9)
+
+    def test_adding_another_dimension_is_rejected(self):
+        rng = np.random.default_rng(12)
+        t, u = CoefficientField.random(WIN, 1, rng), CoefficientField.random(WIN, 2, rng)
+        for a, b in ((t, u), (u, t)):
+            with pytest.raises(CoverageError):
+                a + b
+
+    def test_adding_another_window_is_rejected(self):
+        rng = np.random.default_rng(13)
+        t = CoefficientField.random(WIN, 2, rng)
+        shifted = CubeWindow(1, 1, 6, Box((1.0,), (2.0,)))  # same cube counts as WIN
+        for other in (CubeWindow(1, 2, 6), CubeWindow(1, 1, 7), shifted):
+            u = CoefficientField.random(other, 2, rng)
+            for a, b in ((t, u), (u, t)):
+                with pytest.raises(CoverageError):
+                    a + b
 
     def test_window_monotonicity(self):
         rng = np.random.default_rng(10)
