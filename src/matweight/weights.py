@@ -7,7 +7,7 @@ cube averages pre-check integrability before any quadrature runs.
 
 ap_pairs is the one two-cube A_p quantity, over a batch of box pairs:
 [W]_Ap (ap_constant) and the growth sequence a_i (apdim.a_sequence) are its
-suprema over cube pairs.
+suprema over cube pairs; a matrix weight takes one product block per x-box.
 """
 
 from dataclasses import dataclass, replace
@@ -16,13 +16,14 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    CoverageError,
     IntegrabilityError,
     InvalidExponentError,
     InvalidVariantError,
     SingularityError,
 )
 from .geometry import Box, DyadicCube, box_corners, cell_index, dilated_boxes
-from .quad import QuadSpec, _as_point, _box_chunks, average_ball, average_boxes
+from .quad import CHUNK_NODES, QuadSpec, _as_point, _box_chunks, average_ball, average_boxes
 
 
 class MatrixWeight:
@@ -413,21 +414,7 @@ def sup_nodes(weight, boxes, qspec):
     return out
 
 
-def _ap_kernel(p, FX, wx, FY, wy, star=False):
-    """The A_p quantity over node sets X, Y with probability weights wx, wy,
-    given the (N, m, m) matrix powers FX = W^(1/p)(X) and FY = W^(-1/p)(Y).
-
-    F(x, y) = ||W^(1/p)(x) W^(-1/p)(y)||^s with s = p for p <= 1 (sup over y
-    of the x-average; the star variant averages the x-wise sup instead) and
-    s = p' otherwise (x-average of the y-average to the power p/p').
-    """
-    s = p if p <= 1.0 else p / (p - 1.0)
-    F = linalg.op_norm(np.einsum("xij,yjk->xyik", FX, FY)) ** s
-    if p > 1.0:
-        return float(wx @ (F @ wy) ** (p / s))
-    if star:
-        return float(wx @ np.max(F, axis=1))
-    return float(np.max(wx @ F))
+_BLOCK_PAIRS = 4 * CHUNK_NODES  # node pairs per product block: 1 MB of complex 2 x 2 products
 
 
 def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
@@ -437,13 +424,18 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
     W^(-1/p)(y)||, it is avg_x (avg_y F^p')^(p/p') for p > 1 and ess sup_y
     avg_x F^p for p <= 1 (star: avg_x ess sup_y F^p).
 
-    Each side's distinct boxes are computed once. A scalar weight w I
-    factorises: avg_x w (avg_y w^(-1/(p-1)))^(p-1) for p > 1, from one batch
-    of cube averages at qspec per exponent, and avg_x w / min_y w for p <= 1,
-    where star changes nothing. Matrix weights evaluate W^(1/p) and W^(-1/p)
-    once per distinct box on its sup_nodes and run the pairwise kernel on
-    each pair's factors. Essential suprema are extrema over sup_nodes.
+    Each side's distinct boxes are computed once, and essential suprema are
+    extrema over sup_nodes. A scalar weight w I factorises: avg_x w (avg_y
+    w^(-1/(p-1)))^(p-1) for p > 1, from one batch of cube averages at qspec
+    per exponent, and avg_x w / min_y w for p <= 1, where star changes
+    nothing. A matrix weight is evaluated once per side; each x-box takes
+    one op_norm of one product block with its partner y-boxes (split past
+    _BLOCK_PAIRS node pairs), each pair one y-reduceat and one x row sum.
     """
+    if len(boxes_x) != len(boxes_y):
+        raise CoverageError(f"{len(boxes_x)} x-boxes against {len(boxes_y)} y-boxes")
+    if not len(boxes_x):
+        return np.zeros(0)
     (ux, ix), (uy, iy) = _distinct(boxes_x), _distinct(boxes_y)
     if weight.is_scalar():
         def avg(boxes, alpha):
@@ -457,13 +449,36 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
     _precheck_integrability(weight, ux, 1.0 / p, p)
     if p > 1.0:
         _precheck_integrability(weight, uy, -1.0 / p, p / (p - 1.0))
-    FX, FY = ([(weight.power_at(X, alpha), v) for X, v in sup_nodes(weight, u, qspec)]
-              for u, alpha in ((ux, 1.0 / p), (uy, -1.0 / p)))
-    return np.array([_ap_kernel(p, *FX[i], *FY[j], star) for i, j in zip(ix, iy)])
+
+    def factors(boxes, alpha):  # (m, m, N) powers, node weights, first nodes, node counts
+        nodes = sup_nodes(weight, boxes, qspec)
+        sizes, (X, v) = np.array([len(Xb) for Xb, _ in nodes]), map(np.concatenate, zip(*nodes))
+        return weight.power_at(X, alpha).transpose(1, 2, 0), v, np.cumsum(sizes) - sizes, sizes
+
+    (FX, wx, ox, nx), (FY, wy, oy, ny) = factors(ux, 1.0 / p), factors(uy, -1.0 / p)
+    pairs, inv = _distinct(np.stack([iy, ix], axis=1))  # sorted by x-box: the last column
+    py, px = pairs.T
+    cols = np.r_[0, np.cumsum(ny[py])]  # each pair's first column, and the end
+    at = np.repeat(oy[py] - cols[:-1], ny[py]) + np.arange(cols[-1])  # y-node of each column
+    # node pairs ahead of each pair in its x-box's block, counted in budgets
+    key = nx[px] * (cols[:-1] - cols[np.searchsorted(px, px)]) // _BLOCK_PAIRS
+    cuts = np.flatnonzero(np.r_[True, (px[1:] != px[:-1]) | (key[1:] != key[:-1]), True])
+    s, m, out = (p if p <= 1.0 else p / (p - 1.0)), weight.m, np.empty(len(pairs))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        xs, ys = slice(ox[px[a]], ox[px[a]] + nx[px[a]]), at[cols[a]:cols[b]]
+        A, B, w, seg = FX[..., xs], FY[..., ys], wx[xs], cols[a:b] - cols[a]
+        # m^3 broadcast multiply-adds, y by x: each x-average is a C-contiguous row sum
+        M = np.stack([[sum(A[r, j] * B[j, c, :, None] for j in range(m)) for c in range(m)]
+                      for r in range(m)])
+        F = linalg.op_norm(np.moveaxis(M, (0, 1), (-2, -1))) ** s
+        out[a:b] = ((np.add.reduceat(F * wy[ys, None], seg) ** (p / s) * w).sum(axis=1)
+                    if p > 1.0 else (np.maximum.reduceat(F, seg) * w).sum(axis=1) if star
+                    else np.maximum.reduceat((F * w).sum(axis=1), seg))
+    return out[inv]
 
 
 def _distinct(boxes):
-    """The distinct boxes of a (K, 2, n) array and each box's index among them."""
+    """Distinct rows of a (K, ...) array, sorted on the last column first, and each row's index."""
     keys = boxes.reshape(len(boxes), -1)
     at = np.lexsort(keys.T)
     first = np.r_[True, np.any(keys[at[1:]] != keys[at[:-1]], axis=1)]

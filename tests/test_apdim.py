@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matweight import linalg
+from matweight import linalg, weights
 from matweight.apdim import (ApDimConfig, ApDimensions, _filter_base_cubes, a_sequence,
                              a_sequence_via_reducing, abutting_cubes,
                              admissible_m, default_base_cubes, doubling_exponent,
                              estimate_dimensions, fit_growth,
                              growth_envelope_check, reverse_holder_probe,
                              swapped_slope, tail_slope)
-from matweight.errors import IntegrabilityError, OutOfDomainError
-from matweight.geometry import CubeWindow, DyadicCube, box_corners, dilate
+from matweight.errors import CoverageError, IntegrabilityError, OutOfDomainError
+from matweight.geometry import Box, CubeWindow, DyadicCube, box_corners, dilate, dilated_boxes
 from matweight.quad import QuadSpec
 from matweight.reducing import CubeNorm, build_family, identity_family, unit_directions
-from matweight.weights import (ConjugatedBlockWeight, PowerLogWeight, _ap_kernel,
-                               cube_average, dual_weight, identity_weight, sup_nodes,
-                               two_singularity)
+from matweight.weights import (ConjugatedBlockWeight, ConstantWeight, GridSampledWeight,
+                               PowerLogWeight, cube_average, dual_weight, identity_weight,
+                               sup_nodes, two_singularity)
 
 SMALL = ApDimConfig(i_max=4, domain_half=32.0, window_levels=(-1, 0),
                     abut_levels=(-1, 8))
@@ -261,6 +263,21 @@ def test_growth_fit_after_imax_shrinks_below_fit_skip(route):
         route(PowerLogWeight(1, 1, -0.5), 2.0, config=cfg)
 
 
+def _reference_pair(p, FX, wx, FY, wy, star=False):
+    """The two-cube A_p quantity of one pair by its definition, given the
+    (N, m, m) factors FX = W^(1/p)(X) and FY = W^(-1/p)(Y) on node sets with
+    probability weights wx, wy: F = ||FX(x) FY(y)||^s with s = p for p <= 1
+    (sup over y of the x-average; star averages the x-wise sup instead) and
+    s = p' otherwise (x-average of the y-average to the power p/p')."""
+    s = p if p <= 1.0 else p / (p - 1.0)
+    F = linalg.op_norm(np.einsum("xij,yjk->xyik", FX, FY)) ** s
+    if p > 1.0:
+        return float(wx @ (F @ wy) ** (p / s))
+    if star:
+        return float(wx @ np.max(F, axis=1))
+    return float(np.max(wx @ F))
+
+
 def _reference_a_sequence(weight, p, config, swapped):
     """a_i by the definition, pair by pair: max over the base cubes Q of the
     two-cube quantity on (Q, 2^i Q), each term its own one-box average (or,
@@ -285,7 +302,7 @@ def _reference_a_sequence(weight, p, config, swapped):
             if weight.is_scalar():
                 q = avg(x, 1.0) * avg(y, -1.0 / (p - 1.0)) ** (p - 1.0)
             else:
-                q = _ap_kernel(p, *factor(x, 1.0 / p), *factor(y, -1.0 / p))
+                q = _reference_pair(p, *factor(x, 1.0 / p), *factor(y, -1.0 / p))
             vals[i] = max(vals[i], q)
     return vals
 
@@ -307,3 +324,94 @@ def test_a_sequence_is_the_max_over_its_pairs(weight, config, swapped):
     vals, _, _ = a_sequence(weight, 2.0, config=config, swapped=swapped)
     ref = _reference_a_sequence(weight, 2.0, config, swapped)
     assert np.allclose(vals, ref, rtol=1e-14, atol=0.0)
+
+
+KERNEL_QSPEC = QuadSpec(base_depth=3, grade_depth=24)
+KERNEL_BOXES = dilated_boxes(CubeWindow(1, 1, 2).cubes(), [1.0, 2.0, 4.0]).reshape(-1, 2, 1)
+
+
+def _conjugated():
+    return ConjugatedBlockWeight(PowerLogWeight(1, 1, -0.4), PowerLogWeight(1, 1, 0.3))
+
+
+def _kernel_pairs():
+    """Four x-boxes, each with four partner y-boxes, one pair listed twice."""
+    ix, iy = np.repeat(np.arange(0, 12, 3), 4), np.arange(16) + 2
+    ix, iy = np.r_[ix, ix[:1]], np.r_[iy, iy[:1]]
+    return KERNEL_BOXES[ix], KERNEL_BOXES[iy]
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A complex, non-commuting grid-sampled weight with m in {2, 3} or a
+    constant m = 3 weight; p on the grid of step 1/8 in [1/2, 3], both
+    variants at p <= 1; and pairs of boxes with repeats on either side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    m = draw(st.sampled_from((2, 3, 0)))
+    if m:
+        samples = np.stack([linalg.random_psd(rng, m, cond_max=30.0) for _ in range(6)])
+        weight = GridSampledWeight(Box((-3.0,), (3.0,)), samples)
+    else:
+        weight = ConstantWeight(1, linalg.random_psd(rng, 3, cond_max=20.0))
+    p = draw(st.sampled_from(np.arange(4, 25) / 8))
+    index = st.integers(0, len(KERNEL_BOXES) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=16))
+    ix, iy = np.array(pairs).T
+    return weight, p, p <= 1.0 and draw(st.booleans()), KERNEL_BOXES[ix], KERNEL_BOXES[iy]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(case=_kernel_cases())
+def test_matrix_kernel_matches_the_pairwise_definition(case):
+    weight, p, star, bx, by = case
+
+    def factor(box, alpha):
+        (X, v), = sup_nodes(weight, box[None], KERNEL_QSPEC)
+        return weight.power_at(X, alpha), v
+
+    values = weights.ap_pairs(weight, p, bx, by, KERNEL_QSPEC, star=star)
+    ref = [_reference_pair(p, *factor(x, 1.0 / p), *factor(y, -1.0 / p), star)
+           for x, y in zip(bx, by)]
+    np.testing.assert_allclose(values, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p, star", [(0.5, False), (0.5, True), (2.0, False)])
+def test_split_product_blocks_equal_the_unsplit_ones(monkeypatch, p, star):
+    bx, by = _kernel_pairs()
+    whole = weights.ap_pairs(_conjugated(), p, bx, by, KERNEL_QSPEC, star=star)
+    for budget in (1, 700):
+        monkeypatch.setattr(weights, "_BLOCK_PAIRS", budget)
+        split = weights.ap_pairs(_conjugated(), p, bx, by, KERNEL_QSPEC, star=star)
+        assert np.array_equal(split, whole)
+
+
+def test_one_op_norm_per_product_block(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape[:-2])
+        return op_norm(a)
+
+    op_norm = linalg.op_norm
+    monkeypatch.setattr(linalg, "op_norm", counted)
+    bx, by = _kernel_pairs()
+    weights.ap_pairs(_conjugated(), 2.0, bx, by, KERNEL_QSPEC)
+    assert len(calls) == 4 < len(bx)  # one block per distinct x-box
+    monkeypatch.setattr(weights, "_BLOCK_PAIRS", 1)
+    calls.clear()
+    weights.ap_pairs(_conjugated(), 2.0, bx, by, KERNEL_QSPEC)
+    assert len(calls) == 16  # one block per distinct pair
+
+
+@pytest.mark.parametrize("weight", [PowerLogWeight(1, 1, -0.4), _conjugated()])
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_ap_pairs_rejects_batches_of_different_lengths(weight, p):
+    with pytest.raises(CoverageError):
+        weights.ap_pairs(weight, p, KERNEL_BOXES[:2], KERNEL_BOXES[:1], KERNEL_QSPEC)
+
+
+@pytest.mark.parametrize("weight", [PowerLogWeight(1, 1, -0.4), _conjugated()])
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_ap_pairs_of_an_empty_batch_is_empty(weight, p):
+    empty = weights.ap_pairs(weight, p, KERNEL_BOXES[:0], KERNEL_BOXES[:0], KERNEL_QSPEC)
+    assert empty.shape == (0,)

@@ -258,7 +258,7 @@ def test_batched_averages_equal_one_box_averages(batch):
     for k, box in enumerate(boxes):
         one = average_box(fn, Box(tuple(box[0]), tuple(box[1])), spec, SINGULAR[n],
                           exponents=None if exps is None else exps[k])
-        assert np.allclose(batched[k].value, one.value, rtol=1e-15, atol=0.0)
+        assert np.array_equal(batched[k].value, one.value)
         assert (batched[k].converged, batched[k].rounds) == (one.converged, one.rounds)
     for pos, X, v, sizes, tails in quad._box_chunks(boxes, SINGULAR[n], exps)(3, 20, 2,
                                                                          np.arange(len(boxes))):
