@@ -13,8 +13,9 @@ Rounds refine the rule until the relative change drops below the tolerance.
 Many boxes refine together: one array pass per batch lays out every box with
 a singular point on it (its pieces and singular corners), and each round
 derives its cells from that layout, evaluates the integrand on the nodes of
-every box still refining, CHUNK_NODES nodes at a time, and sums each chunk in
-one reduction per 32 integrand columns.
+every box still refining, a chunk at a time (at most CHUNK_NODES nodes, or
+CHUNK_VALUES for an integrand known to be scalar), and sums each chunk in one
+reduction per 32 integrand columns.
 """
 
 import math
@@ -27,6 +28,7 @@ from .errors import IntegrabilityError, ResolutionError
 from .geometry import Box, box_corners, mesh
 
 CHUNK_NODES = 2 ** 12  # integrand nodes per call: 32 KB per coordinate array
+CHUNK_VALUES = 2 ** 14  # integrand nodes per call if fn is scalar: one value per node
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,9 @@ def _build(pb, rows, piece, sign, Ls, es, depth, order):
                                     np.repeat(cb[rep], 2 ** n - 1) * 4 + 1, cb[tail] * 4 + 2]),
                     order ** n)
     jac = ~tail
-    if jac.any():
-        T, WT = (np.array(r) for r in zip(*[_gauss_jacobi(e, order) for e in es[jac]]))
+    if jac.any():  # one rule per distinct exponent
+        ue, inv = np.unique(es[jac], return_inverse=True)
+        T, WT = (np.array(r)[inv] for r in zip(*[_gauss_jacobi(e, order) for e in ue.tolist()]))
         g, h = sign[jac, 0], IW[jac, 0]
         X = np.concatenate([X, (C[jac, 0][:, None] + (g * h)[:, None] * T).reshape(-1, 1)])
         v = np.concatenate([v, (h[:, None] * WT).ravel()])
@@ -199,7 +202,7 @@ def _refine_loop(chunks, fn, spec, name, count=1):
     region still active, and each region stops on its own once its relative
     change drops below rel_tol with a negligible tail. chunks(bd, gd, order,
     idx) yields (positions in idx, nodes, weights, node counts, tail counts)
-    for the regions idx, whole regions of at most CHUNK_NODES nodes per piece
+    for the regions idx, whole regions within _box_chunks' budget per piece
     (a single region may exceed it); fn sees one piece at a time, and one
     reduction per 32 of its columns sums it. Returns a batch QuadResult."""
     active = np.arange(count)
@@ -265,14 +268,15 @@ def _refine_loop(chunks, fn, spec, name, count=1):
     return QuadResult(hist[0].reshape((count,) + shape), converged, rounds, nodes)
 
 
-def _box_chunks(boxes, singular_points, exponents):
+def _box_chunks(boxes, singular_points, exponents, scalar=False):
     """The chunks of _refine_loop over boxes ((B, 2, n) lower and upper
     corners) with local exponents at the singular points (B, S; None or NaN:
     unknown). Boxes with no singular point on them take their nodes from one
     broadcast of the uniform rule. The others are laid out together, once
     (_layouts); each round derives their cells from that layout and builds
-    them together, at most CHUNK_NODES nodes at a time unless one box alone
-    exceeds it."""
+    them together, at most CHUNK_NODES nodes at a time (CHUNK_VALUES if the
+    integrand is scalar) unless one box alone exceeds it."""
+    budget = CHUNK_VALUES if scalar else CHUNK_NODES
     lo, hi, n = boxes[:, 0], boxes[:, 1], boxes.shape[2]
     pts = [_as_point(s, n) for s in singular_points]
     P, pad = np.reshape(pts, (-1, n)), 1e-12 * (hi - lo)
@@ -285,7 +289,7 @@ def _box_chunks(boxes, singular_points, exponents):
 
     def chunks(bd, gd, order, idx):
         singular, size = on[idx].any(axis=1), (2 ** bd * order) ** n
-        plain, step = np.flatnonzero(~singular), max(1, CHUNK_NODES // size)
+        plain, step = np.flatnonzero(~singular), max(1, budget // size)
         for first in range(0, plain.size, step):
             pos = plain[first:first + step]
             b = idx[pos]
@@ -311,7 +315,7 @@ def _box_chunks(boxes, singular_points, exponents):
                  + sizes.astype(int))[sel]
         cuts, total = [0], 0
         for k, s in enumerate(sizes.tolist()):
-            if k > cuts[-1] and total + s > CHUNK_NODES:
+            if k > cuts[-1] and total + s > budget:
                 cuts.append(k)
             total = s if cuts[-1] == k else total + s
         cuts.append(len(sel))
@@ -330,14 +334,15 @@ def _box_chunks(boxes, singular_points, exponents):
 
 
 def average_boxes(fn, boxes, spec=None, singular_points=(), name="box average",
-                  exponents=None):
+                  exponents=None, scalar=False):
     """Averages of fn over boxes ((B, 2, n) lower and upper corners), refined
-    together; fn maps (N, n) points to (N, ...) values and has, on box b, the
-    local exponents exponents[b] (optional, NaN: unknown) at the singular
-    points. Returns a batch QuadResult."""
+    together; fn maps (N, n) points to (N, ...) values (one per point if
+    scalar, which allows larger chunks) and has, on box b, the local exponents
+    exponents[b] (optional, NaN: unknown) at the singular points. Returns a
+    batch QuadResult."""
     boxes = np.asarray(boxes, dtype=float)
     spec = (spec or QuadSpec()).for_dim(boxes.shape[2])
-    res = _refine_loop(_box_chunks(boxes, singular_points, exponents), fn, spec, name,
+    res = _refine_loop(_box_chunks(boxes, singular_points, exponents, scalar), fn, spec, name,
                        len(boxes))
     vol = np.prod(boxes[:, 1] - boxes[:, 0], axis=1)
     res.value = res.value / vol.reshape(vol.shape + (1,) * (res.value.ndim - 1))

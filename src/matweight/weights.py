@@ -75,8 +75,14 @@ class MatrixWeight:
         return self.power_at(X, 1.0)[0]
 
 
+def _distance(D):
+    """Row norms of an (N, n) array; for n = 1 np.linalg.norm's bit for bit where
+    1e-150 <= |x| <= 1e150 (below, its x^2 is subnormal or 0 and loses bits)."""
+    return np.abs(D[:, 0]) if D.shape[1] == 1 else np.linalg.norm(D, axis=1)
+
+
 def _power_log_profile(X, a, b):
-    r = np.linalg.norm(X, axis=1)
+    r = _distance(X)
     out = np.ones_like(r)
     if a != 0.0:
         out = r ** a
@@ -145,7 +151,7 @@ class ProductPowerWeight(MatrixWeight):
         out = np.full(X.shape[0], self.scale)
         for c, a in zip(self.centers, self.exponents):
             if a != 0.0:
-                out = out * np.linalg.norm(X - np.asarray(c), axis=1) ** a
+                out = out * _distance(X - np.asarray(c)) ** a
         return out
 
     def power_at(self, X, alpha):
@@ -367,7 +373,7 @@ def cube_averages(weight, boxes, alpha, power, reducer, qspec=None, name="cube a
                              weight.singular_points, name=name, exponents=exps)
     e = alpha * power
     res = average_boxes(lambda X: weight.scalar_profile(X) ** e, boxes, qspec,
-                        weight.singular_points, name=name, exponents=exps)
+                        weight.singular_points, name=name, exponents=exps, scalar=True)
     c = np.asarray(reducer(np.eye(weight.m)[None])[0])
     res.value = res.value.reshape(res.value.shape + (1,) * c.ndim) * c
     return res

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matweight import quad, weights
+from matweight import linalg, quad, weights
 from matweight.apdim import ApDimConfig, a_sequence
 from matweight.errors import IntegrabilityError, ResolutionError
 from matweight.geometry import Box, cube_box, dilate
 from matweight.quad import QuadSpec, average_ball, average_box, average_boxes, box_nodes
+from matweight.reducing import _cube_norms, unit_directions
 from matweight.weights import PowerLogWeight, ProductPowerWeight, cube_average, cube_averages
 
 
@@ -227,8 +228,10 @@ SINGULAR = {1: [(0.0,), (0.25,)], 2: [(0.0, 0.0), (0.25, 0.25)]}
 @st.composite
 def _batches(draw):
     """Boxes of one dimension with the singular points at corners, inside or
-    outside them, some exponents unknown, and a chunk bound small enough to
-    split a round into several integrand calls or large enough for one."""
+    outside them, some exponents unknown, chunk bounds for any integrand and
+    for a scalar one small enough to split a round into several integrand
+    calls or large enough for one, and an integrand of 1 value per node (as
+    an (N,) or (N, 1) array, and scalar) or of 3."""
     n = draw(st.sampled_from((1, 2)))
     corner = st.sampled_from((-1.0, -0.25, 0.0, 0.25, 0.5))
     sides = st.sampled_from((0.25, 0.75, 2.0))
@@ -238,23 +241,25 @@ def _batches(draw):
         boxes.append([lo, [a + draw(sides) for a in lo]])
     known = st.sampled_from(([-0.5, 0.3], [np.nan, np.nan]))
     exps = [draw(known) for _ in boxes] if n == 1 else None
-    return n, np.array(boxes), exps, draw(st.sampled_from((64, 2 ** 15))), draw(st.booleans())
+    chunk, values = (draw(st.sampled_from((64, 2 ** 15))) for _ in range(2))
+    return n, np.array(boxes), exps, chunk, values, draw(st.sampled_from((0, 1, 3)))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(batch=_batches())
 def test_batched_averages_equal_one_box_averages(batch):
-    n, boxes, exps, chunk, matrix = batch
+    n, boxes, exps, chunk, values, cols = batch
     W = ProductPowerWeight(n, 1, SINGULAR[n], (-0.5, 0.3))
 
-    def fn(X):
+    def fn(X):  # cols 0: an (N,) array
         w = W.scalar_profile(X)
-        return np.stack([w, w * X[:, 0], np.ones(len(X))], axis=1) if matrix else w
+        return np.stack([w, w * X[:, 0], np.ones(len(X))][:cols], axis=1) if cols else w
 
     spec = QuadSpec(max_rounds=3)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "CHUNK_NODES", chunk)
-        batched = average_boxes(fn, boxes, spec, SINGULAR[n], exponents=exps)
+        mp.setattr(quad, "CHUNK_VALUES", values)
+        batched = average_boxes(fn, boxes, spec, SINGULAR[n], exponents=exps, scalar=cols < 3)
     for k, box in enumerate(boxes):
         one = average_box(fn, Box(tuple(box[0]), tuple(box[1])), spec, SINGULAR[n],
                           exponents=None if exps is None else exps[k])
@@ -338,19 +343,81 @@ def test_layout_of_hand_written_boxes(monkeypatch, boxes, points, owner, pieces,
 
 @pytest.mark.parametrize("n, chunk", [(1, 2 ** 15), (1, 100), (2, 100)])
 def test_integrand_calls_stay_within_the_chunk_bound(monkeypatch, n, chunk):
-    # 2-D boxes at a singular corner need more than 100 nodes per round on
-    # their own: only such a box may reach the integrand above the bound
+    # the bound is CHUNK_NODES nodes, or CHUNK_VALUES for an integrand known
+    # to be scalar; 2-D boxes at a singular corner need more than 400 nodes
+    # per round on their own: only such a box may reach the integrand above
+    # the bound
     monkeypatch.setattr(quad, "CHUNK_NODES", chunk)
+    monkeypatch.setattr(quad, "CHUNK_VALUES", 4 * chunk)
     rng = np.random.default_rng(0)
     lo = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0], (400 if n == 1 else 40, n))
     boxes = np.stack([lo, lo + rng.choice([0.5, 1.0], (len(lo), 1))], axis=1)
-    calls = []
     W = PowerLogWeight(n, 1, -0.5)
     spec = QuadSpec().for_dim(n)
-    res = average_boxes(lambda X: calls.append(len(X)) or W.scalar_profile(X), boxes, spec,
-                        W.singular_points)
-    assert len(calls) > 1 and res.converged.all()
     one_box = {len(box_nodes(Box(tuple(b[0]), tuple(b[1])), *quad._round_params(spec, rnd),
                              W.singular_points)[1]) for b in boxes for rnd in range(3)}
-    assert all(c <= chunk or c in one_box for c in calls)
-    assert max(calls) > chunk or n == 1
+    calls = {}
+    for scalar in (False, True):
+        seen = calls[scalar] = []
+        res = average_boxes(lambda X: seen.append(len(X)) or W.scalar_profile(X), boxes, spec,
+                            W.singular_points, scalar=scalar)
+        bound = 4 * chunk if scalar else chunk
+        assert len(seen) > 1 and res.converged.all()
+        assert all(c <= bound or c in one_box for c in seen)
+        assert max(seen) > bound or n == 1
+    # in 1-D the scalar bound merges boxes into larger chunks
+    assert n > 1 or any(c > chunk and c not in one_box for c in calls[True])
+
+
+@pytest.mark.parametrize("reducer", ["cube norms", "op_norm"])
+def test_matrix_weight_cube_averages_keep_the_node_bound(reducer):
+    # the reducing cube norms' integrand is 66 values wide, an op_norm
+    # average's 1; a matrix weight's integrand is never the scalar one, so
+    # either chunks at most CHUNK_NODES nodes, though a round needs several
+    W = weights.ConjugatedBlockWeight(PowerLogWeight(1, 1, -0.4), PowerLogWeight(1, 1, 0.3))
+    seen, power_at = [], W.power_at
+    W.power_at = lambda X, alpha: seen.append(len(X)) or power_at(X, alpha)
+    boxes = np.stack([np.arange(-60.0, 60.0), np.arange(-59.0, 61.0)], axis=1)[:, :, None]
+    spec = QuadSpec(max_rounds=2)
+    if reducer == "op_norm":
+        cube_averages(W, boxes, 1 / 1.5, 1.5, lambda mats: linalg.op_norm(mats) ** 1.5, spec)
+    else:
+        _cube_norms(W, 1.5, boxes, unit_directions(2, 64), qspec=spec)
+    assert max(seen) <= quad.CHUNK_NODES < sum(seen[:2])
+
+
+def test_integrand_calls_and_gauss_jacobi_lookups_of_one_a_sequence(monkeypatch):
+    # one default scalar a-sequence: 882 301 nodes in 222 integrand calls
+    # with 4 096-node chunks, in 59 with the value budget; each _build looks
+    # up one Gauss-Jacobi rule per distinct exponent among its corners (69
+    # lookups in all, against one per corner: 6 706)
+    W = weights.two_singularity(0.4, 0.3, 2.0)
+    calls, lookups, builds, profile = [], [], [], W.scalar_profile
+    W.scalar_profile = lambda X: calls.append(len(X)) or profile(X)
+    build, gauss_jacobi, gauss_legendre, inner = (quad._build, quad._gauss_jacobi,
+                                                  quad._gauss_legendre, [])
+
+    def uncounted_legendre(*args):  # its Gauss-Jacobi lookups are not _build's own
+        inner.append(args)
+        try:
+            return gauss_legendre(*args)
+        finally:
+            inner.pop()
+
+    def counted_jacobi(*args):
+        if not inner:
+            lookups.append(args)
+        return gauss_jacobi(*args)
+
+    def counted_build(*args):
+        es, before = args[5], len(lookups)
+        out = build(*args)
+        builds.append((len(lookups) - before, np.unique(es[~np.isnan(es)]).size))
+        return out
+
+    monkeypatch.setattr(quad, "_build", counted_build)
+    monkeypatch.setattr(quad, "_gauss_legendre", uncounted_legendre)
+    monkeypatch.setattr(quad, "_gauss_jacobi", counted_jacobi)
+    a_sequence(W, 2.0)
+    assert len(calls) <= 64
+    assert builds and all(got == distinct for got, distinct in builds)

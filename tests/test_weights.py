@@ -56,6 +56,46 @@ class TestEvaluate:
             assert np.allclose(W.evaluate(x), W2.evaluate(x))
 
 
+def _norm_profiles(X, a, b, centres, exps):
+    """The PowerLogWeight and ProductPowerWeight profiles with every distance
+    from np.linalg.norm."""
+    r = np.linalg.norm(X, axis=1)
+    power_log = r ** a if a != 0.0 else np.ones_like(r)
+    if b != 0.0:
+        power_log = power_log * np.log(2.0 + r) ** b
+    product = np.ones(len(X))
+    for c, e in zip(centres, exps):
+        product = product * np.linalg.norm(X - np.asarray(c), axis=1) ** e
+    return power_log, product
+
+
+# signed magnitudes from 1e-150 to 1e150
+OFFSETS = st.builds(lambda m, k, s: s * m * 10.0 ** k, st.floats(1.0, 9.99),
+                    st.integers(-150, 149), st.sampled_from((-1.0, 1.0)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.sampled_from((1, 2)), a=st.floats(-0.9, 0.9), b=st.sampled_from((0.0, 1.5)),
+       exps=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+       centre=st.sampled_from((0.0, 0.25, -3.0)), offsets=st.lists(OFFSETS, min_size=1))
+def test_profiles_equal_the_norm_formula(n, a, b, exps, centre, offsets):
+    # in 1-D |x - c| is np.abs, bit for bit the norm's sqrt(fl(x^2)) where
+    # 1e-150 <= |x - c| <= 1e150; in 2-D it is the norm itself
+    D = np.array([offsets, offsets[::-1]]).T[:, :n]
+    centres = ((0.0,) * n, (centre,) * n)
+    X = np.asarray(centres[1]) + D
+    r = np.linalg.norm(X - np.array(centres)[:, None], axis=2)
+    X = X[np.all((1e-150 <= r) & (r <= 1e150), axis=0)]
+    power_log, product = _norm_profiles(X, a, b, centres, exps)
+    assert np.array_equal(PowerLogWeight(n, 1, a, b).scalar_profile(X), power_log)
+    assert np.array_equal(ProductPowerWeight(n, 1, centres, exps).scalar_profile(X), product)
+
+
+def test_distance_below_1e_150_is_exact_where_the_norm_is_not():
+    x = np.array([[1e-160]])
+    assert weights._distance(x)[0] == 1e-160 != np.linalg.norm(x, axis=1)[0]
+
+
 class TestCubeAverage:
     def test_identity(self):
         val = cube_average_matrix_norm(identity_weight(1, 2), 2.0, DyadicCube(1, (0,)))
