@@ -14,6 +14,17 @@ from .errors import DegenerateMatrixError
 REL_EIG_TOL = 1e-12
 
 
+def read_only(a, dtype=None):
+    """a as a read-only array, so that a cache keyed on its identity stays
+    valid: an array is locked in place, a view is copied, since writes
+    through its base would bypass the flag."""
+    a = np.asarray(a, dtype=dtype)
+    if not a.flags.owndata:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 def hermitize(a):
     """Symmetrize a (..., m, m) array: 0.5*(A + A*)."""
     a = np.asarray(a, dtype=complex)

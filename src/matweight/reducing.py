@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import FitError, IntegrabilityError
+from .errors import CoverageError, FitError, IntegrabilityError
 from .geometry import box_corners, dilated_boxes
 from .quad import CHUNK_NODES, QuadSpec
 from .weights import cube_average, cube_averages, dual_weight, sup_nodes
@@ -391,6 +391,11 @@ class ReducingFamily:
     brackets: dict   # level -> (lo array, hi array)
     m: int
 
+    def __post_init__(self):
+        # read-only, as the function norms keep lengths keyed on the mats' identity
+        self.mats = {j: linalg.read_only(a) for j, a in self.mats.items()}
+        self.inv = {j: linalg.read_only(a) for j, a in self.inv.items()}
+
     def matrix(self, Q):
         idx = self.window.index(Q)
         return self.mats[Q.j][idx]
@@ -405,6 +410,8 @@ class ReducingFamily:
 
     def level_field(self, j):
         """A_j = sum_Q A_Q 1_Q as a (counts..., m, m) array."""
+        if j not in self.mats:
+            raise CoverageError(f"the reducing family has no level {j}")
         return self.mats[j]
 
     def at_points(self, j, X):

@@ -245,20 +245,72 @@ def _upsample(values, factor, n):
     return values
 
 
-def _apply_per_cube(A, v, n):
-    """A_Q v on the cells of every cube Q: A is (counts..., m, m) and v is an
-    (m, *cells) field with the same number of cells per cube on every axis."""
-    counts = A.shape[:n]
-    f = v.shape[1] // counts[0]
-    blocks = v.reshape(v.shape[:1] + sum(((c, f) for c in counts), ()))
-    A = A.reshape(sum(((c, 1) for c in counts), ()) + A.shape[n:])
-    m = v.shape[0]
-    # m^2 broadcast products: a broadcast einsum is about twice as slow in 2-D
-    return np.stack([sum(A[..., i, j] * blocks[j] for j in range(m))
-                     for i in range(m)]).reshape(v.shape)
+def _lengths(v, A=None, n=None):
+    """|A_Q v| on the cells of every cube Q: v is an (m, *cells) field and A is
+    None (the identity), (counts...) scalars or (counts..., m, m) matrices, with
+    the same number of cells per cube on every axis. Bit for bit
+    np.linalg.norm(A_Q v, axis=0), whose sum over axis 0 adds the components'
+    (w* w).real in turn, but without stacking the A_Q v."""
+    m, cells = v.shape[0], v.shape[1:]
+    if A is not None:
+        counts = A.shape[:n]
+        f = cells[0] // counts[0]
+        v = v.reshape((m,) + sum(((c, f) for c in counts), ()))
+        A = A.reshape(sum(((c, 1) for c in counts), ()) + A.shape[n:])
+    total = 0.0
+    for i in range(m):
+        if A is None or A.ndim == 2 * n:
+            w = v[i] if A is None else A * v[i]
+        else:
+            # m^2 broadcast products: a broadcast einsum is about twice as slow in 2-D
+            w = A[..., i, 0] * v[0]
+            for k in range(1, m):
+                w += A[..., i, k] * v[k]
+        total = total + (w.conj() * w).real
+    return np.sqrt(total).reshape(cells)
 
 
-def weighted_fields(vecs, weighting, s, box, grid_level, p_weight=None):
+def _weighting_key(weighting, levels, p_weight):
+    """(key, arrays whose ids the key holds): all of a weighting that changes
+    its lengths, or None for a weight without a descriptor."""
+    if weighting is None:
+        return "euclidean", None
+    if isinstance(weighting, MatrixWeight):
+        try:
+            return ("weight", repr(weighting.descriptor()), p_weight), None
+        except NotImplementedError:
+            return None, None
+    mats = tuple(weighting.level_field(j) for j in levels)  # read-only arrays
+    return ("family",) + tuple(map(id, mats)), mats
+
+
+def _weighted_lengths(vecs, weighting, box, grid_level, p_weight):
+    n = box.n
+    shape = grid_shape(box, grid_level)
+    matrix = isinstance(weighting, MatrixWeight)
+    if matrix:
+        if p_weight is None:
+            raise InvalidExponentError("a matrix weight needs the exponent p_weight")
+        X = grid_points(box, grid_level)
+        wpow = (weighting.scalar_profile(X) ** (1.0 / p_weight) if weighting.is_scalar()
+                else weighting.power_at(X, 1.0 / p_weight))
+        wpow = wpow.reshape(shape + wpow.shape[1:])  # one cube per grid cell
+    elif weighting is not None and weighting.window.box != box:
+        raise CoverageError("the reducing family lives on another box than the field")
+    lengths = {}
+    for j, v in vecs.items():
+        if weighting is not None and weighting.m != v.shape[0]:
+            raise CoverageError(f"an m = {weighting.m} weighting does not match the field")
+        factor = shape[0] // v.shape[1]
+        if matrix:
+            g, factor = _lengths(_upsample(v, factor, n), wpow, n), 1
+        else:
+            g = _lengths(v, None if weighting is None else weighting.level_field(j), n)
+        lengths[j] = _upsample(g, factor, n)
+    return lengths
+
+
+def weighted_fields(vecs, weighting, s, box, grid_level, p_weight=None, cache=None):
     """Per level j, 2^(js) |weighting v_j| on the level-`grid_level` grid of box.
 
     vecs: dict level j -> (m, *cells) vector field, constant on the cells of
@@ -266,27 +318,18 @@ def weighted_fields(vecs, weighting, s, box, grid_level, p_weight=None):
     length), a ReducingFamily (|A_Q v| on the cells of each level-j cube Q) or
     a MatrixWeight (|W^(1/p_weight)(x) v(x)|, W sampled once at the grid
     midpoints). Only a matrix weight needs the vectors upsampled; the other
-    weightings upsample the lengths.
+    weightings upsample the lengths. One kernel, _lengths, makes them all. A
+    scalar weight (is_scalar()) skips the m x m product for scalar_profile(x)
+    ^(1/p_weight) v(x): for PowerLogWeight and ProductPowerWeight that is bit
+    for bit the same, as their off-diagonal products only add exact zeros.
+    cache, a dict, keeps the unscaled lengths of vecs that never change per
+    _weighting_key, so calls that differ only in s share one pass.
     """
-    n = box.n
-    shape = grid_shape(box, grid_level)
-    matrix = isinstance(weighting, MatrixWeight)
-    if matrix:
-        if p_weight is None:
-            raise InvalidExponentError("a matrix weight needs the exponent p_weight")
-        wpow = weighting.power_at(grid_points(box, grid_level), 1.0 / p_weight)
-        wpow = wpow.reshape(shape + wpow.shape[1:])  # one cube per grid cell
-    fields = {}
-    for j, v in vecs.items():
-        factor = shape[0] // v.shape[1]
-        if matrix:
-            if weighting.m != v.shape[0]:
-                raise CoverageError("weight dimension does not match the field")
-            v, factor = _apply_per_cube(wpow, _upsample(v, factor, n), n), 1
-        elif weighting is not None:
-            v = _apply_per_cube(weighting.level_field(j), v, n)
-        fields[j] = 2.0 ** (j * s) * _upsample(np.linalg.norm(v, axis=0), factor, n)
-    return fields
+    key, keep = (None, None) if cache is None else _weighting_key(weighting, tuple(vecs), p_weight)
+    cache = {} if key is None else cache
+    if key not in cache:
+        cache[key] = keep, _weighted_lengths(vecs, weighting, box, grid_level, p_weight)
+    return {j: 2.0 ** (j * s) * g for j, g in cache[key][1].items()}
 
 
 def _normalized_vectors(t):

@@ -17,6 +17,7 @@ import numpy as np
 from .dyadic import block_reduce, grid_points, grid_shape
 from .errors import CoverageError, ResolutionError, ScaleRangeError
 from .geometry import CubeWindow
+from .linalg import read_only
 from .spaces import CoefficientField, finfty_norm_fields, la_tau_norm, weighted_fields
 
 
@@ -79,7 +80,7 @@ class FilterPair:
                                           for i in range(self.n)))
         self._phase_corner = np.exp(1j * sum(self.xi[i] * lo[i]
                                              for i in range(self.n)))
-        self._conv_slot = (None, None, None)  # see _level_conv_fields
+        self._conv_slot = _EMPTY_SLOT  # see _level_conv_fields
 
     @property
     def safe_band(self):
@@ -149,12 +150,7 @@ class BandLimitedFunction:
     band: tuple = None
 
     def __post_init__(self):
-        # read-only, so that a cache keyed on the array's identity stays valid;
-        # a view is copied, since writes through its base would bypass the flag
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        if not coeffs.flags.owndata:
-            coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
+        coeffs = read_only(self.coeffs, complex)  # the convolution slot keys on it
         self.coeffs = coeffs[None] if coeffs.ndim == self.filters.n else coeffs
         self.m = self.coeffs.shape[0]
 
@@ -274,24 +270,29 @@ def synthesize(t, filters):
     return BandLimitedFunction(filters, out)
 
 
+_EMPTY_SLOT = (None, None, None, None)
+
+
 def _level_conv_fields(f, filters, window):
     """Level j -> the read-only field (phi_j * f) at the grid midpoints.
 
     The filters keep the fields of the last function asked for, so the
     function norms and the Peetre sup of one draw share one convolution
-    pass. The slot holds the coefficient array weakly and is keyed on its
-    identity, which is sound because BandLimitedFunction makes it read-only;
-    the slot is emptied when that array dies.
+    pass. Next to them the slot keeps a dict of those fields' weighted
+    lengths (weighted_fields' cache), so they also share one weighting pass
+    per weighting. The slot holds the coefficient array weakly and is keyed
+    on its identity, which is sound because BandLimitedFunction makes it
+    read-only; the slot is emptied when that array dies.
     """
     _check_grid(filters, f, window)
     levels = tuple(window.levels())
     ref, slot_levels = filters._conv_slot[:2]
     if ref is None or ref() is not f.coeffs or slot_levels != levels:
-        filters._conv_slot = (None, None, None)  # free the old fields first
+        filters._conv_slot = _EMPTY_SLOT  # free the old fields first
         fields = {j: convolve_scale(f, filters, j).values() for j in levels}
         for v in fields.values():
             v.flags.writeable = False
-        filters._conv_slot = (weakref.ref(f.coeffs, _slot_emptier(filters)), levels, fields)
+        filters._conv_slot = (weakref.ref(f.coeffs, _slot_emptier(filters)), levels, fields, {})
     return filters._conv_slot[2]
 
 
@@ -303,8 +304,15 @@ def _slot_emptier(filters):
     def empty(ref):
         flt = owner()
         if flt is not None and flt._conv_slot[0] is ref:
-            flt._conv_slot = (None, None, None)
+            flt._conv_slot = _EMPTY_SLOT
     return empty
+
+
+def _weighted_conv_fields(f, filters, window, weighting, s, p_weight=None):
+    """weighted_fields of the convolution fields, through the slot's lengths."""
+    vecs = _level_conv_fields(f, filters, window)
+    return weighted_fields(vecs, weighting, s, filters.box, filters.grid_level, p_weight,
+                           cache=filters._conv_slot[3])
 
 
 def function_norm(f, filters, params, weighting=None, p_weight=None, window=None):
@@ -314,23 +322,20 @@ def function_norm(f, filters, params, weighting=None, p_weight=None, window=None
     (piecewise-constant |A_j .|), or None for the plain Euclidean length.
     """
     window = window or CubeWindow(filters.n, *filters.safe_levels(), filters.box)
-    fields = weighted_fields(_level_conv_fields(f, filters, window), weighting, params.s,
-                             filters.box, filters.grid_level,
-                             p_weight if p_weight is not None else params.p)
+    fields = _weighted_conv_fields(f, filters, window, weighting, params.s,
+                                   p_weight if p_weight is not None else params.p)
     return la_tau_norm(fields, params, window, filters.grid_level)
 
 
 def finfty_function_norm(f, filters, s, q, weighting=None, p_weight=2.0, window=None):
     window = window or CubeWindow(filters.n, *filters.safe_levels(), filters.box)
-    fields = weighted_fields(_level_conv_fields(f, filters, window), weighting, s,
-                             filters.box, filters.grid_level, p_weight)
+    fields = _weighted_conv_fields(f, filters, window, weighting, s, p_weight)
     return finfty_norm_fields(fields, q, window, filters.grid_level)
 
 
 def peetre_sup(f, filters, family, window):
     """Per-cube |Q|^(1/2) sup over grid nodes in Q of |A_Q (phi_j * f)(y)|."""
-    fields = weighted_fields(_level_conv_fields(f, filters, window), family, 0.0,
-                             filters.box, filters.grid_level)
+    fields = _weighted_conv_fields(f, filters, window, family, 0.0)
     return {j: 2.0 ** (-j * window.n / 2.0)
             * block_reduce(g, window.n, 2 ** (filters.grid_level - j), np.maximum)
             for j, g in fields.items()}

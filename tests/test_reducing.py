@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matweight import linalg, reducing, weights
+from matweight import container, linalg, reducing, weights
 from matweight.dyadic import grid_points
 from matweight.geometry import CubeWindow, DyadicCube, cube_box
 from matweight.quad import QuadSpec
@@ -380,6 +380,27 @@ class TestFamily:
         pts = Q.center[None, :]
         assert np.allclose(fam.at_points(2, pts)[0], A)
         assert np.allclose(fam.inverse_at_points(2, pts)[0], np.linalg.inv(A))
+
+    def test_matrices_are_read_only(self, tmp_path):
+        fam = build_family(PowerLogWeight(1, 1, -0.5), 2.0, CubeWindow(1, 1, 3))
+        path = tmp_path / "family.json"
+        container.save_family_json(path, fam)
+        back = container.load_family_json(path)
+        for f in (fam, back):
+            for a in list(f.mats.values()) + list(f.inv.values()):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+        assert all(np.allclose(back.mats[j], fam.mats[j]) for j in fam.mats)
+
+    def test_given_arrays_are_locked_and_views_copied(self):
+        win = CubeWindow(1, 1, 2)
+        given = {j: np.ones((2 ** j, 1, 1)) * np.eye(2, dtype=complex) for j in win.levels()}
+        base = np.ones((6, 1, 1)) * np.eye(2, dtype=complex)
+        inv = {1: base[:2], 2: base[2:]}
+        fam = reducing.ReducingFamily(win, 2.0, "identity", given, inv, {}, 2)
+        assert all(fam.mats[j] is given[j] for j in win.levels())
+        base[2] = 7.0  # the caller's base stays writable, the family does not see it
+        assert fam.inv[2][0, 0, 0] == 1.0 and not fam.inv[2].flags.writeable
 
 
 class TestOnePass:

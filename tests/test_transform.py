@@ -4,10 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matweight import transform
+from matweight import spaces, transform
 from matweight.errors import CoverageError, ResolutionError, ScaleRangeError
 from matweight.geometry import Box, CubeWindow, DyadicCube, cube_box
 from matweight.reducing import build_family, identity_family
@@ -17,7 +17,7 @@ from matweight.transform import (BandLimitedFunction, _level_conv_fields, analyz
                                  finfty_function_norm, function_norm, lifting,
                                  peetre_sup, random_band_limited,
                                  schwartz_seminorm, synthesize)
-from matweight.weights import PowerLogWeight, identity_weight
+from matweight.weights import ConjugatedBlockWeight, PowerLogWeight, identity_weight
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +368,43 @@ class TestPackageErrors:
         t = analyze(f, rough, window)
         assert synthesize(t, rough).m == 1
 
+    def test_a_family_of_another_m_is_rejected(self, flt):
+        window = CubeWindow(1, 4, 8, flt.box)
+        rng = np.random.default_rng(28)
+        params = SpaceParams(0.1, 0.2, 2.0, 2.0, "F")
+        for m, fam_m in ((1, 2), (2, 1)):
+            f = random_band_limited(flt, m, rng)
+            t = CoefficientField.random(window, m, rng)
+            fam = identity_family(window, fam_m)
+            for call in (lambda: seq_norm(t, params, fam),
+                         lambda: function_norm(f, flt, params, fam, window=window)):
+                with pytest.raises(CoverageError):
+                    call()
+
+    def test_a_family_without_a_window_level_is_rejected(self):
+        flt = build_filters(cube_box(1), 10)  # default window: levels 4-8
+        fam = identity_family(CubeWindow(1, 4, 6, flt.box), 1)
+        rng = np.random.default_rng(29)
+        f = random_band_limited(flt, 1, rng)
+        t = CoefficientField.random(CubeWindow(1, 3, 6, flt.box), 1, rng)
+        params = SpaceParams(0.1, 0.2, 2.0, 2.0, "F")
+        with pytest.raises(CoverageError, match="level 7"):
+            function_norm(f, flt, params, fam)
+        with pytest.raises(CoverageError, match="level 3"):
+            seq_norm(t, params, fam)
+
+    def test_a_family_on_another_box_is_rejected(self, flt):
+        window = CubeWindow(1, 4, 8, flt.box)
+        fam = identity_family(CubeWindow(1, 4, 8, Box((0.0,), (0.5,))), 1)
+        rng = np.random.default_rng(34)
+        f, t = random_band_limited(flt, 1, rng), CoefficientField.random(window, 1, rng)
+        params = SpaceParams(0.1, 0.2, 2.0, 2.0, "F")
+        for call in (lambda: seq_norm(t, params, fam),
+                     lambda: function_norm(f, flt, params, fam, window=window),
+                     lambda: peetre_sup(f, flt, fam, window)):
+            with pytest.raises(CoverageError):
+                call()
+
     def test_window_on_another_box_is_rejected(self, flt):
         f = random_band_limited(flt, 1, np.random.default_rng(20))
         half = CubeWindow(1, 3, 5, Box((-0.5,), (0.0,)))
@@ -522,18 +559,64 @@ class TestConvolutionSlot:
         rng = np.random.default_rng(25)
         f = random_band_limited(flt, 1, rng)
         _level_conv_fields(f, flt, window)
+        function_norm(f, flt, SpaceParams(0.1, 0.2, 2.0, 2.0, "F"), None, window=window)
         ref = flt._conv_slot[0]
         assert ref() is f.coeffs
         field = weakref.ref(flt._conv_slot[2][4])
+        (length,) = (weakref.ref(lengths[4]) for _, lengths in flt._conv_slot[3].values())
         del f
         gc.collect()
-        assert ref() is None and field() is None
-        assert flt._conv_slot == (None, None, None)
+        assert ref() is None and field() is None and length() is None
+        assert flt._conv_slot == (None, None, None, None)
         g = random_band_limited(flt, 1, rng)
         before = len(conv_calls)
         _level_conv_fields(g, flt, window)
         assert len(conv_calls) == before + 5
 
+    def test_a_second_function_evicts_the_first_ones_lengths(self, flt):
+        window = CubeWindow(1, 4, 8, flt.box)
+        rng = np.random.default_rng(31)
+        f, g = random_band_limited(flt, 2, rng), random_band_limited(flt, 2, rng)
+        params = SpaceParams(0.1, 0.2, 2.0, 2.0, "F")
+        function_norm(f, flt, params, PowerLogWeight(1, 2, -0.4), window=window)
+        (old,) = (weakref.ref(lengths[4]) for _, lengths in flt._conv_slot[3].values())
+        function_norm(g, flt, params, None, window=window)
+        assert old() is None and f.coeffs is not None  # f lives on, its lengths do not
+        assert len(flt._conv_slot[3]) == 1
+
+    def test_one_weighting_pass_per_weighting(self, flt, monkeypatch):
+        passes = []
+        orig = spaces._weighted_lengths
+        monkeypatch.setattr(spaces, "_weighted_lengths", lambda vecs, weighting, *args:
+                            passes.append(type(weighting).__name__) or orig(vecs, weighting, *args))
+        window = CubeWindow(1, 4, 7, flt.box)
+        weight = PowerLogWeight(1, 2, -0.4)
+        fam = build_family(weight, 2.0, window, method="exact_p2")
+        f = random_band_limited(flt, 2, np.random.default_rng(32))
+        for prm in (SpaceParams(0.0, 0.0, 2.0, 2.0, "F"), SpaceParams(0.2, 0.3, 2.0, 1.5, "B"),
+                    SpaceParams(-0.1, 0.5, 2.0, math.inf, "F")):
+            for w in (weight, fam, None):
+                function_norm(f, flt, prm, w, window=window)
+            finfty_function_norm(f, flt, prm.s, prm.q, fam, window=window)
+        peetre_sup(f, flt, fam, window)
+        assert passes == ["PowerLogWeight", "ReducingFamily", "NoneType"]
+        finfty_function_norm(f, flt, 0.0, 2.0, weight, p_weight=1.5, window=window)
+        assert passes[3:] == ["PowerLogWeight"]  # another p_weight is another weighting
+
+    def test_a_changed_weight_or_family_level_is_normed_afresh(self, flt):
+        window = CubeWindow(1, 4, 7, flt.box)
+        weight = PowerLogWeight(1, 2, -0.4)
+        fam = build_family(weight, 2.0, window, method="exact_p2")
+        f = random_band_limited(flt, 2, np.random.default_rng(33))
+        params = SpaceParams(0.1, 0.2, 2.0, 2.0, "F")
+        before = [function_norm(f, flt, params, w, window=window).value for w in (weight, fam)]
+        weight.a = 0.3
+        fam.mats[5] = 2.0 * fam.mats[5]
+        after = [function_norm(f, flt, params, w, window=window).value for w in (weight, fam)]
+        flt._conv_slot = transform._EMPTY_SLOT
+        cold = [function_norm(f, flt, params, w, window=window).value
+                for w in (PowerLogWeight(1, 2, 0.3), fam)]
+        assert after == cold and after[0] != before[0] and after[1] != before[1]
 
     def test_old_fields_die_before_new_ones_are_computed(self, flt, monkeypatch):
         window = CubeWindow(1, 4, 8, flt.box)
@@ -579,3 +662,58 @@ def test_one_convolution_pass_per_2d_draw(conv_calls, monkeypatch):
         function_norm(f, flt, prm, fam, window=window)
     assert sorted(conv_calls) == list(window.levels())
     assert len(ffts) == 2 * len(full.levels()) + 2 + len(window.levels())
+
+
+# grid level and window levels per dimension for the length cache property
+CACHE_GRIDS = {1: (10, (4, 7)), 2: (6, (2, 3))}
+
+
+@pytest.fixture(scope="module")
+def cache_setups():
+    out = {}
+    for n, (level, (lo, hi)) in CACHE_GRIDS.items():
+        flt = build_filters(cube_box(n), level)
+        window = CubeWindow(n, lo, hi, flt.box)
+        weight = (ConjugatedBlockWeight(PowerLogWeight(1, 1, -0.4), PowerLogWeight(1, 1, 0.3))
+                  if n == 1 else PowerLogWeight(2, 2, -0.4))
+        fam = build_family(weight, 2.0, window, method="exact_p2")
+        out[n] = flt, window, {"weight": weight, "family": fam, "none": None}
+    return out
+
+
+_calls = st.lists(st.tuples(st.sampled_from(["norm", "finfty", "peetre"]),
+                            st.sampled_from(["weight", "family", "none"]),
+                            st.sampled_from([1.5, 2.0]), st.floats(-0.5, 0.5),
+                            st.integers(0, 1)), min_size=1, max_size=8)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.sampled_from([1, 2]), calls=_calls, seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, calls=[("norm", "weight", 1.5, 0.1, 0), ("finfty", "weight", 2.0, -0.2, 0),
+                     ("peetre", "family", 2.0, 0.0, 1), ("norm", "family", 2.0, 0.3, 1),
+                     ("norm", "weight", 1.5, 0.0, 0)], seed=0)
+def test_cached_lengths_give_the_cold_values(cache_setups, n, calls, seed):
+    """Interleaved norms of two functions under every weighting, p_weight and
+    s equal, bit for bit, the same norms each computed on an emptied slot."""
+    flt, window, weightings = cache_setups[n]
+    rng = np.random.default_rng(seed)
+    fs = [random_band_limited(flt, 2, rng) for _ in range(2)]
+
+    def value(kind, name, p_weight, s, i):
+        w = weightings[name]
+        if kind == "norm":
+            prm = SpaceParams(s, 0.2, 2.0, 1.5, "B")
+            return function_norm(fs[i], flt, prm, w, p_weight, window).value
+        if kind == "finfty":
+            return finfty_function_norm(fs[i], flt, s, 2.0, w, p_weight, window).value
+        return peetre_sup(fs[i], flt, None if name == "weight" else w, window)
+
+    warm = [value(*call) for call in calls]
+    for call, got in zip(calls, warm):
+        flt._conv_slot = transform._EMPTY_SLOT
+        cold = value(*call)
+        if isinstance(cold, dict):
+            assert cold.keys() == got.keys()
+            assert all(np.array_equal(cold[j], got[j]) for j in cold)
+        else:
+            assert np.array_equal(cold, got)
