@@ -18,7 +18,7 @@ from .apdim import (ApDimConfig, ApDimensions, a_sequence, admissible_m,
                     doubling_exponent, estimate_dimensions, growth_envelope_check,
                     reverse_holder_probe)
 from .spaces import (CoefficientField, SpaceParams, classify, finfty_norm,
-                     identity_checks, maximal_sequence, seq_norm)
+                     maximal_sequence, seq_norm)
 from .transform import (BandLimitedFunction, FilterPair, analyze, build_filters,
                         convolve_scale, function_norm, lifting, peetre_sup,
                         random_band_limited, schwartz_seminorm, synthesize)

@@ -142,17 +142,6 @@ def a_sequence_via_reducing(weight, p, base_cubes, i_max, config=None, qspec=Non
     return np.max(vals, axis=0), i_eff, cubes
 
 
-def tail_slope(a_values, i_max=None):
-    """Least-squares slope of log2 a_i on the tail window [ceil(i_max/2), i_max]."""
-    i_max = i_max if i_max is not None else len(a_values) - 1
-    i0 = int(np.ceil(i_max / 2.0))
-    ii = np.arange(i0, i_max + 1)
-    logs = np.log2(a_values[i0: i_max + 1])
-    coef = np.polyfit(ii, logs, 1)
-    resid = float(np.max(np.abs(np.polyval(coef, ii) - logs)))
-    return float(coef[0]), (i0, i_max), resid
-
-
 def fit_growth(a_values, i_skip=2):
     """Fit log2 a_i = d i + beta log2(i+1) + c over i >= i_skip.
 

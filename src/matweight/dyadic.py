@@ -44,7 +44,6 @@ class GridFunction:
     box: Box
     level: int
     values: np.ndarray
-    periodic: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -70,22 +69,19 @@ class GridFunction:
     def cell_volume(self):
         return 2.0 ** (-self.level * self.n)
 
-    def points(self, flat=True):
-        return grid_points(self.box, self.level, flat)
-
     def scalar_abs(self):
         """Pointwise Euclidean length for vector fields, |values| for scalar."""
         if self.vector:
             vals = np.sqrt(np.sum(np.abs(self.values) ** 2, axis=0))
         else:
             vals = np.abs(self.values)
-        return GridFunction(self.box, self.level, vals, self.periodic)
+        return self.copy_with(vals)
 
     def integral(self):
         return np.sum(self.values, axis=tuple(range(-self.n, 0))) * self.cell_volume
 
     def copy_with(self, values):
-        return GridFunction(self.box, self.level, values, self.periodic)
+        return GridFunction(self.box, self.level, values)
 
 
 def constant_field(box, level, value=1.0):

@@ -136,13 +136,6 @@ def box_corners(region):
     return np.array([[box.lo, box.hi]], dtype=float)
 
 
-def containing_cube(j, x):
-    """The level-j lattice cube containing the point x."""
-    x = np.asarray(x, dtype=float)
-    k = np.floor(x * 2.0 ** j).astype(int)
-    return DyadicCube(int(j), tuple(int(v) for v in k))
-
-
 def dilate(Q, lam):
     """Box with the center of Q and edge lam*l(Q)."""
     if lam <= 0:

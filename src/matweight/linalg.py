@@ -55,19 +55,6 @@ def op_norm(a):
     return scale * np.sqrt(0.5 * (alpha + gamma) + np.hypot(0.5 * (alpha - gamma), beta))
 
 
-def is_positive_definite(h, tol=None):
-    """True iff the Hermitian matrix h has lambda_min > tol.
-
-    tol defaults to 1e-12 * trace(h) (and at least 0), matching the
-    degenerate-positivity convention used throughout the package.
-    """
-    h = np.asarray(h, dtype=complex)
-    lam = np.linalg.eigvalsh(hermitize(h))
-    if tol is None:
-        tol = REL_EIG_TOL * max(float(np.real(np.trace(h))), 0.0)
-    return bool(lam[..., 0] > tol)
-
-
 def matrix_power(p, alpha, tol=None):
     """U diag(lambda_i^alpha) U* for a positive definite (..., m, m) array.
 

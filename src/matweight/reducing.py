@@ -414,10 +414,8 @@ class ReducingFamily:
             raise CoverageError(f"the reducing family has no level {j}")
         return self.mats[j]
 
-    def at_points(self, j, X):
-        return self.mats[j].reshape(-1, self.m, self.m)[self.window.cell_index(j, X)]
-
     def inverse_at_points(self, j, X):
+        self.level_field(j)  # CoverageError for a level the family lacks
         return self.inv[j].reshape(-1, self.m, self.m)[self.window.cell_index(j, X)]
 
     def worst_bracket(self):

@@ -422,85 +422,3 @@ def seq_norm_from_cube_scalars(seq, params, window):
     return seq_norm(CoefficientField(window, 1, {j: np.asarray(a)[..., None]
                                                  for j, a in seq.items()}), params)
 
-
-# ---------------------------------------------------------------------------
-# identity and embedding checks
-
-def identity_checks(t, params, family=None, rtol=1e-10):
-    """Numerically checkable identities for the given parameters.
-
-    Returns {name: {"applicable": bool, "passed": bool or None, ...}}.
-    """
-    window = t.window
-    report = {}
-    inv_p = 1.0 / params.p
-
-    nb_hi = seq_norm(t, SpaceParams(params.s, params.tau, params.p,
-                                    max(params.p, params.q), "B"), family).value
-    nf = seq_norm(t, SpaceParams(params.s, params.tau, params.p, params.q, "F"),
-                  family).value
-    nb_lo = seq_norm(t, SpaceParams(params.s, params.tau, params.p,
-                                    min(params.p, params.q), "B"), family).value
-    chain_ok = nb_hi <= nf * (1 + rtol) and nf <= nb_lo * (1 + rtol)
-    report["embedding_chain"] = {
-        "applicable": True, "passed": bool(chain_ok),
-        "values": (nb_hi, nf, nb_lo),
-    }
-
-    if params.tau == inv_p and np.isinf(params.q):
-        a_val = seq_norm(t, params, family).value
-        s_shift = params.s + window.n * (params.tau - inv_p)
-        f_val = finfty_norm(t, s_shift, np.inf, family).value
-        err = abs(a_val - f_val) / max(a_val, 1e-300)
-        report["supercritical_equality"] = {
-            "applicable": True, "passed": bool(err <= 1e-12), "rel_err": err,
-            "values": (a_val, f_val),
-        }
-    else:
-        report["supercritical_equality"] = {"applicable": False, "passed": None,
-                                            "reason": "(tau, q) != (1/p, inf)"}
-
-    if params.tau > inv_p and not np.isinf(params.q):
-        a_val = seq_norm(t, params, family).value
-        s_shift = params.s + window.n * (params.tau - inv_p)
-        f_val = finfty_norm(t, s_shift, np.inf, family).value
-        gap = window.n * params.q * (params.tau - inv_p)
-        upper = (1.0 / (1.0 - 2.0 ** (-gap))) ** (1.0 / params.q)
-        ok = (f_val <= a_val * (1 + rtol)) and (a_val <= upper * f_val * (1 + rtol))
-        report["supercritical_two_sided"] = {
-            "applicable": True, "passed": bool(ok),
-            "upper_constant": upper, "values": (a_val, f_val),
-        }
-    else:
-        report["supercritical_two_sided"] = {"applicable": False, "passed": None,
-                                             "reason": "needs tau > 1/p, q < inf"}
-
-    if params.kind == "F" and not np.isinf(params.q):
-        f_inf = finfty_norm(t, params.s, params.q, family).value
-        crit = seq_norm(t, SpaceParams(params.s, 1.0 / params.q, params.q,
-                                       params.q, "F"), family).value
-        err = abs(f_inf - crit) / max(f_inf, 1e-300)
-        report["finfty_definitional"] = {
-            "applicable": True, "passed": bool(err <= 1e-12), "rel_err": err,
-        }
-    else:
-        report["finfty_definitional"] = {"applicable": False, "passed": None,
-                                         "reason": "needs F-kind with finite q"}
-
-    nb = seq_norm(t, SpaceParams(params.s, params.tau, params.p, params.p, "B"),
-                  family).value
-    nf2 = seq_norm(t, SpaceParams(params.s, params.tau, params.p, params.p, "F"),
-                   family).value
-    err = abs(nb - nf2) / max(nb, 1e-300)
-    report["b_equals_f_at_p"] = {"applicable": True, "passed": bool(err <= 1e-12),
-                                 "rel_err": err}
-
-    # at the p = infinity marker the B and F aggregations with q = infinity
-    # are the same supremum
-    vb = seq_norm(t, SpaceParams(params.s, 0.0, np.inf, np.inf, "B"), family).value
-    vf = finfty_norm(t, params.s, np.inf, family).value
-    err = abs(vb - vf) / max(vb, 1e-300)
-    report["b_f_coincide_at_infinity"] = {"applicable": True,
-                                          "passed": bool(err <= 1e-12),
-                                          "rel_err": err}
-    return report

@@ -9,7 +9,7 @@ from matweight.apdim import (ApDimConfig, ApDimensions, _filter_base_cubes, a_se
                              admissible_m, default_base_cubes, doubling_exponent,
                              estimate_dimensions, fit_growth,
                              growth_envelope_check, reverse_holder_probe,
-                             swapped_slope, tail_slope)
+                             swapped_slope)
 from matweight.errors import CoverageError, IntegrabilityError, OutOfDomainError
 from matweight.geometry import Box, CubeWindow, DyadicCube, box_corners, dilate, dilated_boxes
 from matweight.quad import QuadSpec
@@ -90,10 +90,8 @@ def test_matrix_swapped_route_matches_scalar(p):
     assert d2_matrix == pytest.approx(d2_scalar, abs=0.02)
 
 
-def test_tail_slope_on_synthetic_data():
+def test_fit_growth_on_synthetic_data():
     a = 2.0 ** (0.37 * np.arange(9)) * 3.0
-    slope, window, resid = tail_slope(a)
-    assert slope == pytest.approx(0.37, abs=1e-9)
     d, beta, _ = fit_growth(a)
     assert d == pytest.approx(0.37, abs=1e-6) and abs(beta) <= 1e-6
 

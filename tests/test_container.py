@@ -1,71 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from matweight.container import (load_coefficient_field_json, load_family_json,
-                                 load_grid_function_json, load_grid_function_npz,
-                                 load_grid_weight_json, save_coefficient_field_json,
-                                 save_family_json, save_filters_json,
-                                 save_grid_function_json, save_grid_function_npz,
-                                 save_grid_weight_json)
-from matweight.dyadic import GridFunction, grid_shape
-from matweight.geometry import CubeWindow, DyadicCube, cube_box
+from matweight.container import load_family_json, save_family_json, save_filters_json
+from matweight.errors import CoverageError, DegenerateMatrixError
+from matweight.geometry import CubeWindow, cube_box
 from matweight.reducing import build_family
-from matweight.spaces import CoefficientField
 from matweight.transform import build_filters
-from matweight.weights import GridSampledWeight, PowerLogWeight
-
-
-def test_grid_function_json_roundtrip(tmp_path):
-    box = cube_box(1)
-    rng = np.random.default_rng(0)
-    vals = rng.standard_normal((2,) + grid_shape(box, 4)) \
-        + 1j * rng.standard_normal((2,) + grid_shape(box, 4))
-    gf = GridFunction(box, 4, vals)
-    path = tmp_path / "field.json"
-    save_grid_function_json(path, gf)
-    back = load_grid_function_json(path)
-    assert back.level == 4 and back.m == 2
-    assert np.allclose(back.values, vals)
-
-
-def test_grid_function_npz_roundtrip(tmp_path):
-    box = cube_box(2)
-    vals = np.arange(16.0).reshape(4, 4)
-    gf = GridFunction(box, 2, vals)
-    path = tmp_path / "field.npz"
-    save_grid_function_npz(path, gf)
-    back = load_grid_function_npz(path)
-    assert np.allclose(back.values, vals) and back.box.n == 2
-
-
-def test_grid_weight_roundtrip(tmp_path):
-    box = cube_box(1)
-    samples = np.stack([np.eye(2) * (i + 1.0) for i in range(4)])
-    W = GridSampledWeight(box, samples)
-    path = tmp_path / "weight.json"
-    save_grid_weight_json(path, W)
-    back = load_grid_weight_json(path)
-    assert np.allclose(back.evaluate([0.3]), W.evaluate([0.3]))
-
-
-def test_coefficient_field_roundtrip(tmp_path):
-    window = CubeWindow(1, 1, 3)
-    rng = np.random.default_rng(1)
-    t = CoefficientField.random(window, 2, rng)
-    path = tmp_path / "coeffs.json"
-    save_coefficient_field_json(path, t)
-    back = load_coefficient_field_json(path)
-    for j in window.levels():
-        assert np.allclose(back.values[j], t.values[j])
-
-
-def test_coefficient_field_deterministic_bytes(tmp_path):
-    window = CubeWindow(1, 1, 3)
-    t = CoefficientField.atom(window, 1, DyadicCube(2, (1,)), [1.0 + 2.0j])
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_coefficient_field_json(p1, t)
-    save_coefficient_field_json(p2, t)
-    assert p1.read_bytes() == p2.read_bytes()
+from matweight.weights import PowerLogWeight
 
 
 def test_family_roundtrip(tmp_path):
@@ -80,12 +23,41 @@ def test_family_roundtrip(tmp_path):
         assert back.bracket(Q) == pytest.approx(fam.bracket(Q))
 
 
+def _written_family(tmp_path):
+    fam = build_family(PowerLogWeight(1, 1, -0.5), 2.0, CubeWindow(1, 1, 3), method="exact_p2")
+    path = tmp_path / "family.json"
+    save_family_json(path, fam)
+    return path, json.loads(path.read_text())
+
+
+def test_family_missing_cube_raises_coverage_error(tmp_path):
+    path, payload = _written_family(tmp_path)
+    del payload["cubes"]["(2,1)"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CoverageError, match=r"no entry for cube \(2,1\)"):
+        load_family_json(path)
+
+
+def test_family_matrix_shape_mismatch_raises_coverage_error(tmp_path):
+    path, payload = _written_family(tmp_path)
+    payload["m"] = 2
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CoverageError, match=r"\(1, 1\) matrix, but the family's m is 2"):
+        load_family_json(path)
+
+
+def test_family_singular_matrix_raises_degenerate_matrix_error(tmp_path):
+    path, payload = _written_family(tmp_path)
+    payload["cubes"]["(2,1)"]["matrix"] = [[[0.0, 0.0]]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DegenerateMatrixError, match="singular matrix at level 2"):
+        load_family_json(path)
+
+
 def test_filters_export(tmp_path):
     flt = build_filters(cube_box(1), 10)
     path = tmp_path / "filters.json"
     save_filters_json(path, flt)
-    import json
-
     payload = json.loads(path.read_text())
     assert payload["descriptor"]["grid_level"] == 10
     assert len(payload["phi_hat"]) == len(payload["radial_grid"])

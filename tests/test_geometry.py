@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matweight.errors import CoverageError, ResolutionError
-from matweight.geometry import (Box, CubeWindow, DyadicCube, containing_cube,
-                                cube_box, dilate)
+from matweight.geometry import Box, CubeWindow, DyadicCube, cube_box, dilate
 from matweight.reducing import build_family
 from matweight.spaces import CoefficientField
 from matweight.weights import PowerLogWeight
@@ -47,11 +46,6 @@ def test_window_levels_partition():
         for _ in range(20):
             x = win.box.lo_arr + rng.random(2) * win.box.sides
             assert sum(Q.contains_point(x) for Q in cubes) == 1
-
-
-def test_containing_cube():
-    Q = containing_cube(3, [0.3])
-    assert Q.contains_point([0.3]) and Q.j == 3
 
 
 def test_out_of_domain_raises_and_clips():

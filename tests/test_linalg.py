@@ -114,9 +114,3 @@ def test_op_norm_submultiplicative():
         B = linalg.random_hermitian(rng, 3)
         assert linalg.op_norm(A @ B) <= linalg.op_norm(A) * linalg.op_norm(B) + 1e-12
 
-
-def test_is_positive_definite():
-    assert linalg.is_positive_definite(np.eye(2))
-    assert not linalg.is_positive_definite(np.diag([1.0, 0.0]), tol=1e-12)
-    # eigenvalue oracle: lambda_min = 1e-15 sits below the 1e-12 cut
-    assert not linalg.is_positive_definite(np.diag([1.0, 1e-15]), tol=1e-12)

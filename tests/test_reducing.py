@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matweight import container, linalg, reducing, weights
-from matweight.dyadic import grid_points
+from matweight.dyadic import gamma_field, grid_points
+from matweight.errors import CoverageError
 from matweight.geometry import CubeWindow, DyadicCube, cube_box
 from matweight.quad import QuadSpec
 from matweight.reducing import (CubeNorm, build_family, dual_reduce,
@@ -378,8 +379,15 @@ class TestFamily:
         Q = win.cubes_at_level(2)[1]
         A = fam.matrix(Q)
         pts = Q.center[None, :]
-        assert np.allclose(fam.at_points(2, pts)[0], A)
+        assert np.allclose(fam.level_field(2)[1], A)
         assert np.allclose(fam.inverse_at_points(2, pts)[0], np.linalg.inv(A))
+
+    def test_level_outside_window_raises_coverage_error(self):
+        fam = identity_family(CubeWindow(1, 1, 3), 2)
+        with pytest.raises(CoverageError, match="no level 5"):
+            fam.inverse_at_points(5, [[0.1]])
+        with pytest.raises(CoverageError, match="no level 5"):
+            gamma_field(identity_weight(1, 2), fam, 2.0, 5)
 
     def test_matrices_are_read_only(self, tmp_path):
         fam = build_family(PowerLogWeight(1, 1, -0.5), 2.0, CubeWindow(1, 1, 3))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matweight.errors import CoverageError
 from matweight.geometry import Box, CubeWindow, DyadicCube
 from matweight.reducing import build_family, identity_family
 from matweight.spaces import (CoefficientField, SpaceParams, classify,
-                              cube_scalar_sequence, finfty_norm, identity_checks,
+                              cube_scalar_sequence, finfty_norm,
                               left_half_mask, maximal_sequence, seq_norm,
                               seq_norm_from_cube_scalars)
 from matweight.weights import PowerLogWeight, identity_weight
@@ -18,6 +20,12 @@ WIN = CubeWindow(1, 1, 6)
 @pytest.fixture(scope="module")
 def fam():
     return identity_family(WIN, 2)
+
+
+@pytest.fixture(scope="module")
+def families(fam):
+    return fam, build_family(PowerLogWeight(1, 2, -0.4), 2.0, CubeWindow(1, 2, 6),
+                             method="exact_p2")
 
 
 class TestAtoms:
@@ -128,18 +136,30 @@ class TestChainsAndIdentities:
             ratios.append(v_inf / v_crit)
         assert max(ratios) / min(ratios) <= 50.0
 
-    def test_identity_checks_report(self, fam):
-        rng = np.random.default_rng(7)
-        t = CoefficientField.random(WIN, 2, rng)
-        rep = identity_checks(t, SpaceParams(0.0, 0.5, 2.0, math.inf, "B"), fam)
-        assert rep["embedding_chain"]["passed"]
-        assert rep["supercritical_equality"]["passed"]
-        assert rep["b_equals_f_at_p"]["passed"]
-        assert rep["b_f_coincide_at_infinity"]["passed"]
-        rep2 = identity_checks(t, SpaceParams(0.0, 0.8, 2.0, 3.0, "F"), fam)
-        assert rep2["supercritical_two_sided"]["passed"]
-        assert rep2["finfty_definitional"]["passed"]
-        assert not rep2["supercritical_equality"]["applicable"]
+    @pytest.mark.parametrize("which", [0, 1])
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(s=st.floats(-0.5, 0.5), p=st.floats(0.5, 4.0), tau_gap=st.floats(-1.0, 1.0),
+           q=st.floats(0.5, 6.0),
+           kind=st.sampled_from(["B", "F"]), seed=st.integers(0, 2 ** 16))
+    def test_identities_property(self, families, which, s, p, tau_gap, q, kind, seed):
+        fam = families[which]
+        t = CoefficientField.random(fam.window, 2, np.random.default_rng(seed))
+        n = fam.window.n
+        tau = max(0.0, 1.0 / p + tau_gap)
+        if tau > 1.0 / p:
+            # two-sided supercritical bound against the p = infinity F-norm
+            gap = n * q * (tau - 1.0 / p)
+            upper = (-1.0 / math.expm1(-gap * math.log(2.0))) ** (1.0 / q)
+            a_val = seq_norm(t, SpaceParams(s, tau, p, q, kind), fam).value
+            f_val = finfty_norm(t, s + n * (tau - 1.0 / p), math.inf, fam).value
+            assert f_val <= a_val * (1 + 1e-10)
+            assert a_val <= upper * f_val * (1 + 1e-10)
+        vb = seq_norm(t, SpaceParams(s, tau, p, p, "B"), fam).value
+        vf = seq_norm(t, SpaceParams(s, tau, p, p, "F"), fam).value
+        assert vf == pytest.approx(vb, rel=1e-12)
+        # at p = q = infinity the B and F aggregations are the same supremum
+        vb = seq_norm(t, SpaceParams(s, 0.0, math.inf, math.inf, "B"), fam).value
+        assert finfty_norm(t, s, math.inf, fam).value == pytest.approx(vb, rel=1e-12)
 
 
 class TestNormAxioms:
