@@ -58,12 +58,17 @@ def load_family_json(path):
         brackets[j] = (np.ones(counts), np.ones(counts))
     for Q, entry in cubes.items():
         idx = window.index(Q)
-        mat = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
+        try:
+            mat = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
+            lo, hi = map(float, entry["bracket"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CoverageError(f"cube {_cube_key(Q)} holds a malformed entry "
+                                f"({type(exc).__name__}: {exc})") from None
         if mat.shape != (m, m):
             raise CoverageError(f"cube {_cube_key(Q)} holds a {mat.shape} matrix, "
                                 f"but the family's m is {m}")
         mats[Q.j][idx] = mat
-        brackets[Q.j][0][idx], brackets[Q.j][1][idx] = entry["bracket"]
+        brackets[Q.j][0][idx], brackets[Q.j][1][idx] = lo, hi
     for j in window.levels():
         try:
             invs[j] = np.linalg.inv(mats[j])

@@ -62,20 +62,32 @@ _DIAG_K = 64  # sampled directions, beyond the basis, of the calibration and the
 def _cube_norms(weight, p, boxes, dirs, identity=False, qspec=None):
     """One batch of cube averages over boxes ((B, 2, n) corners) giving per box
     rho_Q(z) = (avg |W^(1/p) z|^p)^(1/p) on each row z of dirs and, with
-    identity=True, (avg ||W^(1/p)||^p)^(1/p) (else None)."""
-    # node rows per product Ws @ dirs.T: no larger than a chunk's at _DIAG_K directions
-    rows = max(1, CHUNK_NODES * _DIAG_K // len(dirs))
+    identity=True, (avg ||W^(1/p)||^p)^(1/p) (else None).
+
+    W^(1/p) = sum_k w_k E_k over its Hermitian coordinates, so the real and
+    imaginary parts of W^(1/p) z for every direction come from one real
+    product of the coordinates with the parts of every E_k z."""
+    m, K = weight.m, len(dirs)
+    EZ = np.einsum("kab,jb->kaj", linalg.hermitian_basis(m), dirs)
+    parts = np.concatenate([EZ.real, EZ.imag], axis=1).reshape(m * m, 2 * m * K)
+    # node rows per product: no larger than a chunk's at _DIAG_K directions
+    rows = max(1, CHUNK_NODES * _DIAG_K // K)
 
     def reducer(Ws):
-        vals = np.concatenate([np.linalg.norm(Ws[k:k + rows] @ dirs.T, axis=1)
-                               for k in range(0, len(Ws), rows)])
+        w, sq = linalg.hermitian_coords(Ws), []
+        for k in range(0, len(Ws), rows):
+            P = linalg.matmul(w[k:k + rows], parts)
+            sq.append(np.square(P, out=P).reshape(-1, 2 * m, K).sum(axis=1))
+        sq = np.concatenate(sq)
         if identity:
-            vals = np.concatenate([vals, linalg.op_norm(Ws)[:, None]], axis=1)
-        return vals ** p
+            planes = np.moveaxis(Ws, 0, -1)
+            sq = np.concatenate([sq, linalg.norm_power(planes.real, planes.imag, 2.0)[:, None]],
+                                axis=1)
+        return sq if p == 2.0 else sq ** (0.5 * p)
 
     res = cube_averages(weight, boxes, 1.0 / p, p, reducer, qspec, name="cube norm")
     vals = np.asarray(res.value) ** (1.0 / p)
-    return vals[:, :len(dirs)], vals[:, len(dirs)] if identity else None
+    return vals[:, :K], vals[:, K] if identity else None
 
 
 class CubeNorm:
@@ -150,21 +162,6 @@ def _away_steps(P, u, cap):
         Xinv = (Xinv - (beta / denom) * np.outer(v, v.conj())) / (1.0 - beta)
         M = (M - (beta / denom) * np.abs(Pc @ v) ** 2) / (1.0 - beta)
     return u, viol
-
-
-def _hermitian_basis(d, real):
-    """A basis (D, d, d) of the real space of symmetric (real=True, D =
-    d(d+1)/2) or Hermitian (D = d^2) d x d matrices, orthogonal under
-    <A, B> = Re tr(A* B)."""
-    E = []
-    for k in range(d):
-        for l in range(k, d):
-            E.append(np.zeros((d, d), complex))
-            E[-1][k, l] = E[-1][l, k] = 1.0
-            if l > k and not real:
-                E.append(np.zeros((d, d), complex))
-                E[-1][k, l], E[-1][l, k] = 1j, -1j
-    return np.array(E)
 
 
 def _barrier(C, E, t, h):
@@ -243,7 +240,7 @@ def _newton_finish(P, u):
     it points to; None if a centring stalls or no candidate support passes
     by t = 1e10 N."""
     N, d = P.shape
-    E = _hermitian_basis(d, not np.iscomplexobj(P))
+    E = linalg.hermitian_basis(d, not np.iscomplexobj(P))
     C = np.einsum("ni,aij,nj->na", P.conj(), E, P).real  # s_i = z_i* H z_i = (C h)_i
     Xinv, M = _scores(P, u)
     h = np.einsum("aij,ij->a", E.conj(), Xinv).real / np.einsum("aij,aij->a", E.conj(), E).real

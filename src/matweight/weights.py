@@ -7,7 +7,8 @@ cube averages pre-check integrability before any quadrature runs.
 
 ap_pairs is the one two-cube A_p quantity, over a batch of box pairs:
 [W]_Ap (ap_constant) and the growth sequence a_i (apdim.a_sequence) are its
-suprema over cube pairs; a matrix weight takes one product block per x-box.
+suprema over cube pairs. A matrix weight takes one real matrix product per
+box of the side with fewer distinct boxes, on Hermitian coordinates.
 """
 
 from dataclasses import dataclass, replace
@@ -420,7 +421,8 @@ def sup_nodes(weight, boxes, qspec):
     return out
 
 
-_BLOCK_PAIRS = 4 * CHUNK_NODES  # node pairs per product block: 1 MB of complex 2 x 2 products
+# node pairs per product block: 2 m^2 real planes of 8 bytes, 1 MB at m = 2
+_BLOCK_PAIRS = 4 * CHUNK_NODES
 
 
 def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
@@ -434,9 +436,16 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
     extrema over sup_nodes. A scalar weight w I factorises: avg_x w (avg_y
     w^(-1/(p-1)))^(p-1) for p > 1, from one batch of cube averages at qspec
     per exponent, and avg_x w / min_y w for p <= 1, where star changes
-    nothing. A matrix weight is evaluated once per side; each x-box takes
-    one op_norm of one product block with its partner y-boxes (split past
-    _BLOCK_PAIRS node pairs), each pair one y-reduceat and one x row sum.
+    nothing. A matrix weight is evaluated once per side. W^(-1/p)(y) = sum_k
+    y_k E_k over its m^2 Hermitian coordinates, and each x-node keeps the
+    real and imaginary parts of W^(1/p)(x) E_k, so the parts of every entry
+    of W^(1/p)(x) W^(-1/p)(y) come from one real matrix product. Pairs are
+    grouped by the side with fewer distinct boxes: each box of that side
+    forms one product block against the nodes of all its partner boxes
+    (split past _BLOCK_PAIRS node pairs). Every pair reduces over y and over
+    x in its own reduceat segments, and linalg.matmul computes each entry
+    of a block as the same dot product whatever the block's shape, so a
+    pair's value does not depend on its batch.
     """
     if len(boxes_x) != len(boxes_y):
         raise CoverageError(f"{len(boxes_x)} x-boxes against {len(boxes_y)} y-boxes")
@@ -456,30 +465,46 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
     if p > 1.0:
         _precheck_integrability(weight, uy, -1.0 / p, p / (p - 1.0))
 
-    def factors(boxes, alpha):  # (m, m, N) powers, node weights, first nodes, node counts
-        nodes = sup_nodes(weight, boxes, qspec)
-        sizes, (X, v) = np.array([len(Xb) for Xb, _ in nodes]), map(np.concatenate, zip(*nodes))
-        return weight.power_at(X, alpha).transpose(1, 2, 0), v, np.cumsum(sizes) - sizes, sizes
+    def nodes(boxes):  # nodes, node weights, first nodes, node counts
+        sets = sup_nodes(weight, boxes, qspec)
+        sizes = np.array([len(X) for X, _ in sets])
+        return (*map(np.concatenate, zip(*sets)), np.cumsum(sizes) - sizes, sizes)
 
-    (FX, wx, ox, nx), (FY, wy, oy, ny) = factors(ux, 1.0 / p), factors(uy, -1.0 / p)
-    pairs, inv = _distinct(np.stack([iy, ix], axis=1))  # sorted by x-box: the last column
-    py, px = pairs.T
-    cols = np.r_[0, np.cumsum(ny[py])]  # each pair's first column, and the end
-    at = np.repeat(oy[py] - cols[:-1], ny[py]) + np.arange(cols[-1])  # y-node of each column
-    # node pairs ahead of each pair in its x-box's block, counted in budgets
-    key = nx[px] * (cols[:-1] - cols[np.searchsorted(px, px)]) // _BLOCK_PAIRS
-    cuts = np.flatnonzero(np.r_[True, (px[1:] != px[:-1]) | (key[1:] != key[:-1]), True])
-    s, m, out = (p if p <= 1.0 else p / (p - 1.0)), weight.m, np.empty(len(pairs))
+    m = weight.m
+    (X, wx, ox, nx), (Y, wy, oy, ny) = nodes(ux), nodes(uy)
+    # parts of W^(1/p)(x) E_k as (part, row, column, x, k), exact: E_k's entries are 0, +-1, +-i
+    E = linalg.hermitian_basis(m).transpose(1, 0, 2).reshape(m, -1)
+    G = (weight.power_at(X, 1.0 / p).reshape(-1, m) @ E).reshape(len(X), m, m * m, m)
+    CX = np.stack([G.real, G.imag]).transpose(0, 2, 4, 1, 3).reshape(2 * m * m, len(X), m * m)
+    CY = linalg.hermitian_coords(weight.power_at(Y, -1.0 / p)).T
+    # the lead side is the one with fewer distinct boxes; pairs sorted by lead box
+    by_y = len(uy) < len(ux)
+    pairs, inv = _distinct(np.stack([ix, iy] if by_y else [iy, ix], axis=1))
+    other, lead = pairs.T
+    (o_lead, n_lead), (o_other, n_other) = ((oy, ny), (ox, nx)) if by_y else ((ox, nx), (oy, ny))
+    counts = n_other[other]
+    first = np.cumsum(counts) - counts  # each pair's first partner node, over all pairs
+    at = np.repeat(o_other[other] - first, counts) + np.arange(first[-1] + counts[-1])
+    # partner node pairs ahead of each pair in its lead box's block, counted in budgets
+    key = n_lead[lead] * (first - first[np.searchsorted(lead, lead)]) // _BLOCK_PAIRS
+    cuts = np.flatnonzero(np.r_[True, (lead[1:] != lead[:-1]) | (key[1:] != key[:-1]), True])
+    s, out = (p if p <= 1.0 else p / (p - 1.0)), np.empty(len(pairs))
     for a, b in zip(cuts[:-1], cuts[1:]):
-        xs, ys = slice(ox[px[a]], ox[px[a]] + nx[px[a]]), at[cols[a]:cols[b]]
-        A, B, w, seg = FX[..., xs], FY[..., ys], wx[xs], cols[a:b] - cols[a]
-        # m^3 broadcast multiply-adds, y by x: each x-average is a C-contiguous row sum
-        M = np.stack([[sum(A[r, j] * B[j, c, :, None] for j in range(m)) for c in range(m)]
-                      for r in range(m)])
-        F = linalg.op_norm(np.moveaxis(M, (0, 1), (-2, -1))) ** s
-        out[a:b] = ((np.add.reduceat(F * wy[ys, None], seg) ** (p / s) * w).sum(axis=1)
-                    if p > 1.0 else (np.maximum.reduceat(F, seg) * w).sum(axis=1) if star
-                    else np.maximum.reduceat((F * w).sum(axis=1), seg))
+        own = np.arange(o_lead[lead[a]], o_lead[lead[a]] + n_lead[lead[a]])
+        partners, seg = at[first[a]:first[b - 1] + counts[b - 1]], first[a:b] - first[a]
+        (xs, xseg), (ys, yseg) = (((partners, seg), (own, [0])) if by_y
+                                  else ((own, [0]), (partners, seg)))
+        # one product, (part, row, column, x) by y, then each entry's two planes
+        R = linalg.matmul(CX[:, xs].reshape(-1, m * m), CY[:, ys]).reshape(2, m, m, len(xs), -1)
+        F = linalg.norm_power(R[0], R[1], s)  # (x, y)
+        if p > 1.0:
+            H = np.add.reduceat(F * wy[ys], yseg, axis=1) ** (p / s) * wx[xs, None]
+        else:
+            H = (np.maximum.reduceat(F, yseg, axis=1) if star else F) * wx[xs, None]
+        V = np.add.reduceat(H, xseg)  # each pair's x-average in its own segment
+        if p <= 1.0 and not star:
+            V = np.maximum.reduceat(V, yseg, axis=1)
+        out[a:b] = V[:, 0] if by_y else V[0]
     return out[inv]
 
 

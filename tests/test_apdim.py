@@ -375,30 +375,35 @@ def test_matrix_kernel_matches_the_pairwise_definition(case):
 
 @pytest.mark.parametrize("p, star", [(0.5, False), (0.5, True), (2.0, False)])
 def test_split_product_blocks_equal_the_unsplit_ones(monkeypatch, p, star):
-    bx, by = _kernel_pairs()
-    whole = weights.ap_pairs(_conjugated(), p, bx, by, KERNEL_QSPEC, star=star)
+    pairs = (_kernel_pairs(), _kernel_pairs()[::-1])  # blocks by x-box, then by y-box
+    whole = [weights.ap_pairs(_conjugated(), p, bx, by, KERNEL_QSPEC, star=star)
+             for bx, by in pairs]
     for budget in (1, 700):
         monkeypatch.setattr(weights, "_BLOCK_PAIRS", budget)
-        split = weights.ap_pairs(_conjugated(), p, bx, by, KERNEL_QSPEC, star=star)
-        assert np.array_equal(split, whole)
+        for (bx, by), unsplit in zip(pairs, whole):
+            split = weights.ap_pairs(_conjugated(), p, bx, by, KERNEL_QSPEC, star=star)
+            assert np.array_equal(split, unsplit)
 
 
-def test_one_op_norm_per_product_block(monkeypatch):
-    calls = []
+def test_one_norm_power_per_product_block(monkeypatch):
+    blocks = []
 
-    def counted(a):
-        calls.append(a.shape[:-2])
-        return op_norm(a)
+    def counted(re, im, s):
+        blocks.append(re.shape[2:])
+        return norm_power(re, im, s)
 
-    op_norm = linalg.op_norm
-    monkeypatch.setattr(linalg, "op_norm", counted)
+    norm_power = linalg.norm_power
+    monkeypatch.setattr(linalg, "norm_power", counted)
     bx, by = _kernel_pairs()
     weights.ap_pairs(_conjugated(), 2.0, bx, by, KERNEL_QSPEC)
-    assert len(calls) == 4 < len(bx)  # one block per distinct x-box
+    assert len(blocks) == 4 < len(bx)  # one block per distinct x-box
+    blocks.clear()
+    weights.ap_pairs(_conjugated(), 2.0, by, bx, KERNEL_QSPEC)
+    assert len(blocks) == 4  # swapped: one block per distinct y-box
     monkeypatch.setattr(weights, "_BLOCK_PAIRS", 1)
-    calls.clear()
+    blocks.clear()
     weights.ap_pairs(_conjugated(), 2.0, bx, by, KERNEL_QSPEC)
-    assert len(calls) == 16  # one block per distinct pair
+    assert len(blocks) == 16  # one block per distinct pair
 
 
 @pytest.mark.parametrize("weight", [PowerLogWeight(1, 1, -0.4), _conjugated()])

@@ -54,6 +54,22 @@ def test_family_singular_matrix_raises_degenerate_matrix_error(tmp_path):
         load_family_json(path)
 
 
+def test_family_entry_without_bracket_raises_coverage_error(tmp_path):
+    path, payload = _written_family(tmp_path)
+    del payload["cubes"]["(2,1)"]["bracket"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CoverageError, match=r"cube \(2,1\) holds a malformed entry \(KeyError"):
+        load_family_json(path)
+
+
+def test_family_matrix_entry_without_imaginary_part_raises_coverage_error(tmp_path):
+    path, payload = _written_family(tmp_path)
+    payload["cubes"]["(2,1)"]["matrix"] = [[[1.0]]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CoverageError, match=r"cube \(2,1\) holds a malformed entry \(ValueError"):
+        load_family_json(path)
+
+
 def test_filters_export(tmp_path):
     flt = build_filters(cube_box(1), 10)
     path = tmp_path / "filters.json"

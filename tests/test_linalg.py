@@ -114,3 +114,42 @@ def test_op_norm_submultiplicative():
         B = linalg.random_hermitian(rng, 3)
         assert linalg.op_norm(A @ B) <= linalg.op_norm(A) * linalg.op_norm(B) + 1e-12
 
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermitian_coords_rebuild_the_matrix(d):
+    rng = np.random.default_rng(d)
+    A = np.stack([linalg.random_hermitian(rng, d) for _ in range(5)])
+    E = linalg.hermitian_basis(d)
+    assert E.shape == (d * d, d, d) and np.array_equal(E, np.conj(np.swapaxes(E, -1, -2)))
+    c = linalg.hermitian_coords(A)
+    assert c.shape == (5, d * d) and c.dtype == float
+    assert np.array_equal(np.einsum("na,aij->nij", c, E), A)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
+def test_norm_power_matches_svd(m, s):
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((6, 7, m, m)) + 1j * rng.standard_normal((6, 7, m, m))
+    planes = np.moveaxis(A, (-2, -1), (0, 1))
+    got = linalg.norm_power(planes.real, planes.imag, s)
+    ref = np.linalg.svd(A, compute_uv=False)[..., 0] ** s
+    assert got.shape == (6, 7)
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("q", [1, 4, 9])
+def test_matmul_entries_do_not_depend_on_the_shape(q):
+    # one row, a column count off a multiple of 8 and either memory order, in
+    # products large enough for the blocked BLAS path, against one product
+    rng = np.random.default_rng(q)
+    a, b = rng.standard_normal((1500, q)), rng.standard_normal((q, 2003))
+    whole = linalg.matmul(a, b)
+    np.testing.assert_allclose(whole, a @ b, rtol=0, atol=1e-13)
+    for r0, r1, c0, c1 in [(0, 1, 0, 2003), (7, 1500, 3, 2001), (700, 701, 5, 1006),
+                           (1, 1499, 0, 1997), (300, 1300, 999, 2003)]:
+        part = linalg.matmul(a[r0:r1], b[:, c0:c1])
+        assert np.array_equal(part, whole[r0:r1, c0:c1])
+        assert np.array_equal(linalg.matmul(np.asfortranarray(a[r0:r1]), b[:, c0:c1].T.copy().T),
+                              part)

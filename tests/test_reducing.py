@@ -89,6 +89,20 @@ class TestCubeNorm:
         assert norm(2.7 * z) == pytest.approx(2.7 * norm(z), rel=1e-10)
 
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("p", [0.5, 1.5, 2.0, 3.0])
+    def test_constant_norms_on_the_least_eigenvector(self, m, p):
+        # cond(M^(1/p)) = 1000 with random eigenvectors, and M's least eigenvector
+        # among the directions: |M^(1/p) z| there is 1000 times below the
+        # factor's entries, so z* M^(2/p) z would lose about 1e-11 to cancellation
+        rng = np.random.default_rng(m)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        M = linalg.hermitize((q * np.geomspace(1.0, 1e-3, m) ** p) @ np.conj(q.T))
+        dirs = np.concatenate([unit_directions(m, 16), np.linalg.eigh(M)[1][:, :1].T])
+        got = CubeNorm(ConstantWeight(1, M), p, DyadicCube(1, (0,))).bundle(dirs)
+        ref = np.linalg.norm(dirs @ linalg.matrix_power(M, 1.0 / p).T, axis=1)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
 class TestMvee:
     def test_cross_points_give_circle(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])

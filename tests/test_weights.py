@@ -312,6 +312,23 @@ def test_ap_constant_and_ap_pairs_properties(kind, data):
             np.testing.assert_allclose(values, 1.0, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.0, 3.0])
+def test_ill_conditioned_constant_weight_pairs_are_one(m, p):
+    # cond(M) = 1e4 with random eigenvectors. The computed factors M^(1/p) and
+    # M^(-1/p) multiply to I only within about eps cond(M)^(1/p): below 1e-13
+    # for p >= 1.5, near 1e-8 at p = 0.5. A Gram form lambda_max(X Y^2 X)
+    # would lose eps cond(M)^(2/p) instead, 2e-12 at p = 2 and O(1) at p = 0.5.
+    rng = np.random.default_rng(m)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    M = linalg.hermitize((q * np.geomspace(1.0, 1e-4, m)) @ np.conj(q.T))
+    assert np.linalg.cond(M) >= 1e4 * (1 - 1e-9)
+    pairs = dilated_boxes(CubeWindow(1, 1, 2).cubes(), [1.0, 2.0])
+    values = weights.ap_pairs(ConstantWeight(1, M), p, pairs[:, 0], pairs[:, 1],
+                              QuadSpec(base_depth=3, grade_depth=24))
+    np.testing.assert_allclose(values, 1.0, rtol=0, atol=1e-13 if p >= 1.5 else 1e-7)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_sup_nodes_of_a_batch_are_the_one_box_order_1_nodes(n):
     # boxes with the singular points at corners, inside, outside, and twice
