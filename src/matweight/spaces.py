@@ -8,7 +8,11 @@ sums; q = infinity and p = infinity take explicit supremum paths. Tiny
 values are handled by rescaling with the global maximum, never by raw
 powers that could underflow. One function, weighted_fields, makes those
 scalar fields from vector fields under every weighting (none, a matrix
-weight, a reducing family), for sequences and functions alike.
+weight, a reducing family), for sequences and functions alike. The
+smoothness s only multiplies level j by 2^(js), so the unscaled lengths are
+kept per weighting by one helper, _cached_lengths: a CoefficientField, which
+never changes once built, keeps its own, and transform's FilterPair slot
+keeps those of the last function.
 """
 
 from dataclasses import dataclass
@@ -17,6 +21,7 @@ import numpy as np
 
 from .dyadic import block_reduce, grid_points, grid_shape
 from .errors import CoverageError, InvalidExponentError
+from .linalg import read_only
 from .weights import MatrixWeight
 
 
@@ -60,7 +65,14 @@ def classify(params):
 # coefficient fields
 
 class CoefficientField:
-    """One complex m-vector per window cube, stored per level as arrays."""
+    """One complex m-vector per window cube, stored per level as read-only arrays.
+
+    A field never changes once built: an array the constructor is given is
+    locked in place, a view is copied (see linalg.read_only), and set_cube,
+    scaled and + build new fields. So the field keeps the unscaled lengths
+    |A_Q t_Q| of every weighting it is normed under (_cached_lengths), and
+    its sequence norms after the first pay no weighting pass.
+    """
 
     def __init__(self, window, m, values=None):
         self.window = window
@@ -72,21 +84,21 @@ class CoefficientField:
                 arr = np.asarray(values[j], dtype=complex)
                 if arr.shape != counts + (m,):
                     raise ValueError(f"level {j} values shape {arr.shape}")
-                self.values[j] = arr
             else:
-                self.values[j] = np.zeros(counts + (m,), dtype=complex)
+                arr = np.zeros(counts + (m,), dtype=complex)
+            self.values[j] = read_only(arr)
+        self._kept_lengths = {}
 
     def set_cube(self, Q, vec):
+        """A new field equal to this one except t_Q = vec."""
         idx = self.window.index(Q)
-        self.values[Q.j][idx] = np.asarray(vec, dtype=complex)
+        level = self.values[Q.j].copy()
+        level[idx] = np.asarray(vec, dtype=complex)
+        return CoefficientField(self.window, self.m, {**self.values, Q.j: level})
 
     def cube_value(self, Q):
         idx = self.window.index(Q)
         return self.values[Q.j][idx]
-
-    def copy(self):
-        return CoefficientField(self.window, self.m,
-                                {j: v.copy() for j, v in self.values.items()})
 
     def __add__(self, other):
         if other.m != self.m:
@@ -94,10 +106,8 @@ class CoefficientField:
         a, b = self.window, other.window
         if (a.j_min, a.j_max, a.box) != (b.j_min, b.j_max, b.box):
             raise CoverageError("cannot add fields on different cube windows")
-        out = self.copy()
-        for j in out.values:
-            out.values[j] = out.values[j] + other.values[j]
-        return out
+        return CoefficientField(a, self.m,
+                                {j: v + other.values[j] for j, v in self.values.items()})
 
     def scaled(self, c):
         return CoefficientField(self.window, self.m,
@@ -114,9 +124,7 @@ class CoefficientField:
 
     @staticmethod
     def atom(window, m, Q, vec):
-        t = CoefficientField(window, m)
-        t.set_cube(Q, vec)
-        return t
+        return CoefficientField(window, m).set_cube(Q, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +196,21 @@ def la_tau_norm(fields, params, window, grid_level):
     cellvol = 2.0 ** (-grid_level * n)
     p, q, tau = params.p, params.q, params.tau
 
-    def mass(g, lP):
-        """Per level-lP cube L^p average of g (the max at p = inf)."""
+    def power(g):
+        return g if np.isinf(p) else g ** p
+
+    def mass(gp, lP):
+        """Per level-lP cube L^p average of g from gp = power(g) (the max at p = inf)."""
         factor = 2 ** (grid_level - lP)
         if np.isinf(p):
-            return block_reduce(g, n, factor, np.maximum)
-        return (block_reduce(g ** p, n, factor) * cellvol / 2.0 ** (-lP * n)) ** (1.0 / p)
+            return block_reduce(gp, n, factor, np.maximum)
+        return (block_reduce(gp, n, factor) * cellvol / 2.0 ** (-lP * n)) ** (1.0 / p)
 
     if params.kind == "B":
+        powered = {j: power(fields[j] / scale) for j in levels}
+
         def vals_at(lP):
-            stack = [mass(fields[j] / scale, lP) for j in levels if j >= lP]
+            stack = [mass(powered[j], lP) for j in levels if j >= lP]
             if not stack:
                 return None
             stack = np.stack(stack)  # (levels >= lP, cubes at lP)
@@ -210,7 +223,7 @@ def la_tau_norm(fields, params, window, grid_level):
             if lP not in agg:
                 return None
             g = agg[lP] if np.isinf(q) else agg[lP] ** (1.0 / q)
-            return (2.0 ** (-lP * n)) ** (1.0 / p - tau) * mass(g, lP)
+            return (2.0 ** (-lP * n)) ** (1.0 / p - tau) * mass(power(g), lP)
     return _sup_over_cubes(window, scale, vals_at)
 
 
@@ -274,7 +287,7 @@ def _weighting_key(weighting, levels, p_weight):
     """(key, arrays whose ids the key holds): all of a weighting that changes
     its lengths, or None for a weight without a descriptor."""
     if weighting is None:
-        return "euclidean", None
+        return ("euclidean",), None
     if isinstance(weighting, MatrixWeight):
         try:
             return ("weight", repr(weighting.descriptor()), p_weight), None
@@ -282,6 +295,21 @@ def _weighting_key(weighting, levels, p_weight):
             return None, None
     mats = tuple(weighting.level_field(j) for j in levels)  # read-only arrays
     return ("family",) + tuple(map(id, mats)), mats
+
+
+def _cached_lengths(cache, weighting, levels, p_weight, grid, make):
+    """The unscaled lengths {j: |weighting v_j|} that make() computes, kept in
+    cache (a dict, or None to keep nothing) under _weighting_key and grid, the
+    grid they live on, next to the arrays whose ids the key holds. Callers
+    pass a cache only for vectors that never change, so the key stays valid.
+    A weight without a descriptor is never kept."""
+    key, keep = (None, None) if cache is None else _weighting_key(weighting, levels, p_weight)
+    if key is None:
+        return make()
+    key += (grid,)
+    if key not in cache:
+        cache[key] = keep, make()
+    return cache[key][1]
 
 
 def _weighted_lengths(vecs, weighting, box, grid_level, p_weight):
@@ -310,6 +338,10 @@ def _weighted_lengths(vecs, weighting, box, grid_level, p_weight):
     return lengths
 
 
+def _scaled(lengths, s):
+    return {j: 2.0 ** (j * s) * g for j, g in lengths.items()}
+
+
 def weighted_fields(vecs, weighting, s, box, grid_level, p_weight=None, cache=None):
     """Per level j, 2^(js) |weighting v_j| on the level-`grid_level` grid of box.
 
@@ -322,20 +354,31 @@ def weighted_fields(vecs, weighting, s, box, grid_level, p_weight=None, cache=No
     scalar weight (is_scalar()) skips the m x m product for scalar_profile(x)
     ^(1/p_weight) v(x): for PowerLogWeight and ProductPowerWeight that is bit
     for bit the same, as their off-diagonal products only add exact zeros.
-    cache, a dict, keeps the unscaled lengths of vecs that never change per
-    _weighting_key, so calls that differ only in s share one pass.
+    cache, a dict, keeps the unscaled lengths of vecs that never change
+    (_cached_lengths), so calls that differ only in s share one pass.
     """
-    key, keep = (None, None) if cache is None else _weighting_key(weighting, tuple(vecs), p_weight)
-    cache = {} if key is None else cache
-    if key not in cache:
-        cache[key] = keep, _weighted_lengths(vecs, weighting, box, grid_level, p_weight)
-    return {j: 2.0 ** (j * s) * g for j, g in cache[key][1].items()}
+    return _scaled(_cached_lengths(cache, weighting, tuple(vecs), p_weight, grid_level,
+                                   lambda: _weighted_lengths(vecs, weighting, box, grid_level,
+                                                             p_weight)), s)
 
 
-def _normalized_vectors(t):
-    """Level j -> the field of |Q|^(-1/2) t_Q, shape (m, *counts)."""
-    return {j: np.moveaxis(v, -1, 0) * 2.0 ** (j * t.window.n / 2.0)
-            for j, v in t.values.items()}
+def _sequence_fields(t, weighting, s, grid_level, p_weight):
+    """weighted_fields of the normalized vectors |Q|^(-1/2) t_Q, through the
+    lengths the field keeps."""
+    def make():
+        vecs = {j: np.moveaxis(v, -1, 0) * 2.0 ** (j * t.window.n / 2.0)
+                for j, v in t.values.items()}
+        return _weighted_lengths(vecs, weighting, t.window.box, grid_level, p_weight)
+    return _scaled(_cached_lengths(t._kept_lengths, weighting, tuple(t.values), p_weight,
+                                   grid_level, make), s)
+
+
+def _default_grid_level(window, weighting, grid_level):
+    """grid_level, by default the window's finest level (+2 when a matrix
+    weight must be resolved)."""
+    if grid_level is not None:
+        return grid_level
+    return window.j_max + (2 if isinstance(weighting, MatrixWeight) else 0)
 
 
 def seq_norm(t, params, weighting=None, p_weight=None, grid_level=None,
@@ -345,24 +388,29 @@ def seq_norm(t, params, weighting=None, p_weight=None, grid_level=None,
     weighting: None (unweighted Euclidean length), a ReducingFamily (the
     averaging norm |A_j t_j|), or a MatrixWeight (the |W^(1/p) t_j| norm;
     p_weight defaults to params.p). The grid level defaults to the window's
-    finest level (+2 when a matrix weight must be resolved).
+    finest level (+2 when a matrix weight must be resolved). The unscaled
+    lengths come from the field's own cache, so norms of one field that
+    differ only in (s, tau, p, q) pay one weighting pass per weighting,
+    p_weight and grid level.
     """
-    window = t.window
-    if grid_level is None:
-        grid_level = window.j_max + (2 if isinstance(weighting, MatrixWeight) else 0)
-    fields = weighted_fields(_normalized_vectors(t), weighting, params.s, window.box, grid_level,
-                             p_weight if p_weight is not None else params.p)
+    grid_level = _default_grid_level(t.window, weighting, grid_level)
+    fields = _sequence_fields(t, weighting, params.s, grid_level,
+                              p_weight if p_weight is not None else params.p)
     if selected_mask is not None:
         fields = {j: g * selected_mask(j) for j, g in fields.items()}
-    return la_tau_norm(fields, params, window, grid_level)
+    return la_tau_norm(fields, params, t.window, grid_level)
 
 
-def finfty_norm(t, s, q, weighting=None, grid_level=None):
-    """The p = infinity Triebel-Lizorkin sequence norm over the window."""
-    window = t.window
-    grid_level = grid_level if grid_level is not None else window.j_max
-    fields = weighted_fields(_normalized_vectors(t), weighting, s, window.box, grid_level)
-    return finfty_norm_fields(fields, q, window, grid_level)
+def finfty_norm(t, s, q, weighting=None, grid_level=None, p_weight=2.0):
+    """The p = infinity Triebel-Lizorkin sequence norm over the window.
+
+    Weightings, grid level and the field's length cache as in seq_norm; a
+    matrix weight enters as W^(1/p_weight), p_weight = 2 by default as in
+    transform.finfty_function_norm.
+    """
+    grid_level = _default_grid_level(t.window, weighting, grid_level)
+    fields = _sequence_fields(t, weighting, s, grid_level, p_weight)
+    return finfty_norm_fields(fields, q, t.window, grid_level)
 
 
 def left_half_mask(window, grid_level):
@@ -411,14 +459,31 @@ def maximal_sequence(seq, window, r, lam):
 
 
 def cube_scalar_sequence(t, family=None):
-    """Per-cube scalars |A_Q t_Q| (or |t_Q| without a family) as level arrays."""
+    """Per-cube scalars |A_Q t_Q| (or |t_Q| without a family) as level arrays,
+    through the field's length cache."""
     box = t.window.box
-    return {j: weighted_fields({j: np.moveaxis(v, -1, 0)}, family, 0.0, box, j)[j]
-            for j, v in t.values.items()}
+
+    def make():
+        return {j: _weighted_lengths({j: np.moveaxis(v, -1, 0)}, family, box, j, None)[j]
+                for j, v in t.values.items()}
+    kept = _cached_lengths(t._kept_lengths, family, tuple(t.values), None, "cube", make)
+    return {j: g.copy() for j, g in kept.items()}  # the caller may write into them
 
 
 def seq_norm_from_cube_scalars(seq, params, window):
-    """Norm of a scalar per-cube sequence (the unweighted a-norm)."""
-    return seq_norm(CoefficientField(window, 1, {j: np.asarray(a)[..., None]
-                                                 for j, a in seq.items()}), params)
-
+    """Norm of a scalar per-cube sequence (the unweighted a-norm): seq_norm of
+    the one-component field of the a_Q, made straight from the scalars as
+    2^(js) 2^(jn/2) |a_Q| on the window's finest grid. That is bit for bit
+    the field's Euclidean length, since sqrt(fl(x^2)) = |x| when x^2 neither
+    underflows nor overflows. A level seq lacks counts as zero."""
+    grid_level, n = window.j_max, window.n
+    side = grid_shape(window.box, grid_level)[0]
+    fields = {}
+    for j in window.levels():
+        counts = tuple(window.counts_at_level(j))
+        a = np.abs(np.asarray(seq.get(j, np.zeros(counts)), dtype=float))
+        if a.shape != counts:
+            raise ValueError(f"level {j} values shape {a.shape}")
+        g = _upsample(2.0 ** (j * n / 2.0) * a, side // counts[0], n)
+        fields[j] = 2.0 ** (j * params.s) * g
+    return la_tau_norm(fields, params, window, grid_level)

@@ -279,7 +279,7 @@ def _level_conv_fields(f, filters, window):
     The filters keep the fields of the last function asked for, so the
     function norms and the Peetre sup of one draw share one convolution
     pass. Next to them the slot keeps a dict of those fields' weighted
-    lengths (weighted_fields' cache), so they also share one weighting pass
+    lengths (spaces._cached_lengths), so they also share one weighting pass
     per weighting. The slot holds the coefficient array weakly and is keyed
     on its identity, which is sound because BandLimitedFunction makes it
     read-only; the slot is emptied when that array dies.

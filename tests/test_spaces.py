@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matweight import spaces
 from matweight.errors import CoverageError
 from matweight.geometry import Box, CubeWindow, DyadicCube
 from matweight.reducing import build_family, identity_family
@@ -117,6 +118,17 @@ class TestChainsAndIdentities:
             v_crit = seq_norm(t, SpaceParams(0.1, 1.0 / q, q, q, "F"), fam).value
             assert v_inf == pytest.approx(v_crit, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [0.5, 2.0, 7.0])
+    def test_lf_definitional_identity_with_a_matrix_weight(self, q):
+        window = CubeWindow(1, 2, 4)
+        weight = PowerLogWeight(1, 2, -0.4)
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            t = CoefficientField.random(window, 2, rng)
+            v_inf = finfty_norm(t, 0.1, q, weight).value
+            v_crit = seq_norm(t, SpaceParams(0.1, 1.0 / q, q, q, "F"), weight, p_weight=2.0).value
+            assert v_inf == pytest.approx(v_crit, rel=1e-12)
+
     def test_b_equals_f_at_equal_exponents(self, fam):
         rng = np.random.default_rng(5)
         t = CoefficientField.random(WIN, 2, rng)
@@ -211,9 +223,7 @@ class TestNormAxioms:
         params = SpaceParams(0.1, 0.4, 1.2, 2.0, "B")
         for _ in range(20):
             t_small = CoefficientField.random(small, 1, rng)
-            t_big = CoefficientField(big, 1)
-            for j in small.levels():
-                t_big.values[j][...] = t_small.values[j]
+            t_big = CoefficientField(big, 1, {j: t_small.values[j] for j in small.levels()})
             v_small = seq_norm(t_small, params, fam_small).value
             v_big = seq_norm(t_big, params, fam_big).value
             assert v_big >= v_small * (1 - 1e-12)
@@ -233,6 +243,105 @@ class TestNormAxioms:
             ratios.append(half / full)
         assert all(0.05 <= r <= 1.0 + 1e-12 for r in ratios)
         assert max(ratios) / min(ratios) <= 4.0
+
+
+class _Undescribed(PowerLogWeight):
+    """A weight without a descriptor, whose lengths are never kept."""
+
+    def descriptor(self):
+        raise NotImplementedError
+
+
+class TestFieldLengths:
+    def test_a_field_never_changes(self):
+        values = {3: np.ones((8, 2), dtype=complex)}
+        t = CoefficientField.random(WIN, 2, np.random.default_rng(40))
+        u = CoefficientField(WIN, 2, values)
+        assert u.values[3] is values[3]  # locked in place, not copied
+        for field in (t, u, t + u, t.scaled(2.0), t.set_cube(DyadicCube(3, (2,)), [1.0, 0.0])):
+            for v in field.values.values():
+                with pytest.raises(ValueError):
+                    v[...] = 0.0
+        atom = u.set_cube(DyadicCube(3, (2,)), [5.0, 0.0])
+        assert u.cube_value(DyadicCube(3, (2,)))[0] == 1.0
+        assert atom.cube_value(DyadicCube(3, (2,)))[0] == 5.0
+
+    def test_kept_lengths_give_a_fresh_fields_values(self, families):
+        """Norms of one field under interleaved weightings, p_weight values and
+        grid levels equal, bit for bit, those of a fresh field with no kept
+        lengths, also on a second pass that reads every kept entry and after
+        the weights change."""
+        window = families[1].window
+        weight = PowerLogWeight(1, 2, -0.4)
+        weightings = [(families[1], None, None), (identity_family(window, 2), None, None),
+                      (None, None, None), (weight, 1.5, None), (weight, 2.0, None),
+                      (weight, 1.5, window.j_max + 3), (weight, 2.0, window.j_max + 3),
+                      (_Undescribed(1, 2, -0.4), 2.0, None), (families[1], None, window.j_max + 1)]
+        params = [SpaceParams(0.2, 0.3, 2.0, 1.5, "B"), SpaceParams(-0.1, 0.5, 2.0, math.inf, "F")]
+
+        def values(field, w, p_weight, grid_level):
+            out = [seq_norm(field, prm, w, p_weight, grid_level).value for prm in params]
+            out.append(finfty_norm(field, 0.1, 2.0, w, grid_level, p_weight or 2.0).value)
+            if not isinstance(w, PowerLogWeight):
+                out.extend(cube_scalar_sequence(field, w).values())
+            return out
+
+        t = CoefficientField.random(window, 2, np.random.default_rng(41))
+        for rerun in range(3):
+            if rerun == 2:
+                weight.a = weightings[7][0].a = 0.3
+            for w in weightings:
+                got = values(t, *w)
+                want = values(CoefficientField(window, 2, t.values), *w)
+                assert len(got) == len(want)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_one_weighting_pass_for_a_norms_job(self, families, monkeypatch):
+        """The sequence norms of one norms_fft benchmark job: the embedding
+        chain at three parameter tuples, the critical F-norm and the
+        F-infinity norm of one field under one family."""
+        passes = []
+        orig = spaces._weighted_lengths
+        monkeypatch.setattr(spaces, "_weighted_lengths",
+                            lambda *args: passes.append(1) or orig(*args))
+        fam = families[1]
+        t = CoefficientField.random(fam.window, 2, np.random.default_rng(42))
+        for prm in (SpaceParams(0.0, 0.0, 2.0, 2.0, "F"), SpaceParams(0.2, 0.3, 2.0, 1.5, "B"),
+                    SpaceParams(-0.1, 0.5, 2.0, math.inf, "F")):
+            for q, kind in ((max(prm.p, prm.q), "B"), (prm.q, "F"), (min(prm.p, prm.q), "B")):
+                seq_norm(t, SpaceParams(prm.s, prm.tau, prm.p, q, kind), fam)
+        seq_norm(t, SpaceParams(0.1, 0.5, 2.0, 2.0, "F"), fam)
+        finfty_norm(t, 0.1, 2.0, fam)
+        assert len(passes) == 1
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n=st.sampled_from([1, 2]), s=st.floats(-0.5, 0.5), tau=st.floats(0.0, 0.6),
+           p=st.sampled_from([0.7, 2.0, math.inf]), q=st.sampled_from([1.5, 3.0, math.inf]),
+           kind=st.sampled_from(["B", "F"]), zero_level=st.integers(-1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=1, s=0.1, tau=0.2, p=math.inf, q=math.inf, kind="B", zero_level=0, seed=0)
+    @example(n=2, s=0.0, tau=0.0, p=2.0, q=1.5, kind="F", zero_level=2, seed=1)
+    def test_cube_scalar_norm_is_the_one_component_fields(self, n, s, tau, p, q, kind,
+                                                          zero_level, seed):
+        """seq_norm_from_cube_scalars builds its fields from the scalars
+        without the length pass, bit for bit as seq_norm of the one-component
+        field. The scalars stay within 1e-8 .. 1e8, where squaring them
+        neither underflows nor overflows: outside, the length pass is the
+        one that rounds."""
+        if kind == "F" and math.isinf(p):
+            p = 2.0
+        window = CubeWindow(n, 1, 4 if n == 1 else 3)
+        rng = np.random.default_rng(seed)
+        seq = {}
+        for j in window.levels():
+            counts = tuple(window.counts_at_level(j))
+            a = 10.0 ** rng.uniform(-8, 8, counts) * (rng.random(counts) < 0.7)
+            seq[j] = 0.0 * a if j == window.j_min + zero_level else a
+        params = SpaceParams(s, tau, p, q, kind)
+        got = seq_norm_from_cube_scalars(seq, params, window)
+        want = seq_norm(CoefficientField(window, 1, {j: a[..., None] for j, a in seq.items()}),
+                        params)
+        assert got == want
 
 
 class TestMaximalSequence:

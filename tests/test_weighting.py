@@ -149,10 +149,10 @@ class TestWeightingOracle:
 
 
 def test_matrix_weight_without_exponent_is_rejected():
-    # the F-infinity norm has no p to take W^(1/p) with
+    # W^(1/p) needs an exponent; finfty_norm takes p_weight = 2 unless told otherwise
     t = CoefficientField.random(_window(1), 2, np.random.default_rng(0))
     with pytest.raises(InvalidExponentError):
-        finfty_norm(t, 0.1, 2.0, identity_weight(1, 2))
+        finfty_norm(t, 0.1, 2.0, identity_weight(1, 2), p_weight=None)
 
 
 @ORACLE
