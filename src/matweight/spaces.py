@@ -196,21 +196,16 @@ def la_tau_norm(fields, params, window, grid_level):
     cellvol = 2.0 ** (-grid_level * n)
     p, q, tau = params.p, params.q, params.tau
 
-    def power(g):
-        return g if np.isinf(p) else g ** p
-
-    def mass(gp, lP):
-        """Per level-lP cube L^p average of g from gp = power(g) (the max at p = inf)."""
+    def mass(g, lP):
+        """Per level-lP cube L^p average of g (the max at p = inf)."""
         factor = 2 ** (grid_level - lP)
         if np.isinf(p):
-            return block_reduce(gp, n, factor, np.maximum)
-        return (block_reduce(gp, n, factor) * cellvol / 2.0 ** (-lP * n)) ** (1.0 / p)
+            return block_reduce(g, n, factor, np.maximum)
+        return (block_reduce(g ** p, n, factor) * cellvol / 2.0 ** (-lP * n)) ** (1.0 / p)
 
     if params.kind == "B":
-        powered = {j: power(fields[j] / scale) for j in levels}
-
         def vals_at(lP):
-            stack = [mass(powered[j], lP) for j in levels if j >= lP]
+            stack = [mass(fields[j] / scale, lP) for j in levels if j >= lP]
             if not stack:
                 return None
             stack = np.stack(stack)  # (levels >= lP, cubes at lP)
@@ -223,7 +218,7 @@ def la_tau_norm(fields, params, window, grid_level):
             if lP not in agg:
                 return None
             g = agg[lP] if np.isinf(q) else agg[lP] ** (1.0 / q)
-            return (2.0 ** (-lP * n)) ** (1.0 / p - tau) * mass(power(g), lP)
+            return (2.0 ** (-lP * n)) ** (1.0 / p - tau) * mass(g, lP)
     return _sup_over_cubes(window, scale, vals_at)
 
 
@@ -401,15 +396,14 @@ def seq_norm(t, params, weighting=None, p_weight=None, grid_level=None,
     return la_tau_norm(fields, params, t.window, grid_level)
 
 
-def finfty_norm(t, s, q, weighting=None, grid_level=None, p_weight=2.0):
+def finfty_norm(t, s, q, weighting=None, grid_level=None):
     """The p = infinity Triebel-Lizorkin sequence norm over the window.
 
-    Weightings, grid level and the field's length cache as in seq_norm; a
-    matrix weight enters as W^(1/p_weight), p_weight = 2 by default as in
-    transform.finfty_function_norm.
+    Weightings, grid level and the field's kept lengths as in seq_norm; a
+    matrix weight enters as W^(1/2), as in transform.finfty_function_norm.
     """
     grid_level = _default_grid_level(t.window, weighting, grid_level)
-    fields = _sequence_fields(t, weighting, s, grid_level, p_weight)
+    fields = _sequence_fields(t, weighting, s, grid_level, 2.0)
     return finfty_norm_fields(fields, q, t.window, grid_level)
 
 
@@ -459,31 +453,13 @@ def maximal_sequence(seq, window, r, lam):
 
 
 def cube_scalar_sequence(t, family=None):
-    """Per-cube scalars |A_Q t_Q| (or |t_Q| without a family) as level arrays,
-    through the field's length cache."""
+    """Per-cube scalars |A_Q t_Q| (or |t_Q| without a family) as level arrays."""
     box = t.window.box
-
-    def make():
-        return {j: _weighted_lengths({j: np.moveaxis(v, -1, 0)}, family, box, j, None)[j]
-                for j, v in t.values.items()}
-    kept = _cached_lengths(t._kept_lengths, family, tuple(t.values), None, "cube", make)
-    return {j: g.copy() for j, g in kept.items()}  # the caller may write into them
+    return {j: _weighted_lengths({j: np.moveaxis(v, -1, 0)}, family, box, j, None)[j]
+            for j, v in t.values.items()}
 
 
 def seq_norm_from_cube_scalars(seq, params, window):
-    """Norm of a scalar per-cube sequence (the unweighted a-norm): seq_norm of
-    the one-component field of the a_Q, made straight from the scalars as
-    2^(js) 2^(jn/2) |a_Q| on the window's finest grid. That is bit for bit
-    the field's Euclidean length, since sqrt(fl(x^2)) = |x| when x^2 neither
-    underflows nor overflows. A level seq lacks counts as zero."""
-    grid_level, n = window.j_max, window.n
-    side = grid_shape(window.box, grid_level)[0]
-    fields = {}
-    for j in window.levels():
-        counts = tuple(window.counts_at_level(j))
-        a = np.abs(np.asarray(seq.get(j, np.zeros(counts)), dtype=float))
-        if a.shape != counts:
-            raise ValueError(f"level {j} values shape {a.shape}")
-        g = _upsample(2.0 ** (j * n / 2.0) * a, side // counts[0], n)
-        fields[j] = 2.0 ** (j * params.s) * g
-    return la_tau_norm(fields, params, window, grid_level)
+    """Norm of a scalar per-cube sequence (the unweighted a-norm)."""
+    return seq_norm(CoefficientField(window, 1, {j: np.asarray(a)[..., None]
+                                                 for j, a in seq.items()}), params)

@@ -17,7 +17,7 @@ from matweight.dyadic import grid_points, grid_shape
 from matweight.errors import InvalidExponentError
 from matweight.geometry import CubeWindow, DyadicCube, cube_box
 from matweight.reducing import ReducingFamily
-from matweight.spaces import (CoefficientField, SpaceParams, cube_scalar_sequence, finfty_norm,
+from matweight.spaces import (CoefficientField, SpaceParams, cube_scalar_sequence,
                               seq_norm, weighted_fields)
 from matweight.transform import BandLimitedFunction, build_filters, convolve_scale, peetre_sup
 from matweight.weights import (ConjugatedBlockWeight, GridSampledWeight, PowerLogWeight,
@@ -149,10 +149,11 @@ class TestWeightingOracle:
 
 
 def test_matrix_weight_without_exponent_is_rejected():
-    # W^(1/p) needs an exponent; finfty_norm takes p_weight = 2 unless told otherwise
+    # W^(1/p) needs an exponent p_weight
     t = CoefficientField.random(_window(1), 2, np.random.default_rng(0))
+    vecs = {j: np.moveaxis(v, -1, 0) for j, v in t.values.items()}
     with pytest.raises(InvalidExponentError):
-        finfty_norm(t, 0.1, 2.0, identity_weight(1, 2), p_weight=None)
+        weighted_fields(vecs, identity_weight(1, 2), 0.1, t.window.box, t.window.j_max)
 
 
 @ORACLE
