@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .geometry import Box, CubeWindow, DyadicCube, cube_box
 from .weights import (ConjugatedBlockWeight, ConstantWeight, GridSampledWeight,
                       MatrixWeight, PowerLogWeight, ProductPowerWeight,
-                      ap_constant, analytic_ball_average, cube_average,
+                      ap_constant, cube_average,
                       cube_average_matrix_norm, dual_weight, identity_weight,
                       two_singularity)
 from .reducing import (CubeNorm, ReducingFamily, build_family, dual_reduce,

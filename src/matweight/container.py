@@ -12,14 +12,19 @@ from .errors import CoverageError, DegenerateMatrixError
 from .geometry import Box, CubeWindow, DyadicCube
 
 
+_FAMILY_KEY_TYPES = {"window": dict, "p": (int, float), "method": str, "m": int, "cubes": dict}
+
+
 def _cube_key(Q):
     return f"({Q.j},{','.join(str(k) for k in Q.k)})"
 
 
 def _parse_cube_key(key):
-    body = key.strip("()")
-    j_str, k_str = body.split(",", 1)
-    return DyadicCube(int(j_str), tuple(int(v) for v in k_str.split(",")))
+    try:
+        j_str, k_str = key.strip("()").split(",", 1)
+        return DyadicCube(int(j_str), tuple(int(v) for v in k_str.split(",")))
+    except ValueError:
+        raise CoverageError(f"the family file holds an unparsable cube key {key!r}") from None
 
 
 def save_family_json(path, family):
@@ -43,9 +48,15 @@ def load_family_json(path):
 
     with open(path) as fh:
         payload = json.load(fh)
+    for key, kind in _FAMILY_KEY_TYPES.items():
+        if not isinstance(payload, dict) or not isinstance(payload.get(key), kind):
+            raise CoverageError(f"the family file's key {key!r} is missing or ill-typed")
     wd = payload["window"]
-    window = CubeWindow(wd["n"], wd["j_min"], wd["j_max"],
-                        Box(tuple(wd["box_lo"]), tuple(wd["box_hi"])))
+    try:
+        window = CubeWindow(wd["n"], wd["j_min"], wd["j_max"],
+                            Box(tuple(wd["box_lo"]), tuple(wd["box_hi"])))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CoverageError(f"the family file's key 'window' is ill-typed ({exc!r})") from None
     m = payload["m"]
     cubes = {_parse_cube_key(key): entry for key, entry in payload["cubes"].items()}
     missing = [Q for Q in window.cubes() if Q not in cubes]

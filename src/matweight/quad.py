@@ -1,4 +1,4 @@
-"""Cube and ball averages by an hp Gauss rule for point singularities.
+"""Box averages by an hp Gauss rule for point singularities.
 
 A box is split at its singular points, so each is a corner of the pieces
 around it; every piece gets 2^base_depth uniform cells per axis, and each
@@ -18,14 +18,13 @@ CHUNK_VALUES for an integrand known to be scalar), and sums each chunk in one
 reduction per 32 integrand columns.
 """
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import IntegrabilityError, ResolutionError
-from .geometry import Box, box_corners, mesh
+from .geometry import box_corners, mesh
 
 CHUNK_NODES = 2 ** 12  # integrand nodes per call: 32 KB per coordinate array
 CHUNK_VALUES = 2 ** 14  # integrand nodes per call if fn is scalar: one value per node
@@ -352,33 +351,3 @@ def average_boxes(fn, boxes, spec=None, singular_points=(), name="box average",
 def average_box(fn, box, spec=None, singular_points=(), name="box average", exponents=None):
     return average_boxes(fn, box_corners(box), spec, singular_points, name,
                          None if exponents is None else [exponents])[0]
-
-
-def average_ball(fn, center, radius, spec=None, singular_points=(), name="ball average"):
-    """Average over the ball. In 1-D the ball is a box; in 2-D the nodes are
-    c + r rho (cos 2 pi theta, sin 2 pi theta) from two 1-D rules on [0, 1],
-    rho graded toward 0 and the radius of each singular point in the closed
-    disc, theta toward the angle of each one off the centre, with weights
-    w_rho w_theta rho normalized to sum 1, so constants are exact."""
-    c = np.asarray(center, dtype=float)
-    if c.size == 1:
-        return average_box(fn, Box((c[0] - radius,), (c[0] + radius,)), spec,
-                           singular_points, name)
-    if c.size != 2:
-        raise ResolutionError(f"{name}: ball averages support n <= 2, not n = {c.size}")
-    polar = [(math.hypot(x, y) / radius, math.atan2(y, x) / (2.0 * math.pi))
-             for x, y in (np.asarray(_as_point(s, 2)) - c for s in singular_points)]
-    radii = [(0.0,)] + [(q,) for q, _ in polar if q <= 1.0 + 1e-12]
-    # an angle in [-1/2, 1/2] and its image one period up: those on [0, 1]
-    angles = [(t + k,) for q, t in polar if 1e-12 < q <= 1.0 + 1e-12 for k in (0, 1)]
-    unit = Box((0.0,), (1.0,))
-
-    def chunks(bd, gd, order, idx):
-        rho, w_rho, tail = box_nodes(unit, bd, gd, order, radii)
-        theta, w_theta, _ = box_nodes(unit, bd, gd, order, angles)
-        rho, theta = mesh(rho[:, 0], 2.0 * math.pi * theta[:, 0]).T  # radius-major
-        w = mesh(w_rho, w_theta).prod(axis=1) * rho
-        X = c + radius * rho[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        yield np.arange(1), X, w / w.sum(), np.array([w.size]), np.array([tail * len(w_theta)])
-
-    return _refine_loop(chunks, fn, (spec or QuadSpec()).for_dim(2), name)[0]

@@ -9,13 +9,13 @@ values are handled by rescaling with the global maximum, never by raw
 powers that could underflow. One function, weighted_fields, makes those
 scalar fields from vector fields under every weighting (none, a matrix
 weight, a reducing family), for sequences and functions alike. The
-smoothness s only multiplies level j by 2^(js), so the unscaled lengths are
-kept per weighting by one helper, _cached_lengths: a CoefficientField, which
-never changes once built, keeps its own, and transform's FilterPair slot
-keeps those of the last function.
+smoothness s only multiplies level j by 2^(js), so kept_fields keeps the
+unscaled lengths per weighting of vectors that never change: a
+CoefficientField's own, and a FilterPair's of the last function it convolved.
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,17 +67,17 @@ def classify(params):
 class CoefficientField:
     """One complex m-vector per window cube, stored per level as read-only arrays.
 
-    A field never changes once built: an array the constructor is given is
-    locked in place, a view is copied (see linalg.read_only), and set_cube,
-    scaled and + build new fields. So the field keeps the unscaled lengths
-    |A_Q t_Q| of every weighting it is normed under (_cached_lengths), and
-    its sequence norms after the first pay no weighting pass.
+    A field never changes once built: values is a read-only mapping of arrays
+    locked in place or copied (linalg.read_only), and set_cube, scaled and +
+    build new fields. So the field keeps the unscaled lengths |A_Q t_Q| of
+    every weighting it is normed under (kept_fields), and its sequence norms
+    after the first pay no weighting pass.
     """
 
     def __init__(self, window, m, values=None):
         self.window = window
         self.m = m
-        self.values = {}
+        levels = {}
         for j in window.levels():
             counts = tuple(window.counts_at_level(j))
             if values is not None and j in values:
@@ -86,7 +86,8 @@ class CoefficientField:
                     raise ValueError(f"level {j} values shape {arr.shape}")
             else:
                 arr = np.zeros(counts + (m,), dtype=complex)
-            self.values[j] = read_only(arr)
+            levels[j] = read_only(arr)
+        self.values = MappingProxyType(levels)
         self._kept_lengths = {}
 
     def set_cube(self, Q, vec):
@@ -278,6 +279,20 @@ def _lengths(v, A=None, n=None):
     return np.sqrt(total).reshape(cells)
 
 
+def _rescaled_lengths(v, A, n, g):
+    """g = _lengths(v, A, n) after a floating-point error, perhaps a signal
+    handler's: each length non-finite, or outside [2^-500, 2^500] from a
+    nonzero vector, is redone on the vectors scaled per cell by a power of
+    two. A length in that range is accurate even if some of its squares underflowed."""
+    if 2.0 ** -500 <= g.min() and g.max() <= 2.0 ** 500:
+        return g
+    with np.errstate(all="ignore"):
+        top = np.abs(v).max(axis=0)
+        e = np.frexp(top)[1].clip(-1000, 1000)
+        redo = np.ldexp(_lengths(v * np.ldexp(1.0, -e), A, n), e)
+        return np.where((top > 0) & ~((g >= 2.0 ** -500) & (g <= 2.0 ** 500)), redo, g)
+
+
 def _weighting_key(weighting, levels, p_weight):
     """(key, arrays whose ids the key holds): all of a weighting that changes
     its lengths, or None for a weight without a descriptor."""
@@ -290,21 +305,6 @@ def _weighting_key(weighting, levels, p_weight):
             return None, None
     mats = tuple(weighting.level_field(j) for j in levels)  # read-only arrays
     return ("family",) + tuple(map(id, mats)), mats
-
-
-def _cached_lengths(cache, weighting, levels, p_weight, grid, make):
-    """The unscaled lengths {j: |weighting v_j|} that make() computes, kept in
-    cache (a dict, or None to keep nothing) under _weighting_key and grid, the
-    grid they live on, next to the arrays whose ids the key holds. Callers
-    pass a cache only for vectors that never change, so the key stays valid.
-    A weight without a descriptor is never kept."""
-    key, keep = (None, None) if cache is None else _weighting_key(weighting, levels, p_weight)
-    if key is None:
-        return make()
-    key += (grid,)
-    if key not in cache:
-        cache[key] = keep, make()
-    return cache[key][1]
 
 
 def _weighted_lengths(vecs, weighting, box, grid_level, p_weight):
@@ -320,16 +320,22 @@ def _weighted_lengths(vecs, weighting, box, grid_level, p_weight):
         wpow = wpow.reshape(shape + wpow.shape[1:])  # one cube per grid cell
     elif weighting is not None and weighting.window.box != box:
         raise CoverageError("the reducing family lives on another box than the field")
-    lengths = {}
-    for j, v in vecs.items():
-        if weighting is not None and weighting.m != v.shape[0]:
-            raise CoverageError(f"an m = {weighting.m} weighting does not match the field")
-        factor = shape[0] // v.shape[1]
-        if matrix:
-            g, factor = _lengths(_upsample(v, factor, n), wpow, n), 1
-        else:
-            g = _lengths(v, None if weighting is None else weighting.level_field(j), n)
-        lengths[j] = _upsample(g, factor, n)
+    lengths, faults = {}, []
+    # a floating-point error is reported to faults, neither raised nor warned
+    with np.errstate(all="call", call=lambda *_: faults.append(1)):
+        for j, v in vecs.items():
+            if weighting is not None and weighting.m != v.shape[0]:
+                raise CoverageError(f"an m = {weighting.m} weighting does not match the field")
+            factor = shape[0] // v.shape[1]
+            if matrix:
+                v, A, factor = _upsample(v, factor, n), wpow, 1
+            else:
+                A = None if weighting is None else weighting.level_field(j)
+            g = _lengths(v, A, n)
+            if faults:
+                g = _rescaled_lengths(v, A, n, g)
+                faults.clear()
+            lengths[j] = _upsample(g, factor, n)
     return lengths
 
 
@@ -337,7 +343,7 @@ def _scaled(lengths, s):
     return {j: 2.0 ** (j * s) * g for j, g in lengths.items()}
 
 
-def weighted_fields(vecs, weighting, s, box, grid_level, p_weight=None, cache=None):
+def weighted_fields(vecs, weighting, s, box, grid_level, p_weight=None):
     """Per level j, 2^(js) |weighting v_j| on the level-`grid_level` grid of box.
 
     vecs: dict level j -> (m, *cells) vector field, constant on the cells of
@@ -349,23 +355,29 @@ def weighted_fields(vecs, weighting, s, box, grid_level, p_weight=None, cache=No
     scalar weight (is_scalar()) skips the m x m product for scalar_profile(x)
     ^(1/p_weight) v(x): for PowerLogWeight and ProductPowerWeight that is bit
     for bit the same, as their off-diagonal products only add exact zeros.
-    cache, a dict, keeps the unscaled lengths of vecs that never change
-    (_cached_lengths), so calls that differ only in s share one pass.
     """
-    return _scaled(_cached_lengths(cache, weighting, tuple(vecs), p_weight, grid_level,
-                                   lambda: _weighted_lengths(vecs, weighting, box, grid_level,
-                                                             p_weight)), s)
+    return _scaled(_weighted_lengths(vecs, weighting, box, grid_level, p_weight), s)
+
+
+def kept_fields(kept, window, vecs, weighting, s, grid_level, p_weight):
+    """weighted_fields of the never-changing vectors vecs() makes on the window's
+    levels, with their unscaled lengths kept in the dict kept per _weighting_key
+    and grid: calls that differ only in s share one weighting pass."""
+    key, keep = _weighting_key(weighting, tuple(window.levels()), p_weight)
+    if key is None:
+        return weighted_fields(vecs(), weighting, s, window.box, grid_level, p_weight)
+    key += (grid_level,)
+    if key not in kept:
+        kept[key] = keep, _weighted_lengths(vecs(), weighting, window.box, grid_level, p_weight)
+    return _scaled(kept[key][1], s)
 
 
 def _sequence_fields(t, weighting, s, grid_level, p_weight):
-    """weighted_fields of the normalized vectors |Q|^(-1/2) t_Q, through the
-    lengths the field keeps."""
-    def make():
-        vecs = {j: np.moveaxis(v, -1, 0) * 2.0 ** (j * t.window.n / 2.0)
-                for j, v in t.values.items()}
-        return _weighted_lengths(vecs, weighting, t.window.box, grid_level, p_weight)
-    return _scaled(_cached_lengths(t._kept_lengths, weighting, tuple(t.values), p_weight,
-                                   grid_level, make), s)
+    """weighted_fields of |Q|^(-1/2) t_Q, through the lengths the field keeps."""
+    return kept_fields(t._kept_lengths, t.window,
+                       lambda: {j: np.moveaxis(v, -1, 0) * 2.0 ** (j * t.window.n / 2.0)
+                                for j, v in t.values.items()},
+                       weighting, s, grid_level, p_weight)
 
 
 def _default_grid_level(window, weighting, grid_level):

@@ -6,7 +6,7 @@ its companion normalized so the telescoping products sum to one; with both
 spectra inside the grid's safe band, analysis followed by synthesis is exact
 to rounding, which is the discrete counterpart of the reproducing identity.
 Function norms and the Peetre-type cube sup weight the per-scale
-convolutions through spaces.weighted_fields.
+convolutions, which the filters keep for the last function, once per weighting.
 """
 
 import weakref
@@ -18,7 +18,7 @@ from .dyadic import block_reduce, grid_points, grid_shape
 from .errors import CoverageError, ResolutionError, ScaleRangeError
 from .geometry import CubeWindow
 from .linalg import read_only
-from .spaces import CoefficientField, finfty_norm_fields, la_tau_norm, weighted_fields
+from .spaces import CoefficientField, finfty_norm_fields, kept_fields, la_tau_norm
 
 
 def bump_profile(t, k):
@@ -80,7 +80,7 @@ class FilterPair:
                                           for i in range(self.n)))
         self._phase_corner = np.exp(1j * sum(self.xi[i] * lo[i]
                                              for i in range(self.n)))
-        self._conv_slot = _EMPTY_SLOT  # see _level_conv_fields
+        self._kept = weakref.WeakKeyDictionary()  # see _weighted_conv_fields
 
     @property
     def safe_band(self):
@@ -137,7 +137,7 @@ def _check_grid(filters, f, window=None):
         raise CoverageError("the window's box is not the filters' box")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BandLimitedFunction:
     """Vector-valued periodic function as fft coefficients on the filter grid.
 
@@ -150,9 +150,9 @@ class BandLimitedFunction:
     band: tuple = None
 
     def __post_init__(self):
-        coeffs = read_only(self.coeffs, complex)  # the convolution slot keys on it
-        self.coeffs = coeffs[None] if coeffs.ndim == self.filters.n else coeffs
-        self.m = self.coeffs.shape[0]
+        coeffs = read_only(self.coeffs, complex)
+        object.__setattr__(self, "coeffs", coeffs[None] if coeffs.ndim == self.filters.n else coeffs)
+        object.__setattr__(self, "m", self.coeffs.shape[0])
 
     def band_defect(self):
         if self.band is None:
@@ -270,49 +270,23 @@ def synthesize(t, filters):
     return BandLimitedFunction(filters, out)
 
 
-_EMPTY_SLOT = (None, None, None, None)
+def _weighted_conv_fields(f, filters, window, weighting, s, p_weight=None):
+    """Per level j, 2^(js) |weighting (phi_j * f)| at the grid midpoints.
 
-
-def _level_conv_fields(f, filters, window):
-    """Level j -> the read-only field (phi_j * f) at the grid midpoints.
-
-    The filters keep the fields of the last function asked for, so the
-    function norms and the Peetre sup of one draw share one convolution
-    pass. Next to them the slot keeps a dict of those fields' weighted
-    lengths (spaces._cached_lengths), so they also share one weighting pass
-    per weighting. The slot holds the coefficient array weakly and is keyed
-    on its identity, which is sound because BandLimitedFunction makes it
-    read-only; the slot is emptied when that array dies.
+    The filters keep the last function's read-only convolution fields and
+    their lengths (spaces.kept_fields) in a weak one-entry map keyed on the
+    frozen function, so its norms and Peetre sup share one convolution pass
+    and one weighting pass per weighting. The entry dies with the function.
     """
     _check_grid(filters, f, window)
     levels = tuple(window.levels())
-    ref, slot_levels = filters._conv_slot[:2]
-    if ref is None or ref() is not f.coeffs or slot_levels != levels:
-        filters._conv_slot = _EMPTY_SLOT  # free the old fields first
-        fields = {j: convolve_scale(f, filters, j).values() for j in levels}
-        for v in fields.values():
-            v.flags.writeable = False
-        filters._conv_slot = (weakref.ref(f.coeffs, _slot_emptier(filters)), levels, fields, {})
-    return filters._conv_slot[2]
-
-
-def _slot_emptier(filters):
-    """Weakref callback that empties the filters' slot if it still holds the
-    dead array; it holds the filters weakly, so it keeps nothing alive."""
-    owner = weakref.ref(filters)
-
-    def empty(ref):
-        flt = owner()
-        if flt is not None and flt._conv_slot[0] is ref:
-            flt._conv_slot = _EMPTY_SLOT
-    return empty
-
-
-def _weighted_conv_fields(f, filters, window, weighting, s, p_weight=None):
-    """weighted_fields of the convolution fields, through the slot's lengths."""
-    vecs = _level_conv_fields(f, filters, window)
-    return weighted_fields(vecs, weighting, s, filters.box, filters.grid_level, p_weight,
-                           cache=filters._conv_slot[3])
+    kept = filters._kept.get(f)
+    if kept is None or kept[0] != levels:
+        filters._kept.clear()  # the old fields die before the new ones are computed
+        fields = {j: read_only(convolve_scale(f, filters, j).values()) for j in levels}
+        kept = filters._kept[f] = levels, fields, {}
+    return kept_fields(kept[2], window, lambda: kept[1], weighting, s, filters.grid_level,
+                       p_weight)
 
 
 def function_norm(f, filters, params, weighting=None, p_weight=None, window=None):

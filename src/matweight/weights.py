@@ -24,7 +24,7 @@ from .errors import (
     SingularityError,
 )
 from .geometry import Box, DyadicCube, box_corners, cell_index, dilated_boxes
-from .quad import CHUNK_NODES, QuadSpec, _as_point, _box_chunks, average_ball, average_boxes
+from .quad import CHUNK_NODES, QuadSpec, _as_point, _box_chunks, average_boxes
 
 
 class MatrixWeight:
@@ -547,21 +547,6 @@ def ap_constant(weight, p, window, variant="standard", qspec=None):
 def dual_weight(weight, p):
     """W^(-1/(p-1)), computed analytically for the analytic weight kinds."""
     return weight.dual(p)
-
-
-def analytic_ball_average(a, b, x0, r, n=1, qspec=None):
-    """Ball average of |x|^a log(2+|x|)^b against its closed-form comparand.
-
-    Returns (value, envelope) with envelope = (|x0|+r)^a [log(2+|x0|+r)]^b.
-    """
-    if a <= -n:
-        raise InvalidExponentError(f"a = {a} <= -n makes the average diverge")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    res = average_ball(lambda X: _power_log_profile(X, a, b), x0, r, qspec,
-                       singular_points=[np.zeros(n)] if a != 0.0 else [])
-    t = float(np.linalg.norm(x0)) + r
-    envelope = t ** a * np.log(2.0 + t) ** b
-    return float(res.value), float(envelope)
 
 
 def weight_from_descriptor(desc):

@@ -70,6 +70,31 @@ def test_family_matrix_entry_without_imaginary_part_raises_coverage_error(tmp_pa
         load_family_json(path)
 
 
+def test_family_without_a_top_level_key_raises_coverage_error(tmp_path):
+    path, payload = _written_family(tmp_path)
+    del payload["window"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CoverageError, match="key 'window' is missing or ill-typed"):
+        load_family_json(path)
+
+
+@pytest.mark.parametrize("key,value", [("m", "1"), ("cubes", []), ("window", {"n": 1})])
+def test_family_ill_typed_top_level_key_raises_coverage_error(tmp_path, key, value):
+    path, payload = _written_family(tmp_path)
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CoverageError, match=f"key '{key}' is"):
+        load_family_json(path)
+
+
+def test_family_unparsable_cube_key_raises_coverage_error(tmp_path):
+    path, payload = _written_family(tmp_path)
+    payload["cubes"]["bad"] = payload["cubes"]["(2,1)"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CoverageError, match="unparsable cube key 'bad'"):
+        load_family_json(path)
+
+
 def test_filters_export(tmp_path):
     flt = build_filters(cube_box(1), 10)
     path = tmp_path / "filters.json"

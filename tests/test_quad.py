@@ -9,7 +9,7 @@ from matweight import linalg, quad, weights
 from matweight.apdim import ApDimConfig, a_sequence
 from matweight.errors import IntegrabilityError, ResolutionError
 from matweight.geometry import Box, cube_box, dilate
-from matweight.quad import QuadSpec, average_ball, average_box, average_boxes, box_nodes
+from matweight.quad import QuadSpec, average_box, average_boxes, box_nodes
 from matweight.reducing import _cube_norms, unit_directions
 from matweight.weights import PowerLogWeight, ProductPowerWeight, cube_average, cube_averages
 
@@ -53,41 +53,9 @@ def test_log_divergence_never_converges():
 
 
 def test_ball_average_offset_oracle():
-    # avg over (3, 5) of t^(-1/2) = sqrt(5) - sqrt(3)
-    res = average_ball(lambda x: np.abs(x[:, 0]) ** -0.5, (4.0,), 1.0)
+    # the 1-D ball B(4, 1) is the box (3, 5): avg of t^(-1/2) = sqrt(5) - sqrt(3)
+    res = average_box(lambda x: np.abs(x[:, 0]) ** -0.5, Box((3.0,), (5.0,)))
     assert res.value == pytest.approx(np.sqrt(5) - np.sqrt(3), rel=1e-5)
-
-
-def test_ball_average_2d_constant():
-    res = average_ball(lambda x: np.ones(len(x)), (0.0, 0.0), 1.0)
-    assert res.value == pytest.approx(1.0, rel=1e-12)
-
-
-@pytest.mark.parametrize("e", [-1.5, -1.0, 0.5])
-def test_ball_average_2d_singular(e):
-    # avg over the unit disc of |x|^e = 2 / (2 + e)
-    res = average_ball(lambda x: np.linalg.norm(x, axis=1) ** e, (0.0, 0.0), 1.0,
-                       singular_points=[(0.0, 0.0)])
-    assert res.converged and res.value == pytest.approx(2.0 / (2.0 + e), rel=1e-6)
-
-
-def test_ball_average_2d_off_centre_singularity():
-    # avg over the unit disc around c of |x - s|^-1.2 = (1/pi) int R^0.8 / 0.8 dtheta,
-    # R(theta) the distance from s to the circle along theta (periodic midpoint sum)
-    c, s = np.array([0.1, 0.0]), np.array([0.3, 0.2])
-    theta = 2.0 * np.pi * (np.arange(4096) + 0.5) / 4096
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    b = u @ (s - c)
-    R = np.sqrt(b ** 2 + 1.0 - (s - c) @ (s - c)) - b
-    exact = 2.0 * np.mean(R ** 0.8 / 0.8)
-    res = average_ball(lambda x: np.linalg.norm(x - s, axis=1) ** -1.2, c, 1.0,
-                       singular_points=[s])
-    assert res.converged and res.value == pytest.approx(exact, rel=1e-6)
-
-
-def test_ball_average_3d_unsupported():
-    with pytest.raises(ResolutionError, match="n = 3"):
-        average_ball(lambda x: np.ones(len(x)), (0.0, 0.0, 0.0), 1.0)
 
 
 def test_matrix_valued_average():

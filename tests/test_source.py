@@ -1,7 +1,9 @@
-"""Every package module uses each name it imports.
+"""Every package module uses each name it imports, and the package reads
+every module-level private name it defines.
 
-The repository has no linter, so this catches the imports a deletion leaves
-behind. `__init__.py` is skipped: its imports are the public re-exports.
+The repository has no linter, so this catches the imports and the private
+helpers or constants a deletion leaves behind. `__init__.py` is skipped by
+the import check: its imports are the public re-exports.
 """
 
 import ast
@@ -35,3 +37,35 @@ def test_checker_flags_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(tree):
+    """Module-level names a module binds that start with one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def unread_private_names(sources):
+    """Private module-level names that no expression in any of the sources
+    reads, bare or as an attribute such as module._name."""
+    trees = [ast.parse(s) for s in sources]
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+    return sorted(set().union(*map(private_definitions, trees)) - read)
+
+
+def test_checker_flags_unread_private_names():
+    a = "_SLOT = None\n_used = 2\n__all__ = []\ndef _helper():\n    return _used\n"
+    b = "from . import a\nx = a._other\ndef _other():\n    pass\n"
+    assert unread_private_names([a, b]) == ["_SLOT", "_helper"]
+
+
+def test_package_reads_every_private_name():
+    assert unread_private_names([p.read_text() for p in sorted(SRC.glob("*.py"))]) == []

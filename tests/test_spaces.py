@@ -266,6 +266,30 @@ class TestFieldLengths:
         assert u.cube_value(DyadicCube(3, (2,)))[0] == 1.0
         assert atom.cube_value(DyadicCube(3, (2,)))[0] == 5.0
 
+    def test_a_level_cannot_be_replaced_under_its_kept_lengths(self):
+        t = CoefficientField.random(WIN, 2, np.random.default_rng(43))
+        params = SpaceParams(0.2, 0.3, 2.0, 1.5, "B")
+        seq_norm(t, params)
+        with pytest.raises(TypeError):
+            t.values[4] = np.zeros_like(t.values[4])
+        assert seq_norm(t, params).value == seq_norm(CoefficientField(WIN, 2, t.values),
+                                                     params).value
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+    def test_norms_scale_without_over_or_underflow(self, families, scale):
+        """|Q|^(-1/2) |A_Q t_Q| squares no raw component, so every norm of a
+        scaled field is the scaled norm, with no overflow warning."""
+        fam = families[1]
+        t = CoefficientField.random(fam.window, 2, np.random.default_rng(44))
+        params = SpaceParams(0.2, 0.3, 2.0, 1.5, "F")
+        for w in (None, fam, PowerLogWeight(1, 2, -0.4)):
+            want = seq_norm(t, params, w).value
+            assert seq_norm(t.scaled(scale), params, w).value / scale == pytest.approx(
+                want, rel=1e-12, abs=0)
+        want = finfty_norm(t, 0.1, 2.0, fam).value
+        assert finfty_norm(t.scaled(scale), 0.1, 2.0, fam).value / scale == pytest.approx(
+            want, rel=1e-12, abs=0)
+
     def test_kept_lengths_give_a_fresh_fields_values(self, families):
         """Norms of one field under interleaved weightings, p_weight values
         (through seq_norm) and grid levels equal, bit for bit, those of a

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from matweight.errors import CoverageError, ResolutionError, ScaleRangeError
 from matweight.geometry import Box, CubeWindow, DyadicCube, cube_box
 from matweight.reducing import build_family, identity_family
 from matweight.spaces import CoefficientField, SpaceParams, seq_norm, seq_norm_from_cube_scalars
-from matweight.transform import (BandLimitedFunction, _level_conv_fields, analyze,
+from matweight.transform import (BandLimitedFunction, _weighted_conv_fields, analyze,
                                  build_filters, bump_profile, convolve_scale,
                                  finfty_function_norm, function_norm, lifting,
                                  peetre_sup, random_band_limited,
@@ -493,6 +494,12 @@ def _fresh_fields(f, flt, window):
     return {j: convolve_scale(f, flt, j).values() for j in window.levels()}
 
 
+def _kept_conv_fields(f, flt, window):
+    """The convolution fields the filters keep for f after one norm."""
+    _weighted_conv_fields(f, flt, window, None, 0.0)
+    return flt._kept[f][1]
+
+
 @pytest.fixture
 def conv_calls(monkeypatch):
     """Counts the convolve_scale calls made through the module."""
@@ -511,8 +518,8 @@ class TestConvolutionSlot:
     def test_hit_is_bitwise_a_fresh_computation(self, flt, conv_calls):
         window = CubeWindow(1, 4, 8, flt.box)
         f = random_band_limited(flt, 2, np.random.default_rng(21))
-        first = _level_conv_fields(f, flt, window)
-        again = _level_conv_fields(f, flt, window)
+        first = _kept_conv_fields(f, flt, window)
+        again = _kept_conv_fields(f, flt, window)
         assert again is first and len(conv_calls) == 5
         fresh = _fresh_fields(f, flt, window)
         assert all(np.array_equal(again[j], fresh[j]) for j in window.levels())
@@ -525,13 +532,13 @@ class TestConvolutionSlot:
         rough = build_filters(cube_box(1), 12, smoothness=3)
         for g, pair, win in ((twin, flt, window), (f, rough, window),
                              (f, flt, CubeWindow(1, 4, 7, flt.box))):
-            base = _level_conv_fields(f, flt, window)  # the slot now holds f's fields
+            base = _kept_conv_fields(f, flt, window)  # the filters now keep f's fields
             before = len(conv_calls)
-            got = _level_conv_fields(g, pair, win)
+            got = _kept_conv_fields(g, pair, win)
             assert len(conv_calls) == before + len(win.levels())
             fresh = _fresh_fields(g, pair, win)
             assert all(np.array_equal(got[j], fresh[j]) for j in win.levels())
-        assert not np.array_equal(_level_conv_fields(f, rough, window)[6], base[6])
+        assert not np.array_equal(_kept_conv_fields(f, rough, window)[6], base[6])
 
     def test_coefficients_and_fields_are_read_only(self, flt):
         window = CubeWindow(1, 4, 8, flt.box)
@@ -542,7 +549,9 @@ class TestConvolutionSlot:
         for arr in (f.coeffs, given_array):
             with pytest.raises(ValueError):
                 arr[0, 3] = 1.0
-        fields = _level_conv_fields(f, flt, window)
+        with pytest.raises(FrozenInstanceError):
+            f.coeffs = given_array.copy()
+        fields = _kept_conv_fields(f, flt, window)
         for v in fields.values():
             with pytest.raises(ValueError):
                 v[0, 0] = 0.0
@@ -558,19 +567,18 @@ class TestConvolutionSlot:
         window = CubeWindow(1, 4, 8, flt.box)
         rng = np.random.default_rng(25)
         f = random_band_limited(flt, 1, rng)
-        _level_conv_fields(f, flt, window)
+        field = weakref.ref(_kept_conv_fields(f, flt, window)[4])
         function_norm(f, flt, SpaceParams(0.1, 0.2, 2.0, 2.0, "F"), None, window=window)
-        ref = flt._conv_slot[0]
-        assert ref() is f.coeffs
-        field = weakref.ref(flt._conv_slot[2][4])
-        (length,) = (weakref.ref(lengths[4]) for _, lengths in flt._conv_slot[3].values())
+        assert list(flt._kept) == [f]
+        (length,) = (weakref.ref(lengths[4]) for _, lengths in flt._kept[f][2].values())
+        ref = weakref.ref(f)
         del f
         gc.collect()
         assert ref() is None and field() is None and length() is None
-        assert flt._conv_slot == (None, None, None, None)
+        assert len(flt._kept) == 0
         g = random_band_limited(flt, 1, rng)
         before = len(conv_calls)
-        _level_conv_fields(g, flt, window)
+        _kept_conv_fields(g, flt, window)
         assert len(conv_calls) == before + 5
 
     def test_a_second_function_evicts_the_first_ones_lengths(self, flt):
@@ -579,10 +587,10 @@ class TestConvolutionSlot:
         f, g = random_band_limited(flt, 2, rng), random_band_limited(flt, 2, rng)
         params = SpaceParams(0.1, 0.2, 2.0, 2.0, "F")
         function_norm(f, flt, params, PowerLogWeight(1, 2, -0.4), window=window)
-        (old,) = (weakref.ref(lengths[4]) for _, lengths in flt._conv_slot[3].values())
+        (old,) = (weakref.ref(lengths[4]) for _, lengths in flt._kept[f][2].values())
         function_norm(g, flt, params, None, window=window)
         assert old() is None and f.coeffs is not None  # f lives on, its lengths do not
-        assert len(flt._conv_slot[3]) == 1
+        assert list(flt._kept) == [g] and len(flt._kept[g][2]) == 1
 
     def test_one_weighting_pass_per_weighting(self, flt, monkeypatch):
         passes = []
@@ -613,7 +621,7 @@ class TestConvolutionSlot:
         weight.a = 0.3
         fam.mats[5] = 2.0 * fam.mats[5]
         after = [function_norm(f, flt, params, w, window=window).value for w in (weight, fam)]
-        flt._conv_slot = transform._EMPTY_SLOT
+        flt._kept.clear()
         cold = [function_norm(f, flt, params, w, window=window).value
                 for w in (PowerLogWeight(1, 2, 0.3), fam)]
         assert after == cold and after[0] != before[0] and after[1] != before[1]
@@ -622,7 +630,7 @@ class TestConvolutionSlot:
         window = CubeWindow(1, 4, 8, flt.box)
         rng = np.random.default_rng(27)
         f, g = random_band_limited(flt, 1, rng), random_band_limited(flt, 1, rng)
-        old = weakref.ref(_level_conv_fields(f, flt, window)[4])
+        old = weakref.ref(_kept_conv_fields(f, flt, window)[4])
         assert old() is not None
         orig = transform.convolve_scale
 
@@ -631,8 +639,25 @@ class TestConvolutionSlot:
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(transform, "convolve_scale", checked)
-        _level_conv_fields(g, flt, window)
+        _kept_conv_fields(g, flt, window)
         assert f.coeffs is not None  # f stays alive throughout
+
+
+@pytest.mark.parametrize("n,level,levels", [(1, 10, (4, 7)), (2, 6, (2, 3))])
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+def test_function_norms_scale_without_over_or_underflow(n, level, levels, scale):
+    flt = build_filters(cube_box(n), level)
+    window = CubeWindow(n, *levels, flt.box)
+    weight = PowerLogWeight(n, 2, -0.4)
+    fam = build_family(weight, 2.0, window, method="exact_p2")
+    f = random_band_limited(flt, 2, np.random.default_rng(34))
+    params = SpaceParams(0.2, 0.3, 2.0, 1.5, "B")
+    for w in (None, fam, weight):
+        want = function_norm(f, flt, params, w, window=window).value
+        got = function_norm(f.scaled(scale), flt, params, w, window=window).value
+        assert got / scale == pytest.approx(want, rel=1e-12, abs=0)
+    sup, want = (peetre_sup(g, flt, fam, window) for g in (f.scaled(scale), f))
+    assert all(np.allclose(sup[j] / scale, want[j], rtol=1e-12, atol=0) for j in want)
 
 
 def test_one_convolution_pass_per_2d_draw(conv_calls, monkeypatch):
@@ -694,7 +719,7 @@ _calls = st.lists(st.tuples(st.sampled_from(["norm", "finfty", "peetre"]),
                      ("norm", "weight", 1.5, 0.0, 0)], seed=0)
 def test_cached_lengths_give_the_cold_values(cache_setups, n, calls, seed):
     """Interleaved norms of two functions under every weighting, p_weight and
-    s equal, bit for bit, the same norms each computed on an emptied slot."""
+    s equal, bit for bit, the same norms each computed with nothing kept."""
     flt, window, weightings = cache_setups[n]
     rng = np.random.default_rng(seed)
     fs = [random_band_limited(flt, 2, rng) for _ in range(2)]
@@ -710,7 +735,7 @@ def test_cached_lengths_give_the_cold_values(cache_setups, n, calls, seed):
 
     warm = [value(*call) for call in calls]
     for call, got in zip(calls, warm):
-        flt._conv_slot = transform._EMPTY_SLOT
+        flt._kept.clear()
         cold = value(*call)
         if isinstance(cold, dict):
             assert cold.keys() == got.keys()
