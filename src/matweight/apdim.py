@@ -14,9 +14,13 @@ import numpy as np
 
 from . import linalg
 from .errors import IntegrabilityError, OutOfDomainError
-from .geometry import CubeWindow, DyadicCube, cube_box, dilated_boxes
+from .geometry import CubeWindow, batch_cube, cube_box, dilated_boxes, mesh
 from .quad import QuadSpec
+from .reducing import _cube_norms, _reduce, unit_directions
 from .weights import ap_pairs, cube_averages, dual_weight
+
+# reverse_holder_probe's cap on a stable sup ratio
+_RH_CAP = 8.0
 
 
 @dataclass
@@ -57,62 +61,53 @@ class ApDimConfig:
 
 
 def abutting_cubes(point, levels, domain):
-    """All lattice cubes whose closure contains the point, per level."""
-    from itertools import product
-
+    """The cubes inside the domain whose closure contains the point, at levels
+    levels[0]..levels[1], as a batch: by level, then the first axis slowest."""
     point = np.atleast_1d(np.asarray(point, dtype=float))
-    n = point.size
-    out = []
-    for j in range(levels[0], levels[1] + 1):
-        scale = 2.0 ** j
-        cand = []
-        for i in range(n):
-            v = point[i] * scale
-            r = np.rint(v)
-            if abs(v - r) < 1e-9:
-                cand.append([int(r) - 1, int(r)])  # point on a lattice plane
-            else:
-                cand.append([int(np.floor(v))])
-        for combo in product(*cand):
-            Q = DyadicCube(j, tuple(combo))
-            if domain.contains_box(Q.box()):
-                out.append(Q)
-    return list(dict.fromkeys(out))
+    j = np.arange(levels[0], levels[1] + 1)
+    v = np.ldexp(point, j[:, None])  # point * 2.0 ** j, exactly
+    on = np.abs(v - np.rint(v)) < 1e-9  # the point on a lattice plane: both sides
+    low = np.where(on, np.rint(v) - 1, np.floor(v)).astype(int)
+    step = mesh(*[[0, 1]] * point.size)
+    take = np.all(step <= on[:, None, :], axis=2)  # (level, step)
+    batch = np.repeat(j, take.sum(axis=1)), (low[:, None, :] + step)[take]
+    inside = domain.contains_boxes(dilated_boxes(batch, [1.0])[:, 0])
+    return batch[0][inside], batch[1][inside]
 
 
 def default_base_cubes(weight, config, domain):
-    """Window cubes plus cubes abutting each singular point."""
-    win = CubeWindow(weight.n, config.window_levels[0], config.window_levels[1], domain)
-    cubes = win.cubes()
-    for s in weight.singular_points:
-        cubes.extend(abutting_cubes(s, config.abut_levels, domain))
-    return list(dict.fromkeys(cubes))
+    """Window cubes plus cubes abutting each singular point, each once, as a batch."""
+    parts = [CubeWindow(weight.n, *config.window_levels, domain).batch()]
+    parts += [abutting_cubes(s, config.abut_levels, domain) for s in weight.singular_points]
+    j, k = (np.concatenate(a) for a in zip(*parts))
+    first = np.unique(np.column_stack([j, k]), axis=0, return_index=True)[1]
+    keep = np.sort(first)
+    return j[keep], k[keep]
 
 
-def _filter_base_cubes(cubes, i_max, domain):
+def _filter_base_cubes(batch, i_max, domain):
     """Keep cubes whose 2^i_max-dilation stays inside; shrink i_max if none fit."""
     i_eff = i_max
     while i_eff > 0:
-        boxes = dilated_boxes(cubes, [2.0 ** i_eff])[:, 0]
-        kept = [Q for Q, ok in zip(cubes, domain.contains_boxes(boxes)) if ok]
-        if kept:
+        ok = domain.contains_boxes(dilated_boxes(batch, [2.0 ** i_eff])[:, 0])
+        if ok.any():
             if i_eff < i_max:
                 warnings.warn(f"i_max reduced from {i_max} to {i_eff} to fit the domain")
-            return kept, i_eff
+            return (batch[0][ok], batch[1][ok]), i_eff
         i_eff -= 1
     raise OutOfDomainError("no base cube fits the working domain even at i = 1")
 
 
 def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=False):
-    """Windowed a_i, i = 0..i_max: sup over base cubes Q of the two-cube
-    quantity weights.ap_pairs(Q, 2^i Q); swapped exchanges the two cubes.
-    All pairs go to ap_pairs in one call, ordered cube by cube.
+    """Windowed a_i, i = 0..i_max: sup over the base cubes Q (a batch) of the
+    two-cube quantity weights.ap_pairs(Q, 2^i Q); swapped exchanges the two
+    cubes. All pairs go to ap_pairs in one call, ordered cube by cube.
 
     Scalar weights take their cube averages at (config.base_depth,
     config.grade_depth); matrix weights and essential suprema use the order-1
     node rule at (config.base_depth, config.grade_depth // 2). Returns
-    (a_values, i_max_used, cubes_used). Integrability failures propagate as
-    IntegrabilityError.
+    (a_values, i_max_used, the batch of cubes used). Integrability failures
+    propagate as IntegrabilityError.
     """
     config = config or ApDimConfig()
     i_max = i_max if i_max is not None else config.i_max
@@ -125,19 +120,18 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
     small = np.broadcast_to(boxes[:, :1], boxes.shape).reshape(-1, 2, weight.n)
     big = boxes.reshape(-1, 2, weight.n)
     q = ap_pairs(weight, p, *((big, small) if swapped else (small, big)), qspec)
-    return np.max(q.reshape(len(cubes), -1), axis=0, initial=0.0), i_eff, cubes
+    return np.max(q.reshape(len(boxes), -1), axis=0, initial=0.0), i_eff, cubes
 
 
 def a_sequence_via_reducing(weight, p, base_cubes, i_max, config=None, qspec=None):
-    """Alternative route: a_i as sup over cubes of ||A_Q A_(2^i Q)^(-1)||^p,
-    from one batch of reducing operators over every cube and dilation."""
-    from .reducing import _reduce
-
+    """Alternative route: a_i as sup over the base cubes (a batch) of
+    ||A_Q A_(2^i Q)^(-1)||^p, from one batch of reducing operators over every
+    cube and dilation."""
     domain = (config or ApDimConfig()).domain(weight.n)
     cubes, i_eff = _filter_base_cubes(base_cubes, i_max, domain)
     boxes = dilated_boxes(cubes, 2.0 ** np.arange(i_eff + 1))  # (cube, i, corner, axis)
     A = _reduce(weight, p, boxes.reshape(-1, 2, weight.n), "auto", 256, qspec)[0]
-    A = A.reshape(len(cubes), i_eff + 1, weight.m, weight.m)
+    A = A.reshape(len(boxes), i_eff + 1, weight.m, weight.m)
     vals = linalg.op_norm(A[:, :1] @ np.linalg.inv(A)) ** p
     return np.max(vals, axis=0), i_eff, cubes
 
@@ -180,7 +174,7 @@ def estimate_dimensions(weight, p, config=None):
     vals, i_eff, cubes = a_sequence(weight, p, config=config)
     slope, beta, resid = fit_growth(vals, config.fit_skip)
     est_d = DimensionEstimate(np.arange(i_eff + 1), vals, slope, beta,
-                              (config.fit_skip, i_eff), resid, i_eff, len(cubes))
+                              (config.fit_skip, i_eff), resid, i_eff, len(cubes[0]))
     flags = []
 
     def clamp(x, label):
@@ -196,7 +190,7 @@ def estimate_dimensions(weight, p, config=None):
         dslope, dbeta, dresid = fit_growth(dvals, config.fit_skip)
         est_dt = DimensionEstimate(np.arange(di_eff + 1), dvals, dslope, dbeta,
                                    (config.fit_skip, di_eff), dresid, di_eff,
-                                   len(dcubes))
+                                   len(dcubes[0]))
         dtilde = clamp(dslope, "dtilde")
     else:
         est_dt = None
@@ -215,20 +209,19 @@ def swapped_slope(weight, p, config=None):
     return slope, vals
 
 
-def growth_envelope_check(family, dims, window=None):
-    """Max over cube pairs of ||A_Q A_R^(-1)|| / envelope(Q, R).
+def growth_envelope_check(family, dims):
+    """Max over pairs of the family's cubes of ||A_Q A_R^(-1)|| / envelope(Q, R).
 
     Returns (max_ratio, witness pair, number of pairs).
     """
-    window = window or family.window
-    cubes = window.cubes()
-    mats = np.stack([family.matrix(Q) for Q in cubes])
-    invs = np.stack([family.inverse(Q) for Q in cubes])
+    batch, levels = family.window.batch(), family.window.levels()
+    mats, invs = (np.concatenate([a[j].reshape(-1, family.m, family.m) for j in levels])
+                  for a in (family.mats, family.inv))
     prods = np.einsum("qij,rjk->qrik", mats, invs)
     norms = linalg.op_norm(prods)
     p = family.p
-    sides = np.array([Q.side for Q in cubes])
-    corners = np.array([Q.lower for Q in cubes])
+    sides = np.ldexp(1.0, -batch[0])
+    corners = sides[:, None] * batch[1]
     pprime = p / (p - 1.0) if p > 1.0 else np.inf
     dt_term = dims.dtilde / pprime if np.isfinite(pprime) else 0.0
     ratio_sides = sides[None, :] / sides[:, None]  # l(R)/l(Q)
@@ -238,16 +231,14 @@ def growth_envelope_check(family, dims, window=None):
     env = size * (1.0 + dist) ** dims.delta
     ratios = norms / env
     idx = np.unravel_index(np.argmax(ratios), ratios.shape)
-    return float(ratios[idx]), (cubes[idx[0]], cubes[idx[1]]), norms.size
+    return float(ratios[idx]), (batch_cube(batch, idx[0]), batch_cube(batch, idx[1])), norms.size
 
 
 def doubling_exponent(weight, p, window, K=16, qspec=None):
     """Least beta with int_{2Q} |W^(1/p) z|^p <= 2^beta int_Q |W^(1/p) z|^p,
     maximized over window cubes with 2Q inside the domain and sampled z,
     from one batch of cube norms over every such Q and 2Q."""
-    from .reducing import _cube_norms, unit_directions
-
-    boxes = dilated_boxes(window.cubes(), [1.0, 2.0])  # (cube, Q or 2Q, corner, axis)
+    boxes = dilated_boxes(window.batch(), [1.0, 2.0])  # (cube, Q or 2Q, corner, axis)
     boxes = boxes[window.box.contains_boxes(boxes[:, 1])]
     if not len(boxes):
         raise OutOfDomainError("no window cube has its double inside the domain")
@@ -258,9 +249,9 @@ def doubling_exponent(weight, p, window, K=16, qspec=None):
     return float(np.max(np.log2(mass[:, 1] / mass[:, 0])))
 
 
-def reverse_holder_probe(weight, p, window, r_grid, ratio_cap=8.0, qspec=None):
+def reverse_holder_probe(weight, p, window, r_grid, qspec=None):
     """Largest r with sup_Q (avg ||W^(1/p) M||^(pr))^(1/r) / avg ||W^(1/p) M||^p
-    finite, stable, and below the cap; M runs over the identity and the
+    finite, stable, and at most _RH_CAP; M runs over the identity and the
     coordinate projectors. Returns (r_hat, per-r table of sup ratios).
 
     Near the integrability edge the integrand resists refinement, so the
@@ -272,7 +263,7 @@ def reverse_holder_probe(weight, p, window, r_grid, ratio_cap=8.0, qspec=None):
     qspec = qspec or QuadSpec(rel_tol=5e-3)
     eye = np.eye(weight.m, dtype=complex)
     mats = [eye] + ([] if weight.is_scalar() else [np.diag(e) for e in eye])
-    boxes = dilated_boxes(window.cubes(), [1.0])[:, 0]
+    boxes = dilated_boxes(window.batch(), [1.0])[:, 0]
 
     def average(M, s):
         """avg over each cube of ||W^(1/p)(x) M||^s, or None if one fails."""
@@ -297,7 +288,7 @@ def reverse_holder_probe(weight, p, window, r_grid, ratio_cap=8.0, qspec=None):
             # numpy's vectorised pow can differ from it in the last bit
             worst = max(worst, float(np.max(high.astype(object) ** (1.0 / r) / base)))
         table[float(r)] = worst
-    stable = [r for r, v in table.items() if np.isfinite(v) and v <= ratio_cap]
+    stable = [r for r, v in table.items() if np.isfinite(v) and v <= _RH_CAP]
     return (max(stable) if stable else float("nan")), table
 
 

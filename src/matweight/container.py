@@ -8,8 +8,10 @@ import json
 
 import numpy as np
 
-from .errors import CoverageError, DegenerateMatrixError
+from .errors import CoverageError
 from .geometry import Box, CubeWindow, DyadicCube
+from .reducing import ReducingFamily
+from .transform import bump_profile, psi_profile
 
 
 _FAMILY_KEY_TYPES = {"window": dict, "p": (int, float), "method": str, "m": int, "cubes": dict}
@@ -44,8 +46,6 @@ def save_family_json(path, family):
 
 
 def load_family_json(path):
-    from .reducing import ReducingFamily
-
     with open(path) as fh:
         payload = json.load(fh)
     for key, kind in _FAMILY_KEY_TYPES.items():
@@ -62,7 +62,7 @@ def load_family_json(path):
     missing = [Q for Q in window.cubes() if Q not in cubes]
     if missing:
         raise CoverageError(f"the family file has no entry for cube {_cube_key(missing[0])}")
-    mats, invs, brackets = {}, {}, {}
+    mats, brackets = {}, {}
     for j in window.levels():
         counts = tuple(window.counts_at_level(j))
         mats[j] = np.zeros(counts + (m, m), dtype=complex)
@@ -80,21 +80,12 @@ def load_family_json(path):
                                 f"but the family's m is {m}")
         mats[Q.j][idx] = mat
         brackets[Q.j][0][idx], brackets[Q.j][1][idx] = lo, hi
-    for j in window.levels():
-        try:
-            invs[j] = np.linalg.inv(mats[j])
-        except np.linalg.LinAlgError:
-            raise DegenerateMatrixError(
-                f"the family file holds a singular matrix at level {j}") from None
-    return ReducingFamily(window, payload["p"], payload["method"], mats, invs,
-                          brackets, m)
+    return ReducingFamily(window, payload["p"], payload["method"], mats, brackets)
 
 
 def save_filters_json(path, filters):
     """Frequency-sample table of the filter pair (radial profiles per level)."""
     ts = np.linspace(0.25, 4.0, 513)
-    from .transform import bump_profile, psi_profile
-
     payload = {
         "descriptor": filters.descriptor(),
         "radial_grid": [float(v) for v in ts],

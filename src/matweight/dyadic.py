@@ -122,7 +122,7 @@ def _sliding_box_sum(values, a, axis):
     return np.take(c, hi, axis=axis) - np.take(c, lo, axis=axis), hi - lo
 
 
-def hl_maximal(f, radii_levels=None):
+def hl_maximal(f):
     """Grid Hardy-Littlewood maximal function over centered dyadic boxes.
 
     At each node the supremum runs over boxes of half-width 2^t cells,
@@ -132,11 +132,8 @@ def hl_maximal(f, radii_levels=None):
     g = f.scalar_abs()
     vals = g.values
     n = f.n
-    if radii_levels is None:
-        total = int(np.ceil(np.log2(max(vals.shape))))
-        radii_levels = range(total + 1)
     best = vals.copy()
-    for t in radii_levels:
+    for t in range(int(np.ceil(np.log2(max(vals.shape)))) + 1):
         a = 2 ** t - 1 if t > 0 else 0
         if t > 0 and a >= max(vals.shape):
             a = max(vals.shape)

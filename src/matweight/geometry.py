@@ -4,6 +4,10 @@ The lattice cube at level j and index k is prod_i 2^-j [k_i, k_i+1); its
 lower corner is 2^-j k and its edge length 2^-j. Levels may be negative
 when the working domain is larger than the unit box. A CubeWindow is the
 finite truncation of the lattice used by all supremum-type quantities.
+
+A DyadicCube names one cube. A set of cubes is a batch (j, k): a (C,) array
+of levels and a (C, n) array of indices; dilated_boxes turns a batch into
+corners.
 """
 
 from dataclasses import dataclass
@@ -145,12 +149,18 @@ def dilate(Q, lam):
     return Box(tuple(c - h), tuple(c + h))
 
 
-def dilated_boxes(cubes, lams):
-    """The boxes dilate(Q, lam) for every cube Q and factor lam, computed as
-    dilate does, as a (len(cubes), len(lams), 2, n) array of lower and upper
-    corners."""
-    side = np.array([Q.side for Q in cubes])[:, None, None]
-    c = side * np.array([Q.k for Q in cubes], dtype=float)[:, None, :] + 0.5 * side
+def batch_cube(batch, i):
+    """Cube i of the batch (j, k) as a DyadicCube."""
+    return DyadicCube(int(batch[0][i]), tuple(int(v) for v in batch[1][i]))
+
+
+def dilated_boxes(batch, lams):
+    """The boxes dilate(Q, lam) for every cube Q of the batch (j, k) and factor
+    lam, computed as dilate does, as a (C, len(lams), 2, n) array of lower and
+    upper corners."""
+    j, k = batch
+    side = np.ldexp(1.0, -np.asarray(j))[:, None, None]  # 2.0 ** -j, exactly
+    c = side * np.asarray(k, dtype=float)[:, None, :] + 0.5 * side
     h = 0.5 * np.asarray(lams, dtype=float)[None, :, None] * side
     return np.stack([c - h, c + h], axis=2)
 
@@ -207,16 +217,19 @@ class CubeWindow:
     def counts_at_level(self, j):
         return self._level(j)[1]
 
+    def batch(self, j=None):
+        """The cubes of level j, or of every level, as a batch (j, k) in
+        cubes() order: by level, then C order as counts_at_level."""
+        levels = self.levels() if j is None else [j]
+        ks = [mesh(*[np.arange(a, a + c) for a, c in zip(*self._level(i))]) for i in levels]
+        return np.repeat(levels, [len(k) for k in ks]), np.concatenate(ks)
+
     def cubes_at_level(self, j):
-        k_lo, counts = self._level(j)
-        return [DyadicCube(j, tuple(int(v) for v in k))
-                for k in mesh(*[np.arange(a, a + c) for a, c in zip(k_lo, counts)])]
+        batch = self.batch(j)
+        return [batch_cube(batch, i) for i in range(len(batch[0]))]
 
     def cubes(self):
-        out = []
-        for j in range(self.j_min, self.j_max + 1):
-            out.extend(self.cubes_at_level(j))
-        return out
+        return [Q for j in self.levels() for Q in self.cubes_at_level(j)]
 
     def levels(self):
         return list(range(self.j_min, self.j_max + 1))

@@ -13,12 +13,12 @@ Every constructed operator carries an empirical equivalence bracket.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import CoverageError, FitError, IntegrabilityError
+from .errors import CoverageError, DegenerateMatrixError, FitError, IntegrabilityError
 from .geometry import box_corners, dilated_boxes
 from .quad import CHUNK_NODES, QuadSpec
 from .weights import cube_average, cube_averages, dual_weight, sup_nodes
@@ -378,20 +378,27 @@ def verify_reducing(A, weight, p, region, K=64, qspec=None, include_matrices=Tru
 
 @dataclass
 class ReducingFamily:
-    """One reducing operator per window cube, with per-cube brackets."""
+    """One reducing operator per window cube, with per-cube brackets; the
+    inverses and m follow from the operators."""
 
     window: object
     p: float
     method: str
     mats: dict       # level -> array (counts..., m, m)
-    inv: dict        # level -> array (counts..., m, m)
     brackets: dict   # level -> (lo array, hi array)
-    m: int
+    inv: dict = field(init=False)  # level -> array (counts..., m, m)
+    m: int = field(init=False)
 
     def __post_init__(self):
         # read-only, as the function norms keep lengths keyed on the mats' identity
         self.mats = {j: linalg.read_only(a) for j, a in self.mats.items()}
-        self.inv = {j: linalg.read_only(a) for j, a in self.inv.items()}
+        self.m = next(iter(self.mats.values())).shape[-1]
+        self.inv = {}
+        for j, a in self.mats.items():
+            try:
+                self.inv[j] = linalg.read_only(np.linalg.inv(a))
+            except np.linalg.LinAlgError:
+                raise DegenerateMatrixError(f"singular matrix at level {j}") from None
 
     def matrix(self, Q):
         idx = self.window.index(Q)
@@ -422,30 +429,26 @@ class ReducingFamily:
 
 
 def build_family(weight, p, window, method="auto", K=256, qspec=None):
-    """Construct reducing operators for every cube of the window, one _reduce
-    batch per level; each cube's bracket covers _DIAG_K + m directions and
-    the identity, from the same cube average as its operator."""
-    mats, invs, brackets = {}, {}, {}
-    m = weight.m
+    """Construct reducing operators for every cube of the window from one
+    _reduce batch, split by level; each cube's bracket covers _DIAG_K + m
+    directions and the identity, from the same cube average as its operator."""
+    batch = window.batch()  # by level, each in C order as counts
+    A, lo, hi = _reduce(weight, p, dilated_boxes(batch, [1.0])[:, 0], method, K, qspec)
+    mats, brackets = {}, {}
     for j in window.levels():
-        counts = tuple(window.counts_at_level(j))
-        boxes = dilated_boxes(window.cubes_at_level(j), [1.0])[:, 0]  # C order, as counts
-        A, lo, hi = _reduce(weight, p, boxes, method, K, qspec)
-        mats[j] = A.reshape(counts + (m, m))
-        invs[j] = np.linalg.inv(mats[j])
-        brackets[j] = (lo.reshape(counts), hi.reshape(counts))
-    return ReducingFamily(window, float(p), method, mats, invs, brackets, m)
+        counts, at = tuple(window.counts_at_level(j)), batch[0] == j
+        mats[j] = A[at].reshape(counts + A.shape[1:])
+        brackets[j] = (lo[at].reshape(counts), hi[at].reshape(counts))
+    return ReducingFamily(window, float(p), method, mats, brackets)
 
 
 def identity_family(window, m, p=2.0):
-    mats, invs, brackets = {}, {}, {}
+    mats, brackets = {}, {}
     for j in window.levels():
         counts = tuple(window.counts_at_level(j))
-        eye = np.broadcast_to(np.eye(m, dtype=complex), counts + (m, m)).copy()
-        mats[j] = eye
-        invs[j] = eye.copy()
+        mats[j] = np.broadcast_to(np.eye(m, dtype=complex), counts + (m, m)).copy()
         brackets[j] = (np.ones(counts), np.ones(counts))
-    return ReducingFamily(window, float(p), "identity", mats, invs, brackets, m)
+    return ReducingFamily(window, float(p), "identity", mats, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +501,8 @@ def integrability_probe(weight, p, family, window, r_grid):
                              max(bwd) if bwd_ok else float("nan"), fwd_ok, bwd_ok))
     sup_form = 0.0
     if p <= 1.0:
-        for Q, (X, _) in zip(cubes, sup_nodes(weight, dilated_boxes(cubes, [1.0])[:, 0], qspec)):
+        boxes = dilated_boxes(window.batch(), [1.0])[:, 0]
+        for Q, (X, _) in zip(cubes, sup_nodes(weight, boxes, qspec)):
             F = linalg.op_norm(np.einsum("ij,njk->nik", family.matrix(Q),
                                          weight.power_at(X, -1.0 / p)))
             sup_form = max(sup_form, float(F.max()))

@@ -147,9 +147,10 @@ def _levels_and_scale(fields, window):
     levels = sorted(j for j in fields if window.j_min <= j <= window.j_max)
     if not levels:
         return levels, 0.0, NormResult(0.0)
-    scale = max((float(np.max(f)) if f.size else 0.0) for f in fields.values())
+    # np.max, unlike Python's max, keeps a nan whatever the order of the levels
+    scale = float(np.max([np.max(f, initial=0.0) for f in fields.values()]))
     if scale == 0.0 or not np.isfinite(scale):
-        return levels, scale, NormResult(0.0 if scale == 0.0 else float("inf"))
+        return levels, scale, NormResult(scale)
     return levels, scale, None
 
 
@@ -447,7 +448,7 @@ def maximal_sequence(seq, window, r, lam):
     for j, arr in seq.items():
         counts = tuple(window.counts_at_level(j))
         vals = np.abs(np.asarray(arr, dtype=float)).reshape(-1)
-        pos = np.array([Q.k for Q in window.cubes_at_level(j)], dtype=float)
+        pos = window.batch(j)[1].astype(float)
         # l(R)^-1 |x_R - x_Q| = |k_R - k_Q| in index units
         N = pos.shape[0]
         res = np.empty(N)

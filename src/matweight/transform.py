@@ -11,6 +11,7 @@ convolutions, which the filters keep for the last function, once per weighting.
 
 import weakref
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -344,8 +345,6 @@ def schwartz_seminorm(filters, M, which="phi", j_ref=None):
     radii = 2.0 ** j_ref * np.linalg.norm(pts, axis=-1)
     best = 0.0
     ntot = filters.N ** n
-    from itertools import product
-
     for gamma in product(range(M + 1), repeat=n):
         tot = sum(gamma)
         if tot > M:

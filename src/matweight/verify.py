@@ -6,6 +6,7 @@ equivalence-constant brackets. The CLI drives this module; the pytest
 acceptance suite calls the same criterion functions one by one.
 """
 
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,9 +18,9 @@ from .geometry import CubeWindow, DyadicCube, cube_box
 from .reducing import build_family, identity_family, reduce_operator
 from .spaces import (CoefficientField, SpaceParams, finfty_norm, seq_norm,
                      seq_norm_from_cube_scalars)
-from .transform import (BandLimitedFunction, build_filters, finfty_function_norm,
-                        function_norm, peetre_sup, random_band_limited, synthesize,
-                        analyze)
+from .transform import (BandLimitedFunction, analyze, build_filters, bump_profile,
+                        finfty_function_norm, function_norm, peetre_sup,
+                        random_band_limited, synthesize)
 from .weights import (ConjugatedBlockWeight, PowerLogWeight, identity_weight,
                       two_singularity)
 
@@ -88,8 +89,6 @@ def crit_filter_identity(ctx):
     defect = flt.calderon_defect()
     elapsed = time.time() - t0
     ts = np.concatenate([np.linspace(0.01, 0.499, 200), np.linspace(2.001, 8.0, 200)])
-    from .transform import bump_profile
-
     outside = float(np.max(np.abs(bump_profile(ts, flt.smoothness))))
     lower = flt.annulus_lower_bound()
     passed = defect <= 1e-12 and elapsed < 1.0 and outside == 0.0 and lower > 0.0
@@ -394,8 +393,6 @@ def crit_doubling(ctx):
 
 
 def crit_determinism(ctx):
-    import json
-
     def small_report(seed):
         cfgsmall = apdim.ApDimConfig(i_max=4, domain_half=16.0,
                                      window_levels=(-1, 0), abut_levels=(-1, 4))

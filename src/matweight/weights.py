@@ -11,6 +11,7 @@ suprema over cube pairs. A matrix weight takes one real matrix product per
 box of the side with fewer distinct boxes, on Hermitian coordinates.
 """
 
+import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     InvalidVariantError,
     SingularityError,
 )
-from .geometry import Box, DyadicCube, box_corners, cell_index, dilated_boxes
+from .geometry import Box, DyadicCube, batch_cube, box_corners, cell_index, dilated_boxes
 from .quad import CHUNK_NODES, QuadSpec, _as_point, _box_chunks, average_boxes
 
 
@@ -324,8 +325,6 @@ class GridSampledWeight(MatrixWeight):
         return GridSampledWeight(self.box, powed.reshape(self.samples.shape))
 
     def descriptor(self):
-        import hashlib
-
         h = hashlib.sha256(np.ascontiguousarray(self.samples).tobytes()).hexdigest()[:16]
         return {"kind": "grid_sampled", "n": self.n, "m": self.m,
                 "box_lo": list(self.box.lo), "box_hi": list(self.box.hi),
@@ -535,13 +534,14 @@ def ap_constant(weight, p, window, variant="standard", qspec=None):
     qspec = qspec or QuadSpec(base_depth=3, grade_depth=24)
     finer = replace(qspec, base_depth=qspec.base_depth + 1,
                     grade_depth=qspec.grade_depth + qspec.grade_step)
-    cubes = window.cubes()
-    boxes = dilated_boxes(cubes, [1.0])[:, 0]
+    batch = window.batch()
+    boxes = dilated_boxes(batch, [1.0])[:, 0]
     coarse, fine = (ap_pairs(weight, p, boxes, boxes, spec, star=variant == "star")
                     for spec in (qspec, finer))
     k = int(np.argmax(fine))
     converged = not np.any(np.abs(fine - coarse) > 0.05 * np.abs(fine))
-    return ApCharacteristic(p, float(fine[k]), variant, window.descriptor(), cubes[k], converged)
+    return ApCharacteristic(p, float(fine[k]), variant, window.descriptor(), batch_cube(batch, k),
+                            converged)
 
 
 def dual_weight(weight, p):

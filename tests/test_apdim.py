@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from matweight.apdim import (ApDimConfig, ApDimensions, _filter_base_cubes, a_se
                              growth_envelope_check, reverse_holder_probe,
                              swapped_slope)
 from matweight.errors import CoverageError, IntegrabilityError, OutOfDomainError
-from matweight.geometry import Box, CubeWindow, DyadicCube, box_corners, dilate, dilated_boxes
+from matweight.geometry import (Box, CubeWindow, DyadicCube, batch_cube, box_corners, cube_box,
+                                dilate, dilated_boxes)
 from matweight.quad import QuadSpec
 from matweight.reducing import CubeNorm, build_family, identity_family, unit_directions
 from matweight.weights import (ConjugatedBlockWeight, ConstantWeight, GridSampledWeight,
@@ -55,6 +58,61 @@ def test_matrix_sequence_prechecks_integrability():
     W = ConjugatedBlockWeight(PowerLogWeight(1, 1, -1.2), PowerLogWeight(1, 1, 0.3))
     with pytest.raises(IntegrabilityError):
         a_sequence(W, 2.0, config=SMALL)
+
+
+def _cubes(batch):
+    return [batch_cube(batch, i) for i in range(len(batch[0]))]
+
+
+@pytest.mark.parametrize("point", [[0.0], [0.3], [-1.0], [0.25, -0.375], [0.1, 0.0], [0.0, 2.0]])
+def test_abutting_cubes_are_the_cubes_whose_closure_holds_the_point(point):
+    # by level, then the first axis slowest; cubes past the domain are left out
+    domain = cube_box(len(point), 2.0)
+    ref = []
+    for j in range(-3, 6):
+        side = 2.0 ** -j
+        near = [range(int(np.floor(x / side)) - 1, int(np.floor(x / side)) + 1) for x in point]
+        for k in itertools.product(*near):
+            Q = DyadicCube(j, k)
+            if (np.all((Q.lower <= point) & (point <= Q.lower + side))
+                    and domain.contains_box(Q.box())):
+                ref.append(Q)
+    batch = abutting_cubes(point, (-3, 5), domain)
+    assert batch[0].dtype.kind == batch[1].dtype.kind == "i"
+    assert _cubes(batch) == ref
+
+
+@pytest.mark.parametrize("weight", [two_singularity(0.4, 0.3, 2.0), PowerLogWeight(2, 1, -0.8)])
+def test_default_base_cubes_list_each_cube_once_where_it_first_comes(weight):
+    domain = SMALL.domain(weight.n)
+    cubes = CubeWindow(weight.n, *SMALL.window_levels, domain).cubes()
+    for s in weight.singular_points:
+        cubes += _cubes(abutting_cubes(s, SMALL.abut_levels, domain))
+    assert _cubes(default_base_cubes(weight, SMALL, domain)) == list(dict.fromkeys(cubes))
+    assert len(set(cubes)) < len(cubes)
+
+
+def test_batch_paths_build_only_the_cubes_they_return(monkeypatch):
+    # a-sequences, families and window sweeps carry cubes as index arrays;
+    # a DyadicCube is built only for a witness
+    built, init = [], DyadicCube.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DyadicCube, "__init__", counted)
+    a_sequence(PowerLogWeight(1, 1, -0.45), 2.0)
+    W = ConjugatedBlockWeight(PowerLogWeight(1, 1, -0.4), PowerLogWeight(1, 1, 0.3))
+    win = CubeWindow(1, 1, 3)
+    fam = build_family(W, 1.5, win, "mvee", K=64)
+    doubling_exponent(W, 1.5, win)
+    reverse_holder_probe(identity_weight(1, 2), 2.0, win, [2.0])
+    assert built == []
+    _, witness, _ = growth_envelope_check(fam, ApDimensions(0.5, 0.5, 0.5, 1))
+    assert len(built) == len(witness) == 2
+    ap = weights.ap_constant(W, 2.0, win)
+    assert len(built) == 3 and ap.witness in win.cubes()
 
 
 def test_two_routes_agree():
@@ -248,7 +306,7 @@ def test_base_cube_filter_reduces_imax():
         vals, i_eff, cubes = a_sequence(W, 2.0, config=cfg)
     assert i_eff < 12 and len(vals) == i_eff + 1
     with pytest.raises(OutOfDomainError):
-        a_sequence(W, 2.0, base_cubes=[DyadicCube(-3, (0,))], config=cfg)
+        a_sequence(W, 2.0, base_cubes=(np.array([-3]), np.array([[0]])), config=cfg)
 
 
 @pytest.mark.parametrize("route", [estimate_dimensions, swapped_slope])
@@ -281,8 +339,9 @@ def _reference_a_sequence(weight, p, config, swapped):
     two-cube quantity on (Q, 2^i Q), each term its own one-box average (or,
     for matrix weights, the kernel on each pair's own node factors)."""
     domain = config.domain(weight.n)
-    cubes, i_eff = _filter_base_cubes(default_base_cubes(weight, config, domain),
+    batch, i_eff = _filter_base_cubes(default_base_cubes(weight, config, domain),
                                       config.i_max, domain)
+    cubes = _cubes(batch)
     qspec = QuadSpec(base_depth=config.base_depth, grade_depth=config.grade_depth)
 
     def avg(box, alpha):
@@ -325,7 +384,7 @@ def test_a_sequence_is_the_max_over_its_pairs(weight, config, swapped):
 
 
 KERNEL_QSPEC = QuadSpec(base_depth=3, grade_depth=24)
-KERNEL_BOXES = dilated_boxes(CubeWindow(1, 1, 2).cubes(), [1.0, 2.0, 4.0]).reshape(-1, 2, 1)
+KERNEL_BOXES = dilated_boxes(CubeWindow(1, 1, 2).batch(), [1.0, 2.0, 4.0]).reshape(-1, 2, 1)
 
 
 def _conjugated():

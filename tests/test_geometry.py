@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matweight.errors import CoverageError, ResolutionError
-from matweight.geometry import Box, CubeWindow, DyadicCube, cube_box, dilate
+from matweight.geometry import (Box, CubeWindow, DyadicCube, batch_cube, cube_box, dilate,
+                                dilated_boxes)
 from matweight.reducing import build_family
 from matweight.spaces import CoefficientField
 from matweight.weights import PowerLogWeight
@@ -78,16 +79,42 @@ def test_cube_outside_window_raises_coverage_error(Q):
         CoefficientField(win, 1).set_cube(Q, [1.0])
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(n=st.integers(1, 2), j_min=st.integers(-2, 2), span=st.integers(0, 2),
-       data=st.data())
-def test_cell_index_agrees_with_cube_index(n, j_min, span, data):
-    k0 = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    size = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+@st.composite
+def _windows(draw):
+    """A window of one to three levels on a box of one to three level-j_min
+    cubes per axis, anywhere near the origin."""
+    n, j_min, span = draw(st.integers(1, 2)), draw(st.integers(-2, 2)), draw(st.integers(0, 2))
+    k0 = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    size = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     h = 2.0 ** -j_min
-    win = CubeWindow(n, j_min, j_min + span,
-                     Box(tuple(h * k for k in k0), tuple(h * (k + c) for k, c in zip(k0, size))))
+    return CubeWindow(n, j_min, j_min + span,
+                      Box(tuple(h * k for k in k0), tuple(h * (k + c) for k, c in zip(k0, size))))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(win=_windows())
+def test_cell_index_agrees_with_cube_index(win):
     for Q in win.cubes():
         flat = np.ravel_multi_index(win.index(Q), tuple(win.counts_at_level(Q.j)))
         assert win.cell_index(Q.j, Q.center)[0] == flat
         assert win.cubes_at_level(Q.j)[flat] == Q
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(win=_windows())
+def test_batch_lists_the_cubes_and_gives_the_boxes_of_dilate(win):
+    # batch() and batch(j) in cubes() order, each box bitwise dilate's
+    cubes = win.cubes()
+    batch = win.batch()
+    assert batch[0].shape == (len(cubes),) and batch[1].shape == (len(cubes), win.n)
+    assert [batch_cube(batch, i) for i in range(len(cubes))] == cubes
+    for j in win.levels():
+        level = win.batch(j)
+        assert [batch_cube(level, i) for i in range(len(level[0]))] == win.cubes_at_level(j)
+    lams = [0.5, 1.0, 2.0, 8.0]
+    boxes = dilated_boxes(batch, lams)
+    assert boxes.shape == (len(cubes), len(lams), 2, win.n)
+    for Q, row in zip(cubes, boxes):
+        for lam, (lo, hi) in zip(lams, row):
+            box = dilate(Q, lam)
+            assert np.array_equal(lo, box.lo_arr) and np.array_equal(hi, box.hi_arr)

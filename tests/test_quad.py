@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from matweight import linalg, quad, weights
 from matweight.apdim import ApDimConfig, a_sequence
 from matweight.errors import IntegrabilityError, ResolutionError
-from matweight.geometry import Box, cube_box, dilate
+from matweight.geometry import Box, batch_cube, cube_box, dilate
 from matweight.quad import QuadSpec, average_box, average_boxes, box_nodes
 from matweight.reducing import _cube_norms, unit_directions
 from matweight.weights import PowerLogWeight, ProductPowerWeight, cube_average, cube_averages
@@ -174,7 +174,8 @@ def test_two_point_product_average_matches_reference(e1, e2, gap, left, right, s
 def test_a_sequence_matches_closed_form(a):
     """p = 2: a_i = max over the base cubes Q of avg_Q w * avg_{2^i Q} w^-1."""
     config = ApDimConfig(i_max=6, abut_levels=(-2, 6))
-    vals, i_eff, cubes = a_sequence(PowerLogWeight(1, 1, a), 2.0, config=config)
+    vals, i_eff, batch = a_sequence(PowerLogWeight(1, 1, a), 2.0, config=config)
+    cubes = [batch_cube(batch, c) for c in range(len(batch[0]))]
     for i in range(i_eff + 1):
         exact = max(_power_average(a, Q.lower[0] * 1.0, Q.lower[0] + Q.side)
                     * _power_average(-a, dilate(Q, 2.0 ** i).lo[0], dilate(Q, 2.0 ** i).hi[0])

@@ -416,21 +416,24 @@ class TestFamily:
 
     def test_given_arrays_are_locked_and_views_copied(self):
         win = CubeWindow(1, 1, 2)
-        given = {j: np.ones((2 ** j, 1, 1)) * np.eye(2, dtype=complex) for j in win.levels()}
         base = np.ones((6, 1, 1)) * np.eye(2, dtype=complex)
-        inv = {1: base[:2], 2: base[2:]}
-        fam = reducing.ReducingFamily(win, 2.0, "identity", given, inv, {}, 2)
-        assert all(fam.mats[j] is given[j] for j in win.levels())
+        given = {1: 2.0 * np.ones((2, 1, 1)) * np.eye(2, dtype=complex), 2: base[2:]}
+        fam = reducing.ReducingFamily(win, 2.0, "identity", given, {})
+        assert fam.mats[1] is given[1] and not fam.mats[1].flags.writeable
         base[2] = 7.0  # the caller's base stays writable, the family does not see it
-        assert fam.inv[2][0, 0, 0] == 1.0 and not fam.inv[2].flags.writeable
+        assert fam.mats[2][0, 0, 0] == 1.0 and not fam.mats[2].flags.writeable
+        # the inverses and m come from the operators, one inv per level
+        assert fam.m == 2
+        assert all(np.array_equal(fam.inv[j], np.linalg.inv(fam.mats[j])) for j in win.levels())
+        assert not any(a.flags.writeable for a in fam.inv.values())
 
 
 class TestOnePass:
     @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("method, p, per_level", [("mvee", 1.5, 1), ("exact_p2", 2.0, 2)])
-    def test_cube_averages_per_cube(self, monkeypatch, m, method, p, per_level):
-        # the fits, the calibrations and the brackets of a level read one
-        # batch of cube averages; exact_p2 adds one batch of avg_Q W
+    @pytest.mark.parametrize("method, p, batches", [("mvee", 1.5, 1), ("exact_p2", 2.0, 2)])
+    def test_cube_averages_per_cube(self, monkeypatch, m, method, p, batches):
+        # the fits, the calibrations and the brackets of the whole window read
+        # one batch of cube averages; exact_p2 adds one batch of avg_Q W
         calls = []
         average_boxes = weights.average_boxes
 
@@ -443,9 +446,7 @@ class TestOnePass:
         win = CubeWindow(1, 1, 2)
         fam = build_family(W, p, win, method=method, K=32)
         assert fam.m == m
-        assert len(calls) == per_level * len(win.levels())
-        assert sorted(len(args[1]) for args in calls) == sorted(
-            per_level * [int(np.prod(win.counts_at_level(j))) for j in win.levels()])
+        assert [len(args[1]) for args in calls] == batches * [win.num_cubes()]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_unit_directions_prefix_stable(self, m):
@@ -471,7 +472,7 @@ class TestOnePass:
         (ConjugatedBlockWeight(PowerLogWeight(2, 1, -0.8), PowerLogWeight(2, 1, 0.5)), 2.0,
          "exact_p2", CubeWindow(2, 1, 2))])
     def test_family_is_the_one_box_reduce_on_each_cube(self, weight, p, method, window):
-        # one batch per level gives each cube exactly what the cube alone gets
+        # one batch over the window gives each cube exactly what the cube alone gets
         fam = build_family(weight, p, window, method=method, K=64)
         assert fam.m == weight.m
         for Q in window.cubes():

@@ -1,9 +1,10 @@
-"""Every package module uses each name it imports, and the package reads
-every module-level private name it defines.
+"""Every package module imports at module level and uses each name it
+imports, and the package reads every module-level private name it defines.
 
 The repository has no linter, so this catches the imports and the private
-helpers or constants a deletion leaves behind. `__init__.py` is skipped by
-the import check: its imports are the public re-exports.
+helpers or constants a deletion leaves behind, and an import hidden in a
+function body. `__init__.py` is skipped by the unused-import check: its
+imports are the public re-exports.
 """
 
 import ast
@@ -37,6 +38,25 @@ def test_checker_flags_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def local_imports(source):
+    """Line numbers of the import statements that are not module-level statements."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, (ast.Import, ast.ImportFrom)) and id(n) not in top)
+
+
+def test_checker_flags_local_imports():
+    src = ("import os\n\ndef f():\n    import json\n    return json\n\n"
+           "class C:\n    from math import pi\n")
+    assert local_imports(src) == [4, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_at_module_level(path):
+    assert local_imports(path.read_text()) == []
 
 
 def private_definitions(tree):

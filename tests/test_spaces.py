@@ -197,6 +197,31 @@ class TestNormAxioms:
                        + seq_norm(u, params, fam).value ** kappa)
                 assert lhs <= rhs * (1 + 1e-9)
 
+    def test_a_nan_coefficient_gives_nan(self):
+        # with one level-3 entry nan the norms read 6.6473 (B and F) and 15.27
+        # when the largest length is taken by Python's max, which drops a nan
+        # compared against another level's maximum
+        t = CoefficientField.random(CubeWindow(1, 2, 4), 2, np.random.default_rng(1))
+        t = t.set_cube(DyadicCube(3, (1,)), [math.nan, 0.0])
+        norms = [seq_norm(t, SpaceParams(0.1, 0.2, 2.0, 2.0, kind)).value for kind in "BF"]
+        norms.append(finfty_norm(t, 0.1, 2.0).value)
+        assert all(math.isnan(v) for v in norms)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_a_nan_field_gives_nan_and_an_inf_gives_inf(self, value, level):
+        # whichever level holds it, before or after the largest finite one
+        win = CubeWindow(1, 2, 4)
+        fields = {j: np.full(16, 2.0 - j) for j in win.levels()}
+        fields[level][5] = value
+        norms = [spaces.la_tau_norm(fields, SpaceParams(0.1, 0.2, 2.0, q, kind), win, 4).value
+                 for kind in "BF" for q in (2.0, math.inf)]
+        norms += [spaces.finfty_norm_fields(fields, q, win, 4).value for q in (2.0, math.inf)]
+        if math.isnan(value):
+            assert all(math.isnan(v) for v in norms)
+        else:
+            assert norms == [math.inf] * 6
+
     def test_adding_another_dimension_is_rejected(self):
         rng = np.random.default_rng(12)
         t, u = CoefficientField.random(WIN, 1, rng), CoefficientField.random(WIN, 2, rng)

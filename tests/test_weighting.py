@@ -39,14 +39,13 @@ def _window(n):
 
 
 def _random_family(window, m, rng):
-    mats, invs, brackets = {}, {}, {}
+    mats, brackets = {}, {}
     for j in window.levels():
         counts = tuple(window.counts_at_level(j))
         B = rng.standard_normal(counts + (m, m)) + 1j * rng.standard_normal(counts + (m, m))
         mats[j] = B @ np.conj(np.swapaxes(B, -1, -2)) + 0.1 * np.eye(m)
-        invs[j] = np.linalg.inv(mats[j])
         brackets[j] = (np.ones(counts), np.ones(counts))
-    return ReducingFamily(window, 2.0, "random", mats, invs, brackets, m)
+    return ReducingFamily(window, 2.0, "random", mats, brackets)
 
 
 def _inside(X, Q):

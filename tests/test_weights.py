@@ -283,7 +283,7 @@ def _ap_cases(draw, kind):
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
         weight = ConstantWeight(1, linalg.random_psd(rng, 2, cond_max=20.0))
-    pairs = dilated_boxes(CubeWindow(1, 1, 2).cubes(), [1.0, 2.0])
+    pairs = dilated_boxes(CubeWindow(1, 1, 2).batch(), [1.0, 2.0])
     order = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=12))
     return weight, draw(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0))), pairs[order]
 
@@ -323,7 +323,7 @@ def test_ill_conditioned_constant_weight_pairs_are_one(m, p):
     q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     M = linalg.hermitize((q * np.geomspace(1.0, 1e-4, m)) @ np.conj(q.T))
     assert np.linalg.cond(M) >= 1e4 * (1 - 1e-9)
-    pairs = dilated_boxes(CubeWindow(1, 1, 2).cubes(), [1.0, 2.0])
+    pairs = dilated_boxes(CubeWindow(1, 1, 2).batch(), [1.0, 2.0])
     values = weights.ap_pairs(ConstantWeight(1, M), p, pairs[:, 0], pairs[:, 1],
                               QuadSpec(base_depth=3, grade_depth=24))
     np.testing.assert_allclose(values, 1.0, rtol=0, atol=1e-13 if p >= 1.5 else 1e-7)
