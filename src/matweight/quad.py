@@ -9,13 +9,22 @@ are an untrusted tail that must be negligible before a result converges. In
 1-D, given the local exponent e at each singular point s, the grading stops
 within a quarter of the distance to the next singular point (or to 1) and
 that cell gets a Gauss-Jacobi rule for |x - s|^e, which leaves no tail.
+A piece is an axis-scaled copy of the unit cube, so its rule is the affine
+image of a template, the unit cube's nodes and weights for the depth, the
+order and, per singular corner, the corner, its chain length and whether it
+ends in a tail, built once per such key and cached. A template takes its
+uniform cells as runs of one cached grid per depth, order and dimension,
+and its Gauss-Jacobi end cells are images of their exponents' cached rules.
+Nodes are kept as offsets from the corner they are graded toward, so that
+their distance to a singular point keeps its relative precision.
 Rounds refine the rule until the relative change drops below the tolerance.
 Many boxes refine together: one array pass per batch lays out every box with
-a singular point on it (its pieces and singular corners), and each round
-derives its cells from that layout, evaluates the integrand on the nodes of
-every box still refining, a chunk at a time (at most CHUNK_NODES nodes, or
-CHUNK_VALUES for an integrand known to be scalar), and sums each chunk in one
-reduction per 32 integrand columns.
+a singular point on it (its pieces and singular corners); each round gives
+every piece the integer code of its template and builds the nodes of every
+box still refining by one gather from the round's templates per chunk (at
+most CHUNK_NODES nodes, or CHUNK_VALUES for an integrand known to be scalar),
+evaluates the integrand on them and sums each chunk in one reduction per 32
+integrand columns.
 """
 
 from dataclasses import dataclass, replace
@@ -119,24 +128,59 @@ def _layouts(lo, hi, pad, P, on):
     return sb[box], corner.reshape(len(box), 2 * P.shape[1]), rows[np.sort(first)]
 
 
-@lru_cache(maxsize=None)
-def _unit_grid(depth, n):
-    """Lower corners of the 2^depth-per-axis uniform grid, in cell widths."""
-    return mesh(*[np.arange(2.0 ** depth)] * n)
+@lru_cache(maxsize=32)
+def _grid(depth, order, n):
+    """The uniform rule on the unit cube: the tensor Gauss-Legendre nodes of
+    its 2^depth-per-axis cells, cell after cell, and their weights."""
+    t, w = _gauss_legendre(order, n)
+    m = 2 ** depth
+    out = (((mesh(*[np.arange(m, dtype=float)] * n)[:, None] + t) / m).reshape(-1, n),
+           np.tile(w / m ** n, m ** n))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _uniform(lo, widths, depth):
-    """The 2^depth-per-axis uniform subcells of every (lo, widths) cell."""
-    grid, w = _unit_grid(depth, lo.shape[1]), widths / 2 ** depth
-    return ((lo[:, None] + grid * w[:, None]).reshape(-1, lo.shape[1]),
-            np.repeat(w, len(grid), axis=0))
-
-
-def _emit(lo, widths, order):
-    """Tensor Gauss-Legendre nodes and weights on every (lo, widths) cell."""
-    t, w = _gauss_legendre(order, lo.shape[1])
-    nodes = (lo[:, None, :] + widths[:, None, :] * t[None]).reshape(-1, lo.shape[1])
-    return nodes, (widths.prod(axis=1)[:, None] * w[None]).ravel()
+@lru_cache(maxsize=256)
+def _template(depth, order, n, corners):
+    """The node rule of a piece mapped to the unit cube, but for its uniform
+    cells, which it takes from _grid, and its Gauss-Jacobi end cells: offsets
+    (N, n) from the piece's anchors in units of its sides, weights (N,) in
+    units of its volume, and its parts as rows (first node, node count,
+    anchor, tail flag, own flag: the first node is in these arrays, not in
+    _grid's), the body's before the tail's. A corner or an anchor is a number
+    whose bit n - 1 - a is set at the upper end of axis a (0: the lower
+    corner). corners holds, in corner order, a (corner, chain length L, tail)
+    triple per singular corner of the piece. The body is the runs of uniform
+    cells between the cells at the corners (anchor 0), then, anchored at each
+    corner, its chain of L levels of 2^n - 1 cells halving toward it; the tail
+    is the innermost cell of each corner with a tail (the others' innermost
+    cell gets a Gauss-Jacobi rule). The arrays are shared."""
+    t, w = _gauss_legendre(order, n)
+    m, q, bit = 2 ** depth, order ** n, 2 ** np.arange(n - 1, -1, -1)
+    up = [(c & bit) > 0 for c, _, _ in corners]
+    cut = [-1] + sorted(int(u @ ((m - 1) * m ** np.arange(n - 1, -1, -1))) for u in up)
+    parts = [(q * (a + 1), q * (b - a - 1), 0, 0, 0) for a, b in zip(cut, cut[1:] + [m ** n])
+             if b > a + 1]
+    nodes, tails = [], []
+    for (c, L, tail), u in zip(corners, up):
+        s = np.where(u, -1.0, 1.0)  # toward the inside
+        lev = 0.5 ** np.arange(1.0, L + 1.0) / m
+        offs = mesh(*[[0.0, 1.0]] * n)[1:] * s + np.minimum(s, 0.0)
+        nodes.append(((offs[:, None] + t) * lev[:, None, None, None],
+                      np.repeat(lev[:, None] ** n * w, 2 ** n - 1, axis=0), c, 0))
+        if tail:
+            inner = 0.5 ** L / m
+            tails.append(((np.minimum(s, 0.0) + t) * inner, w * inner ** n, c, 1))
+    nodes += tails
+    first = np.cumsum([0] + [p[1].size for p in nodes])
+    out = (np.concatenate([p[0].reshape(-1, n) for p in nodes] + [np.zeros((0, n))]),
+           np.concatenate([p[1].ravel() for p in nodes] + [np.zeros(0)]),
+           np.array(parts + [(f, p[1].size, p[2], p[3], 1) for f, p in zip(first, nodes)],
+                    dtype=int).reshape(-1, 5))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _as_point(s, n):
@@ -144,47 +188,9 @@ def _as_point(s, n):
     return (np.ravel(s).tolist() * n)[:n]
 
 
-def _build(pb, rows, piece, sign, Ls, es, depth, order):
-    """Nodes, weights and tail node counts of consecutive laid-out boxes in one
-    pass, box after box; in each box, the uniform cells, the chains, the tail
-    cells and the Gauss-Jacobi end cells. The pieces have boxes pb, counted
-    from 0, and rows (lower corner, upper corner); the corners have pieces
-    (indices into rows), directions, chain lengths and exponents."""
-    n, m, cb = rows.shape[1] // 2, 2 ** depth, pb[piece]
-    p_lo, p_hi = rows[:, :n], rows[:, n:]
-    u_lo, u_w = _uniform(p_lo, p_hi - p_lo, depth)
-    keep = np.ones(len(u_lo), dtype=bool)
-    keep[piece * m ** n + ((sign < 0) * (m - 1) * m ** np.arange(n)[::-1]).sum(axis=1)] = False
-    C, W = np.where(sign > 0, p_lo[piece], p_hi[piece]), (p_hi - p_lo)[piece] / m
-    # chain level l of a corner: 2^n - 1 cells of width 2^-l w next to it
-    rep = np.repeat(np.arange(len(Ls)), Ls)
-    lev = 0.5 ** (np.arange(rep.size) - np.repeat(np.cumsum(Ls) - Ls, Ls) + 1.0)[:, None] * W[rep]
-    offs = _unit_grid(1, n)[1:] * sign[:, None] + np.minimum(sign, 0.0)[:, None]
-    IW = W * 0.5 ** Ls[:, None]
-    tail = np.isnan(es)  # no exponent: the innermost cell is an untrusted tail
-    X, v = _emit(np.concatenate([u_lo[keep],
-                                 (C[rep][:, None] + offs[rep] * lev[:, None]).reshape(-1, n),
-                                 (C + np.minimum(sign, 0.0) * IW)[tail]]),
-                 np.concatenate([u_w[keep], np.repeat(lev, 2 ** n - 1, axis=0), IW[tail]]),
-                 order)
-    key = np.repeat(np.concatenate([np.repeat(pb, m ** n)[keep] * 4,
-                                    np.repeat(cb[rep], 2 ** n - 1) * 4 + 1, cb[tail] * 4 + 2]),
-                    order ** n)
-    jac = ~tail
-    if jac.any():  # one rule per distinct exponent
-        ue, inv = np.unique(es[jac], return_inverse=True)
-        T, WT = (np.array(r)[inv] for r in zip(*[_gauss_jacobi(e, order) for e in ue.tolist()]))
-        g, h = sign[jac, 0], IW[jac, 0]
-        X = np.concatenate([X, (C[jac, 0][:, None] + (g * h)[:, None] * T).reshape(-1, 1)])
-        v = np.concatenate([v, (h[:, None] * WT).ravel()])
-        key = np.concatenate([key, np.repeat(cb[jac] * 4 + 3, order)])
-    at = np.lexsort((key,))  # stable
-    return X[at], v[at], np.bincount(cb[tail], minlength=pb[-1] + 1) * order ** n
-
-
 def box_nodes(box, base_depth, grade_depth, order, singular_points=(), exponents=None):
     """Nodes, weights and tail node count of the hp rule on a box (see _layouts
-    and _build); exponents (parallel to singular_points) are the integrand's
+    and _template); exponents (parallel to singular_points) are the integrand's
     local exponents. The one-box case of _box_chunks."""
     chunks = _box_chunks(box_corners(box), singular_points,
                          None if exponents is None else [exponents])
@@ -267,14 +273,22 @@ def _refine_loop(chunks, fn, spec, name, count=1):
     return QuadResult(hist[0].reshape((count,) + shape), converged, rounds, nodes)
 
 
+def _ranges(starts, counts):
+    """The concatenated integer ranges [starts[k], starts[k] + counts[k])."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+
+
 def _box_chunks(boxes, singular_points, exponents, scalar=False):
     """The chunks of _refine_loop over boxes ((B, 2, n) lower and upper
     corners) with local exponents at the singular points (B, S; None or NaN:
     unknown). Boxes with no singular point on them take their nodes from one
-    broadcast of the uniform rule. The others are laid out together, once
-    (_layouts); each round derives their cells from that layout and builds
-    them together, at most CHUNK_NODES nodes at a time (CHUNK_VALUES if the
-    integrand is scalar) unless one box alone exceeds it."""
+    broadcast of the grid (_grid). The others are laid out together, once
+    (_layouts); each round gives every piece a key code for its template
+    (_template) and builds the nodes of whole boxes from the round's grid,
+    templates and end-cell rules by one gather, at most CHUNK_NODES nodes at
+    a time (CHUNK_VALUES if the integrand is scalar) unless one box alone
+    exceeds it."""
     budget = CHUNK_VALUES if scalar else CHUNK_NODES
     lo, hi, n = boxes[:, 0], boxes[:, 1], boxes.shape[2]
     pts = [_as_point(s, n) for s in singular_points]
@@ -285,49 +299,96 @@ def _box_chunks(boxes, singular_points, exponents, scalar=False):
             else np.asarray(exponents, dtype=float))
     floor = 1e-12 * np.maximum(1.0, np.abs(boxes).max(axis=(1, 2)))  # cells resolve above it
     owner, pieces, corners = _layouts(lo, hi, pad, P, on)
+    bit = 2 ** np.arange(n - 1, -1, -1)
+    number, width = (corners[:, 2:] < 0) @ bit, pieces[:, n:] - pieces[:, :n]
+    vol = np.prod(width, axis=1)
 
     def chunks(bd, gd, order, idx):
-        singular, size = on[idx].any(axis=1), (2 ** bd * order) ** n
-        plain, step = np.flatnonzero(~singular), max(1, budget // size)
+        singular = on[idx].any(axis=1)
+        D, u = _grid(bd, order, n)
+        plain, step = np.flatnonzero(~singular), max(1, budget // len(u))
         for first in range(0, plain.size, step):
             pos = plain[first:first + step]
             b = idx[pos]
-            yield (pos, *_emit(*_uniform(lo[b], hi[b] - lo[b], bd), order),
-                   np.full(pos.size, size), np.zeros(pos.size, dtype=int))
+            yield (pos, (lo[b][:, None] + (hi[b] - lo[b])[:, None] * D).reshape(-1, n),
+                   (np.prod(hi[b] - lo[b], axis=1)[:, None] * u).ravel(),
+                   np.full(pos.size, len(u)), np.zeros(pos.size, dtype=int))
         pos = np.flatnonzero(singular)
         if not pos.size:
             return
         # the chain length of each of the round's corners, in box order
-        sel, depth, q = idx[pos], max(bd, 1), order ** n
+        sel, depth = idx[pos], max(bd, 1)
         act = np.zeros(len(boxes), dtype=bool)
         act[sel] = True
-        ci = np.flatnonzero(act[owner[corners[:, 0]]])
+        pi, ci = np.flatnonzero(act[owner]), np.flatnonzero(act[owner[corners[:, 0]]])
         (cp, pt), box = corners[ci, :2].T, owner[corners[ci, 0]]
-        e, W = exps[box, pt], (pieces[cp, n:] - pieces[cp, :n]) / 2 ** depth
+        e, W = exps[box, pt], width[cp] / 2 ** depth
         # halvings down to the floor, or given the exponent, to a quarter of the reach
         L = np.floor(np.log2(np.maximum(W.max(axis=1) / floor[box], 0.5))) + 1
-        jac = ~np.isnan(e)
-        cap = np.where(jac, np.ceil(np.log2(np.maximum(4.0 * W[:, 0] / reach[pt], 1.0))), gd)
+        cap = np.where(np.isnan(e), gd, np.ceil(np.log2(np.maximum(4.0 * W[:, 0] / reach[pt],
+                                                                      1.0))))
         L = np.minimum(L, cap).astype(int)
-        sizes = np.bincount(box, (L * (2 ** n - 1) - 1) * q + np.where(jac, order, q), len(boxes))
-        sizes = (np.bincount(owner, minlength=len(boxes)) * 2 ** (depth * n) * q
-                 + sizes.astype(int))[sel]
-        cuts, total = [0], 0
-        for k, s in enumerate(sizes.tolist()):
-            if k > cuts[-1] and total + s > budget:
-                cuts.append(k)
-            total = s if cuts[-1] == k else total + s
-        cuts.append(len(sel))
-        # each chunk's pieces and corners, boxes and pieces numbered from 0
-        pi, ends = np.flatnonzero(act[owner]), np.append(sel, len(boxes))[cuts]
-        pc, kc = np.searchsorted(owner[pi], ends), np.searchsorted(box, ends)
-        del act, cp, pt, box, e, W, jac, cap  # the chunks need only L of these
-        for k, (a, z) in enumerate(zip(cuts, cuts[1:])):
-            ps, rows = pi[pc[k]:pc[k + 1]], corners[ci[kc[k]:kc[k + 1]]]
-            X, v, tails = _build(np.searchsorted(sel[a:z], owner[ps]), pieces[ps],
-                                 np.searchsorted(ps, rows[:, 0]), rows[:, 2:], L[kc[k]:kc[k + 1]],
-                                 exps[owner[rows[:, 0]], rows[:, 1]], depth, order)
-            yield pos[a:z], X, v, sizes[a:z], tails
+        # a piece's template key: per corner number, 0 or 1 + (tail, chain length) code
+        row, jac, Lr = np.searchsorted(pi, cp), ~np.isnan(e), int(L.max(initial=0)) + 1
+        K = np.zeros((pi.size, 2 ** n), dtype=np.int64)
+        K[row, number[ci]] = ~jac * Lr + L + 1
+        code, radix = np.zeros(pi.size, dtype=np.int64), K.max() + 1
+        for col in K.T:  # renumbered per corner number, so codes stay below pi.size
+            code = np.unique(code * radix + col, return_inverse=True)[1]
+        rep = np.empty(code.max() + 1, dtype=int)
+        rep[code] = np.arange(pi.size)
+        temps = [_template(depth, order, n, tuple((k, c % Lr, c >= Lr) for k, c in
+                                                  enumerate((K[r] - 1).tolist()) if c >= 0))
+                 for r in rep.tolist()]
+        ue, eid = np.unique(e[jac], return_inverse=True)
+        rules = [_gauss_jacobi(x, order) for x in ue.tolist()]
+        grid = _grid(depth, order, n)
+        TD = np.concatenate([grid[0]] + [t[0] for t in temps] + [r[0][:, None] for r in rules])
+        Tu = np.concatenate([grid[1]] + [t[1] for t in temps] + [r[1] for r in rules])
+        own, count = np.array([(len(t[1]), len(t[2])) for t in temps]).T
+        # the parts as rows (node count, anchor, tail flag) and their first nodes in TD
+        parts = np.concatenate([t[2] for t in temps])
+        head = parts[:, 0] + parts[:, 4] * np.repeat(len(grid[1]) + np.cumsum(own) - own, count)
+        parts = parts[:, 1:4]
+        size, tail = (np.bincount(np.repeat(np.arange(count.size), count), parts[:, 0] * f,
+                                  count.size) for f in (1, parts[:, 2]))
+        first = np.cumsum(count) - count
+        # the end cells as parts (node count, anchor, tail flag) of their pieces,
+        # with their rules' first nodes and their scales
+        jr, jparts = row[jac], np.column_stack([np.full(eid.size, order), number[ci[jac]],
+                                                np.zeros(eid.size, dtype=int)])
+        jhead = len(Tu) - order * (len(ue) - eid)
+        jscale = np.where(jparts[:, 1] > 0, -1.0, 1.0) * 0.5 ** (depth + L[jac])
+        lb = np.searchsorted(sel, owner[pi])  # each piece's box among sel
+        sizes = (np.bincount(lb, size[code], sel.size)
+                 + order * np.bincount(lb[jr], minlength=sel.size)).astype(int)
+        tails = np.bincount(lb, tail[code], sel.size).astype(int)
+        ends = np.concatenate([[0], np.cumsum(sizes)])
+        # the chunks need only the pieces' codes and boxes, the parts and the end cells
+        del act, ci, cp, pt, box, e, W, L, cap, row, jac, K, rep, temps, rules, eid
+        a = 0
+        while a < sel.size:  # whole boxes while they fit the budget
+            z = max(a + 1, int(np.searchsorted(ends, ends[a] + budget, "right")) - 1)
+            pa, pz = np.searchsorted(lb, [a, z])
+            ja, jz = np.searchsorted(jr, [pa, pz])
+            c = code[pa:pz]
+            tp = _ranges(first[c], count[c])
+            # the chunk's parts: its pieces' templates', then their end cells; a box's tails last
+            local = np.concatenate([np.repeat(np.arange(pa, pz), count[c]), jr[ja:jz]])
+            rows = np.concatenate([parts[tp], jparts[ja:jz]])
+            o = np.argsort(lb[local] * 2 + rows[:, 2], kind="stable")
+            piece, (span, anchor) = pi[local[o]], rows[o, :2].T
+            scale = np.concatenate([np.ones(tp.size), jscale[ja:jz]])[o]
+            at = _ranges(np.concatenate([head[tp], jhead[ja:jz]])[o], span)
+            X, v = TD.take(at, axis=0), Tu.take(at)  # scaled and shifted in place
+            del at  # not held while the integrand runs
+            X *= np.repeat(width[piece] * scale[:, None], span, axis=0)
+            X += np.repeat(np.where(anchor[:, None] & bit, pieces[piece, n:], pieces[piece, :n]),
+                           span, axis=0)
+            v *= np.repeat(vol[piece] * np.abs(scale), span)
+            yield pos[a:z], X, v, sizes[a:z], tails[a:z]
+            del X, v  # the caller is done with them: freed before the next chunk is built
+            a = z
 
     return chunks
 

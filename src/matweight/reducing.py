@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import CoverageError, DegenerateMatrixError, FitError, IntegrabilityError
 from .geometry import box_corners, dilated_boxes
-from .quad import CHUNK_NODES, QuadSpec
+from .quad import QuadSpec
 from .weights import cube_average, cube_averages, dual_weight, sup_nodes
 
 
@@ -70,19 +70,18 @@ def _cube_norms(weight, p, boxes, dirs, identity=False, qspec=None):
     m, K = weight.m, len(dirs)
     EZ = np.einsum("kab,jb->kaj", linalg.hermitian_basis(m), dirs)
     parts = np.concatenate([EZ.real, EZ.imag], axis=1).reshape(m * m, 2 * m * K)
-    # node rows per product: no larger than a chunk's at _DIAG_K directions
-    rows = max(1, CHUNK_NODES * _DIAG_K // K)
+    # node rows per product: 256 KB of product, which the allocator reuses
+    # (1 MB blocks were returned to the system and faulted in again)
+    rows = max(1, 2 ** 15 // parts.shape[1])
 
     def reducer(Ws):
-        w, sq = linalg.hermitian_coords(Ws), []
+        w, sq = linalg.hermitian_coords(Ws), np.empty((len(Ws), K + identity))
         for k in range(0, len(Ws), rows):
             P = linalg.matmul(w[k:k + rows], parts)
-            sq.append(np.square(P, out=P).reshape(-1, 2 * m, K).sum(axis=1))
-        sq = np.concatenate(sq)
+            np.square(P, out=P).reshape(-1, 2 * m, K).sum(axis=1, out=sq[k:k + rows, :K])
         if identity:
             planes = np.moveaxis(Ws, 0, -1)
-            sq = np.concatenate([sq, linalg.norm_power(planes.real, planes.imag, 2.0)[:, None]],
-                                axis=1)
+            sq[:, K] = linalg.norm_power(planes.real, planes.imag, 2.0)
         return sq if p == 2.0 else sq ** (0.5 * p)
 
     res = cube_averages(weight, boxes, 1.0 / p, p, reducer, qspec, name="cube norm")

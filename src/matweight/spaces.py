@@ -283,15 +283,17 @@ def _lengths(v, A=None, n=None):
 def _rescaled_lengths(v, A, n, g):
     """g = _lengths(v, A, n) after a floating-point error, perhaps a signal
     handler's: each length non-finite, or outside [2^-500, 2^500] from a
-    nonzero vector, is redone on the vectors scaled per cell by a power of
-    two. A length in that range is accurate even if some of its squares underflowed."""
+    finite nonzero vector, is redone on the vectors scaled per cell by a power
+    of two. A length in that range is accurate even if some of its squares
+    underflowed, and a vector with an inf entry keeps its inf length."""
     if 2.0 ** -500 <= g.min() and g.max() <= 2.0 ** 500:
         return g
     with np.errstate(all="ignore"):
         top = np.abs(v).max(axis=0)
         e = np.frexp(top)[1].clip(-1000, 1000)
         redo = np.ldexp(_lengths(v * np.ldexp(1.0, -e), A, n), e)
-        return np.where((top > 0) & ~((g >= 2.0 ** -500) & (g <= 2.0 ** 500)), redo, g)
+        return np.where((top > 0) & (top < np.inf) & ~((g >= 2.0 ** -500) & (g <= 2.0 ** 500)),
+                        redo, g)
 
 
 def _weighting_key(weighting, levels, p_weight):
@@ -374,9 +376,13 @@ def kept_fields(kept, window, vecs, weighting, s, grid_level, p_weight):
 
 
 def _sequence_fields(t, weighting, s, grid_level, p_weight):
-    """weighted_fields of |Q|^(-1/2) t_Q, through the lengths the field keeps."""
+    """weighted_fields of |Q|^(-1/2) t_Q, through the lengths the field keeps.
+    The real and imaginary parts are scaled apart: a complex product would
+    turn an inf entry into inf + nan j."""
     return kept_fields(t._kept_lengths, t.window,
-                       lambda: {j: np.moveaxis(v, -1, 0) * 2.0 ** (j * t.window.n / 2.0)
+                       lambda: {j: np.moveaxis((np.ascontiguousarray(v).view(float)
+                                                * 2.0 ** (j * t.window.n / 2.0)).view(complex),
+                                               -1, 0)
                                 for j, v in t.values.items()},
                        weighting, s, grid_level, p_weight)
 

@@ -188,6 +188,33 @@ def test_one_point_rule_is_the_midpoint_rule():
     assert np.array_equal(X[:, 0], [0.125, 0.375, 0.625, 0.875]) and np.all(v == 0.25)
 
 
+@pytest.mark.parametrize("box, points, exponents, grade, pairs, tail", [
+    # one singular end with exponent 0: a chain of one level, then a 1-point
+    # Gauss-Jacobi end cell a quarter of the reach wide
+    (Box((0.0,), (1.0,)), [(0.0,)], [0.0], 8,
+     [(0.125, 0.25), (0.375, 0.25), (0.75, 0.5)], []),
+    # both ends singular: the uniform cells all go, three chain levels per end
+    (Box((0.0,), (4.0,)), [(0.0,), (4.0,)], [0.0, 0.0], 8,
+     [(0.125, 0.25), (0.375, 0.25), (0.75, 0.5), (1.5, 1.0), (2.5, 1.0), (3.25, 0.5),
+      (3.625, 0.25), (3.875, 0.25)], []),
+    # an unknown exponent: two chain levels, then the tail cell
+    (Box((0.0,), (1.0,)), [(0.0,)], None, 2,
+     [(0.0625, 0.125), (0.1875, 0.125), (0.375, 0.25), (0.75, 0.5)], [(0.0625, 0.125)]),
+    # a 2-D corner at the upper end of x and the lower end of y: three cells
+    # per chain level, then the tail cell
+    (Box((0.0, 0.0), (1.0, 1.0)), [(1.0, 0.0)], None, 1,
+     [(0.25, 0.25, 0.25), (0.25, 0.75, 0.25), (0.625, 0.125, 0.0625),
+      (0.625, 0.375, 0.0625), (0.75, 0.75, 0.25), (0.875, 0.125, 0.0625),
+      (0.875, 0.375, 0.0625)], [(0.875, 0.125, 0.0625)]),
+])
+def test_order_one_nodes_of_singular_pieces(box, points, exponents, grade, pairs, tail):
+    # box_nodes at base depth 1 and order 1 against hand-computed dyadic
+    # (node, weight) pairs; the tail cells' nodes come last
+    X, v, t = box_nodes(box, 1, grade, 1, points, exponents)
+    got = list(map(tuple, np.column_stack([X, v]).tolist()))
+    assert sorted(got) == pairs and got[len(got) - len(tail):] == tail and t == len(tail)
+
+
 # ---------------------------------------------------------------------------
 # batches of boxes: one refine loop over many boxes equals the one-box calls
 
@@ -355,38 +382,32 @@ def test_matrix_weight_cube_averages_keep_the_node_bound(reducer):
     assert max(seen) <= quad.CHUNK_NODES < sum(seen[:2])
 
 
-def test_integrand_calls_and_gauss_jacobi_lookups_of_one_a_sequence(monkeypatch):
-    # one default scalar a-sequence: 882 301 nodes in 222 integrand calls
-    # with 4 096-node chunks, in 59 with the value budget; each _build looks
-    # up one Gauss-Jacobi rule per distinct exponent among its corners (69
-    # lookups in all, against one per corner: 6 706)
+def test_integrand_calls_and_template_builds_of_one_a_sequence(monkeypatch):
+    # one default scalar a-sequence: 882 301 nodes in 59 integrand calls with
+    # the value budget; its pieces need 42 distinct templates, each built once
+    # and looked up once per round that needs it (50 lookups: some keys recur
+    # in both exponents' batches), and a second run builds none
     W = weights.two_singularity(0.4, 0.3, 2.0)
-    calls, lookups, builds, profile = [], [], [], W.scalar_profile
+    calls, keys, profile, template = [], [], W.scalar_profile, quad._template
     W.scalar_profile = lambda X: calls.append(len(X)) or profile(X)
-    build, gauss_jacobi, gauss_legendre, inner = (quad._build, quad._gauss_jacobi,
-                                                  quad._gauss_legendre, [])
-
-    def uncounted_legendre(*args):  # its Gauss-Jacobi lookups are not _build's own
-        inner.append(args)
-        try:
-            return gauss_legendre(*args)
-        finally:
-            inner.pop()
-
-    def counted_jacobi(*args):
-        if not inner:
-            lookups.append(args)
-        return gauss_jacobi(*args)
-
-    def counted_build(*args):
-        es, before = args[5], len(lookups)
-        out = build(*args)
-        builds.append((len(lookups) - before, np.unique(es[~np.isnan(es)]).size))
-        return out
-
-    monkeypatch.setattr(quad, "_build", counted_build)
-    monkeypatch.setattr(quad, "_gauss_legendre", uncounted_legendre)
-    monkeypatch.setattr(quad, "_gauss_jacobi", counted_jacobi)
-    a_sequence(W, 2.0)
+    monkeypatch.setattr(quad, "_template", lambda *key: keys.append(key) or template(*key))
+    template.cache_clear()
+    first = a_sequence(W, 2.0)[0]
+    builds, lookups = template.cache_info().misses, len(keys)
     assert len(calls) <= 64
-    assert builds and all(got == distinct for got, distinct in builds)
+    assert builds == len(set(keys)) < lookups
+    assert np.array_equal(a_sequence(W, 2.0)[0], first)
+    assert template.cache_info().misses == builds and len(keys) == 2 * lookups
+
+
+def test_exponents_one_ulp_apart_get_two_gauss_jacobi_rules(monkeypatch):
+    # the templates leave the end cells out; each distinct exponent gets its
+    # own rule, looked up once per round
+    e, looked_up, gauss_jacobi = -0.5, [], quad._gauss_jacobi
+    monkeypatch.setattr(quad, "_gauss_jacobi", lambda *key: looked_up.append(key)
+                        or gauss_jacobi(*key))
+    chunks = quad._box_chunks(np.array([[[0.0], [1.0]]] * 2), [(0.0,)],
+                              [[e], [np.nextafter(e, 0.0)]])
+    (_, X, v, sizes, _), = chunks(2, 8, 3, np.arange(2))
+    assert [k for k in looked_up if k[0]] == [(e, 3), (np.nextafter(e, 0.0), 3)]
+    assert sizes.tolist() == [12, 12] and not np.array_equal(v[:12], v[12:])

@@ -207,6 +207,13 @@ class TestNormAxioms:
         norms.append(finfty_norm(t, 0.1, 2.0).value)
         assert all(math.isnan(v) for v in norms)
 
+    def test_an_inf_coefficient_gives_inf(self):
+        t = CoefficientField.random(CubeWindow(1, 2, 4), 2, np.random.default_rng(1))
+        t = t.set_cube(DyadicCube(3, (1,)), [math.inf, 0.0])
+        norms = [seq_norm(t, SpaceParams(0.1, 0.2, 2.0, 2.0, kind)).value for kind in "BF"]
+        norms.append(finfty_norm(t, 0.1, 2.0).value)
+        assert norms == [math.inf] * 3
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("level", [2, 3, 4])
     def test_a_nan_field_gives_nan_and_an_inf_gives_inf(self, value, level):
