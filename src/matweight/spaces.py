@@ -12,6 +12,7 @@ weight, a reducing family), for sequences and functions alike. The
 smoothness s only multiplies level j by 2^(js), so kept_fields keeps the
 unscaled lengths per weighting of vectors that never change: a
 CoefficientField's own, and a FilterPair's of the last function it convolved.
+A matrix weight's grid samples are kept for the last few weights.
 """
 
 from dataclasses import dataclass
@@ -198,19 +199,29 @@ def la_tau_norm(fields, params, window, grid_level):
     cellvol = 2.0 ** (-grid_level * n)
     p, q, tau = params.p, params.q, params.tau
 
-    def mass(g, lP):
-        """Per level-lP cube L^p average of g (the max at p = inf)."""
+    def power(g):
+        return g if np.isinf(p) else g ** p
+
+    def mass(gp, lP):
+        """Per level-lP cube L^p average of g from gp = power(g) (the max at p = inf)."""
         factor = 2 ** (grid_level - lP)
         if np.isinf(p):
-            return block_reduce(g, n, factor, np.maximum)
-        return (block_reduce(g ** p, n, factor) * cellvol / 2.0 ** (-lP * n)) ** (1.0 / p)
+            return block_reduce(gp, n, factor, np.maximum)
+        return (block_reduce(gp, n, factor) * cellvol / 2.0 ** (-lP * n)) ** (1.0 / p)
 
     if params.kind == "B":
+        # each level's power is formed once and serves every window level lP <= j
+        masses = {lP: [] for lP in window.levels()}
+        for j in levels:
+            gp = power(fields[j] / scale)
+            for lP in masses:
+                if lP <= j:
+                    masses[lP].append(mass(gp, lP))
+
         def vals_at(lP):
-            stack = [mass(fields[j] / scale, lP) for j in levels if j >= lP]
-            if not stack:
+            if not masses[lP]:
                 return None
-            stack = np.stack(stack)  # (levels >= lP, cubes at lP)
+            stack = np.stack(masses[lP])  # (levels >= lP, cubes at lP)
             agg = stack.max(axis=0) if np.isinf(q) else (stack ** q).sum(axis=0) ** (1.0 / q)
             return (2.0 ** (-lP * n)) ** (1.0 / p - tau) * agg
     else:
@@ -220,7 +231,7 @@ def la_tau_norm(fields, params, window, grid_level):
             if lP not in agg:
                 return None
             g = agg[lP] if np.isinf(q) else agg[lP] ** (1.0 / q)
-            return (2.0 ** (-lP * n)) ** (1.0 / p - tau) * mass(g, lP)
+            return (2.0 ** (-lP * n)) ** (1.0 / p - tau) * mass(power(g), lP)
     return _sup_over_cubes(window, scale, vals_at)
 
 
@@ -310,6 +321,32 @@ def _weighting_key(weighting, levels, p_weight):
     return ("family",) + tuple(map(id, mats)), mats
 
 
+# W^(1/p_weight) on the grid midpoints of the last few described weights,
+# keyed as in _weight_samples; a new key evicts the oldest
+_SAMPLES, _SAMPLES_KEPT = {}, 4
+
+
+def _weight_samples(weighting, box, grid_level, p_weight):
+    """Read-only W^(1/p_weight) at the level-grid_level midpoints of box, one
+    cube per grid cell. A weight with a descriptor is sampled once per
+    (type, descriptor, p_weight, box, grid level) while that key is among the
+    last _SAMPLES_KEPT; a weight without one is sampled on every call."""
+    key = _weighting_key(weighting, (), p_weight)[0]
+    if key is not None:
+        key += (type(weighting), tuple(box.lo), tuple(box.hi), grid_level)
+    wpow = _SAMPLES.get(key)
+    if wpow is None:
+        X = grid_points(box, grid_level)
+        wpow = (weighting.scalar_profile(X) ** (1.0 / p_weight) if weighting.is_scalar()
+                else weighting.power_at(X, 1.0 / p_weight))
+        wpow = read_only(wpow.reshape(grid_shape(box, grid_level) + wpow.shape[1:]))
+        if key is not None:
+            if len(_SAMPLES) >= _SAMPLES_KEPT:
+                del _SAMPLES[next(iter(_SAMPLES))]
+            _SAMPLES[key] = wpow
+    return wpow
+
+
 def _weighted_lengths(vecs, weighting, box, grid_level, p_weight):
     n = box.n
     shape = grid_shape(box, grid_level)
@@ -317,10 +354,7 @@ def _weighted_lengths(vecs, weighting, box, grid_level, p_weight):
     if matrix:
         if p_weight is None:
             raise InvalidExponentError("a matrix weight needs the exponent p_weight")
-        X = grid_points(box, grid_level)
-        wpow = (weighting.scalar_profile(X) ** (1.0 / p_weight) if weighting.is_scalar()
-                else weighting.power_at(X, 1.0 / p_weight))
-        wpow = wpow.reshape(shape + wpow.shape[1:])  # one cube per grid cell
+        wpow = _weight_samples(weighting, box, grid_level, p_weight)
     elif weighting is not None and weighting.window.box != box:
         raise CoverageError("the reducing family lives on another box than the field")
     lengths, faults = {}, []

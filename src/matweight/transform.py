@@ -5,13 +5,20 @@ pair consists of a radial bump supported on the annulus 1/2 <= |xi| <= 2 and
 its companion normalized so the telescoping products sum to one; with both
 spectra inside the grid's safe band, analysis followed by synthesis is exact
 to rounding, which is the discrete counterpart of the reproducing identity.
+Each filter level is stored as its annulus only, the grid frequencies where
+phi_hat_j != 0, so analysis, synthesis and the per-scale convolutions touch
+those and no others. Level j is sampled on the M^n corner lattice, M = N /
+2^(grid_level - j), where frequency k folds onto k mod M; the annulus |xi| <
+2^(j+1) < pi 2^j lies inside that lattice's band, so its fold is one-to-one.
 Function norms and the Peetre-type cube sup weight the per-scale
 convolutions, which the filters keep for the last function, once per weighting.
 """
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +27,9 @@ from .errors import CoverageError, ResolutionError, ScaleRangeError
 from .geometry import CubeWindow
 from .linalg import read_only
 from .spaces import CoefficientField, finfty_norm_fields, kept_fields, la_tau_norm
+
+# 0 times an inf or nan coefficient, which phi_hat_j makes off its annulus
+_NAN = complex(np.nan, np.nan)
 
 
 def bump_profile(t, k):
@@ -39,11 +49,24 @@ def psi_profile(t, k):
     return np.where(prof > 0, prof / np.where(denom > 0, denom, 1.0), 0.0)
 
 
+class Annulus(NamedTuple):
+    """One filter level on the flat grid indices idx where phi_hat_j != 0."""
+
+    idx: np.ndarray  # flat grid indices, ascending
+    phi: np.ndarray  # phi_hat_j there
+    psi: np.ndarray  # psi_hat_j there
+    fold: np.ndarray  # the level-j lattice index each one folds onto
+    phase: np.ndarray  # exp(i xi . box corner), taking coefficients to the corners
+    synth: np.ndarray  # psi_hat_j conj(phase) 2^(-jn/2) / side^n
+
+
 class FilterPair:
     """Frequency samples of a Littlewood-Paley analysis/synthesis pair.
 
-    phi_hat(j) returns the level-j analysis multipliers on the fft grid;
-    psi_hat(j) the synthesis multipliers phi_hat / sum_i |phi_hat(2^-i .)|^2.
+    Level j, for j_min <= j <= j_max, is kept as its Annulus: phi_hat_j,
+    psi_hat_j = phi_hat_j / sum_i |phi_hat_i|^2 and the fold onto the level-j
+    lattice, on the grid frequencies where phi_hat_j != 0 and nowhere else.
+    phi_hat(j) and psi_hat(j) build the full grids on request.
     """
 
     def __init__(self, box, grid_level, smoothness=6):
@@ -69,19 +92,42 @@ class FilterPair:
         self.j_max = int(np.floor(np.log2(xi_max) + 1e-12)) - 1
         if self.j_max < self.j_min:
             raise ResolutionError("grid too small to hold one full annulus")
-        denom = np.zeros_like(self.xi_norm)
-        for j in range(self.j_min - 2, self.j_max + 3):
-            denom += bump_profile(self.xi_norm / 2.0 ** j, smoothness) ** 2
-        self._denom = denom
-        self._phi_cache = {}
         # phases mapping fft coefficients to physical positions
         lo = box.lo_arr
         h = 2.0 ** (-grid_level)
         self._phase_mid = np.exp(1j * sum(self.xi[i] * (lo[i] + 0.5 * h)
                                           for i in range(self.n)))
-        self._phase_corner = np.exp(1j * sum(self.xi[i] * lo[i]
-                                             for i in range(self.n)))
+        self._annuli = {j: self._annulus(j, side) for j in range(self.j_min, self.j_max + 1)}
         self._kept = weakref.WeakKeyDictionary()  # see _weighted_conv_fields
+
+    def _annulus(self, j, side):
+        """Level j's Annulus, with the values the whole-grid formulas give there."""
+        r = self.xi_norm.ravel()
+        phi = bump_profile(r / 2.0 ** j, self.smoothness)
+        idx = np.flatnonzero(phi)
+        phi, r = phi[idx], r[idx]
+        # only levels j - 1, j, j + 1 overlap the annulus; the others add exact zeros
+        denom = sum(bump_profile(r / 2.0 ** i, self.smoothness) ** 2 for i in (j - 1, j, j + 1))
+        psi = phi / denom
+        xi = self.xi.reshape(self.n, -1)[:, idx]
+        phase = np.exp(1j * sum(xi[i] * self.box.lo_arr[i] for i in range(self.n)))
+        synth = psi * np.conj(phase)
+        synth *= 2.0 ** (-j * self.n / 2.0) / side ** self.n
+        fold = self._fold(idx, j)
+        return Annulus(*(read_only(a) for a in (idx, phi, psi, fold, phase, synth)))
+
+    def _fold(self, flat, j):
+        """Level-j lattice index of flat grid indices: k and k + M agree on
+        the lattice 2^-j Z^n (Poisson summation), so k folds onto k mod M."""
+        M = self.N >> (self.grid_level - j)
+        k = np.unravel_index(flat, (self.N,) * self.n)
+        return np.ravel_multi_index(tuple(a % M for a in k), (M,) * self.n)
+
+    def annulus(self, j):
+        """Level j's Annulus; ScaleRangeError outside [j_min, j_max]."""
+        if not (self.j_min <= j <= self.j_max):
+            raise ScaleRangeError(f"scale {j} outside [{self.j_min}, {self.j_max}]")
+        return self._annuli[j]
 
     @property
     def safe_band(self):
@@ -92,25 +138,26 @@ class FilterPair:
         """Scales whose full annulus sits inside the safe band."""
         return (self.j_min + 2, self.j_max - 2)
 
+    def _on_grid(self, idx, vals):
+        out = np.zeros(self.xi_norm.size)
+        out[idx] = vals
+        return out.reshape(self.xi_norm.shape)
+
     def phi_hat(self, j):
-        if j not in self._phi_cache:
-            self._phi_cache[j] = bump_profile(self.xi_norm / 2.0 ** j, self.smoothness)
-        return self._phi_cache[j]
+        a = self.annulus(j)
+        return self._on_grid(a.idx, a.phi)
 
     def psi_hat(self, j):
-        phi = self.phi_hat(j)
-        out = np.zeros_like(phi)
-        mask = phi != 0.0
-        out[mask] = phi[mask] / self._denom[mask]
-        return out
+        a = self.annulus(j)
+        return self._on_grid(a.idx, a.psi)
 
     def calderon_defect(self):
         """max over safe-band frequencies of |sum_j conj(phi^)psi^ - 1|."""
-        total = np.zeros_like(self.xi_norm)
-        for j in range(self.j_min, self.j_max + 1):
-            total += np.conj(self.phi_hat(j)) * self.psi_hat(j)
+        total = np.zeros(self.xi_norm.size)
+        for a in self._annuli.values():
+            total[a.idx] += a.phi * a.psi
         lo, hi = self.safe_band
-        mask = (self.xi_norm >= lo) & (self.xi_norm <= hi)
+        mask = ((self.xi_norm >= lo) & (self.xi_norm <= hi)).ravel()
         return float(np.max(np.abs(total[mask] - 1.0)))
 
     def annulus_lower_bound(self, which="phi"):
@@ -155,6 +202,13 @@ class BandLimitedFunction:
         object.__setattr__(self, "coeffs", coeffs[None] if coeffs.ndim == self.filters.n else coeffs)
         object.__setattr__(self, "m", self.coeffs.shape[0])
 
+    @cached_property
+    def finite(self):
+        """Whether every coefficient is finite, found once per function. Only
+        then may the annulus paths skip the coefficients off an annulus: there
+        phi_hat_j is 0, and 0 times inf or nan is nan."""
+        return bool(np.isfinite(self.coeffs).all())
+
     def band_defect(self):
         if self.band is None:
             return 0.0
@@ -170,22 +224,6 @@ class BandLimitedFunction:
         F = self.coeffs * self.filters._phase_mid
         np.fft.ifftn(F, axes=tuple(range(1, self.filters.n + 1)), out=F)
         F *= self.filters.N ** self.filters.n
-        return F
-
-    def corner_values(self, j):
-        """Samples at the level-j lattice corners 2^-j k, shape (m, M, ..., M) with
-        M = N / 2^(grid_level - j). Frequencies k and k + M agree on that lattice,
-        so the spectrum is folded onto M^n of them (Poisson summation)."""
-        flt = self.filters
-        if j > flt.grid_level:
-            raise ResolutionError(f"level {j} finer than the grid")
-        n, stride = flt.n, 2 ** (flt.grid_level - j)
-        M = flt.N // stride
-        F = self.coeffs * flt._phase_corner
-        if stride > 1:
-            F = F.reshape((self.m,) + (stride, M) * n).sum(axis=tuple(range(1, 2 * n, 2)))
-        np.fft.ifftn(F, axes=tuple(range(1, n + 1)), out=F)
-        F *= M ** n
         return F
 
     def zero_mean_defect(self):
@@ -221,53 +259,84 @@ def random_band_limited(filters, m, rng, band=None):
     return BandLimitedFunction(filters, coeffs, band=(lo, hi))
 
 
+def _nonfinite_off(f, a):
+    """(component, flat grid index) of f's non-finite coefficients off the annulus a."""
+    bad = ~np.isfinite(f.coeffs.reshape(f.m, -1))
+    bad[:, a.idx] = False
+    return np.nonzero(bad)
+
+
 def convolve_scale(f, filters, j):
-    """phi_j * f by frequency multiplication; exact on the periodic grid."""
-    if not (filters.j_min <= j <= filters.j_max):
-        raise ScaleRangeError(f"scale {j} outside [{filters.j_min}, {filters.j_max}]")
-    return BandLimitedFunction(filters, f.coeffs * filters.phi_hat(j), f.band)
+    """phi_j * f by frequency multiplication on phi_j's annulus; exact on the
+    periodic grid."""
+    a = filters.annulus(j)
+    C = f.coeffs.reshape(f.m, -1)
+    out = np.zeros(f.coeffs.shape, dtype=complex)
+    flat = out.reshape(f.m, -1)
+    for row, c in zip(flat, C):  # row by row: 1-D take and put beat 2-D fancy indexing
+        row.put(a.idx, c.take(a.idx) * a.phi)
+    if not f.finite:
+        flat[_nonfinite_off(f, a)] = _NAN
+    return BandLimitedFunction(filters, out, f.band)
 
 
 def analyze(f, filters, window):
-    """Coefficients <f, phi_Q> = |Q|^(1/2) (conj-reflected phi)_j * f at x_Q."""
+    """Coefficients <f, phi_Q> = |Q|^(1/2) (conj-reflected phi)_j * f at x_Q.
+
+    Level j samples phi_j * f at the lattice corners 2^-j k: the annulus is
+    folded onto the M^n lattice frequencies, one to one, and one M^n-point
+    inverse FFT follows. phi_hat is real, so the conjugate-reflected filter
+    has the same multipliers.
+    """
     _check_grid(filters, f, window)
     if window.j_max > filters.grid_level:
         raise ResolutionError("window finer than the grid")
     if window.j_min < filters.j_min or window.j_max > filters.j_max:
         raise ScaleRangeError("window scales outside the resolvable range")
+    n, m = filters.n, f.m
+    C = f.coeffs.reshape(m, -1)
     values = {}
     for j in window.levels():
-        # phi_hat is real, so the conjugate-reflected filter has the same multipliers
-        vals = BandLimitedFunction(filters, f.coeffs * filters.phi_hat(j)).corner_values(j)
-        vals *= 2.0 ** (-j * window.n / 2.0)
-        values[j] = np.moveaxis(vals, 0, -1)
-    return CoefficientField(window, f.m, values)
+        a = filters.annulus(j)
+        M = filters.N >> (filters.grid_level - j)
+        lat = np.zeros((m,) + (M,) * n, dtype=complex)
+        flat = lat.reshape(m, -1)
+        for row, c in zip(flat, C):
+            row.put(a.fold, (c.take(a.idx) * a.phi) * a.phase)
+        if not f.finite:
+            rows, cols = _nonfinite_off(f, a)
+            flat[rows, filters._fold(cols, j)] = _NAN
+        np.fft.ifftn(lat, axes=tuple(range(1, n + 1)), out=lat)
+        lat *= M ** n
+        lat *= 2.0 ** (-j * n / 2.0)
+        values[j] = np.moveaxis(lat, 0, -1)
+    return CoefficientField(window, m, values)
 
 
 def synthesize(t, filters):
     """sum_Q t_Q psi_Q accumulated scale by scale in frequency space. The
     level-j coefficients sit on an M^n sub-lattice of the grid, so their
-    spectrum is the M^n-point one repeated 2^(grid_level - j) times per axis."""
+    spectrum is the M^n-point one repeated 2^(grid_level - j) times per axis;
+    psi_j reads it only on its annulus, through the fold."""
     window = t.window
     if window.box != filters.box:
         raise CoverageError("the window's box is not the filters' box")
     if window.j_min < filters.j_min or window.j_max > filters.j_max:
         raise ScaleRangeError("window scales outside the resolvable range")
     n = filters.n
-    side = float(filters.box.sides[0])
     out = np.zeros((t.m,) + filters.xi_norm.shape, dtype=complex)
-    phase = np.conj(filters._phase_corner)
+    flat = out.reshape(t.m, -1)
     for j in window.levels():
-        stride = 2 ** (filters.grid_level - j)
-        M = filters.N // stride
+        a = filters.annulus(j)
         F = np.moveaxis(t.values[j], -1, 0).copy()  # (m, M, ..., M), never t's own array
         np.fft.fftn(F, axes=tuple(range(1, n + 1)), out=F)
-        F = F.reshape((t.m,) + (1, M) * n)
-        mult = (filters.psi_hat(j) * phase).reshape((stride, M) * n)
-        mult *= 2.0 ** (-j * n / 2.0) / side ** n
-        blocks = out.reshape((t.m,) + (stride, M) * n)
-        for i in range(t.m):  # one component at a time keeps one grid-sized temporary
-            blocks[i] += F[i] * mult
+        F = F.reshape(t.m, -1)
+        for row, g in zip(flat, F):
+            row.put(a.idx, row.take(a.idx) + g.take(a.fold) * a.synth)
+        if not np.isfinite(F.sum()):  # an inf or nan entry, or only an overflowing sum
+            bad = ~np.isfinite(F)[:, filters._fold(np.arange(flat.shape[1]), j)]
+            bad[:, a.idx] = False
+            flat[bad] = _NAN
     return BandLimitedFunction(filters, out)
 
 

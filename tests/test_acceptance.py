@@ -9,7 +9,6 @@ import json
 import pytest
 
 from matweight import verify
-from matweight.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -126,12 +125,8 @@ def test_12_doubling_exponent(ctx):
     assert res.details["power_pos_d_hat"] < res.details["power_pos"]
 
 
-def test_13_cli_determinism(tmp_path):
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    rc1 = main(["verify", "--tier", "exact", "--seed", "7", "--out", str(out1)])
-    rc2 = main(["verify", "--tier", "exact", "--seed", "7", "--out", str(out2)])
-    passed = (rc1 == 0 and rc2 == 0
-              and (out1 / "verify_report.json").read_bytes()
-              == (out2 / "verify_report.json").read_bytes())
+def test_13_cli_determinism(verify_exact_pair):
+    (rc1, report1), (rc2, report2) = verify_exact_pair
+    passed = rc1 == 0 and rc2 == 0 and report1 == report2
     print(f"[{'PASS' if passed else 'FAIL'}] acceptance::cli_determinism")
     assert passed

@@ -169,16 +169,10 @@ class TestMain:
         for d, e in zip(diag, eye):
             assert 2.0 <= d / e <= 3.0
 
-    def test_verify_exact_tier_and_determinism(self, tmp_path):
-        out1, out2 = tmp_path / "v1", tmp_path / "v2"
-        rc1 = main(["verify", "--tier", "exact", "--seed", "7",
-                    "--out", str(out1)])
-        rc2 = main(["verify", "--tier", "exact", "--seed", "7",
-                    "--out", str(out2)])
+    def test_verify_exact_tier_and_determinism(self, verify_exact_pair):
+        (rc1, b1), (rc2, b2) = verify_exact_pair
         assert rc1 == 0 and rc2 == 0
-        b1 = (out1 / "verify_report.json").read_bytes()
-        b2 = (out2 / "verify_report.json").read_bytes()
-        assert b1 == b2
+        assert b1 is not None and b1 == b2
 
     @pytest.mark.parametrize("cfg", [{"criteria": ["bogus"]}, {"criteria": []},
                                      {"criteria": "determinism"}, {"criteria": [["doubling"]]},

@@ -369,6 +369,69 @@ class TestFieldLengths:
         assert len(passes) == 1
 
 
+    def test_a_described_weight_is_sampled_once_per_grid(self, monkeypatch):
+        calls = []
+        weight, bare = PowerLogWeight(1, 2, -0.4), _Undescribed(1, 2, -0.4)
+        for w in (weight, bare):
+            orig = w.scalar_profile
+            monkeypatch.setattr(w, "scalar_profile",
+                                lambda X, w=w, orig=orig: calls.append(w) or orig(X))
+        monkeypatch.setattr(spaces, "_SAMPLES", {})
+        rng = np.random.default_rng(45)
+        params = SpaceParams(0.2, 0.3, 2.0, 1.5, "B")
+        for w in (weight, weight, bare, bare):
+            seq_norm(CoefficientField.random(WIN, 2, rng), params, w)
+        assert calls == [weight, bare, bare]
+        # a changed weight, exponent or grid level is sampled afresh
+        weight.a = 0.3
+        seq_norm(CoefficientField.random(WIN, 2, rng), params, weight)
+        seq_norm(CoefficientField.random(WIN, 2, rng), params, weight, 1.5)
+        seq_norm(CoefficientField.random(WIN, 2, rng), params, weight, 1.5, WIN.j_max + 1)
+        assert calls[3:] == [weight] * 3
+        assert len(spaces._SAMPLES) == spaces._SAMPLES_KEPT
+        assert not any(a.flags.writeable for a in spaces._SAMPLES.values())
+        # the kept samples give the values of a cold start
+        t = CoefficientField.random(WIN, 2, rng)
+        warm = seq_norm(t, params, weight, 1.5).value
+        monkeypatch.setattr(spaces, "_SAMPLES", {})
+        assert seq_norm(CoefficientField(WIN, 2, t.values), params, weight, 1.5).value == warm
+
+
+def _b_kind_per_pair(fields, params, window, grid_level):
+    """The B-kind LA^tau norm with each pair's power formed apart, the
+    reference for la_tau_norm's once-per-level powers."""
+    n, p, q, tau = window.n, params.p, params.q, params.tau
+    levels = sorted(j for j in fields if window.j_min <= j <= window.j_max)
+    scale = float(np.max([np.max(f, initial=0.0) for f in fields.values()]))
+    best = -np.inf
+    for lP in window.levels():
+        factor = 2 ** (grid_level - lP)
+        stack = []
+        for j in (j for j in levels if j >= lP):
+            g = fields[j] / scale
+            stack.append(spaces.block_reduce(g, n, factor, np.maximum) if np.isinf(p) else
+                         (spaces.block_reduce(g ** p, n, factor) * 2.0 ** (-grid_level * n)
+                          / 2.0 ** (-lP * n)) ** (1.0 / p))
+        if stack:
+            stack = np.stack(stack)
+            agg = stack.max(axis=0) if np.isinf(q) else (stack ** q).sum(axis=0) ** (1.0 / q)
+            best = max(best, float(np.max((2.0 ** (-lP * n)) ** (1.0 / p - tau) * agg)))
+    return best * scale
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.sampled_from([1, 2]), tau=st.floats(0.0, 1.0),
+       p=st.one_of(st.floats(0.5, 4.0), st.just(math.inf)),
+       q=st.one_of(st.floats(0.5, 4.0), st.just(math.inf)), seed=st.integers(0, 2 ** 32 - 1))
+def test_b_kind_powers_each_level_once_bit_for_bit(n, tau, p, q, seed):
+    window, grid_level = CubeWindow(n, 1, 4), 5
+    rng = np.random.default_rng(seed)
+    fields = {j: rng.exponential(size=(2 ** grid_level,) * n) for j in window.levels()}
+    params = SpaceParams(0.0, tau, p, q, "B")
+    assert (spaces.la_tau_norm(fields, params, window, grid_level).value
+            == _b_kind_per_pair(fields, params, window, grid_level))
+
+
 class TestMaximalSequence:
     def test_single_atom_formula(self, fam):
         Q0 = DyadicCube(3, (2,))

@@ -171,10 +171,10 @@ class TestTransformPair:
         t_ref = analyze(f, flt, win)
         flt2 = build_filters(cube_box(1), 12)
         for j in win.levels():
-            base = flt2.phi_hat(j).copy()
-            off = (flt2.xi_norm < 2.0 ** 5) | (flt2.xi_norm > 2.0 ** 7)
-            base[off] += 0.3 * np.sin(1.0 + flt2.xi_norm[off])
-            flt2._phi_cache[j] = base
+            a = flt2.annulus(j)
+            r = flt2.xi_norm.ravel()[a.idx]
+            off = (r < 2.0 ** 5) | (r > 2.0 ** 7)
+            flt2._annuli[j] = a._replace(phi=a.phi + np.where(off, 0.3 * np.sin(1.0 + r), 0.0))
         t_pert = analyze(f, flt2, win)
         worst = max(np.max(np.abs(t_ref.values[j] - t_pert.values[j]))
                     for j in win.levels())
@@ -432,6 +432,71 @@ def prop_filters():
     return {n: build_filters(cube_box(n), level) for n, level in PROP_GRIDS.items()}
 
 
+# grid levels per dimension for the annulus property, on boxes of side 1 and 2
+ANNULUS_GRIDS = {1: (8, 10), 2: (5, 6)}
+
+
+@pytest.fixture(scope="module")
+def annulus_filters():
+    return {(n, level, half): build_filters(cube_box(n, half), level)
+            for n, levels in ANNULUS_GRIDS.items() for level in levels for half in (0.5, 1.0)}
+
+
+def _dense_phi(flt, j):
+    return bump_profile(flt.xi_norm / 2.0 ** j, flt.smoothness)
+
+
+def _dense_psi(flt, j):
+    denom = np.zeros_like(flt.xi_norm)
+    for i in range(flt.j_min - 2, flt.j_max + 3):
+        denom += bump_profile(flt.xi_norm / 2.0 ** i, flt.smoothness) ** 2
+    phi = _dense_phi(flt, j)
+    out = np.zeros_like(phi)
+    mask = phi != 0.0
+    out[mask] = phi[mask] / denom[mask]
+    return out
+
+
+def _corner_phase(flt):
+    return np.exp(1j * sum(flt.xi[i] * flt.box.lo_arr[i] for i in range(flt.n)))
+
+
+def _dense_analyze(f, flt, window):
+    """Analysis on the whole grid: multiply by phi_hat_j, fold the spectrum
+    onto the level's M^n lattice by a strided sum, inverse FFT."""
+    n, values = flt.n, {}
+    for j in window.levels():
+        stride = 2 ** (flt.grid_level - j)
+        M = flt.N // stride
+        F = (f.coeffs * _dense_phi(flt, j)) * _corner_phase(flt)
+        if stride > 1:
+            F = F.reshape((f.m,) + (stride, M) * n).sum(axis=tuple(range(1, 2 * n, 2)))
+        np.fft.ifftn(F, axes=tuple(range(1, n + 1)), out=F)
+        F *= M ** n
+        F *= 2.0 ** (-j * n / 2.0)
+        values[j] = np.moveaxis(F, 0, -1)
+    return values
+
+
+def _dense_synthesize(t, flt):
+    """Synthesis on the whole grid: each level's M^n-point spectrum repeated
+    over the grid, times psi_hat_j."""
+    n, side = flt.n, float(flt.box.sides[0])
+    out = np.zeros((t.m,) + flt.xi_norm.shape, dtype=complex)
+    for j in t.window.levels():
+        stride = 2 ** (flt.grid_level - j)
+        M = flt.N // stride
+        F = np.moveaxis(t.values[j], -1, 0).copy()
+        np.fft.fftn(F, axes=tuple(range(1, n + 1)), out=F)
+        F = F.reshape((t.m,) + (1, M) * n)
+        mult = (_dense_psi(flt, j) * np.conj(_corner_phase(flt))).reshape((stride, M) * n)
+        mult *= 2.0 ** (-j * n / 2.0) / side ** n
+        blocks = out.reshape((t.m,) + (stride, M) * n)
+        for i in range(t.m):
+            blocks[i] += F[i] * mult
+    return out
+
+
 class TestTransformProperties:
     @PROPS
     @given(n=st.sampled_from([1, 2]), m=st.sampled_from([1, 2, 3]),
@@ -445,10 +510,13 @@ class TestTransformProperties:
         assert (g + f.scaled(-1.0)).sup_norm() <= 1e-12 * f.sup_norm()
 
     @PROPS
-    @given(n=st.sampled_from([1, 2]), m=st.sampled_from([1, 2, 3]),
-           seed=st.integers(0, 2 ** 32 - 1), full_band=st.booleans())
-    def test_corner_values_match_the_strided_grid(self, prop_filters, n, m, seed, full_band):
-        flt = prop_filters[n]
+    @given(n=st.sampled_from([1, 2]), m=st.sampled_from([1, 2, 3]), finer=st.booleans(),
+           half_side=st.sampled_from([0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1),
+           full_band=st.booleans())
+    def test_annulus_paths_equal_the_dense_formulas(self, annulus_filters, n, m, finer,
+                                                    half_side, seed, full_band):
+        flt = annulus_filters[n, ANNULUS_GRIDS[n][finer], half_side]
+        window = CubeWindow(n, flt.j_min, flt.j_max, flt.box)
         rng = np.random.default_rng(seed)
         if full_band:  # every frequency of the grid, so every alias class is hit
             shape = (m,) + (flt.N,) * n
@@ -456,15 +524,27 @@ class TestTransformProperties:
                                     + 1j * rng.standard_normal(shape))
         else:
             f = random_band_limited(flt, m, rng)
-        # the oracle: the full-grid inverse FFT at the corners, read at the level's stride
-        full = np.fft.ifftn(f.coeffs * flt._phase_corner, axes=tuple(range(1, n + 1)))
-        full *= flt.N ** n
-        for j in range(flt.j_min, flt.grid_level + 1):
+        for j in window.levels():
+            assert np.array_equal(flt.phi_hat(j), _dense_phi(flt, j))
+            assert np.array_equal(flt.psi_hat(j), _dense_psi(flt, j))
+            fold = flt.annulus(j).fold
+            assert np.unique(fold).size == fold.size  # one to one
+        # equal as floats: at most the sign of an exact zero differs
+        t, want = analyze(f, flt, window), _dense_analyze(f, flt, window)
+        assert all(np.array_equal(t.values[j], want[j]) for j in window.levels())
+        assert np.array_equal(synthesize(t, flt).coeffs, _dense_synthesize(t, flt))
+        for j in window.levels():
+            dense = BandLimitedFunction(flt, f.coeffs * _dense_phi(flt, j)).values()
+            assert np.array_equal(convolve_scale(f, flt, j).values(), dense)
+        # Poisson summation: the folded analysis is the full-grid inverse FFT
+        # of phi_j f at the corners, read at the level's stride
+        for j in window.levels():
+            full = np.fft.ifftn(f.coeffs * _dense_phi(flt, j) * _corner_phase(flt),
+                                axes=tuple(range(1, n + 1))) * flt.N ** n
             stride = 2 ** (flt.grid_level - j)
-            want = full[(slice(None),) + (slice(0, None, stride),) * n]
-            got = f.corner_values(j)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            strided = full[(slice(None),) + (slice(0, None, stride),) * n]
+            got = np.moveaxis(t.values[j], -1, 0) * 2.0 ** (j * n / 2.0)
+            assert np.max(np.abs(got - strided)) <= 1e-14 * max(np.max(np.abs(strided)), 1e-300)
 
     @PROPS
     @given(s=st.floats(-1.0, 1.0), tau=st.floats(0.0, 1.0), p=st.floats(0.5, 4.0),
@@ -482,6 +562,43 @@ class TestTransformProperties:
                      lambda prm: seq_norm(t, prm, fam)):
             hi, mid, lo = (norm(prm).value for prm in chain)
             assert hi <= mid * (1 + 1e-12) and mid <= lo * (1 + 1e-12)
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("on_annulus", [True, False])
+    @pytest.mark.parametrize("n, level", [(1, 10), (2, 6)])
+    def test_one_gives_the_whole_grid_result(self, n, level, value, on_annulus):
+        # phi_hat_j is 0 off its annulus and 0 times inf or nan is nan, so on
+        # the whole grid one such coefficient makes its component nan at every
+        # level, wherever it sits; the annulus paths must not drop it
+        flt = build_filters(cube_box(n), level)
+        window = CubeWindow(n, flt.j_min, flt.j_max, flt.box)
+        coeffs = np.array(random_band_limited(flt, 2, np.random.default_rng(40)).coeffs)
+        # the zero frequency is on no annulus
+        pos = flt.annulus(flt.j_min + 2).idx[0] if on_annulus else 0
+        coeffs.reshape(2, -1)[0, pos] = value
+        f = BandLimitedFunction(flt, coeffs)
+        assert not f.finite
+        with np.errstate(invalid="ignore"):
+            t, want = analyze(f, flt, window), _dense_analyze(f, flt, window)
+            for j in window.levels():
+                assert np.array_equal(t.values[j], want[j], equal_nan=True)
+                assert np.isnan(t.values[j][..., 0]).all()
+                assert np.isfinite(t.values[j][..., 1]).all()
+            assert np.array_equal(synthesize(t, flt).coeffs, _dense_synthesize(t, flt),
+                                  equal_nan=True)
+            for j in window.levels():
+                dense = BandLimitedFunction(flt, f.coeffs * _dense_phi(flt, j)).values()
+                assert np.array_equal(convolve_scale(f, flt, j).values(), dense, equal_nan=True)
+            norm_win = CubeWindow(n, *flt.safe_levels(), flt.box)
+            norms = [function_norm(f, flt, SpaceParams(0.1, 0.2, 2.0, 2.0, kind), None,
+                                   window=norm_win).value for kind in "BF"]
+            norms.append(finfty_function_norm(f, flt, 0.1, 2.0, None, window=norm_win).value)
+        assert all(math.isnan(v) for v in norms)
+
+    def test_finite_coefficients_are_found_finite(self, flt):
+        assert random_band_limited(flt, 2, np.random.default_rng(41)).finite
 
 
 @pytest.fixture(scope="module")
