@@ -13,14 +13,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import IntegrabilityError, OutOfDomainError
+from .errors import IntegrabilityError, OutOfDomainError, ResolutionError
 from .geometry import CubeWindow, batch_cube, cube_box, dilated_boxes, mesh
-from .quad import QuadSpec
+from .quad import PROBE_SPEC, QuadSpec
 from .reducing import _cube_norms, _reduce, unit_directions
 from .weights import ap_pairs, cube_averages, dual_weight
 
 # reverse_holder_probe's cap on a stable sup ratio
 _RH_CAP = 8.0
+# a_sequence's cap on its boxes (cube and dilation pairs): 29 064 2-D boxes
+# took 6.7 s on one CPU, the 1-D default takes 2 574, and the 2-D default's
+# 590 364 ran for over 3 minutes at 640 MB before the run was stopped
+_MAX_BOXES = 100_000
 
 
 @dataclass
@@ -107,7 +111,8 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
     config.grade_depth); matrix weights and essential suprema use the order-1
     node rule at (config.base_depth, config.grade_depth // 2). Returns
     (a_values, i_max_used, the batch of cubes used). Integrability failures
-    propagate as IntegrabilityError.
+    propagate as IntegrabilityError; more than _MAX_BOXES boxes raise
+    ResolutionError before any quadrature runs.
     """
     config = config or ApDimConfig()
     i_max = i_max if i_max is not None else config.i_max
@@ -115,6 +120,11 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
     if base_cubes is None:
         base_cubes = default_base_cubes(weight, config, domain)
     cubes, i_eff = _filter_base_cubes(base_cubes, i_max, domain)
+    count = len(cubes[0]) * (i_eff + 1)
+    if count > _MAX_BOXES:
+        raise ResolutionError(
+            f"the a-sequence needs {count} boxes, over the budget of {_MAX_BOXES}; lower "
+            "apdim domain_half, window_levels, abut_levels or i_max")
     qspec = QuadSpec(base_depth=config.base_depth, grade_depth=config.grade_depth)
     boxes = dilated_boxes(cubes, 2.0 ** np.arange(i_eff + 1))  # (cube, i, corner, axis)
     small = np.broadcast_to(boxes[:, :1], boxes.shape).reshape(-1, 2, weight.n)
@@ -123,14 +133,14 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
     return np.max(q.reshape(len(boxes), -1), axis=0, initial=0.0), i_eff, cubes
 
 
-def a_sequence_via_reducing(weight, p, base_cubes, i_max, config=None, qspec=None):
+def a_sequence_via_reducing(weight, p, base_cubes, i_max, config=None):
     """Alternative route: a_i as sup over the base cubes (a batch) of
     ||A_Q A_(2^i Q)^(-1)||^p, from one batch of reducing operators over every
     cube and dilation."""
     domain = (config or ApDimConfig()).domain(weight.n)
     cubes, i_eff = _filter_base_cubes(base_cubes, i_max, domain)
     boxes = dilated_boxes(cubes, 2.0 ** np.arange(i_eff + 1))  # (cube, i, corner, axis)
-    A = _reduce(weight, p, boxes.reshape(-1, 2, weight.n), "auto", 256, qspec)[0]
+    A = _reduce(weight, p, boxes.reshape(-1, 2, weight.n), "auto", 256)[0]
     A = A.reshape(len(boxes), i_eff + 1, weight.m, weight.m)
     vals = linalg.op_norm(A[:, :1] @ np.linalg.inv(A)) ** p
     return np.max(vals, axis=0), i_eff, cubes
@@ -171,10 +181,6 @@ def estimate_dimensions(weight, p, config=None):
     """
     config = config or ApDimConfig()
     n = weight.n
-    vals, i_eff, cubes = a_sequence(weight, p, config=config)
-    slope, beta, resid = fit_growth(vals, config.fit_skip)
-    est_d = DimensionEstimate(np.arange(i_eff + 1), vals, slope, beta,
-                              (config.fit_skip, i_eff), resid, i_eff, len(cubes[0]))
     flags = []
 
     def clamp(x, label):
@@ -182,23 +188,24 @@ def estimate_dimensions(weight, p, config=None):
             flags.append(f"{label} estimate {x:.3f} outside [0, n)")
         return min(max(x, 0.0), n - 1e-9)
 
-    d = clamp(slope, "d")
+    est_d = _estimate(weight, p, config)
+    d = clamp(est_d.slope, "d")
+    est_dt, dtilde, dt_term = None, 0.0, 0.0
     if p > 1.0:
-        dual = dual_weight(weight, p)
         pprime = p / (p - 1.0)
-        dvals, di_eff, dcubes = a_sequence(dual, pprime, config=config)
-        dslope, dbeta, dresid = fit_growth(dvals, config.fit_skip)
-        est_dt = DimensionEstimate(np.arange(di_eff + 1), dvals, dslope, dbeta,
-                                   (config.fit_skip, di_eff), dresid, di_eff,
-                                   len(dcubes[0]))
-        dtilde = clamp(dslope, "dtilde")
-    else:
-        est_dt = None
-        dtilde = 0.0
-    pprime = p / (p - 1.0) if p > 1.0 else np.inf
-    delta = d / p + (dtilde / pprime if np.isfinite(pprime) else 0.0)
-    dims = ApDimensions(d, dtilde, delta, n, flags)
+        est_dt = _estimate(dual_weight(weight, p), pprime, config)
+        dtilde = clamp(est_dt.slope, "dtilde")
+        dt_term = dtilde / pprime
+    dims = ApDimensions(d, dtilde, d / p + dt_term, n, flags)
     return dims, {"direct": est_d, "dual": est_dt}
+
+
+def _estimate(weight, p, config):
+    """The DimensionEstimate of the weight's a-sequence at p."""
+    vals, i_eff, cubes = a_sequence(weight, p, config=config)
+    slope, beta, resid = fit_growth(vals, config.fit_skip)
+    return DimensionEstimate(np.arange(i_eff + 1), vals, slope, beta,
+                             (config.fit_skip, i_eff), resid, i_eff, len(cubes[0]))
 
 
 def swapped_slope(weight, p, config=None):
@@ -234,7 +241,7 @@ def growth_envelope_check(family, dims):
     return float(ratios[idx]), (batch_cube(batch, idx[0]), batch_cube(batch, idx[1])), norms.size
 
 
-def doubling_exponent(weight, p, window, K=16, qspec=None):
+def doubling_exponent(weight, p, window):
     """Least beta with int_{2Q} |W^(1/p) z|^p <= 2^beta int_Q |W^(1/p) z|^p,
     maximized over window cubes with 2Q inside the domain and sampled z,
     from one batch of cube norms over every such Q and 2Q."""
@@ -242,25 +249,24 @@ def doubling_exponent(weight, p, window, K=16, qspec=None):
     boxes = boxes[window.box.contains_boxes(boxes[:, 1])]
     if not len(boxes):
         raise OutOfDomainError("no window cube has its double inside the domain")
-    dirs = unit_directions(weight.m, K)
-    rho = _cube_norms(weight, p, boxes.reshape(-1, 2, weight.n), dirs, qspec=qspec)[0]
+    dirs = unit_directions(weight.m, 16)
+    rho = _cube_norms(weight, p, boxes.reshape(-1, 2, weight.n), dirs)[0]
     vol = np.prod(boxes[:, :, 1] - boxes[:, :, 0], axis=2)
     mass = rho.reshape(len(boxes), 2, -1) ** p * vol[:, :, None]
     return float(np.max(np.log2(mass[:, 1] / mass[:, 0])))
 
 
-def reverse_holder_probe(weight, p, window, r_grid, qspec=None):
+def reverse_holder_probe(weight, p, window, r_grid):
     """Largest r with sup_Q (avg ||W^(1/p) M||^(pr))^(1/r) / avg ||W^(1/p) M||^p
     finite, stable, and at most _RH_CAP; M runs over the identity and the
     coordinate projectors. Returns (r_hat, per-r table of sup ratios).
 
     Near the integrability edge the integrand resists refinement, so the
-    probe runs at a 0.5% quadrature standard; entries that still fail to
-    stabilize are reported as nan (unstable), which is the probe's signal.
+    probe runs at quad.PROBE_SPEC, a 0.5% standard; entries that still fail
+    to stabilize are reported as nan (unstable), which is the probe's signal.
     Per M, one batch over the window's cubes gives the base averages and
     one more each r; an entry is nan if any of its averages fails.
     """
-    qspec = qspec or QuadSpec(rel_tol=5e-3)
     eye = np.eye(weight.m, dtype=complex)
     mats = [eye] + ([] if weight.is_scalar() else [np.diag(e) for e in eye])
     boxes = dilated_boxes(window.batch(), [1.0])[:, 0]
@@ -269,7 +275,7 @@ def reverse_holder_probe(weight, p, window, r_grid, qspec=None):
         """avg over each cube of ||W^(1/p)(x) M||^s, or None if one fails."""
         try:
             res = cube_averages(weight, boxes, 1.0 / p, s,
-                                lambda Ws: linalg.op_norm(Ws @ M) ** s, qspec,
+                                lambda Ws: linalg.op_norm(Ws @ M) ** s, PROBE_SPEC,
                                 name="rh average")
         except IntegrabilityError:
             return None

@@ -21,11 +21,11 @@ import numpy as np
 
 from . import apdim, verify
 from .container import save_family_json, save_filters_json
-from .errors import ConfigError, MatweightError
+from .errors import ConfigError, MatweightError, ResolutionError
 from .geometry import CubeWindow, cube_box
 from .reducing import build_family
 from .spaces import CoefficientField, SpaceParams, classify, seq_norm
-from .transform import build_filters, function_norm, random_band_limited
+from .transform import build_filters, filter_scales, function_norm, random_band_limited
 from .weights import (ConjugatedBlockWeight, PowerLogWeight, identity_weight,
                       two_singularity, weight_from_descriptor)
 
@@ -54,8 +54,10 @@ _SCHEMA = {
 _APDIM_KEYS = {"i_max", "domain_half", "window_levels", "abut_levels",
                "base_depth", "grade_depth", "fit_skip"}
 
-# the window levels each subcommand uses when the config leaves them out
+# the window levels and filter grid level each subcommand uses when the
+# config leaves them out
 _WINDOW_LEVELS = {"apdim": (1, 4), "norms": (2, 6), "reduce": (1, 4)}
+_GRID_LEVEL = {"norms": 10, "filters": 12}
 
 
 def _check_keys(d, allowed, where):
@@ -206,7 +208,29 @@ def parse_config(path_or_inline, subcommand, seed=None):
            cfg["p"])
     K = cfg.get("directions", 256)
     _check(_is_int(K) and K >= 1, "directions must be a positive integer", K)
+    _check_grids(cfg, subcommand)
     return cfg
+
+
+def _check_grids(cfg, subcommand):
+    """Raise ConfigError unless the window tiles its box, the filter grid
+    holds an annulus, and the norms window levels are scales the filters
+    resolve. The window and the grid are cubic, so one axis decides."""
+    where = "window"
+    try:
+        if subcommand in _WINDOW_LEVELS:
+            window = _window_from_config(cfg, 1, subcommand)
+        if subcommand in _GRID_LEVEL:
+            where = "filters"
+            f = cfg.get("filters", {})
+            box = window.box if subcommand == "norms" else cube_box(1, f.get("half_side", 0.5))
+            _, j_min, j_max = filter_scales(box, f.get("grid_level", _GRID_LEVEL[subcommand]))
+    except ResolutionError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if subcommand == "norms":
+        _check(j_min <= window.j_min and window.j_max <= j_max,
+               f"window levels must lie in the filters' resolvable scales [{j_min}, {j_max}]",
+               [window.j_min, window.j_max])
 
 
 def _window_from_config(cfg, n, subcommand):
@@ -302,7 +326,7 @@ def cmd_norms(cfg, out_dir, caught):
         t = CoefficientField.random(window, weight.m, rng)
         seq_vals.append(seq_norm(t, params, fam).value)
     fcfg = cfg.get("filters", {})
-    flt = build_filters(window.box, fcfg.get("grid_level", 10),
+    flt = build_filters(window.box, fcfg.get("grid_level", _GRID_LEVEL["norms"]),
                         fcfg.get("smoothness", 6))
     for _ in range(draws):
         f = random_band_limited(flt, weight.m, rng)
@@ -311,7 +335,7 @@ def cmd_norms(cfg, out_dir, caught):
         "space": {"s": params.s, "tau": params.tau, "p": params.p,
                   "q": "inf" if np.isinf(params.q) else params.q,
                   "kind": params.kind},
-        "criticality": classify(params).cls,
+        "criticality": classify(params),
         **{key: {"mean": float(np.mean(v)), "min": float(np.min(v)), "max": float(np.max(v))}
            for key, v in (("sequence_norms", seq_vals), ("function_norms", fun_vals))},
         "draws": draws,
@@ -365,7 +389,7 @@ def cmd_filters(cfg, out_dir, caught):
     fcfg = cfg.get("filters", {})
     n = fcfg.get("n", 1)
     flt = build_filters(cube_box(n, fcfg.get("half_side", 0.5)),
-                        fcfg.get("grid_level", 12), fcfg.get("smoothness", 6))
+                        fcfg.get("grid_level", _GRID_LEVEL["filters"]), fcfg.get("smoothness", 6))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_filters_json(out_dir / "filters.json", flt)

@@ -149,9 +149,10 @@ def hl_maximal(f):
     return f.copy_with(best)
 
 
-def gamma_field(weight, family, p, j, level=None, box=None):
-    """Grid field x -> ||W^(1/p)(x) A_Q(x)^(-1)|| with Q the level-j cube at x."""
-    box = box if box is not None else family.window.box
+def gamma_field(weight, family, p, j, level=None):
+    """Grid field x -> ||W^(1/p)(x) A_Q(x)^(-1)|| with Q the level-j cube at x
+    of the family's window box."""
+    box = family.window.box
     level = level if level is not None else max(j + 2, family.window.j_max)
     if j > level:
         raise ResolutionError("gamma field needs grid at least as fine as level j")

@@ -71,13 +71,14 @@ class Box:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lo_arr) and np.all(x < self.hi_arr))
 
-    def contains_box(self, other, tol=1e-12):
-        return bool(self.contains_boxes(box_corners(other), tol)[0])
+    def contains_box(self, other):
+        return bool(self.contains_boxes(box_corners(other))[0])
 
-    def contains_boxes(self, boxes, tol=1e-12):
-        """contains_box for each of boxes ((B, 2, n) lower and upper corners)."""
-        return np.all((boxes[:, 0] >= self.lo_arr - tol) & (boxes[:, 1] <= self.hi_arr + tol),
-                      axis=1)
+    def contains_boxes(self, boxes):
+        """contains_box for each of boxes ((B, 2, n) lower and upper corners),
+        to within 1e-12."""
+        lo, hi = self.lo_arr - 1e-12, self.hi_arr + 1e-12
+        return np.all((boxes[:, 0] >= lo) & (boxes[:, 1] <= hi), axis=1)
 
 
 def cube_box(n, half_side=0.5):
@@ -119,19 +120,6 @@ class DyadicCube:
 
     def contains_point(self, x):
         return self.box().contains_point(x)
-
-    def parent(self):
-        return DyadicCube(self.j - 1, tuple(ki >> 1 for ki in self.k))
-
-    def children(self):
-        n = self.n
-        out = []
-        for off in range(2 ** n):
-            bits = tuple((off >> i) & 1 for i in range(n))
-            out.append(
-                DyadicCube(self.j + 1, tuple(2 * ki + b for ki, b in zip(self.k, bits)))
-            )
-        return out
 
 
 def box_corners(region):

@@ -120,31 +120,22 @@ def matmul(a, b):
     return (a @ b)[:r, :c]
 
 
-def matrix_power(p, alpha, tol=None):
+def matrix_power(p, alpha):
     """U diag(lambda_i^alpha) U* for a positive definite (..., m, m) array.
 
     The result is independent of the eigenvector choice. Raises
-    DegenerateMatrixError when an eigenvalue sits at or below the tolerance
-    (default 1e-12 relative to the largest eigenvalue of each matrix).
+    DegenerateMatrixError when an eigenvalue sits at or below REL_EIG_TOL
+    times the largest eigenvalue of its matrix.
     """
     p = hermitize(p)
     lam, u = np.linalg.eigh(p)
-    if tol is None:
-        floor = REL_EIG_TOL * lam[..., -1]
-    else:
-        floor = np.broadcast_to(np.asarray(tol, dtype=float), lam[..., -1].shape)
-    if np.any(lam[..., 0] <= floor):
+    if np.any(lam[..., 0] <= REL_EIG_TOL * lam[..., -1]):
         worst = float(np.min(lam[..., 0]))
         raise DegenerateMatrixError(
             f"matrix power {alpha}: eigenvalue {worst:.3e} at or below tolerance"
         )
     powed = lam ** alpha
     return hermitize(np.einsum("...ij,...j,...kj->...ik", u, powed, np.conj(u)))
-
-
-def random_hermitian(rng, m, scale=1.0):
-    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    return hermitize(scale * a)
 
 
 def random_psd(rng, m, cond_max=1e6):

@@ -65,6 +65,12 @@ class QuadSpec:
                                            order=min(self.order, 2))
 
 
+# the probes' quadrature standard: near the integrability edge the integrand
+# resists refinement, so apdim.reverse_holder_probe and
+# reducing.integrability_probe stop at a 0.5% relative change
+PROBE_SPEC = QuadSpec(rel_tol=5e-3)
+
+
 @dataclass
 class QuadResult:
     """A region's value, convergence flag, rounds and last round's node count;
@@ -409,6 +415,6 @@ def average_boxes(fn, boxes, spec=None, singular_points=(), name="box average",
     return res
 
 
-def average_box(fn, box, spec=None, singular_points=(), name="box average", exponents=None):
-    return average_boxes(fn, box_corners(box), spec, singular_points, name,
-                         None if exponents is None else [exponents])[0]
+def average_box(fn, box, spec=None, singular_points=(), exponents=None):
+    return average_boxes(fn, box_corners(box), spec, singular_points,
+                         exponents=None if exponents is None else [exponents])[0]

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import CoverageError, DegenerateMatrixError, FitError, IntegrabilityError
 from .geometry import box_corners, dilated_boxes
-from .quad import QuadSpec
+from .quad import PROBE_SPEC
 from .weights import cube_average, cube_averages, dual_weight, sup_nodes
 
 
@@ -92,16 +92,15 @@ def _cube_norms(weight, p, boxes, dirs, identity=False, qspec=None):
 class CubeNorm:
     """z -> (avg over Q of |W^(1/p)(x) z|^p dx)^(1/p), batched over directions."""
 
-    def __init__(self, weight, p, region, qspec=None):
+    def __init__(self, weight, p, region):
         self.weight = weight
         self.p = float(p)
         self.corners = box_corners(region)
-        self.qspec = qspec
 
     def bundle(self, dirs):
         """Values on a (K, m) array of directions in one quadrature pass."""
         dirs = np.atleast_2d(np.asarray(dirs, dtype=complex))
-        return _cube_norms(self.weight, self.p, self.corners, dirs, qspec=self.qspec)[0][0]
+        return _cube_norms(self.weight, self.p, self.corners, dirs)[0][0]
 
     def __call__(self, z):
         return float(self.bundle(np.asarray(z, dtype=complex)[None, :])[0])
@@ -315,7 +314,7 @@ def _bracket(A, dirs, rho, den=None):
     return ratios.min(axis=1), ratios.max(axis=1)
 
 
-def _reduce(weight, p, boxes, method, K, qspec):
+def _reduce(weight, p, boxes, method, K):
     """The calibrated operators A_Q (B, m, m) of the boxes ((B, 2, n) lower
     and upper corners) and their brackets, (B,) arrays lo and hi.
 
@@ -334,10 +333,9 @@ def _reduce(weight, p, boxes, method, K, qspec):
         raise ValueError("exact_p2 construction requires p = 2")
     m = weight.m
     dirs = unit_directions(m, max(K, _DIAG_K))
-    rho, den = _cube_norms(weight, p, boxes, dirs, True, qspec)
+    rho, den = _cube_norms(weight, p, boxes, dirs, True)
     if method == "exact_p2":
-        H = cube_averages(weight, boxes, 1.0, 1.0, lambda Ws: Ws, qspec,
-                          name="matrix average").value
+        H = cube_averages(weight, boxes, 1.0, 1.0, lambda Ws: Ws, name="matrix average").value
     else:
         H = np.array([mvee_centered(dirs[:K + m] / r[:K + m, None]) for r in rho])
     A = linalg.matrix_power(H, 0.5)
@@ -347,27 +345,27 @@ def _reduce(weight, p, boxes, method, K, qspec):
     return (A, *_bracket(A, dirs[:diag], rho[:, :diag], den))
 
 
-def reduce_operator(weight, p, region, method="auto", K=256, qspec=None):
+def reduce_operator(weight, p, region, method="auto", K=256):
     """A positive definite matrix A with |Az| equivalent to the cube norm.
 
     method 'exact_p2' requires p = 2 and returns (avg_Q W)^(1/2); 'mvee'
     fits the quasi-norm ball for any p. The result is rescaled so its
     equivalence bracket is geometrically centered at 1.
     """
-    return _reduce(weight, p, box_corners(region), method, K, qspec)[0][0]
+    return _reduce(weight, p, box_corners(region), method, K)[0][0]
 
 
-def dual_reduce(weight, p, region, method="auto", K=256, qspec=None):
+def dual_reduce(weight, p, region, method="auto", K=256):
     """Reducing operator of order p' for the dual weight W^(-1/(p-1))."""
     pprime = p / (p - 1.0)
-    return reduce_operator(dual_weight(weight, p), pprime, region, method, K, qspec)
+    return reduce_operator(dual_weight(weight, p), pprime, region, method, K)
 
 
-def verify_reducing(A, weight, p, region, K=64, qspec=None, include_matrices=True):
+def verify_reducing(A, weight, p, region, K=64, include_matrices=True):
     """Bracket [r_lo, r_hi] of |Az| / rho_Q(z) over sampled directions and,
     with include_matrices=True, of the identity's ||A|| / (avg ||W^(1/p)||^p)^(1/p)."""
     dirs = unit_directions(weight.m, max(K, _DIAG_K))
-    rho, den = _cube_norms(weight, p, box_corners(region), dirs, include_matrices, qspec)
+    rho, den = _cube_norms(weight, p, box_corners(region), dirs, include_matrices)
     lo, hi = _bracket(np.asarray(A, dtype=complex)[None], dirs, rho, den)
     return float(lo[0]), float(hi[0])
 
@@ -427,12 +425,12 @@ class ReducingFamily:
         return lo, hi
 
 
-def build_family(weight, p, window, method="auto", K=256, qspec=None):
+def build_family(weight, p, window, method="auto", K=256):
     """Construct reducing operators for every cube of the window from one
     _reduce batch, split by level; each cube's bracket covers _DIAG_K + m
     directions and the identity, from the same cube average as its operator."""
     batch = window.batch()  # by level, each in C order as counts
-    A, lo, hi = _reduce(weight, p, dilated_boxes(batch, [1.0])[:, 0], method, K, qspec)
+    A, lo, hi = _reduce(weight, p, dilated_boxes(batch, [1.0])[:, 0], method, K)
     mats, brackets = {}, {}
     for j in window.levels():
         counts, at = tuple(window.counts_at_level(j)), batch[0] == j
@@ -441,13 +439,13 @@ def build_family(weight, p, window, method="auto", K=256, qspec=None):
     return ReducingFamily(window, float(p), method, mats, brackets)
 
 
-def identity_family(window, m, p=2.0):
+def identity_family(window, m):
     mats, brackets = {}, {}
     for j in window.levels():
         counts = tuple(window.counts_at_level(j))
         mats[j] = np.broadcast_to(np.eye(m, dtype=complex), counts + (m, m)).copy()
         brackets[j] = (np.ones(counts), np.ones(counts))
-    return ReducingFamily(window, float(p), "identity", mats, brackets)
+    return ReducingFamily(window, 2.0, "identity", mats, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +471,16 @@ def integrability_probe(weight, p, family, window, r_grid):
     """Per-r table of sup-over-cubes averaged norms of A_Q W^(-1/p) and
     W^(1/p) A_Q^(-1); divergent entries are marked, not fatal.
 
-    Entries use the 0.5% quadrature standard of the reverse-Holder probe;
-    an entry is finite iff its integrability pre-check passes and its cube
+    Entries use the probes' 0.5% quadrature standard, quad.PROBE_SPEC; an
+    entry is finite iff its integrability pre-check passes and its cube
     average converges.
     """
-    qspec = QuadSpec(rel_tol=5e-3)
 
     def entry(A, alpha, r, Q):
         """(avg over Q of ||A W^alpha(x)||^r dx)^(1/r), or None if divergent."""
         try:
             res = cube_average(weight, Q, alpha, r,
-                               lambda mats: linalg.op_norm(A @ mats) ** r, qspec,
+                               lambda mats: linalg.op_norm(A @ mats) ** r, PROBE_SPEC,
                                name="probe entry")
         except IntegrabilityError:
             return None
@@ -501,7 +498,7 @@ def integrability_probe(weight, p, family, window, r_grid):
     sup_form = 0.0
     if p <= 1.0:
         boxes = dilated_boxes(window.batch(), [1.0])[:, 0]
-        for Q, (X, _) in zip(cubes, sup_nodes(weight, boxes, qspec)):
+        for Q, (X, _) in zip(cubes, sup_nodes(weight, boxes, PROBE_SPEC)):
             F = linalg.op_norm(np.einsum("ij,njk->nik", family.matrix(Q),
                                          weight.power_at(X, -1.0 / p)))
             sup_form = max(sup_form, float(F.max()))

@@ -47,19 +47,14 @@ class SpaceParams:
             raise ValueError("F-kind with p = infinity uses the dedicated path")
 
 
-@dataclass(frozen=True)
-class Criticality:
-    cls: str  # subcritical | critical | supercritical
-
-
 def classify(params):
-    """Criticality per the tau = 1/p boundary."""
+    """'subcritical', 'critical' or 'supercritical', per the tau = 1/p boundary."""
     inv_p = 0.0 if np.isinf(params.p) else 1.0 / params.p
     if params.tau > inv_p or (params.tau == inv_p and np.isinf(params.q)):
-        return Criticality("supercritical")
+        return "supercritical"
     if params.tau == inv_p and params.q < np.inf and params.kind == "F":
-        return Criticality("critical")
-    return Criticality("subcritical")
+        return "critical"
+    return "subcritical"
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +93,6 @@ class CoefficientField:
         level[idx] = np.asarray(vec, dtype=complex)
         return CoefficientField(self.window, self.m, {**self.values, Q.j: level})
 
-    def cube_value(self, Q):
-        idx = self.window.index(Q)
-        return self.values[Q.j][idx]
-
     def __add__(self, other):
         if other.m != self.m:
             raise CoverageError(f"cannot add an m = {other.m} field to an m = {self.m} one")
@@ -116,17 +107,12 @@ class CoefficientField:
                                 {j: c * v for j, v in self.values.items()})
 
     @staticmethod
-    def random(window, m, rng, scale=1.0):
+    def random(window, m, rng):
         vals = {}
         for j in window.levels():
             counts = tuple(window.counts_at_level(j))
-            vals[j] = scale * (rng.standard_normal(counts + (m,))
-                               + 1j * rng.standard_normal(counts + (m,)))
+            vals[j] = rng.standard_normal(counts + (m,)) + 1j * rng.standard_normal(counts + (m,))
         return CoefficientField(window, m, vals)
-
-    @staticmethod
-    def atom(window, m, Q, vec):
-        return CoefficientField(window, m).set_cube(Q, vec)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,23 @@ class Annulus(NamedTuple):
     synth: np.ndarray  # psi_hat_j conj(phase) 2^(-jn/2) / side^n
 
 
+def filter_scales(box, grid_level):
+    """(N, j_min, j_max) of a filter pair on a cubic box: N grid points per
+    axis at grid_level and the scales whose annuli the grid holds. Raises
+    ResolutionError unless N is a power of two >= 8 that holds one annulus."""
+    if len(set(box.sides)) != 1:
+        raise ValueError("filter grids require a cubic box")
+    side = float(box.sides[0])
+    N = grid_shape(box, grid_level)[0]
+    if N < 8 or (N & (N - 1)) != 0:
+        raise ResolutionError("grid size per axis must be a power of two >= 8")
+    j_min = int(np.ceil(np.log2(2.0 * np.pi / side) - 1.0 + 1e-12))
+    j_max = int(np.floor(np.log2(np.pi * N / side) + 1e-12)) - 1
+    if j_max < j_min:
+        raise ResolutionError("grid too small to hold one full annulus")
+    return N, j_min, j_max
+
+
 class FilterPair:
     """Frequency samples of a Littlewood-Paley analysis/synthesis pair.
 
@@ -70,28 +87,16 @@ class FilterPair:
     """
 
     def __init__(self, box, grid_level, smoothness=6):
-        if len(set(box.sides)) != 1:
-            raise ValueError("filter grids require a cubic box")
+        self.N, self.j_min, self.j_max = filter_scales(box, grid_level)
         self.box = box
         self.grid_level = grid_level
         self.smoothness = smoothness
         self.n = box.n
         side = float(box.sides[0])
-        N = grid_shape(box, grid_level)[0]
-        if N < 8 or (N & (N - 1)) != 0:
-            raise ResolutionError("grid size per axis must be a power of two >= 8")
-        self.N = N
-        k = np.fft.fftfreq(N) * N
-        self.xi_axes = [2.0 * np.pi * k / side for _ in range(self.n)]
-        grids = np.meshgrid(*self.xi_axes, indexing="ij")
+        k = np.fft.fftfreq(self.N) * self.N
+        grids = np.meshgrid(*[2.0 * np.pi * k / side] * self.n, indexing="ij")
         self.xi = np.stack(grids, axis=0)  # (n, *grid)
         self.xi_norm = np.sqrt(sum(g ** 2 for g in grids))
-        xi_min = 2.0 * np.pi / side
-        xi_max = np.pi * N / side
-        self.j_min = int(np.ceil(np.log2(xi_min) - 1.0 + 1e-12))
-        self.j_max = int(np.floor(np.log2(xi_max) + 1e-12)) - 1
-        if self.j_max < self.j_min:
-            raise ResolutionError("grid too small to hold one full annulus")
         # phases mapping fft coefficients to physical positions
         lo = box.lo_arr
         h = 2.0 ** (-grid_level)
@@ -233,11 +238,6 @@ class BandLimitedFunction:
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values())))
-
-    def l2_norm(self):
-        vals = self.values()
-        cellvol = 2.0 ** (-self.filters.grid_level * self.filters.n)
-        return float(np.sqrt(np.sum(np.abs(vals) ** 2) * cellvol))
 
     def __add__(self, other):
         _check_grid(self.filters, other)
@@ -396,20 +396,19 @@ def lifting(f, sigma):
     return BandLimitedFunction(flt, f.coeffs * mult, f.band)
 
 
-def schwartz_seminorm(filters, M, which="phi", j_ref=None):
+def schwartz_seminorm(filters, M):
     """sup_{|gamma| <= M} sup_x |d^gamma phi(x)| (1 + |x|)^(n + M + |gamma|).
 
     The unit-annulus filter is only resolvable after rescaling, so the
-    samples come from the level-j_ref copy and are scaled back; the
-    supremum covers |x| up to 2^j_ref times half the period (the decay
-    visible within one period of the surrogate).
+    samples come from the level-j_ref copy, j_ref = j_max - 2 (the widest
+    decay window the grid resolves), and are scaled back; the supremum
+    covers |x| up to 2^j_ref times half the period (the decay visible
+    within one period of the surrogate).
     """
     n = filters.n
     side = float(filters.box.sides[0])
-    if j_ref is None:
-        j_ref = filters.j_max - 2  # widest decay window the grid resolves
-    prof = filters.phi_hat(j_ref) if which == "phi" else filters.psi_hat(j_ref)
-    base = prof / side ** n  # coefficients of the periodized level-j filter
+    j_ref = filters.j_max - 2
+    base = filters.phi_hat(j_ref) / side ** n  # coefficients of the periodized level-j filter
     pts = grid_points(filters.box, filters.grid_level, flat=False)
     radii = 2.0 ** j_ref * np.linalg.norm(pts, axis=-1)
     best = 0.0

@@ -314,7 +314,7 @@ def _embed_coeffs(coeffs, flt_small, flt_big):
     return out
 
 
-def _ratio_suite_for(ctx, weight, levels, draws=100):
+def _ratio_suite_for(ctx, weight, levels):
     out = {}
     flt0 = ctx.filters(1, 10)
     # both grids cover cube_box(1), so one window and one family serve them
@@ -326,7 +326,7 @@ def _ratio_suite_for(ctx, weight, levels, draws=100):
         per_tuple = {}
         for ti, params in enumerate(_RATIO_TUPLES):
             trips = []
-            for _ in range(draws):
+            for _ in range(100):
                 f0 = random_band_limited(flt0, weight.m, rng, band=flt0.safe_band)
                 f = (BandLimitedFunction(flt, _embed_coeffs(f0.coeffs, flt0, flt))
                      if glevel != 10 else f0)

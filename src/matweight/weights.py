@@ -385,11 +385,11 @@ def cube_average(weight, region, alpha, power, reducer, qspec=None, name="cube a
     return cube_averages(weight, box_corners(region), alpha, power, reducer, qspec, name)[0]
 
 
-def cube_average_matrix_norm(weight, p, region, M=None, qspec=None):
+def cube_average_matrix_norm(weight, p, region, M=None):
     """(avg over Q of ||W^(1/p)(x) M||^p dx)^(1/p) for a cube or box Q."""
     M = np.asarray(np.eye(weight.m) if M is None else M, dtype=complex)
     res = cube_average(weight, region, 1.0 / p, p,
-                       lambda mats: linalg.op_norm(mats @ M) ** p, qspec)
+                       lambda mats: linalg.op_norm(mats @ M) ** p)
     return float(res.value) ** (1.0 / p)
 
 
@@ -400,7 +400,6 @@ class ApCharacteristic:
     p: float
     value: float
     variant: str
-    cube_set: dict
     witness: DyadicCube = None
     converged: bool = True
 
@@ -540,8 +539,7 @@ def ap_constant(weight, p, window, variant="standard", qspec=None):
                     for spec in (qspec, finer))
     k = int(np.argmax(fine))
     converged = not np.any(np.abs(fine - coarse) > 0.05 * np.abs(fine))
-    return ApCharacteristic(p, float(fine[k]), variant, window.descriptor(), batch_cube(batch, k),
-                            converged)
+    return ApCharacteristic(p, float(fine[k]), variant, batch_cube(batch, k), converged)
 
 
 def dual_weight(weight, p):

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matweight import linalg, weights
+from matweight import apdim, linalg, weights
 from matweight.apdim import (ApDimConfig, ApDimensions, _filter_base_cubes, a_sequence,
                              a_sequence_via_reducing, abutting_cubes,
                              admissible_m, default_base_cubes, doubling_exponent,
                              estimate_dimensions, fit_growth,
                              growth_envelope_check, reverse_holder_probe,
                              swapped_slope)
-from matweight.errors import CoverageError, IntegrabilityError, OutOfDomainError
+from matweight.errors import CoverageError, IntegrabilityError, OutOfDomainError, ResolutionError
 from matweight.geometry import (Box, CubeWindow, DyadicCube, batch_cube, box_corners, cube_box,
                                 dilate, dilated_boxes)
 from matweight.quad import QuadSpec
@@ -307,6 +307,18 @@ def test_base_cube_filter_reduces_imax():
     assert i_eff < 12 and len(vals) == i_eff + 1
     with pytest.raises(OutOfDomainError):
         a_sequence(W, 2.0, base_cubes=(np.array([-3]), np.array([[0]])), config=cfg)
+
+
+def test_a_sequence_over_its_box_budget_runs_no_quadrature(monkeypatch):
+    # the 1-D default takes 286 cubes at 9 dilations each
+    def no_integrand(self, X):
+        raise AssertionError("the integrand ran")
+
+    monkeypatch.setattr(PowerLogWeight, "scalar_profile", no_integrand)
+    monkeypatch.setattr(apdim, "_MAX_BOXES", 2573)
+    with pytest.raises(ResolutionError, match="needs 2574 boxes, over the budget of 2573; "
+                       "lower apdim domain_half, window_levels, abut_levels or i_max"):
+        a_sequence(PowerLogWeight(1, 1, -0.5), 2.0)
 
 
 @pytest.mark.parametrize("route", [estimate_dimensions, swapped_slope])

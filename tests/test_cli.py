@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -107,6 +108,15 @@ class TestMain:
         assert err["error"] == "numerical"
         assert "fit_skip = 8" in err["message"] and "i_max is 6" in err["message"]
 
+    def test_two_dimensional_default_apdim_is_refused_before_quadrature(self, tmp_path, capsys):
+        cfg = '{"weight": {"kind": "power_log", "a": -0.8, "n": 2}}'
+        start = time.perf_counter()
+        assert main(["apdim", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert time.perf_counter() - start < 10.0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical" and "590364 boxes" in err["message"]
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("weight", [
         {"kind": "power_log", "a": -0.5, "b": "x"},
         {"kind": "power_log", "a": -0.5, "scale": "x"},
@@ -209,11 +219,21 @@ class TestMain:
         ["apdim", "--config", '{"weight": {"kind": "two_singularity", "d": "x", '
                               '"dtilde": 0.3, "p": 2}, "p": 2}'],
         ["apdim", "--config", '{"weight": {"kind": "two_singularity", "d": 0.4, '
-                              '"dtilde": NaN, "p": 2}, "p": 2}']])
+                              '"dtilde": NaN, "p": 2}, "p": 2}'],
+        # a window or filter grid the lattice cannot hold, and window levels the filters lack
+        ["reduce", "--config", '{"window": {"half_side": 0.3}}'],
+        ["reduce", "--config", '{"window": {"j_min": -3, "j_max": 0}}'],
+        ["apdim", "--config", '{"window": {"half_side": 0.3}}'],
+        ["norms", "--config", '{"window": {"half_side": 0.3}, "draws": 1}'],
+        ["filters", "--config", '{"filters": {"grid_level": 2}}'],
+        ["filters", "--config", '{"filters": {"half_side": 0.3}}'],
+        ["norms", "--config", '{"filters": {"grid_level": 3}, "draws": 1}'],
+        ["norms", "--config", '{"window": {"j_min": 1, "j_max": 3}, "draws": 1}']])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and err["message"]
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("space", ['{"s": "x"}', '{"tau": "x"}', '{"kind": "Z"}',
                                        '{"tau": -1}', '{"s": NaN}',

@@ -24,19 +24,6 @@ def test_double_interval():
     assert box.center[0] == pytest.approx(Q.center[0])
 
 
-def test_children_partition_parent():
-    Q = DyadicCube(1, (1, -2))
-    kids = Q.children()
-    assert len(kids) == 4
-    assert all(k.j == 2 for k in kids)
-    assert sum(k.volume for k in kids) == pytest.approx(Q.volume)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x = Q.lower + rng.random(2) * Q.side
-        assert sum(k.contains_point(x) for k in kids) == 1
-    assert all(k.parent() == Q for k in kids)
-
-
 def test_window_levels_partition():
     win = CubeWindow(2, 1, 3)
     for j in win.levels():

@@ -37,7 +37,7 @@ class TestAtoms:
     ])
     def test_closed_form(self, fam, kind, s, tau, p, q):
         Q0 = DyadicCube(3, (2,))
-        t = CoefficientField.atom(WIN, 2, Q0, [0.0, 1.0])
+        t = CoefficientField(WIN, 2).set_cube(Q0, [0.0, 1.0])
         res = seq_norm(t, SpaceParams(s, tau, p, q, kind), fam)
         expected = 2.0 ** (Q0.j * s) * Q0.volume ** (1.0 / p - 0.5 - tau)
         assert res.value == pytest.approx(expected, rel=1e-12)
@@ -47,7 +47,7 @@ class TestAtoms:
     def test_finfty_atom(self, fam):
         Q0 = DyadicCube(4, (3,))
         s = 0.2
-        t = CoefficientField.atom(WIN, 2, Q0, [1.0, 0.0])
+        t = CoefficientField(WIN, 2).set_cube(Q0, [1.0, 0.0])
         val = finfty_norm(t, s, math.inf, fam).value
         expected = 2.0 ** (Q0.j * (s + 0.5))
         assert val == pytest.approx(expected, rel=1e-12)
@@ -295,8 +295,8 @@ class TestFieldLengths:
                 with pytest.raises(ValueError):
                     v[...] = 0.0
         atom = u.set_cube(DyadicCube(3, (2,)), [5.0, 0.0])
-        assert u.cube_value(DyadicCube(3, (2,)))[0] == 1.0
-        assert atom.cube_value(DyadicCube(3, (2,)))[0] == 5.0
+        assert u.values[3][WIN.index(DyadicCube(3, (2,)))][0] == 1.0
+        assert atom.values[3][WIN.index(DyadicCube(3, (2,)))][0] == 5.0
 
     def test_a_level_cannot_be_replaced_under_its_kept_lengths(self):
         t = CoefficientField.random(WIN, 2, np.random.default_rng(43))
@@ -435,7 +435,7 @@ def test_b_kind_powers_each_level_once_bit_for_bit(n, tau, p, q, seed):
 class TestMaximalSequence:
     def test_single_atom_formula(self, fam):
         Q0 = DyadicCube(3, (2,))
-        t = CoefficientField.atom(WIN, 2, Q0, [1.0, 0.0])
+        t = CoefficientField(WIN, 2).set_cube(Q0, [1.0, 0.0])
         seq = cube_scalar_sequence(t, fam)
         lam = 3.0
         star = maximal_sequence(seq, WIN, 1.0, lam)
@@ -482,15 +482,15 @@ class TestMaximalSequence:
 
 class TestClassify:
     def test_examples(self):
-        assert classify(SpaceParams(0, 1.0, 2.0, 2.0, "F")).cls == "supercritical"
-        assert classify(SpaceParams(0, 0.5, 2.0, 3.0, "F")).cls == "critical"
-        assert classify(SpaceParams(0, 0.0, 2.0, 2.0, "B")).cls == "subcritical"
+        assert classify(SpaceParams(0, 1.0, 2.0, 2.0, "F")) == "supercritical"
+        assert classify(SpaceParams(0, 0.5, 2.0, 3.0, "F")) == "critical"
+        assert classify(SpaceParams(0, 0.0, 2.0, 2.0, "B")) == "subcritical"
 
     def test_boundary_cases(self):
-        assert classify(SpaceParams(0, 0.5, 2.0, math.inf, "B")).cls == "supercritical"
-        assert classify(SpaceParams(0, 0.5, 2.0, 3.0, "B")).cls == "subcritical"
-        assert classify(SpaceParams(0, 0.0, math.inf, 3.0, "B")).cls == "subcritical"
-        assert classify(SpaceParams(0, 0.0, math.inf, math.inf, "B")).cls == "supercritical"
+        assert classify(SpaceParams(0, 0.5, 2.0, math.inf, "B")) == "supercritical"
+        assert classify(SpaceParams(0, 0.5, 2.0, 3.0, "B")) == "subcritical"
+        assert classify(SpaceParams(0, 0.0, math.inf, 3.0, "B")) == "subcritical"
+        assert classify(SpaceParams(0, 0.0, math.inf, math.inf, "B")) == "supercritical"
 
     def test_b_f_coincide_at_infinity_marker(self, fam):
         # LB(inf, inf) and LF(inf, inf) aggregations are the same supremum

@@ -35,7 +35,7 @@ def test_atom_closed_form_plane():
     win = CubeWindow(2, 1, 4)
     fam = identity_family(win, 2)
     Q0 = DyadicCube(2, (1, -2))
-    t = CoefficientField.atom(win, 2, Q0, [1.0, 1.0j])
+    t = CoefficientField(win, 2).set_cube(Q0, [1.0, 1.0j])
     params = SpaceParams(0.3, 0.2, 1.5, 2.0, "F")
     val = seq_norm(t, params, fam).value
     expect = (2.0 ** (Q0.j * 0.3) * np.sqrt(2.0)

@@ -63,7 +63,7 @@ def _oracle_seq_norm(t, params, factors, grid_level):
     for j in window.levels():
         cubes = [DyadicCube(j, tuple(int(v) for v in k)) for k in np.floor(X * 2.0 ** j)]
         vecs = np.einsum("nij,nj->ni", factors(X, cubes),
-                         np.array([t.cube_value(Q) for Q in cubes]))
+                         np.array([t.values[Q.j][window.index(Q)] for Q in cubes]))
         g[j] = 2.0 ** (j * params.s) * 2.0 ** (j * window.n / 2.0) * np.linalg.norm(vecs, axis=1)
     cellvol = 2.0 ** (-grid_level * window.n)
     best = 0.0
@@ -113,7 +113,7 @@ class TestWeightingOracle:
         t = CoefficientField.random(window, m, rng)
         got = cube_scalar_sequence(t, fam)
         for Q in window.cubes():
-            want = np.linalg.norm(fam.matrix(Q) @ t.cube_value(Q))
+            want = np.linalg.norm(fam.matrix(Q) @ t.values[Q.j][window.index(Q)])
             np.testing.assert_allclose(got[Q.j][window.index(Q)], want, rtol=1e-12, atol=0)
 
     @ORACLE
