@@ -26,8 +26,8 @@ from .geometry import CubeWindow, cube_box
 from .reducing import build_family
 from .spaces import CoefficientField, SpaceParams, classify, seq_norm
 from .transform import build_filters, filter_scales, function_norm, random_band_limited
-from .weights import (ConjugatedBlockWeight, PowerLogWeight, identity_weight,
-                      two_singularity, weight_from_descriptor)
+from .weights import (ConjugatedBlockWeight, identity_weight, two_singularity,
+                      weight_from_descriptor)
 
 
 def code_version():
@@ -80,6 +80,13 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _numbers(v):
+    """The numbers in v and, nested, in its lists."""
+    if isinstance(v, list):
+        return [x for item in v for x in _numbers(item)]
+    return [v] if _is_number(v) else []
+
+
 def _is_positive(v):
     return _is_number(v) and v > 0
 
@@ -99,13 +106,15 @@ def parse_weight(spec):
     for key in ("n", "m"):
         _check(_is_int(desc[key]) and desc[key] >= 1, f"weight {key} must be an integer >= 1",
                desc[key])
+    for key, value in desc.items():
+        _check(all(map(math.isfinite, _numbers(value))), f"weight {key} must be finite", value)
     for key in ("a", "b", "scale"):
         if key in desc:
             _check(_is_number(desc[key]), f"weight {key} must be a number", desc[key])
+    _check(desc.get("scale", 1.0) > 0.0, "weight scale must be positive", desc.get("scale"))
     if desc["kind"] == "two_singularity":
         for key in ("d", "dtilde", "p"):
-            _check(_is_number(desc.get(key)) and math.isfinite(desc[key]),
-                   f"weight {key} must be a finite number", desc.get(key))
+            _check(_is_number(desc.get(key)), f"weight {key} must be a number", desc.get(key))
         _check(desc["p"] > 1.0, "weight p must be > 1", desc["p"])
     try:
         if desc["kind"] == "two_singularity":
@@ -116,12 +125,12 @@ def parse_weight(spec):
                                            parse_weight(desc["branch2"]))
         else:
             weight = weight_from_descriptor(desc)
-        divergent = isinstance(weight, PowerLogWeight) and weight.a <= -weight.n
+        divergent = any(weight.norm_exponent(s, 1.0) <= -weight.n for s in weight.singular_points)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad weight spec: {exc}") from exc
     if divergent:
-        raise ConfigError(
-            f"power exponent a = {weight.a} <= -n makes the weight non-integrable")
+        raise ConfigError("a power exponent <= -n at a singular point makes the weight "
+                          "non-integrable")
     return weight
 
 

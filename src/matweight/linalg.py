@@ -80,13 +80,14 @@ def norm_power(re, im, s):
 
 def hermitian_basis(d, real=False):
     """A basis (D, d, d) of the real space of Hermitian (D = d^2) or, with
-    real=True, real symmetric (D = d(d+1)/2) d x d matrices, orthogonal
-    under <A, B> = Re tr(A* B). Row by row, each diagonal unit is followed
-    by the pairs above it: E_kl + E_lk, then i (E_kl - E_lk) unless real."""
+    real=True, real symmetric (D = d(d+1)/2, a real array) d x d matrices,
+    orthogonal under <A, B> = Re tr(A* B). Row by row, each diagonal unit is
+    followed by the pairs above it: E_kl + E_lk, then i (E_kl - E_lk) unless
+    real."""
     E = []
     for k in range(d):
         for l in range(k, d):
-            E.append(np.zeros((d, d), complex))
+            E.append(np.zeros((d, d), float if real else complex))
             E[-1][k, l] = E[-1][l, k] = 1.0
             if l > k and not real:
                 E.append(np.zeros((d, d), complex))

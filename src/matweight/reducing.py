@@ -5,14 +5,12 @@ At p = 2 the unit ball of z -> (avg |W^(1/2/... )z|^2)^(1/2) is exactly an
 ellipsoid and the operator is (avg_Q W)^(1/2). For general p the operator is
 fitted: the ball is circled (invariant under z -> e^(i theta) z), so its
 boundary samples in C^m are enclosed by the minimum-volume circled ellipsoid
-{z : z*Hz <= 1} and the operator is H^(1/2). The ellipsoid is fitted by a few
-Khachiyan and Wolfe-Atwood away steps, then a log-barrier Newton path whose
-centred points name a candidate support, solved exactly by Newton on its
-optimality conditions; the away steps continue only if no candidate passes.
+{z : z*Hz <= 1} and the operator is H^(1/2). The ellipsoid is fitted by one
+primal-dual interior-point method whose iterates all enclose the samples; it
+stops at a duality gap of 1e-10 per dimension, or raises FitError.
 Every constructed operator carries an empirical equivalence bracket.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,197 +107,91 @@ class CubeNorm:
 # ---------------------------------------------------------------------------
 # minimum-volume enclosing ellipsoid (origin-centered)
 
-_MVEE_TOL = 1e-8
-_MVEE_PRESTEPS = 32  # first-order steps before the barrier path
-# the fallback's cap. The step loop alone zig-zags on near-degenerate clouds
-# (a point almost on the optimal ellipsoid): over 90 matrix_weight fits it
-# took a median of 718 steps and at most 12 214, and one random cloud in R^3
-# with a point at 1 - 1e-5 of the ellipsoid needs about 170 000
-_MVEE_MAX_ITER = 100_000
-_MVEE_FAIL = 0.05
-_MVEE_REFRESH = 256  # steps between full recomputations of X^(-1)
-_CENTRED = 1e-6  # squared Newton decrement that ends a centring
+_MVEE_TOL = 1e-10  # per dimension, on u.w and on the duality gap
+_MVEE_MAX_ITER = 60
 
 
-def _scores(P, u):
-    """X(u)^(-1) and the scores z_i* X(u)^(-1) z_i, X(u) = sum u_i z_i z_i*."""
-    Xinv = np.linalg.inv(P.T @ (P.conj() * u[:, None]))
-    return Xinv, np.einsum("ni,ij,nj->n", P.conj(), Xinv, P).real
-
-
-def _away_steps(P, u, cap):
-    """At most cap Khachiyan or Wolfe-Atwood away steps from the weights u;
-    returns the new weights and the violation of the last ones scored."""
-    Pc = P.conj()
-    d = P.shape[1]
-    u = u.copy()
-    viol = np.inf
-    for it in range(cap):
-        if it % _MVEE_REFRESH == 0:
-            Xinv, M = _scores(P, u)
-        j = int(np.argmax(M))
-        k = int(np.argmin(np.where(u > 0.0, M, np.inf)))
-        up, down = M[j] / d - 1.0, 1.0 - M[k] / d
-        viol = max(up, down)
-        if viol < _MVEE_TOL:
-            break
-        if up >= down:  # Khachiyan step toward z_j
-            beta = (M[j] - d) / (d * (M[j] - 1.0))
-        else:  # away step off z_k, clipped where u_k reaches 0
-            # (the volume grows all the way to the clip when M_k <= 1)
-            j, drop = k, -u[k] / (1.0 - u[k])
-            beta = max((M[k] - d) / (d * (M[k] - 1.0)), drop) if M[k] > 1.0 else drop
-        u *= 1.0 - beta
-        u[j] = 0.0 if up < down and beta == drop else u[j] + beta  # no rounding residue
-        if beta == 1.0:  # only at d = 1, where all weight on one point is optimal
-            viol = 0.0
-            break
-        # Sherman-Morrison update of Xinv and the scores M
-        v = Xinv @ P[j]
-        denom = (1.0 - beta) + beta * M[j]
-        Xinv = (Xinv - (beta / denom) * np.outer(v, v.conj())) / (1.0 - beta)
-        M = (M - (beta / denom) * np.abs(Pc @ v) ** 2) / (1.0 - beta)
-    return u, viol
-
-
-def _barrier(C, E, t, h):
-    """t (-log det H) - sum log(1 - s_i) at H = sum h_a E_a, s = C h; inf
-    where some s_i >= 1 or H is not positive definite."""
-    s = C @ h
-    if s.max() >= 1.0:
-        return np.inf
-    try:
-        L = np.linalg.cholesky(np.einsum("a,aij->ij", h, E))
-    except np.linalg.LinAlgError:
-        return np.inf
-    return -2.0 * t * np.log(L.diagonal().real).sum() - np.log1p(-s).sum()
-
-
-def _centre(C, E, t, h):
-    """Damped Newton on _barrier from the strictly feasible h; returns the
-    centred h, or None if the line search stalls."""
-    f = _barrier(C, E, t, h)
-    for _ in range(50):
-        A = np.linalg.inv(np.einsum("a,aij->ij", h, E)) @ E
-        r = 1.0 / (1.0 - C @ h)
-        g = C.T @ r - t * np.trace(A, axis1=1, axis2=2).real
-        hess = (C * r[:, None] ** 2).T @ C + t * np.einsum("akl,blk->ab", A, A).real
-        dh = -np.linalg.solve(hess, g)
-        dec = -(g @ dh)  # the squared Newton decrement
-        if dec < _CENTRED:
-            return h
-        a = 1.0
-        while True:
-            fn = _barrier(C, E, t, h + a * dh)
-            # below decrement 0.1 the full step of a self-concordant function
-            # is safe, while at large t f's rounding can exceed its decrease
-            if fn <= f - 0.25 * a * dec or (dec < 0.1 and fn < np.inf):
-                break
-            a *= 0.5
-            if a < 1e-10:
-                return None
-        h, f = h + a * dh, fn
-    return None
-
-
-def _support_fit(P, S, u):
-    """Newton on z_i* X(u)^(-1) z_i = d over the points S (an index array)
-    from the weights u > 0 on them; the Jacobian is -|G|^2, G = Z_S X^(-1)
-    Z_S*. A weight that would drop to 0 ends the step there and leaves the
-    support. Returns the (N,) weights, or None."""
-    d = P.shape[1]
-    for _ in range(30):
-        Z = P[S]
-        G = Z.conj() @ np.linalg.inv(Z.T @ (Z.conj() * u[:, None])) @ Z.T
-        F = G.diagonal().real - d
-        if np.abs(F).max() < 1e-2 * _MVEE_TOL * d:
-            w = np.zeros(len(P))
-            w[S] = u
-            return w
-        try:
-            du = np.linalg.solve(np.abs(G) ** 2, F)
-        except np.linalg.LinAlgError:
-            return None
-        with np.errstate(divide="ignore"):
-            ratio = np.where(du < 0.0, -u / du, np.inf)
-        k = int(np.argmin(ratio))
-        if ratio[k] >= 1.0:
-            u = u + du
-        else:
-            u, S = np.delete(u + ratio[k] * du, k), np.delete(S, k)
-            if len(S) < d:
-                return None
-    return None
-
-
-def _newton_finish(P, u):
-    """Weights passing the violation test, found by the log-barrier path
-    from the ellipsoid of the weights u and an exact solve on the support
-    it points to; None if a centring stalls or no candidate support passes
-    by t = 1e10 N."""
-    N, d = P.shape
-    E = linalg.hermitian_basis(d, not np.iscomplexobj(P))
-    C = np.einsum("ni,aij,nj->na", P.conj(), E, P).real  # s_i = z_i* H z_i = (C h)_i
-    Xinv, M = _scores(P, u)
-    h = np.einsum("aij,ij->a", E.conj(), Xinv).real / np.einsum("aij,aij->a", E.conj(), E).real
-    h *= 0.5 / M.max()
-    t, tried = 100.0 * N, None
-    while t <= 1e10 * N:
-        h = _centre(C, E, t, h)
-        if h is None:
-            return None
-        # on the central path X = sum u_i z_i z_i*, u_i = 1 / (t d (1 - s_i)), is H^(-1) / d
-        s = C @ h
-        S = np.sort(np.argsort(s)[-len(E):])
-        if tried is None or not np.array_equal(S, tried):
-            tried = S
-            w = _support_fit(P, S, 1.0 / (t * d * (1.0 - s[S])))
-            if w is not None:
-                M = _scores(P, w)[1]
-                if max(M.max() / d - 1.0, 1.0 - M[w > 0.0].min() / d) < _MVEE_TOL:
-                    return w
-        t *= 8.0
-    return None
+def _boundary_step(w, dw, u, du):
+    """The largest a <= 1 keeping w + a dw and u + a du >= 0."""
+    x, dx = np.concatenate([w, u]), np.concatenate([dw, du])
+    neg = dx < 0.0
+    return min(1.0, float((x[neg] / -dx[neg]).min(initial=np.inf)))
 
 
 def mvee_centered(points):
     """Origin-centered minimum-volume enclosing ellipsoid {z : z*Hz <= 1}.
 
-    The rows of points are real (the ellipsoid of the symmetric set +-z_i)
-    or complex (the circled ellipsoid of the set e^(i theta) z_i). Weights u
-    on the points give X = sum u_i z_i z_i* and scores z_i* X^(-1) z_i, d =
-    the column count; u is optimal when every score on the support is d
-    and none exceeds it, and a fit passes when it is within _MVEE_TOL of
-    that. The fit has three phases:
-
-    1. at most _MVEE_PRESTEPS first-order steps, each moving weight toward
-       the largest score (Khachiyan) or away from the smallest score on the
-       support (Wolfe-Atwood), whichever is further from d; this ends
-       clouds sampled evenly on one ellipsoid, such as the K = 256 fits at
-       p = 2;
-    2. a log-barrier Newton path on the D real coordinates of H (D = d^2,
-       or d(d+1)/2 for real points), minimising t (-log det H) - sum
-       log(1 - z_i*Hz_i) with t from 100 N growing 8-fold per centring;
-    3. at each centred point, the D highest-scoring points as a candidate
-       support whenever that set changes, solved exactly by Newton on its
-       scores; the first candidate that passes over all points is the fit.
-
-    If no candidate passes by t = 1e10 N, the step loop of phase 1 goes on
-    from its weights for up to _MVEE_MAX_ITER steps. Returns H = X^(-1) / d;
-    raises FitError if the violation is then above _MVEE_FAIL, and warns if
-    it is above _MVEE_TOL.
+    The rows z_i of points are real (the ellipsoid of the symmetric set
+    +-z_i) or complex (the circled ellipsoid of the set e^(i theta) z_i)
+    and must span R^d or C^d, d = the column count. The fit runs on the
+    whitened points y_i = T^(-1) z_i, sum y_i y_i* = I, for the ellipsoid
+    {y : y*Gy <= 1}, H = T^(-*) G T^(-1), so that it does not depend on how
+    elongated the cloud is. It is one Mehrotra predictor-corrector
+    interior-point method (Sun and Freund 2004) on the D real coordinates h
+    of G in linalg.hermitian_basis (D = d^2, or d(d+1)/2 for real points):
+    it minimises -log det G over the slacks w_i = 1 - y_i*Gy_i > 0 with
+    multipliers u_i > 0, from G = I scaled to a largest score of 0.9 and
+    the constant u with sum u_i y_i y_i* = G^(-1). It stops when u.w and
+    the duality gap -log det G - (log det X + d - sum u_i), X = sum u_i
+    y_i y_i*, are both at most _MVEE_TOL d. Every iterate is strictly
+    feasible, so H encloses every point, and its log det is within the gap
+    of the optimum. Raises FitError for non-finite points, points that do
+    not span, and a fit that has not stopped after _MVEE_MAX_ITER
+    iterations.
     """
     P = np.asarray(points)
+    if not np.isfinite(P).all():
+        raise FitError("ellipsoid fit of non-finite points")
     N, d = P.shape
-    u0, viol = _away_steps(P, np.full(N, 1.0 / N), _MVEE_PRESTEPS)
-    u = u0 if viol < _MVEE_TOL else _newton_finish(P, u0)
-    if u is None:
-        u, viol = _away_steps(P, u0, _MVEE_MAX_ITER)
-        if viol > _MVEE_FAIL:
-            raise FitError(f"ellipsoid fit stalled at violation {viol:.2e}")
-        if viol >= _MVEE_TOL:
-            warnings.warn(f"ellipsoid fit ended at violation {viol:.2e}, above {_MVEE_TOL:.0e}")
-    return _scores(P, u)[0] / d
+    # P = Y S V*, so T = conj(V) S, whose inverse is S^(-1) V^T
+    Y, S, Vh = np.linalg.svd(P, full_matrices=False)
+    if N < d or S[-1] <= S[0] * N * np.finfo(float).eps:
+        raise FitError(f"ellipsoid fit of points that do not span {d} dimensions")
+    E = linalg.hermitian_basis(d, not np.iscomplexobj(P))
+    C = np.einsum("ni,aij,nj->na", Y.conj(), E, Y).real  # y_i*Gy_i = (C h)_i
+    c = 0.9 / np.einsum("ni,ni->n", Y.conj(), Y).real.max()
+    h, u, L = c * np.einsum("aii->a", E).real, np.full(N, 1.0 / c), np.sqrt(c) * np.eye(d)
+    for _ in range(_MVEE_MAX_ITER):
+        w = 1.0 - C @ h
+        X = Y.T @ (Y.conj() * u[:, None])
+        gap = -2.0 * np.log(L.diagonal().real).sum() - np.linalg.slogdet(X)[1] - d + u.sum()
+        if u @ w <= _MVEE_TOL * d and gap <= _MVEE_TOL * d:
+            Ti = Vh.conj() / S[:, None]
+            return Ti.conj().T @ np.einsum("a,aij->ij", h, E) @ Ti
+        # the Newton matrix Hs + C^T diag(u/w) C, Hs the Hessian of -log det G,
+        # is R^T R from a QR of square-root rows sorted by decreasing norm:
+        # row-sorted Householder QR keeps Hs beside the huge u/w of the
+        # touching points, where solving the formed matrix stalls
+        A = np.linalg.solve(np.einsum("a,aij->ij", h, E), E)
+        rows = np.concatenate([np.linalg.cholesky(np.einsum("akl,blk->ab", A, A).real).T,
+                               np.sqrt(u / w)[:, None] * C])
+        Ri = np.linalg.inv(np.linalg.qr(rows[np.argsort(-np.linalg.norm(rows, axis=1))], mode="r"))
+        g = np.trace(A, axis1=1, axis2=2).real  # -grad log det G
+
+        def direction(r):
+            """(dh, dw, du) of the Newton step toward u_i w_i = r_i."""
+            dh = Ri @ (Ri.T @ (g - C.T @ (r / w)))
+            dw = -C @ dh
+            return dh, dw, r / w - u - u / w * dw
+
+        mu = (u @ w) / N
+        _, dw, du = direction(np.zeros(N))  # the predictor
+        a = _boundary_step(w, dw, u, du)
+        sigma = ((w + a * dw) @ (u + a * du) / N / mu) ** 3
+        dh, dw, du = direction(sigma * mu - dw * du)
+        if not np.isfinite(dh).all():
+            raise FitError("ellipsoid fit step is not finite")
+        a = 0.99 * _boundary_step(w, dw, u, du)
+        while True:  # halve until G is positive definite and encloses every point
+            try:
+                L = np.linalg.cholesky(np.einsum("a,aij->ij", h + a * dh, E))
+                if (C @ (h + a * dh)).max() < 1.0:
+                    break
+            except np.linalg.LinAlgError:
+                pass
+            a *= 0.5
+        h, u = h + a * dh, u + a * du
+    raise FitError(f"ellipsoid fit not converged after {_MVEE_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------

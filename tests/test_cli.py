@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -123,14 +124,30 @@ class TestMain:
         {"kind": "power_log", "a": -0.5, "m": 0},
         {"kind": "conjugated_block", "branch1": {"a": "x"}},
         {"kind": "conjugated_block", "branch1": {"a": -1.5}},
-        {"kind": "conjugated_block", "branch1": {"a": -0.4, "bogus": 1}}])
+        {"kind": "conjugated_block", "branch1": {"a": -0.4, "bogus": 1}},
+        # specs whose families were all NaN, or that crashed
+        {"kind": "power_log", "a": -0.5, "scale": 0},
+        {"kind": "power_log", "a": -0.5, "scale": -1},
+        {"kind": "power_log", "a": -0.5, "scale": math.inf},
+        {"kind": "power_log", "a": math.nan},
+        {"kind": "power_log", "a": -0.5, "b": math.nan},
+        {"kind": "product_power", "centers": [[0.0]], "exponents": [math.nan]},
+        {"kind": "product_power", "centers": [[math.nan]], "exponents": [-0.5]},
+        {"kind": "constant", "matrix": [[[math.nan, 0.0]]]},
+        # |x|^-1.5 is not integrable, whichever kind spells it
+        {"kind": "power_log", "a": -1.5},
+        {"kind": "product_power", "centers": [[0.0]], "exponents": [-1.5]},
+        {"kind": "two_singularity", "d": 1.2, "dtilde": 0.3, "p": 2.0},
+        {"kind": "conjugated_block",
+         "branch1": {"kind": "product_power", "centers": [[0.0]], "exponents": [-1.5]}}])
     def test_reduce_bad_weight_spec_is_config_error(self, tmp_path, capsys, weight):
         branch = {"kind": "power_log", "n": 1, "m": 1, "a": 0.3}
         if "branch1" in weight:
             weight = dict(weight, branch1={**branch, **weight["branch1"]}, branch2=branch)
-        cfg = json.dumps({"weight": weight, "window": {"j_min": 1, "j_max": 2}})
+        cfg = json.dumps({"weight": weight, "p": 1.5, "window": {"j_min": 1, "j_max": 2}})
         assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not any(tmp_path.iterdir())
 
     def test_apdim_subcommand(self, tmp_path):
         cfg = json.dumps({
