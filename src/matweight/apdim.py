@@ -44,9 +44,6 @@ class DimensionEstimate:
     a_values: np.ndarray
     slope: float
     log_coeff: float
-    fit_window: tuple
-    residual: float
-    i_max_used: int
     num_base_cubes: int
 
 
@@ -110,7 +107,7 @@ def a_sequence(weight, p, base_cubes=None, i_max=None, config=None, swapped=Fals
     Scalar weights take their cube averages at (config.base_depth,
     config.grade_depth); matrix weights and essential suprema use the order-1
     node rule at (config.base_depth, config.grade_depth // 2). Returns
-    (a_values, i_max_used, the batch of cubes used). Integrability failures
+    (a_values, the i_max used, the batch of cubes used). Integrability failures
     propagate as IntegrabilityError; more than _MAX_BOXES boxes raise
     ResolutionError before any quadrature runs.
     """
@@ -147,7 +144,7 @@ def a_sequence_via_reducing(weight, p, base_cubes, i_max, config=None):
 
 
 def fit_growth(a_values, i_skip=2):
-    """Fit log2 a_i = d i + beta log2(i+1) + c over i >= i_skip.
+    """Fit log2 a_i = d i + beta log2(i+1) + c over i >= i_skip; returns (d, beta).
 
     The extra regressor matches the poly-log growth the closed-form weight
     family exhibits, so d is not inflated when the critical dimension is
@@ -168,12 +165,13 @@ def fit_growth(a_values, i_skip=2):
         # split is fit noise, so fall back to the plain power law
         lin = np.polyfit(ii, logs, 1)
         coef = np.array([lin[0], 0.0, lin[1]])
-    resid = float(np.max(np.abs(X @ coef - logs)))
-    return float(coef[0]), float(coef[1]), resid
+    return float(coef[0]), float(coef[1])
 
 
 def estimate_dimensions(weight, p, config=None):
-    """Estimate (d, dtilde, delta) from tail slopes of the a-sequences.
+    """Estimate (d, dtilde, delta) from tail slopes of the a-sequences;
+    returns the ApDimensions and the DimensionEstimate of the weight's own
+    sequence.
 
     For p > 1 dtilde comes from the dual weight's sequence at p'; for
     p <= 1 it is 0 by definition. Estimates are clamped to [0, n) with a
@@ -190,30 +188,27 @@ def estimate_dimensions(weight, p, config=None):
 
     est_d = _estimate(weight, p, config)
     d = clamp(est_d.slope, "d")
-    est_dt, dtilde, dt_term = None, 0.0, 0.0
+    dtilde, dt_term = 0.0, 0.0
     if p > 1.0:
         pprime = p / (p - 1.0)
-        est_dt = _estimate(dual_weight(weight, p), pprime, config)
-        dtilde = clamp(est_dt.slope, "dtilde")
+        dtilde = clamp(_estimate(dual_weight(weight, p), pprime, config).slope, "dtilde")
         dt_term = dtilde / pprime
-    dims = ApDimensions(d, dtilde, d / p + dt_term, n, flags)
-    return dims, {"direct": est_d, "dual": est_dt}
+    return ApDimensions(d, dtilde, d / p + dt_term, n, flags), est_d
 
 
 def _estimate(weight, p, config):
     """The DimensionEstimate of the weight's a-sequence at p."""
     vals, i_eff, cubes = a_sequence(weight, p, config=config)
-    slope, beta, resid = fit_growth(vals, config.fit_skip)
-    return DimensionEstimate(np.arange(i_eff + 1), vals, slope, beta,
-                             (config.fit_skip, i_eff), resid, i_eff, len(cubes[0]))
+    return DimensionEstimate(np.arange(i_eff + 1), vals, *fit_growth(vals, config.fit_skip),
+                             len(cubes[0]))
 
 
 def swapped_slope(weight, p, config=None):
-    """Growth exponent d2 of the sequence with the roles of Q and 2^i Q exchanged."""
+    """The growth exponent d2 of the a-sequence with the roles of Q and 2^i Q
+    exchanged, by fit_growth."""
     config = config or ApDimConfig()
-    vals, i_eff, _ = a_sequence(weight, p, config=config, swapped=True)
-    slope, _, _ = fit_growth(vals, config.fit_skip)
-    return slope, vals
+    vals = a_sequence(weight, p, config=config, swapped=True)[0]
+    return fit_growth(vals, config.fit_skip)[0]
 
 
 def growth_envelope_check(family, dims):

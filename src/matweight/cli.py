@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import apdim, verify
+from . import apdim, linalg, verify
 from .container import save_family_json, save_filters_json
 from .errors import ConfigError, MatweightError, ResolutionError
 from .geometry import CubeWindow, cube_box
@@ -40,8 +40,14 @@ def code_version():
     return h.hexdigest()[:16]
 
 
-_WEIGHT_KEYS = {"kind", "n", "m", "a", "b", "scale", "centers", "exponents",
-                "matrix", "branch1", "branch2", "d", "dtilde", "p", "x0"}
+# per weight kind, the keys a spec must give and the keys it may give
+_WEIGHT_KINDS = {
+    "power_log": ({"a"}, {"n", "m", "b", "scale"}),
+    "product_power": ({"centers", "exponents"}, {"n", "m", "scale"}),
+    "two_singularity": ({"d", "dtilde", "p"}, {"n", "m", "x0"}),
+    "constant": ({"matrix"}, {"n", "m"}),
+    "conjugated_block": ({"branch1", "branch2"}, {"n", "m"}),
+}
 
 _SCHEMA = {
     "apdim": {"weight", "p", "apdim", "seed", "window", "reverse_holder_grid"},
@@ -91,6 +97,26 @@ def _is_positive(v):
     return _is_number(v) and v > 0
 
 
+def _check_point(v, n, what):
+    """A point of 1 coordinate (broadcast, as quad._as_point does) or n."""
+    coords = v if isinstance(v, list) else [v]
+    _check(all(map(_is_number, coords)) and len(coords) in (1, n),
+           f"weight {what} must be a number or a list of 1 or n = {n} numbers", v)
+
+
+def _check_matrix(v):
+    """An m x m list of [re, im] pairs making a Hermitian positive definite matrix."""
+    _check(isinstance(v, list) and v and all(
+        isinstance(row, list) and len(row) == len(v) and all(
+            isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in row)
+        for row in v), "weight matrix must be an m x m list of [re, im] pairs", v)
+    M = np.array([[complex(re, im) for re, im in row] for row in v])
+    _check(np.abs(M - M.conj().T).max() <= 1e-12 * np.abs(M).max(),
+           "weight matrix must be Hermitian", v)
+    lam = np.linalg.eigvalsh(M)
+    _check(lam[0] > linalg.REL_EIG_TOL * lam[-1], "weight matrix must be positive definite", v)
+
+
 def _is_levels(v):
     return (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v))
             and v[0] <= v[1])
@@ -101,8 +127,14 @@ def parse_weight(spec):
         return identity_weight(1, 1)
     if not isinstance(spec, dict):
         raise ConfigError(f"weight spec must be 'identity' or an object, got {spec!r}")
-    _check_keys(spec, _WEIGHT_KEYS, "weight")
-    desc = {"kind": "power_log", "n": 1, "m": 1, **spec}
+    kind = spec.get("kind", "power_log")
+    _check(isinstance(kind, str) and kind in _WEIGHT_KINDS,
+           f"weight kind must be one of {sorted(_WEIGHT_KINDS)}", kind)
+    required, optional = _WEIGHT_KINDS[kind]
+    _check_keys(spec, {"kind"} | required | optional, f"{kind} weight")
+    _check(required <= set(spec), f"a {kind} weight needs the keys {sorted(required)}",
+           sorted(spec))
+    desc = {"kind": kind, "n": 1, "m": 1, **spec}
     for key in ("n", "m"):
         _check(_is_int(desc[key]) and desc[key] >= 1, f"weight {key} must be an integer >= 1",
                desc[key])
@@ -112,23 +144,39 @@ def parse_weight(spec):
         if key in desc:
             _check(_is_number(desc[key]), f"weight {key} must be a number", desc[key])
     _check(desc.get("scale", 1.0) > 0.0, "weight scale must be positive", desc.get("scale"))
-    if desc["kind"] == "two_singularity":
+    if kind == "two_singularity":
         for key in ("d", "dtilde", "p"):
-            _check(_is_number(desc.get(key)), f"weight {key} must be a number", desc.get(key))
+            _check(_is_number(desc[key]), f"weight {key} must be a number", desc[key])
         _check(desc["p"] > 1.0, "weight p must be > 1", desc["p"])
+        if "x0" in desc:
+            _check_point(desc["x0"], desc["n"], "x0")
+    if kind == "product_power":
+        centers, exponents = desc["centers"], desc["exponents"]
+        _check(isinstance(centers, list) and isinstance(exponents, list)
+               and all(map(_is_number, exponents)) and len(exponents) == len(centers),
+               "weight centers and exponents must be lists, one number per center",
+               [centers, exponents])
+        for c in centers:
+            _check_point(c, desc["n"], "center")
+    if kind == "constant":
+        _check_matrix(desc["matrix"])
+    if kind == "conjugated_block":  # a branch's own errors propagate as they are
+        branches = [parse_weight(desc[key]) for key in ("branch1", "branch2")]
     try:
-        if desc["kind"] == "two_singularity":
+        if kind == "two_singularity":
             weight = two_singularity(desc["d"], desc["dtilde"], desc["p"], desc.get("x0"),
                                      desc["n"], desc["m"])
-        elif desc["kind"] == "conjugated_block":
-            weight = ConjugatedBlockWeight(parse_weight(desc["branch1"]),
-                                           parse_weight(desc["branch2"]))
+        elif kind == "conjugated_block":
+            weight = ConjugatedBlockWeight(*branches)
         else:
             weight = weight_from_descriptor(desc)
-        divergent = any(weight.norm_exponent(s, 1.0) <= -weight.n for s in weight.singular_points)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad weight spec: {exc}") from exc
-    if divergent:
+    for key in ("n", "m"):
+        built = getattr(weight, key)
+        _check(spec.get(key, built) == built,
+               f"weight {key} must be {built} for this {kind} weight", spec.get(key))
+    if any(weight.norm_exponent(s, 1.0) <= -weight.n for s in weight.singular_points):
         raise ConfigError("a power exponent <= -n at a singular point makes the weight "
                           "non-integrable")
     return weight
@@ -282,8 +330,7 @@ def cmd_apdim(cfg, out_dir, caught):
     opts = cfg.get("apdim", {})
     config = apdim.ApDimConfig(**{k: tuple(v) if isinstance(v, list) else v
                                   for k, v in opts.items()})
-    dims, ests = apdim.estimate_dimensions(weight, p, config)
-    est = ests["direct"]
+    dims, est = apdim.estimate_dimensions(weight, p, config)
     window = _window_from_config(cfg, weight.n, "apdim")
     beta = apdim.doubling_exponent(weight, p, window)
     r_grid = cfg.get("reverse_holder_grid", [1.25, 1.5, 1.75, 2.0])

@@ -73,18 +73,15 @@ PROBE_SPEC = QuadSpec(rel_tol=5e-3)
 
 @dataclass
 class QuadResult:
-    """A region's value, convergence flag, rounds and last round's node count;
-    for a batch of regions, arrays with one entry per region, and result[k]
-    is region k's QuadResult."""
+    """A region's value, convergence flag and rounds; for a batch of regions,
+    arrays with one entry per region, and result[k] is region k's QuadResult."""
 
     value: object
     converged: bool
     rounds: int
-    nodes: int
 
     def __getitem__(self, k):
-        return QuadResult(self.value[k], bool(self.converged[k]), int(self.rounds[k]),
-                          int(self.nodes[k]))
+        return QuadResult(self.value[k], bool(self.converged[k]), int(self.rounds[k]))
 
 
 @lru_cache(maxsize=512)
@@ -217,7 +214,7 @@ def _refine_loop(chunks, fn, spec, name, count=1):
     (a single region may exceed it); fn sees one piece at a time, and one
     reduction per 32 of its columns sums it. Returns a batch QuadResult."""
     active = np.arange(count)
-    rounds, nodes = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    rounds = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     hist = None  # the last three rounds' values per region, newest first
     for rnd in range(spec.max_rounds):
@@ -251,7 +248,6 @@ def _refine_loop(chunks, fn, spec, name, count=1):
                 vV = v[:, None] * V[:, c:c + 32]
                 new[pos, c:c + 32] = np.add.reduceat(vV, ends - sizes, axis=0)
                 tail[pos[t]] += np.abs(np.add.reduceat(vV, cuts, axis=0)[::2]).sum(axis=1)
-            nodes[active[pos]] = sizes
             del X, v, vals, V  # free this chunk before the next one is built
         if new is None:
             break
@@ -276,7 +272,7 @@ def _refine_loop(chunks, fn, spec, name, count=1):
            & (d1 > spec.rel_tol * np.maximum(mag0, 1e-300)))
     if bad.any():
         raise IntegrabilityError(f"{name}: divergent refinement (ratio {ratio[bad][0]:.2f})")
-    return QuadResult(hist[0].reshape((count,) + shape), converged, rounds, nodes)
+    return QuadResult(hist[0].reshape((count,) + shape), converged, rounds)
 
 
 def _ranges(starts, counts):

@@ -122,7 +122,6 @@ class CoefficientField:
 class NormResult:
     value: float
     argmax_level: int = None
-    argmax_index: tuple = None
 
     def __float__(self):
         return self.value
@@ -161,15 +160,15 @@ def _running_lq(fields, levels, scale, q, window):
 def _sup_over_cubes(window, scale, vals_at):
     """NormResult of the max over window levels lP of the per-cube array
     vals_at(lP) (None skips the level), rescaled by scale."""
-    best, arg = -np.inf, (None, None)
+    best, arg = -np.inf, None
     for lP in window.levels():
         vals = vals_at(lP)
         if vals is None:
             continue
-        idx = np.unravel_index(np.argmax(vals), vals.shape)
-        if vals[idx] > best:
-            best, arg = float(vals[idx]), (lP, idx)
-    return NormResult(best * scale, *arg)
+        top = vals.max()
+        if top > best:
+            best, arg = float(top), lP
+    return NormResult(best * scale, arg)
 
 
 def la_tau_norm(fields, params, window, grid_level):

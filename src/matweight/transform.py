@@ -192,15 +192,10 @@ def _check_grid(filters, f, window=None):
 
 @dataclass(frozen=True, eq=False)
 class BandLimitedFunction:
-    """Vector-valued periodic function as fft coefficients on the filter grid.
-
-    band, when declared, is the spectral annulus (lo, hi) the coefficients
-    are supposed to live on; band_defect() measures any leakage outside it.
-    """
+    """Vector-valued periodic function as fft coefficients on the filter grid."""
 
     filters: FilterPair
     coeffs: np.ndarray  # (m, *grid) with f(x) = sum_k C_k exp(i xi_k x)
-    band: tuple = None
 
     def __post_init__(self):
         coeffs = read_only(self.coeffs, complex)
@@ -213,16 +208,6 @@ class BandLimitedFunction:
         then may the annulus paths skip the coefficients off an annulus: there
         phi_hat_j is 0, and 0 times inf or nan is nan."""
         return bool(np.isfinite(self.coeffs).all())
-
-    def band_defect(self):
-        if self.band is None:
-            return 0.0
-        lo, hi = self.band
-        outside = (self.filters.xi_norm < lo) | (self.filters.xi_norm > hi)
-        peak = float(np.max(np.abs(self.coeffs)))
-        if peak == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.coeffs[:, outside]))) / peak
 
     def values(self):
         """Samples at the grid cell midpoints, shape (m, *grid)."""
@@ -243,11 +228,10 @@ class BandLimitedFunction:
         _check_grid(self.filters, other)
         if other.m != self.m:
             raise CoverageError(f"cannot add an m = {other.m} function to an m = {self.m} one")
-        band = self.band if self.band == other.band else None
-        return BandLimitedFunction(self.filters, self.coeffs + other.coeffs, band)
+        return BandLimitedFunction(self.filters, self.coeffs + other.coeffs)
 
     def scaled(self, c):
-        return BandLimitedFunction(self.filters, c * self.coeffs, self.band)
+        return BandLimitedFunction(self.filters, c * self.coeffs)
 
 
 def random_band_limited(filters, m, rng, band=None):
@@ -256,7 +240,7 @@ def random_band_limited(filters, m, rng, band=None):
     mask = (filters.xi_norm >= lo) & (filters.xi_norm <= hi)
     shape = (m,) + filters.xi_norm.shape
     coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * mask
-    return BandLimitedFunction(filters, coeffs, band=(lo, hi))
+    return BandLimitedFunction(filters, coeffs)
 
 
 def _nonfinite_off(f, a):
@@ -277,7 +261,7 @@ def convolve_scale(f, filters, j):
         row.put(a.idx, c.take(a.idx) * a.phi)
     if not f.finite:
         flat[_nonfinite_off(f, a)] = _NAN
-    return BandLimitedFunction(filters, out, f.band)
+    return BandLimitedFunction(filters, out)
 
 
 def analyze(f, filters, window):
@@ -393,7 +377,7 @@ def lifting(f, sigma):
     mult = np.zeros_like(flt.xi_norm)
     nz = flt.xi_norm > 0
     mult[nz] = flt.xi_norm[nz] ** sigma
-    return BandLimitedFunction(flt, f.coeffs * mult, f.band)
+    return BandLimitedFunction(flt, f.coeffs * mult)
 
 
 def schwartz_seminorm(filters, M):

@@ -206,7 +206,7 @@ def crit_dimension_recovery(ctx):
     t0 = time.time()
     vals, i_eff, _ = apdim.a_sequence(PowerLogWeight(1, 1, -0.5), 1.0,
                                       config=apdim.ApDimConfig())
-    d_p1, _, _ = apdim.fit_growth(vals)
+    d_p1 = apdim.fit_growth(vals)[0]
     seconds.append(time.time() - t0)
     results["power_neg_p1"] = {"d": d_p1, "target": (0.4, 0.6)}
     under_budget = all(s < 120.0 for s in seconds)
@@ -218,7 +218,7 @@ def crit_dimension_recovery(ctx):
 def crit_log_perturbation(ctx):
     weight = PowerLogWeight(1, 1, -0.5, -1.0)
     vals, i_eff, _ = apdim.a_sequence(weight, 2.0, config=apdim.ApDimConfig())
-    d_hat, beta, _ = apdim.fit_growth(vals)
+    d_hat, beta = apdim.fit_growth(vals)
     normalized = vals * 2.0 ** (-d_hat * np.arange(i_eff + 1))
     ratio = float(normalized[8] / normalized[2])
     return {"passed": ratio >= 1.5, "ratio_i2_to_i8": ratio, "d_hat": d_hat,
@@ -226,9 +226,8 @@ def crit_log_perturbation(ctx):
 
 
 def crit_duality_dimension(ctx):
-    dims, ests = ctx.dims("two_sing")
-    d2, _ = apdim.swapped_slope(two_singularity(0.4, 0.3, 2.0), 2.0,
-                                apdim.ApDimConfig())
+    dims = ctx.dims("two_sing")[0]
+    d2 = apdim.swapped_slope(two_singularity(0.4, 0.3, 2.0), 2.0, apdim.ApDimConfig())
     gap = abs(d2 - (2.0 - 1.0) * dims.dtilde)
     ok = abs(dims.d - 0.4) <= 0.1 and abs(dims.dtilde - 0.3) <= 0.1 and gap <= 0.15
     return {"passed": ok, "d": dims.d, "dtilde": dims.dtilde, "d2": d2,

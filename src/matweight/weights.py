@@ -8,7 +8,7 @@ cube averages pre-check integrability before any quadrature runs.
 ap_pairs is the one two-cube A_p quantity, over a batch of box pairs:
 [W]_Ap (ap_constant) and the growth sequence a_i (apdim.a_sequence) are its
 suprema over cube pairs. A matrix weight takes one real matrix product per
-box of the side with fewer distinct boxes, on Hermitian coordinates.
+distinct x-box, on Hermitian coordinates.
 """
 
 import hashlib
@@ -399,7 +399,6 @@ class ApCharacteristic:
 
     p: float
     value: float
-    variant: str
     witness: DyadicCube = None
     converged: bool = True
 
@@ -438,12 +437,11 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
     y_k E_k over its m^2 Hermitian coordinates, and each x-node keeps the
     real and imaginary parts of W^(1/p)(x) E_k, so the parts of every entry
     of W^(1/p)(x) W^(-1/p)(y) come from one real matrix product. Pairs are
-    grouped by the side with fewer distinct boxes: each box of that side
-    forms one product block against the nodes of all its partner boxes
-    (split past _BLOCK_PAIRS node pairs). Every pair reduces over y and over
-    x in its own reduceat segments, and linalg.matmul computes each entry
-    of a block as the same dot product whatever the block's shape, so a
-    pair's value does not depend on its batch.
+    grouped by x-box: each distinct x-box forms one product block against
+    the nodes of all its y-boxes (split past _BLOCK_PAIRS node pairs). Every
+    pair reduces over y in its own reduceat segment, and linalg.matmul
+    computes each entry of a block as the same dot product whatever the
+    block's shape, so a pair's value does not depend on its batch.
     """
     if len(boxes_x) != len(boxes_y):
         raise CoverageError(f"{len(boxes_x)} x-boxes against {len(boxes_y)} y-boxes")
@@ -475,23 +473,19 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
     G = (weight.power_at(X, 1.0 / p).reshape(-1, m) @ E).reshape(len(X), m, m * m, m)
     CX = np.stack([G.real, G.imag]).transpose(0, 2, 4, 1, 3).reshape(2 * m * m, len(X), m * m)
     CY = linalg.hermitian_coords(weight.power_at(Y, -1.0 / p)).T
-    # the lead side is the one with fewer distinct boxes; pairs sorted by lead box
-    by_y = len(uy) < len(ux)
-    pairs, inv = _distinct(np.stack([ix, iy] if by_y else [iy, ix], axis=1))
-    other, lead = pairs.T
-    (o_lead, n_lead), (o_other, n_other) = ((oy, ny), (ox, nx)) if by_y else ((ox, nx), (oy, ny))
-    counts = n_other[other]
-    first = np.cumsum(counts) - counts  # each pair's first partner node, over all pairs
-    at = np.repeat(o_other[other] - first, counts) + np.arange(first[-1] + counts[-1])
-    # partner node pairs ahead of each pair in its lead box's block, counted in budgets
-    key = n_lead[lead] * (first - first[np.searchsorted(lead, lead)]) // _BLOCK_PAIRS
-    cuts = np.flatnonzero(np.r_[True, (lead[1:] != lead[:-1]) | (key[1:] != key[:-1]), True])
+    # pairs sorted by x-box; each x-box is one block against the nodes of its y-boxes
+    pairs, inv = _distinct(np.stack([iy, ix], axis=1))
+    py, px = pairs.T
+    counts = ny[py]
+    first = np.cumsum(counts) - counts  # each pair's first y-node, over all pairs
+    at = np.repeat(oy[py] - first, counts) + np.arange(first[-1] + counts[-1])
+    # node pairs ahead of each pair in its x-box's block, counted in budgets
+    key = nx[px] * (first - first[np.searchsorted(px, px)]) // _BLOCK_PAIRS
+    cuts = np.flatnonzero(np.r_[True, (px[1:] != px[:-1]) | (key[1:] != key[:-1]), True])
     s, out = (p if p <= 1.0 else p / (p - 1.0)), np.empty(len(pairs))
     for a, b in zip(cuts[:-1], cuts[1:]):
-        own = np.arange(o_lead[lead[a]], o_lead[lead[a]] + n_lead[lead[a]])
-        partners, seg = at[first[a]:first[b - 1] + counts[b - 1]], first[a:b] - first[a]
-        (xs, xseg), (ys, yseg) = (((partners, seg), (own, [0])) if by_y
-                                  else ((own, [0]), (partners, seg)))
+        xs = np.arange(ox[px[a]], ox[px[a]] + nx[px[a]])
+        ys, yseg = at[first[a]:first[b - 1] + counts[b - 1]], first[a:b] - first[a]
         # one product, (part, row, column, x) by y, then each entry's two planes
         R = linalg.matmul(CX[:, xs].reshape(-1, m * m), CY[:, ys]).reshape(2, m, m, len(xs), -1)
         F = linalg.norm_power(R[0], R[1], s)  # (x, y)
@@ -499,10 +493,8 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
             H = np.add.reduceat(F * wy[ys], yseg, axis=1) ** (p / s) * wx[xs, None]
         else:
             H = (np.maximum.reduceat(F, yseg, axis=1) if star else F) * wx[xs, None]
-        V = np.add.reduceat(H, xseg)  # each pair's x-average in its own segment
-        if p <= 1.0 and not star:
-            V = np.maximum.reduceat(V, yseg, axis=1)
-        out[a:b] = V[:, 0] if by_y else V[0]
+        V = np.add.reduceat(H, [0])[0]  # the x-average of every pair of the block
+        out[a:b] = np.maximum.reduceat(V, yseg) if p <= 1.0 and not star else V
     return out[inv]
 
 
@@ -539,7 +531,7 @@ def ap_constant(weight, p, window, variant="standard", qspec=None):
                     for spec in (qspec, finer))
     k = int(np.argmax(fine))
     converged = not np.any(np.abs(fine - coarse) > 0.05 * np.abs(fine))
-    return ApCharacteristic(p, float(fine[k]), variant, batch_cube(batch, k), converged)
+    return ApCharacteristic(p, float(fine[k]), batch_cube(batch, k), converged)
 
 
 def dual_weight(weight, p):

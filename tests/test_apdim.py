@@ -30,14 +30,14 @@ MATRIX_CFG = ApDimConfig(i_max=6, domain_half=32.0, window_levels=(-1, 0),
 def test_identity_sequence_is_one():
     vals, i_eff, cubes = a_sequence(identity_weight(1, 2), 2.0, config=SMALL)
     assert np.allclose(vals, 1.0, atol=1e-9)
-    d, beta, _ = fit_growth(vals, 1)
+    d, beta = fit_growth(vals, 1)
     assert abs(d) <= 0.05
 
 
 def test_slope_never_meaningfully_negative():
     for weight in (identity_weight(1, 1), PowerLogWeight(1, 1, 0.5)):
         vals, i_eff, _ = a_sequence(weight, 2.0, config=SMALL)
-        d, _, _ = fit_growth(vals, 1)
+        d = fit_growth(vals, 1)[0]
         assert d >= -0.05
 
 
@@ -48,8 +48,8 @@ def test_monotone_in_p():
                       abut_levels=(-1, 10))
     v2, i2, _ = a_sequence(W, 2.0, config=cfg)
     v3, i3, _ = a_sequence(W, 3.0, config=cfg)
-    d2, _, _ = fit_growth(v2)
-    d3, _, _ = fit_growth(v3)
+    d2 = fit_growth(v2)[0]
+    d3 = fit_growth(v3)[0]
     assert d3 <= d2 + 0.1
 
 
@@ -135,7 +135,7 @@ def test_duality_relation_nontrivial_p():
     cfg = ApDimConfig(i_max=6, domain_half=64.0, window_levels=(-1, 0),
                       abut_levels=(-1, 12))
     dims, _ = estimate_dimensions(W, p, cfg)
-    d2, _ = swapped_slope(W, p, cfg)
+    d2 = swapped_slope(W, p, cfg)
     assert abs(d2 - (p - 1.0) * dims.dtilde) <= 0.15
 
 
@@ -143,21 +143,42 @@ def test_duality_relation_nontrivial_p():
 def test_matrix_swapped_route_matches_scalar(p):
     # w I through the matrix kernel is the scalar route's quantity for w
     w = PowerLogWeight(1, 1, -0.4)
-    d2_matrix, _ = swapped_slope(ConjugatedBlockWeight(w, w), p, MATRIX_CFG)
-    d2_scalar, _ = swapped_slope(w, p, MATRIX_CFG)
+    d2_matrix = swapped_slope(ConjugatedBlockWeight(w, w), p, MATRIX_CFG)
+    d2_scalar = swapped_slope(w, p, MATRIX_CFG)
     assert d2_matrix == pytest.approx(d2_scalar, abs=0.02)
+
+
+def _duality_gap(weight, p, config):
+    """max over i of |swapped a_i / (the dual weight's a_i at p')^(p-1) - 1|."""
+    swapped = a_sequence(weight, p, config=config, swapped=True)[0]
+    dual = a_sequence(dual_weight(weight, p), p / (p - 1.0), config=config)[0]
+    return np.max(np.abs(swapped / dual ** (p - 1.0) - 1.0))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(p=st.floats(1.2, 4.0), t=st.floats(-0.8, 0.8), b=st.floats(-1.0, 1.0))
+def test_swapped_sequence_is_the_dual_sequence_to_the_p_minus_1(p, t, b):
+    # both are products of avg w over 2^i Q and avg w^(1-p') over Q; the
+    # exponent a = t or t (p - 1) keeps w and its dual locally integrable
+    w = PowerLogWeight(1, 1, t if t < 0.0 else t * (p - 1.0), b)
+    assert _duality_gap(w, p, SMALL) <= 1e-13
+
+
+def test_matrix_swapped_sequence_is_the_dual_sequence_at_p2():
+    # ||W^(1/2)(x) W^(-1/2)(y)|| = ||W^(-1/2)(y) W^(1/2)(x)||: an identity at p = 2 only
+    assert _duality_gap(_conjugated(), 2.0, MATRIX_CFG) <= 1e-13
 
 
 def test_fit_growth_on_synthetic_data():
     a = 2.0 ** (0.37 * np.arange(9)) * 3.0
-    d, beta, _ = fit_growth(a)
+    d, beta = fit_growth(a)
     assert d == pytest.approx(0.37, abs=1e-6) and abs(beta) <= 1e-6
 
 
 def test_fit_growth_splits_log_factor():
     ii = np.arange(9)
     a = 2.0 ** (0.5 * ii) * (ii + 1.0)
-    d, beta, _ = fit_growth(a)
+    d, beta = fit_growth(a)
     assert d == pytest.approx(0.5, abs=1e-6)
     assert beta == pytest.approx(1.0, abs=1e-5)
 
@@ -470,7 +491,7 @@ def test_one_norm_power_per_product_block(monkeypatch):
     assert len(blocks) == 4 < len(bx)  # one block per distinct x-box
     blocks.clear()
     weights.ap_pairs(_conjugated(), 2.0, by, bx, KERNEL_QSPEC)
-    assert len(blocks) == 4  # swapped: one block per distinct y-box
+    assert len(blocks) == 16  # swapped: one block per distinct x-box, here per pair
     monkeypatch.setattr(weights, "_BLOCK_PAIRS", 1)
     blocks.clear()
     weights.ap_pairs(_conjugated(), 2.0, bx, by, KERNEL_QSPEC)

@@ -139,7 +139,19 @@ class TestMain:
         {"kind": "product_power", "centers": [[0.0]], "exponents": [-1.5]},
         {"kind": "two_singularity", "d": 1.2, "dtilde": 0.3, "p": 2.0},
         {"kind": "conjugated_block",
-         "branch1": {"kind": "product_power", "centers": [[0.0]], "exponents": [-1.5]}}])
+         "branch1": {"kind": "product_power", "centers": [[0.0]], "exponents": [-1.5]}},
+        # specs that built another weight than the one written, or crashed
+        {"kind": "product_power", "centers": [[0.0]], "exponents": [-0.4, 0.3]},
+        {"kind": "product_power", "centers": [[0.0], [0.5]], "exponents": [-0.4]},
+        {"kind": "product_power", "centers": [[0.0, 0.5]], "exponents": [-0.4]},
+        {"kind": "product_power", "n": 2, "centers": [[0.0, 0.5, 1.0]], "exponents": [-0.4]},
+        {"kind": "two_singularity", "d": 0.4, "dtilde": 0.3, "p": 2.0, "x0": [0.25, 3, 1]},
+        {"kind": "constant", "matrix": [[[2, 0], [1, 0]], [[0, 0], [2, 0]]]},
+        {"kind": "constant", "matrix": [[[2, 0], [1, 0]]]},
+        {"kind": "constant", "matrix": [[[1, 0], [2, 0]], [[2, 0], [1, 0]]]},
+        {"kind": "power_log", "a": -0.4, "centers": [[0.0]]},
+        {"kind": "conjugated_block", "m": 3, "branch1": {"a": -0.4}},
+        {"kind": "constant", "m": 3, "matrix": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}])
     def test_reduce_bad_weight_spec_is_config_error(self, tmp_path, capsys, weight):
         branch = {"kind": "power_log", "n": 1, "m": 1, "a": 0.3}
         if "branch1" in weight:
@@ -148,6 +160,16 @@ class TestMain:
         assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("branch1, message", [
+        ({"a": -1.5}, "a power exponent <= -n at a singular point makes the weight "
+                      "non-integrable"),
+        ({"a": math.nan}, "weight a must be finite, got nan")])
+    def test_bad_branch_reports_its_own_error(self, tmp_path, capsys, branch1, message):
+        weight = {"kind": "conjugated_block", "branch1": branch1, "branch2": {"a": 0.3}}
+        cfg = json.dumps({"weight": weight, "p": 1.5, "window": {"j_min": 1, "j_max": 2}})
+        assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
 
     def test_apdim_subcommand(self, tmp_path):
         cfg = json.dumps({

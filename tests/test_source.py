@@ -1,10 +1,11 @@
 """Every package module imports at module level and uses each name it
-imports, and the package reads every module-level private name it defines.
+imports, the package reads every module-level private name it defines, and
+the package or the benchmark reads every field its classes declare.
 
 The repository has no linter, so this catches the imports and the private
-helpers or constants a deletion leaves behind, and an import hidden in a
-function body. `__init__.py` is skipped by the unused-import check: its
-imports are the public re-exports.
+helpers or constants a deletion leaves behind, an import hidden in a
+function body, and outputs that only the tests read. `__init__.py` is
+skipped by the unused-import check: its imports are the public re-exports.
 """
 
 import ast
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "matweight"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -89,3 +91,52 @@ def test_checker_flags_unread_private_names():
 
 def test_package_reads_every_private_name():
     assert unread_private_names([p.read_text() for p in sorted(SRC.glob("*.py"))]) == []
+
+
+def unread_fields(sources):
+    """Class.field for every annotated field of a class in the sources whose
+    name no attribute read in them takes, leaving out the reads inside the
+    class's own dunder methods. A read counts by name, whatever its object."""
+    fields, reads = [], set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            dunder = (isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
+                      and child.name.startswith("__") and child.name.endswith("__"))
+            visit(child, node.name if dunder else owner)
+
+    for tree in map(ast.parse, sources):
+        fields += [(c.name, n.target.id) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for n in c.body if isinstance(n, ast.AnnAssign)
+                   and isinstance(n.target, ast.Name)]
+        visit(tree, None)
+    return sorted(f"{c}.{f}" for c, f in fields if not any(a == f and o != c for a, o in reads))
+
+
+def test_checker_flags_unread_fields():
+    a = ("class R:\n    value: float\n    index: int\n    level: int\n"
+         "    def __getitem__(self, k):\n        return R(self.value[k], self.index[k], 0)\n"
+         "    def scaled(self, c):\n        return R(c * self.level, 0, 0)\n")
+    b = "def f(r):\n    return r.value\n"
+    assert unread_fields([a, b]) == ["R.index"]
+
+
+# fields that only the tests read, each with the reason it stays
+TEST_ONLY_FIELDS = {
+    "NormResult.argmax_level": "the level of the sup, checked against an atom's cube",
+    "ApCharacteristic.witness": "the cube attaining [W]_Ap, checked to lie in the window",
+    "ProbeRow.forward": "the integrability probe's table is a paper object",
+    "ProbeRow.backward": "the integrability probe's table is a paper object",
+    "ProbeTable.rows": "the integrability probe's table is a paper object",
+    "ProbeTable.sup_form": "the integrability probe's table is a paper object",
+    "ProbeTable.stable_r": "the integrability probe's table is a paper object",
+}
+
+
+def test_package_or_benchmark_reads_every_field():
+    paths = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    unread = unread_fields([p.read_text() for p in paths])
+    assert [f for f in unread if f not in TEST_ONLY_FIELDS] == []  # dead data: delete it
+    assert [f for f in TEST_ONLY_FIELDS if f not in unread] == []  # read now: unlist it

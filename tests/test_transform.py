@@ -157,13 +157,17 @@ class TestTransformPair:
             assert np.array_equal(synthesize(t, flt_n).coeffs, first)
 
     def test_band_invariant_respected(self, flt):
+        def off_band(g):  # largest |coefficient| off the safe band, against the largest
+            lo, hi = flt.safe_band
+            off = (flt.xi_norm < lo) | (flt.xi_norm > hi)
+            return np.max(np.abs(g.coeffs[:, off]), initial=0.0) / np.max(np.abs(g.coeffs))
+
         rng = np.random.default_rng(6)
         f = random_band_limited(flt, 1, rng)
-        assert f.band == flt.safe_band
-        assert f.band_defect() <= 1e-12
+        assert off_band(f) <= 1e-12
         assert f.zero_mean_defect() <= 1e-12
         g = convolve_scale(f.scaled(2.0) + f, flt, 6)
-        assert g.band_defect() <= 1e-12
+        assert off_band(g) <= 1e-12
 
     def test_analyze_depends_only_on_support(self, flt, win):
         # perturbing the analysis multipliers off the spectrum changes nothing

@@ -70,5 +70,5 @@ def test_dimension_probe_plane():
     cfg = apdim.ApDimConfig(i_max=3, domain_half=8.0, window_levels=(0, 0),
                             abut_levels=(0, 4), base_depth=3, grade_depth=10)
     vals, i_eff, _ = apdim.a_sequence(PowerLogWeight(2, 1, -0.8), 2.0, config=cfg)
-    d, _, _ = apdim.fit_growth(vals, 1)
+    d = apdim.fit_growth(vals, 1)[0]
     assert 0.4 <= d <= 1.0
