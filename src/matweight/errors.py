@@ -42,7 +42,11 @@ class CoverageError(MatweightError):
 
 
 class FitError(MatweightError):
-    """The ellipsoid fit did not converge within the iteration budget."""
+    """An ellipsoid fit is ill-posed or unconverged; cloud is its index in a stack."""
+
+    def __init__(self, message, cloud=None):
+        super().__init__(message)
+        self.cloud = cloud
 
 
 class ConfigError(MatweightError, ValueError):

@@ -112,10 +112,24 @@ _MVEE_MAX_ITER = 60
 
 
 def _boundary_step(w, dw, u, du):
-    """The largest a <= 1 keeping w + a dw and u + a du >= 0."""
-    x, dx = np.concatenate([w, u]), np.concatenate([dw, du])
-    neg = dx < 0.0
-    return min(1.0, float((x[neg] / -dx[neg]).min(initial=np.inf)))
+    """Per row, the largest a <= 1 keeping w + a dw and u + a du >= 0, as a column."""
+    x, dx = np.concatenate([w, u], axis=1), np.concatenate([dw, du], axis=1)
+    ratio = np.divide(x, -dx, out=np.full_like(x, np.inf), where=dx < 0.0)
+    return np.minimum(1.0, ratio.min(axis=1))[:, None]
+
+
+def _cholesky(G):
+    """Cholesky factors of the stack G, NaN where a matrix is not positive definite."""
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:  # numpy raises for the whole stack
+        return np.concatenate([_cholesky(g[None]) for g in G]) if len(G) > 1 else G * np.nan
+
+
+def _fail(clouds, what):
+    """Raise a FitError naming the first of the clouds (stack indices), if any."""
+    if len(clouds):
+        raise FitError(f"ellipsoid fit {clouds[0]} {what}", int(clouds[0]))
 
 
 def mvee_centered(points):
@@ -134,64 +148,77 @@ def mvee_centered(points):
     the constant u with sum u_i y_i y_i* = G^(-1). It stops when u.w and
     the duality gap -log det G - (log det X + d - sum u_i), X = sum u_i
     y_i y_i*, are both at most _MVEE_TOL d. Every iterate is strictly
-    feasible, so H encloses every point, and its log det is within the gap
-    of the optimum. Raises FitError for non-finite points, points that do
-    not span, and a fit that has not stopped after _MVEE_MAX_ITER
-    iterations.
+    feasible, so G encloses every y_i, and its log det is within the gap of
+    the optimum; rounding in H and in the scores grows as eps cond(P)^2
+    (cond(P): the ratio of the extreme singular values of points), and max
+    z_i*Hz_i <= 1 + d^2 eps cond(P)^2. Raises FitError for non-finite
+    points, points that do not span, and a fit not stopped after
+    _MVEE_MAX_ITER iterations.
     """
-    P = np.asarray(points)
-    if not np.isfinite(P).all():
-        raise FitError("ellipsoid fit of non-finite points")
-    N, d = P.shape
+    return _mvee_fits(np.asarray(points)[None])[0]
+
+
+def _mvee_fits(stack):
+    """mvee_centered of each cloud of a (B, N, d) stack in one vectorised run, in which
+    each cloud takes the iterations of its own fit; FitError names the failing cloud."""
+    P = np.asarray(stack)
+    B, N, d = P.shape
+    _fail(np.flatnonzero(~np.isfinite(P).all(axis=(1, 2))), "of non-finite points")
     # P = Y S V*, so T = conj(V) S, whose inverse is S^(-1) V^T
     Y, S, Vh = np.linalg.svd(P, full_matrices=False)
-    if N < d or S[-1] <= S[0] * N * np.finfo(float).eps:
-        raise FitError(f"ellipsoid fit of points that do not span {d} dimensions")
+    _fail(np.flatnonzero((N < d) | (S[:, -1] <= S[:, 0] * N * np.finfo(float).eps)),
+          f"of points that do not span {d} dimensions")
     E = linalg.hermitian_basis(d, not np.iscomplexobj(P))
-    C = np.einsum("ni,aij,nj->na", Y.conj(), E, Y).real  # y_i*Gy_i = (C h)_i
-    c = 0.9 / np.einsum("ni,ni->n", Y.conj(), Y).real.max()
-    h, u, L = c * np.einsum("aii->a", E).real, np.full(N, 1.0 / c), np.sqrt(c) * np.eye(d)
+    # y_i*Gy_i = (C h)_i; contiguous, so that a cloud's products are the same in any stack
+    C = np.ascontiguousarray(np.einsum("bni,aij,bnj->bna", Y.conj(), E, Y).real)
+    c = 0.9 / np.einsum("bni,bni->bn", Y.conj(), Y).real.max(axis=1)
+    h, u = c[:, None] * np.einsum("aii->a", E).real, np.repeat(1.0 / c[:, None], N, axis=1)
+    L, Ti = np.sqrt(c)[:, None, None] * np.eye(d), Vh.conj() / S[..., None]
+    G, at = np.empty((B, d, d), E.dtype), np.arange(B)  # at: the running clouds' indices
     for _ in range(_MVEE_MAX_ITER):
-        w = 1.0 - C @ h
-        X = Y.T @ (Y.conj() * u[:, None])
-        gap = -2.0 * np.log(L.diagonal().real).sum() - np.linalg.slogdet(X)[1] - d + u.sum()
-        if u @ w <= _MVEE_TOL * d and gap <= _MVEE_TOL * d:
-            Ti = Vh.conj() / S[:, None]
-            return Ti.conj().T @ np.einsum("a,aij->ij", h, E) @ Ti
+        w = 1.0 - np.einsum("bna,ba->bn", C, h)
+        X = np.swapaxes(Y, 1, 2) @ (Y.conj() * u[..., None])
+        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
+        uw, gap = (u * w).sum(axis=1), -logdet - np.linalg.slogdet(X)[1] - d + u.sum(axis=1)
+        done = (uw <= _MVEE_TOL * d) & (gap <= _MVEE_TOL * d)
+        G[at[done]] = np.einsum("ba,aij->bij", h[done], E)
+        at, Y, C, h, u, w, uw = (x[~done] for x in (at, Y, C, h, u, w, uw))
+        if not len(at):
+            return np.swapaxes(Ti, 1, 2).conj() @ G @ Ti
         # the Newton matrix Hs + C^T diag(u/w) C, Hs the Hessian of -log det G,
         # is R^T R from a QR of square-root rows sorted by decreasing norm:
         # row-sorted Householder QR keeps Hs beside the huge u/w of the
         # touching points, where solving the formed matrix stalls
-        A = np.linalg.solve(np.einsum("a,aij->ij", h, E), E)
-        rows = np.concatenate([np.linalg.cholesky(np.einsum("akl,blk->ab", A, A).real).T,
-                               np.sqrt(u / w)[:, None] * C])
-        Ri = np.linalg.inv(np.linalg.qr(rows[np.argsort(-np.linalg.norm(rows, axis=1))], mode="r"))
-        g = np.trace(A, axis1=1, axis2=2).real  # -grad log det G
+        A = np.linalg.solve(np.einsum("ba,aij->bij", h, E)[:, None], E)
+        Rs = np.swapaxes(np.linalg.cholesky(np.einsum("bakl,bclk->bac", A, A).real), 1, 2)
+        rows = np.concatenate([Rs, np.sqrt(u / w)[..., None] * C], axis=1)
+        order = np.argsort(-np.linalg.norm(rows, axis=2), axis=1)[..., None]
+        Ri = np.linalg.inv(np.linalg.qr(np.take_along_axis(rows, order, axis=1), mode="r"))
+        g = np.trace(A, axis1=2, axis2=3).real  # -grad log det G
 
         def direction(r):
             """(dh, dw, du) of the Newton step toward u_i w_i = r_i."""
-            dh = Ri @ (Ri.T @ (g - C.T @ (r / w)))
-            dw = -C @ dh
+            v = np.einsum("bji,bj->bi", Ri, g - np.einsum("bna,bn->ba", C, r / w))
+            dh = np.einsum("bij,bj->bi", Ri, v)
+            dw = -np.einsum("bna,ba->bn", C, dh)
             return dh, dw, r / w - u - u / w * dw
 
-        mu = (u @ w) / N
-        _, dw, du = direction(np.zeros(N))  # the predictor
+        mu = uw[:, None] / N
+        _, dw, du = direction(np.zeros_like(u))  # the predictor
         a = _boundary_step(w, dw, u, du)
-        sigma = ((w + a * dw) @ (u + a * du) / N / mu) ** 3
+        sigma = (((w + a * dw) * (u + a * du)).sum(axis=1, keepdims=True) / N / mu) ** 3
         dh, dw, du = direction(sigma * mu - dw * du)
-        if not np.isfinite(dh).all():
-            raise FitError("ellipsoid fit step is not finite")
+        _fail(at[~np.isfinite(dh).all(axis=1)], "step is not finite")
         a = 0.99 * _boundary_step(w, dw, u, du)
-        while True:  # halve until G is positive definite and encloses every point
-            try:
-                L = np.linalg.cholesky(np.einsum("a,aij->ij", h + a * dh, E))
-                if (C @ (h + a * dh)).max() < 1.0:
-                    break
-            except np.linalg.LinAlgError:
-                pass
-            a *= 0.5
+        while True:  # halve each step until its G is positive definite and encloses every point
+            L = _cholesky(np.einsum("ba,aij->bij", h + a * dh, E))
+            scores = np.einsum("bna,ba->bn", C, h + a * dh)
+            bad = np.isnan(L).any(axis=(1, 2)) | ~(scores.max(axis=1) < 1.0)
+            if not bad.any():
+                break
+            a[bad] *= 0.5
         h, u = h + a * dh, u + a * du
-    raise FitError(f"ellipsoid fit not converged after {_MVEE_MAX_ITER} iterations")
+    _fail(at, f"not converged after {_MVEE_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +238,9 @@ def _reduce(weight, p, boxes, method, K):
     and upper corners) and their brackets, (B,) arrays lo and hi.
 
     One batch of cube averages gives rho_Q on unit_directions(m, max(K,
-    _DIAG_K)) and the identity norms; exact_p2 adds one for avg_Q W. Each
-    box's MVEE fit reads the first K + m directions (unit_directions is
-    prefix-stable), the calibration centres |Az| / rho_Q(z) over the first
+    _DIAG_K)) and the identity norms; exact_p2 adds one for avg_Q W. The
+    MVEE fits, one batch, read the first K + m directions (unit_directions
+    is prefix-stable), the calibration centres |Az| / rho_Q(z) over the first
     _DIAG_K + m geometrically at 1, and the bracket covers those directions
     and the identity (the matrix units would repeat the basis ratios).
     """
@@ -229,7 +256,10 @@ def _reduce(weight, p, boxes, method, K):
     if method == "exact_p2":
         H = cube_averages(weight, boxes, 1.0, 1.0, lambda Ws: Ws, name="matrix average").value
     else:
-        H = np.array([mvee_centered(dirs[:K + m] / r[:K + m, None]) for r in rho])
+        try:
+            H = _mvee_fits(dirs[:K + m] / rho[:, :K + m, None])
+        except FitError as exc:
+            raise FitError(f"box {boxes[exc.cloud].tolist()} at p = {p}: {exc}") from exc
     A = linalg.matrix_power(H, 0.5)
     diag = _DIAG_K + m
     lo, hi = _bracket(A, dirs[:diag], rho[:, :diag])

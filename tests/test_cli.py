@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from matweight import reducing
 from matweight.cli import main, parse_config, parse_weight
 from matweight.errors import ConfigError
 
@@ -108,6 +109,16 @@ class TestMain:
         assert err["warnings"] == ["i_max reduced from 12 to 6 to fit the domain"]
         assert err["error"] == "numerical"
         assert "fit_skip = 8" in err["message"] and "i_max is 6" in err["message"]
+
+    def test_reduce_fit_failure_is_numerical_error_naming_its_box(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setattr(reducing, "_MVEE_MAX_ITER", 2)
+        cfg = json.dumps({"weight": {"kind": "power_log", "a": -0.4}, "p": 1.5})
+        assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "numerical", "message": "box [[-0.5], [0.0]] at p = 1.5: "
+                       "ellipsoid fit 0 not converged after 2 iterations"}
+        assert not any(tmp_path.iterdir())
 
     def test_two_dimensional_default_apdim_is_refused_before_quadrature(self, tmp_path, capsys):
         cfg = '{"weight": {"kind": "power_log", "a": -0.8, "n": 2}}'

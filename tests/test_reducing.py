@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from matweight import container, linalg, reducing, weights
 from matweight.dyadic import gamma_field, grid_points
 from matweight.errors import CoverageError, FitError
-from matweight.geometry import CubeWindow, DyadicCube, cube_box
+from matweight.geometry import CubeWindow, DyadicCube, cube_box, dilated_boxes
 from matweight.quad import QuadSpec
 from matweight.reducing import (CubeNorm, build_family, dual_reduce,
                                 identity_family, integrability_probe,
@@ -187,19 +187,20 @@ class TestMvee:
         assert np.allclose(mvee_centered(phased), H, rtol=1e-6, atol=0.0)
 
     def test_family_fits_reach_tolerance(self, monkeypatch):
-        fits = []
-        fit = reducing.mvee_centered
+        stacks = []
+        fits = reducing._mvee_fits
 
-        def recorded(points):
-            fits.append((points, fit(points)))
-            return fits[-1][1]
+        def recorded(stack):
+            stacks.append((stack, fits(stack)))
+            return stacks[-1][1]
 
-        monkeypatch.setattr(reducing, "mvee_centered", recorded)
+        monkeypatch.setattr(reducing, "_mvee_fits", recorded)
         for weight in (conjugated_block(), sampled_block()):
             build_family(weight, 1.5, CubeWindow(1, 1, 3), method="mvee", K=64)
-        assert len(fits) == 28
-        for P, H in fits:
-            assert scores(P, H).max() <= 1.0 + 1e-10
+        assert [len(P) for P, _ in stacks] == [14, 14]
+        for P, H in stacks:
+            for z, E in zip(P, H):
+                assert scores(z, E).max() <= 1.0 + 1e-10
 
     def test_iteration_cap_raises(self, monkeypatch):
         # 16 points within 1e-3 of the unit circle are not fitted in 2 iterations
@@ -219,6 +220,19 @@ class TestMvee:
     def test_points_that_do_not_span_or_are_not_finite_raise(self, points):
         with pytest.raises(FitError, match="non-finite points|do not span 2 dimensions"):
             mvee_centered(points)
+
+    @pytest.mark.parametrize("stretch", [1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_elongated_clouds_score_within_rounding(self, stretch):
+        # H = T^(-*) G T^(-1) and the scores round at about eps cond(P)^2:
+        # a cloud stretched by 1e6 reads 1 + 3e-5 from rounding alone
+        eps = np.finfo(float).eps
+        for seed in range(20):
+            m, rng = 2 + seed % 2, np.random.default_rng(seed)
+            P = cloud(m, 40, seed % 4 < 2, ("scattered", "ellipsoid", "near")[seed % 3], seed)
+            Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            P = P @ (Q * np.r_[stretch, np.ones(m - 1)]) @ Q.T
+            s = np.linalg.svd(P, compute_uv=False)
+            assert scores(P, mvee_centered(P)).max() <= 1.0 + m ** 2 * eps * (s[0] / s[-1]) ** 2
 
     def test_clouds_on_one_ellipsoid_fit_in_20_iterations(self, monkeypatch):
         monkeypatch.setattr(reducing, "_MVEE_MAX_ITER", 20)
@@ -266,6 +280,77 @@ class TestMvee:
         H = mvee_centered(P)
         ref = U @ H @ U.conj().T
         assert linalg.op_norm(mvee_centered(P @ U.T) - ref) <= 1e-8 * linalg.op_norm(ref)
+
+
+def first_unstopped(stack, cap):
+    """The index of the first cloud of the stack whose fit has not stopped
+    within cap iterations, or None when every fit stops."""
+    saved, reducing._MVEE_MAX_ITER = reducing._MVEE_MAX_ITER, cap
+    try:
+        reducing._mvee_fits(stack)
+    except FitError as exc:
+        assert "not converged" in str(exc)
+        return exc.cloud
+    finally:
+        reducing._MVEE_MAX_ITER = saved
+    return None
+
+
+def assert_stacked_fits_are_the_one_cloud_fits(P):
+    """Each fit of the stack P is its one-cloud fit, in as many iterations;
+    returns the iteration counts."""
+    H = reducing._mvee_fits(P)
+    its = []
+    for i, (z, E) in enumerate(zip(P, H)):
+        ref = mvee_centered(z)
+        assert linalg.op_norm(E - ref) <= 1e-12 * linalg.op_norm(ref)
+        its.append(next(k for k in range(1, 61) if first_unstopped(z[None], k) is None))
+        rolled = np.roll(P, -i, axis=0)  # cloud i first, among all the others
+        assert first_unstopped(rolled, its[-1] - 1) == 0
+        assert first_unstopped(rolled, its[-1]) != 0
+    return its
+
+
+class TestStackedMvee:
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(mN=st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), st.integers(m + 1, 60))),
+           real=st.booleans(),
+           clouds=st.lists(st.tuples(st.sampled_from(["scattered", "ellipsoid", "near"]),
+                                     st.integers(0, 2 ** 16)), min_size=1, max_size=5))
+    @example(mN=(2, 66), real=False, clouds=[("scattered", 0), ("ellipsoid", 1), ("near", 2)])
+    @example(mN=(3, 4), real=True, clouds=[("near", 1035), ("scattered", 5)])
+    def test_each_fit_is_its_one_cloud_fit(self, mN, real, clouds):
+        P = np.stack([cloud(*mN, real, shape, seed) for shape, seed in clouds])
+        assert_stacked_fits_are_the_one_cloud_fits(P)
+
+    def test_clouds_that_stop_at_different_iterations(self):
+        P = np.stack([cloud(2, 66, False, shape, seed)
+                      for seed, shape in enumerate(["scattered", "ellipsoid", "near"] * 2)])
+        assert len(set(assert_stacked_fits_are_the_one_cloud_fits(P))) >= 3
+
+    @pytest.mark.parametrize("bad, match", [(np.nan, "fit 2 of non-finite points"),
+                                            (0.0, "fit 2 of points that do not span 2")])
+    def test_first_cloud_that_cannot_be_fitted_is_named(self, bad, match):
+        P = np.stack([cloud(2, 10, False, "scattered", seed) for seed in range(4)])
+        P[2:, :, 1] = bad  # clouds 2 and 3
+        with pytest.raises(FitError, match=match) as err:
+            reducing._mvee_fits(P)
+        assert err.value.cloud == 2
+
+    def test_family_fit_failure_names_its_box_and_p(self, monkeypatch):
+        W, window = conjugated_block(), CubeWindow(1, 1, 3)
+        stacks, fits = [], reducing._mvee_fits
+        monkeypatch.setattr(reducing, "_mvee_fits", lambda P: stacks.append(P) or fits(P))
+        build_family(W, 1.5, window, method="mvee", K=64)
+        its = [next(k for k in range(1, 61) if first_unstopped(z[None], k) is None)
+               for z in stacks[0]]
+        i = next(i for i, k in enumerate(its) if k > its[0])  # the first to outlast cloud 0
+        box = dilated_boxes(window.batch(), [1.0])[i, 0].tolist()
+        monkeypatch.setattr(reducing, "_MVEE_MAX_ITER", its[0])
+        with pytest.raises(FitError) as err:
+            build_family(W, 1.5, window, method="mvee", K=64)
+        assert str(err.value) == (f"box {box} at p = 1.5: ellipsoid fit {i} "
+                                  f"not converged after {its[0]} iterations")
 
 
 class TestReduce:
