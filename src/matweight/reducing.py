@@ -118,20 +118,6 @@ def _boundary_step(w, dw, u, du):
     return np.minimum(1.0, ratio.min(axis=1))[:, None]
 
 
-def _cholesky(G):
-    """Cholesky factors of the stack G, NaN where a matrix is not positive definite."""
-    try:
-        return np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:  # numpy raises for the whole stack
-        return np.concatenate([_cholesky(g[None]) for g in G]) if len(G) > 1 else G * np.nan
-
-
-def _fail(clouds, what):
-    """Raise a FitError naming the first of the clouds (stack indices), if any."""
-    if len(clouds):
-        raise FitError(f"ellipsoid fit {clouds[0]} {what}", int(clouds[0]))
-
-
 def mvee_centered(points):
     """Origin-centered minimum-volume enclosing ellipsoid {z : z*Hz <= 1}.
 
@@ -149,37 +135,36 @@ def mvee_centered(points):
     the duality gap -log det G - (log det X + d - sum u_i), X = sum u_i
     y_i y_i*, are both at most _MVEE_TOL d. Every iterate is strictly
     feasible, so G encloses every y_i, and its log det is within the gap of
-    the optimum; rounding in H and in the scores grows as eps cond(P)^2
-    (cond(P): the ratio of the extreme singular values of points), and max
-    z_i*Hz_i <= 1 + d^2 eps cond(P)^2. Raises FitError for non-finite
-    points, points that do not span, and a fit not stopped after
-    _MVEE_MAX_ITER iterations.
+    the optimum. The scores z_i*Hz_i round at about eps cond(P)^2, cond(P)
+    the ratio of the extreme singular values of points; measured, not
+    proven: max z_i*Hz_i <= 1 + 1.11 eps cond(P)^2 over 9 000 stretched
+    clouds. Raises FitError for non-finite points, points that do not span,
+    and a fit not stopped after _MVEE_MAX_ITER iterations.
     """
     return _mvee_fits(np.asarray(points)[None])[0]
 
 
-def _mvee_fits(stack):
-    """mvee_centered of each cloud of a (B, N, d) stack in one vectorised run, in which
-    each cloud takes the iterations of its own fit; FitError names the failing cloud."""
-    P = np.asarray(stack)
+def _mvee_fits(P):
+    """mvee_centered of each cloud of a (B, N, d) stack, each in its own iterations."""
     B, N, d = P.shape
-    _fail(np.flatnonzero(~np.isfinite(P).all(axis=(1, 2))), "of non-finite points")
+    if (bad := ~np.isfinite(P).all(axis=(1, 2))).any():  # FitError.cloud: the first bad cloud
+        raise FitError("ellipsoid fit of non-finite points", bad.argmax())
     # P = Y S V*, so T = conj(V) S, whose inverse is S^(-1) V^T
     Y, S, Vh = np.linalg.svd(P, full_matrices=False)
-    _fail(np.flatnonzero((N < d) | (S[:, -1] <= S[:, 0] * N * np.finfo(float).eps)),
-          f"of points that do not span {d} dimensions")
+    if (bad := (N < d) | (S[:, -1] <= S[:, 0] * N * np.finfo(float).eps)).any():
+        raise FitError(f"ellipsoid fit of points that do not span {d} dimensions", bad.argmax())
     E = linalg.hermitian_basis(d, not np.iscomplexobj(P))
     # y_i*Gy_i = (C h)_i; contiguous, so that a cloud's products are the same in any stack
     C = np.ascontiguousarray(np.einsum("bni,aij,bnj->bna", Y.conj(), E, Y).real)
     c = 0.9 / np.einsum("bni,bni->bn", Y.conj(), Y).real.max(axis=1)
     h, u = c[:, None] * np.einsum("aii->a", E).real, np.repeat(1.0 / c[:, None], N, axis=1)
-    L, Ti = np.sqrt(c)[:, None, None] * np.eye(d), Vh.conj() / S[..., None]
+    lam, Ti = np.repeat(c[:, None], d, axis=1), Vh.conj() / S[..., None]  # lam: G's eigenvalues
     G, at = np.empty((B, d, d), E.dtype), np.arange(B)  # at: the running clouds' indices
     for _ in range(_MVEE_MAX_ITER):
         w = 1.0 - np.einsum("bna,ba->bn", C, h)
         X = np.swapaxes(Y, 1, 2) @ (Y.conj() * u[..., None])
-        logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2).real).sum(axis=1)
-        uw, gap = (u * w).sum(axis=1), -logdet - np.linalg.slogdet(X)[1] - d + u.sum(axis=1)
+        uw = (u * w).sum(axis=1)
+        gap = -np.log(lam).sum(axis=1) - np.linalg.slogdet(X)[1] - d + u.sum(axis=1)
         done = (uw <= _MVEE_TOL * d) & (gap <= _MVEE_TOL * d)
         G[at[done]] = np.einsum("ba,aij->bij", h[done], E)
         at, Y, C, h, u, w, uw = (x[~done] for x in (at, Y, C, h, u, w, uw))
@@ -189,7 +174,7 @@ def _mvee_fits(stack):
         # is R^T R from a QR of square-root rows sorted by decreasing norm:
         # row-sorted Householder QR keeps Hs beside the huge u/w of the
         # touching points, where solving the formed matrix stalls
-        A = np.linalg.solve(np.einsum("ba,aij->bij", h, E)[:, None], E)
+        A = np.linalg.solve(np.einsum("ba,aij->bij", h, E)[:, None], E[None])
         Rs = np.swapaxes(np.linalg.cholesky(np.einsum("bakl,bclk->bac", A, A).real), 1, 2)
         rows = np.concatenate([Rs, np.sqrt(u / w)[..., None] * C], axis=1)
         order = np.argsort(-np.linalg.norm(rows, axis=2), axis=1)[..., None]
@@ -208,17 +193,17 @@ def _mvee_fits(stack):
         a = _boundary_step(w, dw, u, du)
         sigma = (((w + a * dw) * (u + a * du)).sum(axis=1, keepdims=True) / N / mu) ** 3
         dh, dw, du = direction(sigma * mu - dw * du)
-        _fail(at[~np.isfinite(dh).all(axis=1)], "step is not finite")
+        if (bad := ~np.isfinite(dh).all(axis=1)).any():
+            raise FitError("ellipsoid fit step is not finite", at[bad.argmax()])
         a = 0.99 * _boundary_step(w, dw, u, du)
         while True:  # halve each step until its G is positive definite and encloses every point
-            L = _cholesky(np.einsum("ba,aij->bij", h + a * dh, E))
-            scores = np.einsum("bna,ba->bn", C, h + a * dh)
-            bad = np.isnan(L).any(axis=(1, 2)) | ~(scores.max(axis=1) < 1.0)
+            lam = np.linalg.eigvalsh(np.einsum("ba,aij->bij", h + a * dh, E))
+            bad = ~(lam[:, 0] > 0.0) | ~(np.einsum("bna,ba->bn", C, h + a * dh).max(axis=1) < 1.0)
             if not bad.any():
                 break
             a[bad] *= 0.5
         h, u = h + a * dh, u + a * du
-    _fail(at, f"not converged after {_MVEE_MAX_ITER} iterations")
+    raise FitError(f"ellipsoid fit not converged after {_MVEE_MAX_ITER} iterations", at[0])
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ class TestMain:
         assert main(["reduce", "--config", cfg, "--out", str(tmp_path)]) == 4
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "numerical", "message": "box [[-0.5], [0.0]] at p = 1.5: "
-                       "ellipsoid fit 0 not converged after 2 iterations"}
+                       "ellipsoid fit not converged after 2 iterations"}
         assert not any(tmp_path.iterdir())
 
     def test_two_dimensional_default_apdim_is_refused_before_quadrature(self, tmp_path, capsys):

@@ -328,8 +328,8 @@ class TestStackedMvee:
                       for seed, shape in enumerate(["scattered", "ellipsoid", "near"] * 2)])
         assert len(set(assert_stacked_fits_are_the_one_cloud_fits(P))) >= 3
 
-    @pytest.mark.parametrize("bad, match", [(np.nan, "fit 2 of non-finite points"),
-                                            (0.0, "fit 2 of points that do not span 2")])
+    @pytest.mark.parametrize("bad, match", [(np.nan, "fit of non-finite points"),
+                                            (0.0, "fit of points that do not span 2")])
     def test_first_cloud_that_cannot_be_fitted_is_named(self, bad, match):
         P = np.stack([cloud(2, 10, False, "scattered", seed) for seed in range(4)])
         P[2:, :, 1] = bad  # clouds 2 and 3
@@ -349,8 +349,9 @@ class TestStackedMvee:
         monkeypatch.setattr(reducing, "_MVEE_MAX_ITER", its[0])
         with pytest.raises(FitError) as err:
             build_family(W, 1.5, window, method="mvee", K=64)
-        assert str(err.value) == (f"box {box} at p = 1.5: ellipsoid fit {i} "
+        assert str(err.value) == (f"box {box} at p = 1.5: ellipsoid fit "
                                   f"not converged after {its[0]} iterations")
+        assert err.value.__cause__.cloud == i
 
 
 class TestReduce:
