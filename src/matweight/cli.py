@@ -19,15 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import apdim, linalg, verify
+from . import apdim, verify
 from .container import save_family_json, save_filters_json
-from .errors import ConfigError, MatweightError, ResolutionError
+from .errors import ConfigError, InvalidWeightError, MatweightError, ResolutionError
 from .geometry import CubeWindow, cube_box
 from .reducing import build_family
 from .spaces import CoefficientField, SpaceParams, classify, seq_norm
 from .transform import build_filters, filter_scales, function_norm, random_band_limited
-from .weights import (ConjugatedBlockWeight, identity_weight, two_singularity,
-                      weight_from_descriptor)
+from .weights import weight_from_descriptor
 
 
 def code_version():
@@ -86,35 +85,8 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _numbers(v):
-    """The numbers in v and, nested, in its lists."""
-    if isinstance(v, list):
-        return [x for item in v for x in _numbers(item)]
-    return [v] if _is_number(v) else []
-
-
 def _is_positive(v):
     return _is_number(v) and v > 0
-
-
-def _check_point(v, n, what):
-    """A point of 1 coordinate (broadcast, as quad._as_point does) or n."""
-    coords = v if isinstance(v, list) else [v]
-    _check(all(map(_is_number, coords)) and len(coords) in (1, n),
-           f"weight {what} must be a number or a list of 1 or n = {n} numbers", v)
-
-
-def _check_matrix(v):
-    """An m x m list of [re, im] pairs making a Hermitian positive definite matrix."""
-    _check(isinstance(v, list) and v and all(
-        isinstance(row, list) and len(row) == len(v) and all(
-            isinstance(z, list) and len(z) == 2 and all(map(_is_number, z)) for z in row)
-        for row in v), "weight matrix must be an m x m list of [re, im] pairs", v)
-    M = np.array([[complex(re, im) for re, im in row] for row in v])
-    _check(np.abs(M - M.conj().T).max() <= 1e-12 * np.abs(M).max(),
-           "weight matrix must be Hermitian", v)
-    lam = np.linalg.eigvalsh(M)
-    _check(lam[0] > linalg.REL_EIG_TOL * lam[-1], "weight matrix must be positive definite", v)
 
 
 def _is_levels(v):
@@ -122,11 +94,11 @@ def _is_levels(v):
             and v[0] <= v[1])
 
 
-def parse_weight(spec):
+def _weight_descriptor(spec):
+    """The descriptor of a spec whose keys, and its branches' keys, fit its kind."""
     if spec is None or spec == "identity":
-        return identity_weight(1, 1)
-    if not isinstance(spec, dict):
-        raise ConfigError(f"weight spec must be 'identity' or an object, got {spec!r}")
+        return {"kind": "constant", "matrix": [[[1.0, 0.0]]]}
+    _check(isinstance(spec, dict), "weight spec must be 'identity' or an object", spec)
     kind = spec.get("kind", "power_log")
     _check(isinstance(kind, str) and kind in _WEIGHT_KINDS,
            f"weight kind must be one of {sorted(_WEIGHT_KINDS)}", kind)
@@ -134,48 +106,30 @@ def parse_weight(spec):
     _check_keys(spec, {"kind"} | required | optional, f"{kind} weight")
     _check(required <= set(spec), f"a {kind} weight needs the keys {sorted(required)}",
            sorted(spec))
-    desc = {"kind": kind, "n": 1, "m": 1, **spec}
-    for key in ("n", "m"):
-        _check(_is_int(desc[key]) and desc[key] >= 1, f"weight {key} must be an integer >= 1",
-               desc[key])
-    for key, value in desc.items():
-        _check(all(map(math.isfinite, _numbers(value))), f"weight {key} must be finite", value)
-    for key in ("a", "b", "scale"):
-        if key in desc:
-            _check(_is_number(desc[key]), f"weight {key} must be a number", desc[key])
-    _check(desc.get("scale", 1.0) > 0.0, "weight scale must be positive", desc.get("scale"))
-    if kind == "two_singularity":
-        for key in ("d", "dtilde", "p"):
-            _check(_is_number(desc[key]), f"weight {key} must be a number", desc[key])
-        _check(desc["p"] > 1.0, "weight p must be > 1", desc["p"])
-        if "x0" in desc:
-            _check_point(desc["x0"], desc["n"], "x0")
-    if kind == "product_power":
-        centers, exponents = desc["centers"], desc["exponents"]
-        _check(isinstance(centers, list) and isinstance(exponents, list)
-               and all(map(_is_number, exponents)) and len(exponents) == len(centers),
-               "weight centers and exponents must be lists, one number per center",
-               [centers, exponents])
-        for c in centers:
-            _check_point(c, desc["n"], "center")
-    if kind == "constant":
-        _check_matrix(desc["matrix"])
-    if kind == "conjugated_block":  # a branch's own errors propagate as they are
-        branches = [parse_weight(desc[key]) for key in ("branch1", "branch2")]
-    try:
-        if kind == "two_singularity":
-            weight = two_singularity(desc["d"], desc["dtilde"], desc["p"], desc.get("x0"),
-                                     desc["n"], desc["m"])
-        elif kind == "conjugated_block":
-            weight = ConjugatedBlockWeight(*branches)
-        else:
-            weight = weight_from_descriptor(desc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad weight spec: {exc}") from exc
+    branches = required & {"branch1", "branch2"}
+    return {**spec, "kind": kind, **{key: _weight_descriptor(spec[key]) for key in branches}}
+
+
+def _check_fixed(desc, weight):
+    """A given n or m must be the one the weight fixes (a constant matrix its
+    m, a conjugated block its n from the branches and m = 2), branches too."""
     for key in ("n", "m"):
         built = getattr(weight, key)
-        _check(spec.get(key, built) == built,
-               f"weight {key} must be {built} for this {kind} weight", spec.get(key))
+        given = desc.get(key, built)
+        _check(_is_int(given) and given == built,
+               f"weight {key} must be {built} for this {desc['kind']} weight", given)
+    for key in {"branch1", "branch2"} & set(desc):
+        _check_fixed(desc[key], getattr(weight, key))
+
+
+def parse_weight(spec):
+    """The weight of a spec: its keys are checked here, its values by the weight classes."""
+    desc = _weight_descriptor(spec)
+    try:
+        weight = weight_from_descriptor(desc)
+    except InvalidWeightError as exc:
+        raise ConfigError(str(exc)) from exc
+    _check_fixed(desc, weight)
     if any(weight.norm_exponent(s, 1.0) <= -weight.n for s in weight.singular_points):
         raise ConfigError("a power exponent <= -n at a singular point makes the weight "
                           "non-integrable")

@@ -25,6 +25,10 @@ class InvalidVariantError(MatweightError, ValueError):
     """A variant was requested outside its admissible parameter regime."""
 
 
+class InvalidWeightError(MatweightError, ValueError):
+    """A weight's parameters are outside its definition."""
+
+
 class OutOfDomainError(MatweightError):
     """No cube, or no dilation of one, fits inside the working domain."""
 

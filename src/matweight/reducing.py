@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import CoverageError, DegenerateMatrixError, FitError, IntegrabilityError
+from .errors import (CoverageError, DegenerateMatrixError, FitError, IntegrabilityError,
+                     InvalidExponentError, InvalidVariantError)
 from .geometry import box_corners, dilated_boxes
 from .quad import PROBE_SPEC
 from .weights import cube_average, cube_averages, dual_weight, sup_nodes
@@ -232,9 +233,9 @@ def _reduce(weight, p, boxes, method, K):
     if method == "auto":
         method = "exact_p2" if p == 2.0 else "mvee"
     if method not in ("exact_p2", "mvee"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidVariantError(f"unknown method {method!r}")
     if method == "exact_p2" and p != 2.0:
-        raise ValueError("exact_p2 construction requires p = 2")
+        raise InvalidExponentError("exact_p2 construction requires p = 2")
     m = weight.m
     dirs = unit_directions(m, max(K, _DIAG_K))
     rho, den = _cube_norms(weight, p, boxes, dirs, True)

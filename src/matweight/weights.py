@@ -12,6 +12,7 @@ distinct x-box, on Hermitian coordinates.
 """
 
 import hashlib
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     IntegrabilityError,
     InvalidExponentError,
     InvalidVariantError,
+    InvalidWeightError,
     SingularityError,
 )
 from .geometry import Box, DyadicCube, batch_cube, box_corners, cell_index, dilated_boxes
@@ -83,6 +85,46 @@ def _distance(D):
     return np.abs(D[:, 0]) if D.shape[1] == 1 else np.linalg.norm(D, axis=1)
 
 
+def _check(ok, what, value):
+    if not ok:
+        raise InvalidWeightError(f"weight {what}, got {value!r}")
+
+
+def _check_sizes(**sizes):
+    for key, value in sizes.items():  # n and m
+        _check(isinstance(value, numbers.Integral) and not isinstance(value, bool)
+               and value >= 1, f"{key} must be an integer >= 1", value)
+
+
+def _reals(key, value, what="a number", fits=lambda shape: shape == ()):
+    """value as a float array: real numbers, not booleans, of a shape that fits, all finite."""
+    arr = np.asarray(value, dtype=object)  # a ragged list keeps lists as entries
+    _check(fits(arr.shape) and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                                   for x in arr.flat), f"{key} must be {what}", value)
+    try:
+        arr = arr.astype(float)
+    except OverflowError:  # an integer past the float range is not finite either
+        arr = np.array(np.inf)
+    _check(np.isfinite(arr).all(), f"{key} must be finite", value)
+    return arr
+
+
+def _eigh_definite(key, mats, ndim):
+    """eigh of mats, ndim axes of finite m x m matrices, each Hermitian to 1e-12 of its largest
+    entry and positive definite (lambda_min > REL_EIG_TOL lambda_max), else an error naming it."""
+    _check(mats.ndim == ndim and 0 < mats.shape[-1] == mats.shape[-2] and mats.size,
+           f"{key} must have {ndim} axes, the last two of one length", mats.shape)
+    flat = mats.reshape(-1, *mats.shape[-2:])
+    size = np.abs(flat).max(axis=(1, 2))
+    asym = np.abs(flat - np.conj(np.swapaxes(flat, 1, 2))).max(axis=(1, 2))
+    for what, ok in (("finite", np.isfinite(size)), ("Hermitian", asym <= 1e-12 * size)):
+        _check(ok.all(), f"{key} must be {what}", flat[np.argmin(ok)].tolist())
+    lam, u = np.linalg.eigh(linalg.hermitize(flat))
+    ok = lam[:, 0] > linalg.REL_EIG_TOL * lam[:, -1]
+    _check(ok.all(), f"{key} must be positive definite", flat[np.argmin(ok)].tolist())
+    return lam, u
+
+
 def _power_log_profile(X, a, b):
     r = _distance(X)
     out = np.ones_like(r)
@@ -104,6 +146,10 @@ class PowerLogWeight(MatrixWeight):
     scale: float = 1.0
 
     def __post_init__(self):
+        _check_sizes(n=self.n, m=self.m)
+        _reals("a", self.a)
+        _reals("b", self.b)
+        _check(_reals("scale", self.scale) > 0.0, "scale must be positive", self.scale)
         self.singular_points = [np.zeros(self.n)] if self.a != 0.0 else []
 
     def is_scalar(self):
@@ -141,8 +187,15 @@ class ProductPowerWeight(MatrixWeight):
     scale: float = 1.0
 
     def __post_init__(self):
-        self.centers = tuple(tuple(float(v) for v in np.atleast_1d(c)) for c in self.centers)
-        self.exponents = tuple(float(a) for a in self.exponents)
+        _check_sizes(n=self.n, m=self.m)
+        _check(_reals("scale", self.scale) > 0.0, "scale must be positive", self.scale)
+        self.exponents = tuple(_reals("exponents", self.exponents, "a list of numbers",
+                                      lambda shape: len(shape) == 1).tolist())
+        _check(isinstance(self.centers, (list, tuple, np.ndarray)) and len(self.centers)
+               == len(self.exponents), "centers must be one point per exponent", self.centers)
+        point = f"a number or a list of 1 or n = {self.n} numbers"  # one is broadcast
+        self.centers = tuple(tuple(_reals("center", c, point, lambda shape: shape in (
+            (), (1,), (self.n,))).ravel().tolist()) for c in self.centers)
         self.singular_points = [np.asarray(c) for c, a in zip(self.centers, self.exponents) if a != 0.0]
 
     def is_scalar(self):
@@ -183,13 +236,16 @@ class ProductPowerWeight(MatrixWeight):
 def two_singularity(d, dtilde, p, x0=None, n=1, m=1):
     """|x|^(-d) |x-x0|^((p-1) dtilde) I_m; x0 defaults to 0.25 e_1.
 
-    Its order-p dual is |x|^(d/(p-1)) |x-x0|^(-dtilde) I_m.
+    Its order-p dual is |x|^(d/(p-1)) |x-x0|^(-dtilde) I_m; it requires p > 1.
     """
+    _reals("d", d)
+    _reals("dtilde", dtilde)
+    _check(_reals("p", p) > 1.0, "p must be > 1", p)
+    _check_sizes(n=n)
     if x0 is None:
         x0 = np.zeros(n)
         x0[0] = 0.25
-    return ProductPowerWeight(n, m, (tuple(np.zeros(n)), tuple(np.atleast_1d(x0))),
-                              (-d, (p - 1.0) * dtilde))
+    return ProductPowerWeight(n, m, (tuple(np.zeros(n)), x0), (-d, (p - 1.0) * dtilde))
 
 
 @dataclass
@@ -200,7 +256,10 @@ class ConstantWeight(MatrixWeight):
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = linalg.hermitize(np.asarray(self.matrix, dtype=complex))
+        _check_sizes(n=self.n)
+        matrix = np.asarray(self.matrix, dtype=complex)
+        _eigh_definite("matrix", matrix, 2)
+        self.matrix = linalg.hermitize(matrix)
         self.m = self.matrix.shape[0]
         self.singular_points = []
 
@@ -241,11 +300,11 @@ class ConjugatedBlockWeight(MatrixWeight):
     branch2: MatrixWeight
 
     def __post_init__(self):
-        if not (self.branch1.is_scalar() and self.branch2.is_scalar()):
-            raise ValueError("branches must be scalar weights")
-        if self.branch1.n != self.branch2.n:
-            raise ValueError("branch dimension mismatch")
-        self.n = self.branch1.n
+        b1, b2 = self.branch1, self.branch2
+        _check(b1.is_scalar() and b2.is_scalar() and b1.n == b2.n,
+               "branches must be scalar weights of one n",
+               [(type(b).__name__, b.n) for b in (b1, b2)])
+        self.n = b1.n
         self.m = 2
         seen = {}
         for s in list(self.branch1.singular_points) + list(self.branch2.singular_points):
@@ -296,31 +355,19 @@ class GridSampledWeight(MatrixWeight):
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
         self.n = self.box.n
+        self._lam, self._u = _eigh_definite("samples", self.samples, self.n + 2)
         self.m = self.samples.shape[-1]
-        if self.samples.ndim != self.n + 2 or self.samples.shape[-2] != self.m:
-            raise ValueError("samples must have shape (grid..., m, m)")
         self.singular_points = []
-        self._eig = None
-
-    def _eigen(self):
-        if self._eig is None:
-            flat = self.samples.reshape(-1, self.m, self.m)
-            lam, u = np.linalg.eigh(linalg.hermitize(flat))
-            if np.any(lam[:, 0] <= 0):
-                raise SingularityError("grid-sampled weight has a non-positive sample")
-            self._eig = (lam, u)
-        return self._eig
 
     def power_at(self, X, alpha):
-        lam, u = self._eigen()
         shape = self.samples.shape[: self.n]
         cells = cell_index(self.box.lo_arr, self.box.sides / shape, shape, X)
-        lam_a = lam[cells] ** alpha
-        uu = u[cells]
+        lam_a = self._lam[cells] ** alpha
+        uu = self._u[cells]
         return np.einsum("nij,nj,nkj->nik", uu, lam_a, np.conj(uu))
 
     def _dual_impl(self, p):
-        lam, u = self._eigen()
+        lam, u = self._lam, self._u
         powed = np.einsum("nij,nj,nkj->nik", u, lam ** (-1.0 / (p - 1.0)), np.conj(u))
         return GridSampledWeight(self.box, powed.reshape(self.samples.shape))
 
@@ -540,18 +587,21 @@ def dual_weight(weight, p):
 
 
 def weight_from_descriptor(desc):
-    kind = desc["kind"]
+    """The weight of a `descriptor()`, or of a two_singularity's arguments by name;
+    n and m are 1 where not given. InvalidWeightError for an ill-defined weight."""
+    kind, n, m = desc["kind"], desc.get("n", 1), desc.get("m", 1)
     if kind == "power_log":
-        return PowerLogWeight(desc["n"], desc["m"], desc["a"], desc.get("b", 0.0),
-                              desc.get("scale", 1.0))
+        return PowerLogWeight(n, m, desc["a"], desc.get("b", 0.0), desc.get("scale", 1.0))
     if kind == "product_power":
-        return ProductPowerWeight(desc["n"], desc["m"],
-                                  tuple(tuple(c) for c in desc["centers"]),
-                                  tuple(desc["exponents"]), desc.get("scale", 1.0))
+        return ProductPowerWeight(n, m, desc["centers"], desc["exponents"],
+                                  desc.get("scale", 1.0))
+    if kind == "two_singularity":
+        return two_singularity(desc["d"], desc["dtilde"], desc["p"], desc.get("x0"), n, m)
     if kind == "constant":
-        mat = np.array([[complex(re, im) for re, im in row] for row in desc["matrix"]])
-        return ConstantWeight(desc["n"], mat)
+        pairs = _reals("matrix", desc["matrix"], "an m x m list of [re, im] pairs",
+                       lambda shape: len(shape) == 3 and shape[1:] == (shape[0], 2))
+        return ConstantWeight(n, pairs.view(complex)[..., 0])  # complex(re, im), exactly
     if kind == "conjugated_block":
         return ConjugatedBlockWeight(weight_from_descriptor(desc["branch1"]),
                                      weight_from_descriptor(desc["branch2"]))
-    raise ValueError(f"unknown weight kind {kind!r}")
+    raise InvalidWeightError(f"unknown weight kind {kind!r}")

@@ -1,12 +1,18 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matweight import reducing
 from matweight.cli import main, parse_config, parse_weight
-from matweight.errors import ConfigError
+from matweight.errors import ConfigError, InvalidWeightError
+from matweight.weights import weight_from_descriptor
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParseConfig:
@@ -142,6 +148,7 @@ class TestMain:
         {"kind": "power_log", "a": -0.5, "scale": math.inf},
         {"kind": "power_log", "a": math.nan},
         {"kind": "power_log", "a": -0.5, "b": math.nan},
+        {"kind": "power_log", "a": 10 ** 400},
         {"kind": "product_power", "centers": [[0.0]], "exponents": [math.nan]},
         {"kind": "product_power", "centers": [[math.nan]], "exponents": [-0.5]},
         {"kind": "constant", "matrix": [[[math.nan, 0.0]]]},
@@ -162,6 +169,8 @@ class TestMain:
         {"kind": "constant", "matrix": [[[1, 0], [2, 0]], [[2, 0], [1, 0]]]},
         {"kind": "power_log", "a": -0.4, "centers": [[0.0]]},
         {"kind": "conjugated_block", "m": 3, "branch1": {"a": -0.4}},
+        {"kind": "conjugated_block", "n": True, "branch1": {"a": -0.4}},
+        {"kind": "product_power", "centers": [[0.0], [0.5]], "exponents": [-0.4, True]},
         {"kind": "constant", "m": 3, "matrix": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}])
     def test_reduce_bad_weight_spec_is_config_error(self, tmp_path, capsys, weight):
         branch = {"kind": "power_log", "n": 1, "m": 1, "a": 0.3}
@@ -294,3 +303,74 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and "space" in err["message"]
         assert not (tmp_path / "norms_report.json").exists()
+
+
+def test_readme_weight_specs_parse():
+    block = README.read_text().split("A weight spec is")[1].split("```json\n")[1]
+    specs = [json.loads(line) for line in block.split("```")[0].splitlines()]
+    kinds = {parse_weight(spec).descriptor()["kind"] for spec in specs}
+    assert len(specs) == 5 and kinds == {"power_log", "product_power", "constant",
+                                         "conjugated_block"}
+
+
+_REAL = st.floats(-0.9, 0.9)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _pairs(W):
+    return [[[z.real, z.imag] for z in row] for row in W]
+
+
+@st.composite
+def _rejected_weight_specs(draw):
+    """A weight spec from one of the classes of values that the weight
+    classes refuse, with every key its kind needs."""
+    rejected = draw(st.sampled_from(["non_finite", "scale", "center", "matrix_shape",
+                                     "indefinite", "non_hermitian", "p"]))
+    n = draw(st.integers(1, 3))
+    power_log = {"kind": "power_log", "n": n, "a": draw(_REAL), "b": draw(_REAL)}
+    product = {"kind": "product_power", "n": n, "centers": [[0.0] * n, [0.25] * n],
+               "exponents": [draw(_REAL), draw(_REAL)]}
+    two_sing = {"kind": "two_singularity", "n": n, "d": 0.4, "dtilde": 0.3, "p": 2.0}
+    a, b, c = draw(st.floats(0.5, 2.0)), draw(st.floats(-0.4, 0.4)), draw(st.floats(0.5, 2.0))
+    if rejected == "non_finite":
+        bad = draw(_NON_FINITE)
+        spec = draw(st.sampled_from([
+            dict(power_log, **{draw(st.sampled_from(["a", "b", "scale"])): bad}),
+            dict(product, exponents=[-0.4, bad]), dict(product, centers=[[0.0] * n, [bad] * n]),
+            dict(two_sing, **{draw(st.sampled_from(["d", "dtilde", "p"])): bad}),
+            {"kind": "constant", "matrix": _pairs([[a, b], [b, bad]])}]))
+    elif rejected == "scale":
+        spec = dict(draw(st.sampled_from([power_log, product])),
+                    scale=draw(st.floats(max_value=0.0, allow_nan=False)))
+    elif rejected == "center":  # a center of neither 1 nor n coordinates, or one exponent too few
+        k = draw(st.sampled_from([0, 2, 3, 4]).filter(lambda k: k != n))
+        spec = draw(st.sampled_from([dict(product, centers=[[0.0] * n, [0.25] * k]),
+                                     dict(product, exponents=[-0.4]),
+                                     dict(two_sing, x0=[0.25] * k)]))
+    elif rejected == "matrix_shape":
+        spec = {"kind": "constant", "matrix": draw(st.sampled_from([
+            [[[a, 0.0], [b, 0.0]]], [[[a, 0.0], [b, 0.0]], [[b, 0.0]]], [[[a, 0.0, 0.0]]],
+            [[a, b]], []]))}
+    elif rejected == "indefinite":  # |W_01|^2 >= W_00 W_11
+        off = math.sqrt(a * c) * (1.0 + draw(st.floats(0.0, 1.0)))
+        phase = complex(math.cos(b), math.sin(b))
+        spec = {"kind": "constant", "matrix": _pairs([[a, off * phase],
+                                                      [off * phase.conjugate(), c]])}
+    elif rejected == "non_hermitian":
+        skew = draw(st.floats(1e-6, 1.0)) * draw(st.sampled_from([1, -1, 1j, -1j]))
+        spec = {"kind": "constant", "matrix": _pairs([[a, b + skew], [b, c]])}
+    else:
+        spec = dict(two_sing, p=draw(st.floats(-4.0, 1.0)))
+    return spec
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_rejected_weight_specs())
+def test_rejected_weight_values_exit_2_and_raise_invalid_weight(tmp_path_factory, spec):
+    out = tmp_path_factory.getbasetemp() / "rejected_weights"
+    cfg = json.dumps({"weight": spec, "p": 1.5, "window": {"j_min": 1, "j_max": 2}})
+    assert main(["reduce", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(InvalidWeightError):
+        weight_from_descriptor(spec)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from matweight import container, linalg, reducing, weights
 from matweight.dyadic import gamma_field, grid_points
-from matweight.errors import CoverageError, FitError
+from matweight.errors import CoverageError, FitError, InvalidVariantError
 from matweight.geometry import CubeWindow, DyadicCube, cube_box, dilated_boxes
 from matweight.quad import QuadSpec
 from matweight.reducing import (CubeNorm, build_family, dual_reduce,
@@ -410,6 +410,10 @@ class TestReduce:
             ratios.append(val / (abs(Q.center[0]) + Q.side) ** -d)
         assert max(ratios) / min(ratios) <= 1.1
 
+    def test_unknown_method_is_invalid_variant(self):
+        with pytest.raises(InvalidVariantError):
+            reduce_operator(identity_weight(1, 1), 2.0, DyadicCube(1, (0,)), method="bogus")
+
     def test_exact_p2_requires_p2(self):
         with pytest.raises(ValueError):
             reduce_operator(identity_weight(1, 1), 1.5, DyadicCube(1, (0,)),
@@ -476,6 +480,19 @@ class TestVerifyReducing:
         fam = build_family(W, 1.5, win, method="mvee", K=64)
         lo, hi = fam.worst_bracket()
         assert lo <= 1.0 + 1e-9 <= hi + 2e-9
+
+    def test_mvee_brackets_are_centred_geometrically(self):
+        # each operator is scaled so that its bracket over the calibration
+        # directions has lo * hi = 1, not lo = 1 or hi = 1; at m = 1 the fit
+        # is exact and lo = hi, so a 2 x 2 weight shows the centring
+        weight, win, p, m = conjugated_block(), CubeWindow(1, 1, 3), 1.5, 2
+        fam = build_family(weight, p, win, method="mvee", K=reducing._DIAG_K)
+        A = np.concatenate([fam.mats[j].reshape(-1, m, m) for j in win.levels()])
+        dirs = unit_directions(m, reducing._DIAG_K)
+        rho, _ = reducing._cube_norms(weight, p, dilated_boxes(win.batch(), [1.0])[:, 0],
+                                      dirs, True)
+        lo, hi = reducing._bracket(A, dirs, rho)
+        assert np.allclose(lo * hi, 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestDualityProduct:
