@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import IntegrabilityError, OutOfDomainError, ResolutionError
+from .errors import IntegrabilityError, InvalidVariantError, OutOfDomainError, ResolutionError
 from .geometry import CubeWindow, batch_cube, cube_box, dilated_boxes, mesh
 from .quad import PROBE_SPEC, QuadSpec
 from .reducing import _cube_norms, _reduce, unit_directions
@@ -309,5 +309,5 @@ def admissible_m(s, tau, p, dims, n, variant="general"):
     elif variant == "infinity":
         bound = max(dims.d / p + s, dt_term - s, dims.delta)
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise InvalidVariantError(f"unknown variant {variant!r}")
     return int(np.floor(bound)) + 1

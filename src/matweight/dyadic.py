@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ResolutionError
+from .errors import InvalidArgumentError, ResolutionError
 from .geometry import Box, mesh
 
 
@@ -55,7 +55,8 @@ class GridFunction:
             self.m = self.values.shape[0]
             self.vector = True
         else:
-            raise ValueError(f"values shape {self.values.shape} does not match grid {shape}")
+            raise InvalidArgumentError(
+                f"values shape {self.values.shape} does not match grid {shape}")
 
     @property
     def n(self):

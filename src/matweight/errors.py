@@ -29,6 +29,11 @@ class InvalidWeightError(MatweightError, ValueError):
     """A weight's parameters are outside its definition."""
 
 
+class InvalidArgumentError(MatweightError, ValueError):
+    """An argument does not fit its operation: an empty or mismatched box, window,
+    grid or array shape, a non-positive dilation, a nonzero mean where zero is required."""
+
+
 class OutOfDomainError(MatweightError):
     """No cube, or no dilation of one, fits inside the working domain."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, ResolutionError
+from .errors import CoverageError, InvalidArgumentError, ResolutionError
 
 
 def mesh(*axes):
@@ -39,9 +39,9 @@ class Box:
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
-            raise ValueError("lo/hi dimension mismatch")
+            raise InvalidArgumentError("lo/hi dimension mismatch")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
-            raise ValueError("empty box")
+            raise InvalidArgumentError("empty box")
 
     @property
     def n(self):
@@ -131,7 +131,7 @@ def box_corners(region):
 def dilate(Q, lam):
     """Box with the center of Q and edge lam*l(Q)."""
     if lam <= 0:
-        raise ValueError("dilation factor must be positive")
+        raise InvalidArgumentError("dilation factor must be positive")
     c = Q.center
     h = 0.5 * lam * Q.side
     return Box(tuple(c - h), tuple(c + h))
@@ -162,13 +162,13 @@ class CubeWindow:
 
     def __init__(self, n, j_min, j_max, box=None):
         if j_min > j_max:
-            raise ValueError("j_min must not exceed j_max")
+            raise InvalidArgumentError("j_min must not exceed j_max")
         self.n = n
         self.j_min = j_min
         self.j_max = j_max
         self.box = box if box is not None else cube_box(n)
         if self.box.n != n:
-            raise ValueError("box dimension mismatch")
+            raise InvalidArgumentError("box dimension mismatch")
         self._ranges = {j: self._level_index_ranges(j) for j in self.levels()}
 
     def _level_index_ranges(self, j):

@@ -2,11 +2,12 @@
 
 All matrices here are tiny (m <= 4); batched inputs use the leading axes,
 except in norm_power, which takes the real and imaginary parts of a batch
-with the matrix axes first, one plane per entry. Powers go through dense
-eigendecompositions. Operator norms of 1 x 1 and 2 x 2 matrices are
-closed-form; larger ones use the SVD. A Hermitian matrix has m^2 real
-coordinates in hermitian_basis, read off by hermitian_coords, so a product
-with a batch of Hermitian matrices is one real matrix product.
+(or the real part alone, for real matrices) with the matrix axes first, one
+plane per entry. Powers go through dense eigendecompositions. Operator norms
+of 1 x 1 and 2 x 2 matrices are closed-form; larger ones use the SVD. A
+Hermitian matrix has m^2 real coordinates in hermitian_basis, read off by
+hermitian_coords, and a real symmetric one m(m+1)/2, its upper triangle, so a
+product with a batch of them is one real matrix product.
 """
 
 import numpy as np
@@ -55,7 +56,9 @@ def op_norm(a):
 
 def norm_power(re, im, s):
     """||A||^s of the matrices A = re + i im, given as real (m, m, ...)
-    arrays with the matrix axes first, so each entry is one plane.
+    arrays with the matrix axes first, so each entry is one plane; im=None
+    for real A drops the terms that would be exact zeros, with the value of
+    im = 0 bit for bit.
 
     For m = 2 it is lambda_max(A*A)^(s/2), with A*A = [[alpha, b], [conj(b),
     gamma]] and lambda_max = (alpha + gamma)/2 + sqrt(((alpha - gamma)/2)^2 +
@@ -66,15 +69,21 @@ def norm_power(re, im, s):
     rebuild A and take op_norm(A) ** s.
     """
     if re.shape[:2] != (2, 2):
-        return op_norm(np.moveaxis(re + 1j * im, (0, 1), (-2, -1))) ** s
+        A = re if im is None else re + 1j * im
+        return op_norm(np.moveaxis(A, (0, 1), (-2, -1))) ** s
     (r00, r01), (r10, r11) = re
-    (i00, i01), (i10, i11) = im
-    alpha = (r00 * r00 + i00 * i00) + (r10 * r10 + i10 * i10)
-    gamma = (r01 * r01 + i01 * i01) + (r11 * r11 + i11 * i11)
-    b_re = (r00 * r01 + i00 * i01) + (r10 * r11 + i10 * i11)
-    b_im = (r00 * i01 - i00 * r01) + (r10 * i11 - i10 * r11)
+    if im is None:
+        alpha, gamma = r00 * r00 + r10 * r10, r01 * r01 + r11 * r11
+        b_re = r00 * r01 + r10 * r11
+    else:
+        (i00, i01), (i10, i11) = im
+        alpha = (r00 * r00 + i00 * i00) + (r10 * r10 + i10 * i10)
+        gamma = (r01 * r01 + i01 * i01) + (r11 * r11 + i11 * i11)
+        b_re = (r00 * r01 + i00 * i01) + (r10 * r11 + i10 * i11)
+        b_im = (r00 * i01 - i00 * r01) + (r10 * i11 - i10 * r11)
     h = 0.5 * (alpha - gamma)
-    lam = 0.5 * (alpha + gamma) + np.sqrt(h * h + b_re * b_re + b_im * b_im)
+    q = h * h + b_re * b_re
+    lam = 0.5 * (alpha + gamma) + np.sqrt(q if im is None else q + b_im * b_im)
     return lam if s == 2.0 else lam ** (0.5 * s)
 
 

@@ -21,7 +21,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .dyadic import block_reduce, grid_points, grid_shape
-from .errors import CoverageError, InvalidExponentError
+from .errors import (CoverageError, InvalidArgumentError, InvalidExponentError,
+                     InvalidVariantError)
 from .linalg import read_only
 from .weights import MatrixWeight
 
@@ -38,13 +39,13 @@ class SpaceParams:
 
     def __post_init__(self):
         if self.kind not in ("B", "F"):
-            raise ValueError("kind must be 'B' or 'F'")
+            raise InvalidVariantError("kind must be 'B' or 'F'")
         if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+            raise InvalidExponentError("tau must be nonnegative")
         if not (self.p > 0 and self.q > 0):
-            raise ValueError("p and q must be positive")
+            raise InvalidExponentError("p and q must be positive")
         if self.kind == "F" and np.isinf(self.p):
-            raise ValueError("F-kind with p = infinity uses the dedicated path")
+            raise InvalidVariantError("F-kind with p = infinity uses the dedicated path")
 
 
 def classify(params):
@@ -79,7 +80,7 @@ class CoefficientField:
             if values is not None and j in values:
                 arr = np.asarray(values[j], dtype=complex)
                 if arr.shape != counts + (m,):
-                    raise ValueError(f"level {j} values shape {arr.shape}")
+                    raise InvalidArgumentError(f"level {j} values shape {arr.shape}")
             else:
                 arr = np.zeros(counts + (m,), dtype=complex)
             levels[j] = read_only(arr)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dyadic import block_reduce, grid_points, grid_shape
-from .errors import CoverageError, ResolutionError, ScaleRangeError
+from .errors import CoverageError, InvalidArgumentError, ResolutionError, ScaleRangeError
 from .geometry import CubeWindow
 from .linalg import read_only
 from .spaces import CoefficientField, finfty_norm_fields, kept_fields, la_tau_norm
@@ -65,7 +65,7 @@ def filter_scales(box, grid_level):
     axis at grid_level and the scales whose annuli the grid holds. Raises
     ResolutionError unless N is a power of two >= 8 that holds one annulus."""
     if len(set(box.sides)) != 1:
-        raise ValueError("filter grids require a cubic box")
+        raise InvalidArgumentError("filter grids require a cubic box")
     side = float(box.sides[0])
     N = grid_shape(box, grid_level)[0]
     if N < 8 or (N & (N - 1)) != 0:
@@ -372,7 +372,7 @@ def peetre_sup(f, filters, family, window):
 def lifting(f, sigma):
     """Frequency multiplier |xi|^sigma; requires a zero mean."""
     if f.zero_mean_defect() > 1e-12:
-        raise ValueError("lifting requires a vanishing zero-frequency coefficient")
+        raise InvalidArgumentError("lifting requires a vanishing zero-frequency coefficient")
     flt = f.filters
     mult = np.zeros_like(flt.xi_norm)
     nz = flt.xi_norm > 0

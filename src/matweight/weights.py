@@ -8,7 +8,7 @@ cube averages pre-check integrability before any quadrature runs.
 ap_pairs is the one two-cube A_p quantity, over a batch of box pairs:
 [W]_Ap (ap_constant) and the growth sequence a_i (apdim.a_sequence) are its
 suprema over cube pairs. A matrix weight takes one real matrix product per
-distinct x-box, on Hermitian coordinates.
+distinct x-box, on Hermitian coordinates (real symmetric ones where W is real).
 """
 
 import hashlib
@@ -465,7 +465,8 @@ def sup_nodes(weight, boxes, qspec):
     return out
 
 
-# node pairs per product block: 2 m^2 real planes of 8 bytes, 1 MB at m = 2
+# node pairs per product block: m^2 real planes of 8 bytes per part, real and imaginary
+# (one part for a real weight), 1 MB for both parts at m = 2
 _BLOCK_PAIRS = 4 * CHUNK_NODES
 
 
@@ -480,10 +481,14 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
     extrema over sup_nodes. A scalar weight w I factorises: avg_x w (avg_y
     w^(-1/(p-1)))^(p-1) for p > 1, from one batch of cube averages at qspec
     per exponent, and avg_x w / min_y w for p <= 1, where star changes
-    nothing. A matrix weight is evaluated once per side. W^(-1/p)(y) = sum_k
-    y_k E_k over its m^2 Hermitian coordinates, and each x-node keeps the
-    real and imaginary parts of W^(1/p)(x) E_k, so the parts of every entry
-    of W^(1/p)(x) W^(-1/p)(y) come from one real matrix product. Pairs are
+    nothing. A matrix weight takes its node rules from one sup_nodes call
+    over the distinct boxes of both sides, and is evaluated once per side.
+    W^(-1/p)(y) = sum_k y_k E_k over its D = m^2 Hermitian coordinates, and
+    each x-node keeps the real and imaginary parts of W^(1/p)(x) E_k, so the
+    parts of every entry of W^(1/p)(x) W^(-1/p)(y) come from one real matrix
+    product. Where every sample of both sides is real, the imaginary parts
+    are exact zeros: the kernel then takes the D = m(m+1)/2 real symmetric
+    coordinates and the real part alone, with the same value bit for bit. Pairs are
     grouped by x-box: each distinct x-box forms one product block against
     the nodes of all its y-boxes (split past _BLOCK_PAIRS node pairs). Every
     pair reduces over y in its own reduceat segment, and linalg.matmul
@@ -508,18 +513,27 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
     if p > 1.0:
         _precheck_integrability(weight, uy, -1.0 / p, p / (p - 1.0))
 
-    def nodes(boxes):  # nodes, node weights, first nodes, node counts
-        sets = sup_nodes(weight, boxes, qspec)
+    u, iu = _distinct(np.concatenate([ux, uy]))
+    rules = sup_nodes(weight, u, qspec)  # one rule per distinct box of either side
+
+    def nodes(at):  # nodes, node weights, first nodes, node counts
+        sets = [rules[k] for k in at]
         sizes = np.array([len(X) for X, _ in sets])
         return (*map(np.concatenate, zip(*sets)), np.cumsum(sizes) - sizes, sizes)
 
     m = weight.m
-    (X, wx, ox, nx), (Y, wy, oy, ny) = nodes(ux), nodes(uy)
+    (X, wx, ox, nx), (Y, wy, oy, ny) = nodes(iu[:len(ux)]), nodes(iu[len(ux):])
+    WX, WY = weight.power_at(X, 1.0 / p), weight.power_at(Y, -1.0 / p)
+    # a real W needs only the real plane, on the D = m(m+1)/2 real symmetric coordinates
+    real = not (WX.imag.any() or WY.imag.any())
+    basis = linalg.hermitian_basis(m, real)
+    D, E = len(basis), basis.transpose(1, 0, 2).reshape(m, -1)
     # parts of W^(1/p)(x) E_k as (part, row, column, x, k), exact: E_k's entries are 0, +-1, +-i
-    E = linalg.hermitian_basis(m).transpose(1, 0, 2).reshape(m, -1)
-    G = (weight.power_at(X, 1.0 / p).reshape(-1, m) @ E).reshape(len(X), m, m * m, m)
-    CX = np.stack([G.real, G.imag]).transpose(0, 2, 4, 1, 3).reshape(2 * m * m, len(X), m * m)
-    CY = linalg.hermitian_coords(weight.power_at(Y, -1.0 / p)).T
+    G = ((WX.real if real else WX).reshape(-1, m) @ E).reshape(len(X), m, D, m)
+    CX = np.stack([G] if real else [G.real, G.imag]).transpose(0, 2, 4, 1, 3)
+    CX = CX.reshape(-1, len(X), D)
+    k, l = np.triu_indices(m)
+    CY = (WY.real[:, k, l] if real else linalg.hermitian_coords(WY)).T
     # pairs sorted by x-box; each x-box is one block against the nodes of its y-boxes
     pairs, inv = _distinct(np.stack([iy, ix], axis=1))
     py, px = pairs.T
@@ -533,9 +547,9 @@ def ap_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
     for a, b in zip(cuts[:-1], cuts[1:]):
         xs = np.arange(ox[px[a]], ox[px[a]] + nx[px[a]])
         ys, yseg = at[first[a]:first[b - 1] + counts[b - 1]], first[a:b] - first[a]
-        # one product, (part, row, column, x) by y, then each entry's two planes
-        R = linalg.matmul(CX[:, xs].reshape(-1, m * m), CY[:, ys]).reshape(2, m, m, len(xs), -1)
-        F = linalg.norm_power(R[0], R[1], s)  # (x, y)
+        # one product, (part, row, column, x) by y, then each entry's one or two planes
+        R = linalg.matmul(CX[:, xs].reshape(-1, D), CY[:, ys]).reshape(-1, m, m, len(xs), len(ys))
+        F = linalg.norm_power(R[0], R[1] if len(R) == 2 else None, s)  # (x, y)
         if p > 1.0:
             H = np.add.reduceat(F * wy[ys], yseg, axis=1) ** (p / s) * wx[xs, None]
         else:
@@ -588,20 +602,25 @@ def dual_weight(weight, p):
 
 def weight_from_descriptor(desc):
     """The weight of a `descriptor()`, or of a two_singularity's arguments by name;
-    n and m are 1 where not given. InvalidWeightError for an ill-defined weight."""
-    kind, n, m = desc["kind"], desc.get("n", 1), desc.get("m", 1)
+    n and m are 1 where not given. InvalidWeightError for an ill-defined weight or a
+    missing key, naming the kind and the key."""
+    def need(key):
+        _check(key in desc, f"{desc.get('kind', 'descriptor')} needs the key {key!r}", desc)
+        return desc[key]
+
+    kind, n, m = need("kind"), desc.get("n", 1), desc.get("m", 1)
     if kind == "power_log":
-        return PowerLogWeight(n, m, desc["a"], desc.get("b", 0.0), desc.get("scale", 1.0))
+        return PowerLogWeight(n, m, need("a"), desc.get("b", 0.0), desc.get("scale", 1.0))
     if kind == "product_power":
-        return ProductPowerWeight(n, m, desc["centers"], desc["exponents"],
+        return ProductPowerWeight(n, m, need("centers"), need("exponents"),
                                   desc.get("scale", 1.0))
     if kind == "two_singularity":
-        return two_singularity(desc["d"], desc["dtilde"], desc["p"], desc.get("x0"), n, m)
+        return two_singularity(need("d"), need("dtilde"), need("p"), desc.get("x0"), n, m)
     if kind == "constant":
-        pairs = _reals("matrix", desc["matrix"], "an m x m list of [re, im] pairs",
+        pairs = _reals("matrix", need("matrix"), "an m x m list of [re, im] pairs",
                        lambda shape: len(shape) == 3 and shape[1:] == (shape[0], 2))
         return ConstantWeight(n, pairs.view(complex)[..., 0])  # complex(re, im), exactly
     if kind == "conjugated_block":
-        return ConjugatedBlockWeight(weight_from_descriptor(desc["branch1"]),
-                                     weight_from_descriptor(desc["branch2"]))
+        return ConjugatedBlockWeight(weight_from_descriptor(need("branch1")),
+                                     weight_from_descriptor(need("branch2")))
     raise InvalidWeightError(f"unknown weight kind {kind!r}")

@@ -433,24 +433,31 @@ def _kernel_pairs():
 
 @st.composite
 def _kernel_cases(draw):
-    """A complex, non-commuting grid-sampled weight with m in {2, 3} or a
-    constant m = 3 weight; p on the grid of step 1/8 in [1/2, 3], both
-    variants at p <= 1; and pairs of boxes with repeats on either side."""
+    """p on the grid of step 1/8 in [1/2, 3], both variants at p <= 1; a
+    grid-sampled weight with m in {2, 3}, complex and non-commuting or real,
+    a constant m = 3 weight, or a conjugated-block weight (real, m = 2) with
+    exponents integrable on both sides; and pairs of boxes with repeats on
+    either side."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
-    m = draw(st.sampled_from((2, 3, 0)))
-    if m:
-        samples = np.stack([linalg.random_psd(rng, m, cond_max=30.0) for _ in range(6)])
-        weight = GridSampledWeight(Box((-3.0,), (3.0,)), samples)
-    else:
-        weight = ConstantWeight(1, linalg.random_psd(rng, 3, cond_max=20.0))
     p = draw(st.sampled_from(np.arange(4, 25) / 8))
+    kind = draw(st.sampled_from(("complex", "real", "constant", "conjugated")))
+    if kind == "conjugated":  # ||W^(-1/p)||^p' is |y|^(-a/(p-1)) at 0, so a < p - 1
+        a = st.floats(-0.6, min(0.6, 0.9 * (p - 1.0)) if p > 1.0 else 0.6)
+        weight = ConjugatedBlockWeight(PowerLogWeight(1, 1, draw(a)), PowerLogWeight(1, 1, draw(a)))
+    elif kind == "constant":
+        weight = ConstantWeight(1, linalg.random_psd(rng, 3, cond_max=20.0))
+    else:
+        m = draw(st.sampled_from((2, 3)))
+        samples = np.stack([linalg.random_psd(rng, m, cond_max=30.0) for _ in range(6)])
+        weight = GridSampledWeight(Box((-3.0,), (3.0,)),
+                                   samples.real if kind == "real" else samples)
     index = st.integers(0, len(KERNEL_BOXES) - 1)
     pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=16))
     ix, iy = np.array(pairs).T
     return weight, p, p <= 1.0 and draw(st.booleans()), KERNEL_BOXES[ix], KERNEL_BOXES[iy]
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=50, derandomize=True, deadline=None)
 @given(case=_kernel_cases())
 def test_matrix_kernel_matches_the_pairwise_definition(case):
     weight, p, star, bx, by = case
@@ -496,6 +503,34 @@ def test_one_norm_power_per_product_block(monkeypatch):
     blocks.clear()
     weights.ap_pairs(_conjugated(), 2.0, bx, by, KERNEL_QSPEC)
     assert len(blocks) == 16  # one block per distinct pair
+
+
+def test_ap_pairs_builds_one_node_rule_per_distinct_box(monkeypatch):
+    calls, built = [], []
+
+    def counted_pairs(weight, p, boxes_x, boxes_y, qspec, star=False):
+        calls.append(np.concatenate([boxes_x, boxes_y]))
+        built.append([])
+        return ap_pairs(weight, p, boxes_x, boxes_y, qspec, star)
+
+    def counted_rules(weight, boxes, qspec):
+        built[-1].append(np.asarray(boxes))
+        return rules(weight, boxes, qspec)
+
+    ap_pairs, rules = weights.ap_pairs, weights.sup_nodes
+    monkeypatch.setattr(weights, "ap_pairs", counted_pairs)
+    monkeypatch.setattr(apdim, "ap_pairs", counted_pairs)
+    monkeypatch.setattr(weights, "sup_nodes", counted_rules)
+    weights.ap_constant(_conjugated(), 2.0, CubeWindow(1, 1, 2))
+    assert len(calls) == 2  # the coarse and the fine rule, each on (Q, Q) pairs
+    for route in (False, True):
+        a_sequence(_conjugated(), 2.0, config=MATRIX_CFG, swapped=route)
+    assert len(calls) == 4
+    for boxes, handed in zip(calls, built):
+        distinct = np.unique(boxes.reshape(len(boxes), -1), axis=0)
+        handed = np.concatenate(handed)
+        assert len(handed) == len(distinct) < len(boxes)  # each distinct box once
+        assert np.array_equal(np.unique(handed.reshape(len(handed), -1), axis=0), distinct)
 
 
 @pytest.mark.parametrize("weight", [PowerLogWeight(1, 1, -0.4), _conjugated()])

@@ -140,6 +140,18 @@ def test_norm_power_matches_svd(m, s):
     np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
+def test_norm_power_of_a_real_plane_is_bitwise_its_zero_imaginary_case(m, s):
+    rng = np.random.default_rng(10 + m)
+    re = rng.standard_normal((m, m, 6, 7))
+    re[:, :, 0] = 0.0  # whole zero matrices, and zero entries of either sign
+    re[0, -1, 1], re[-1, 0, 2] = -0.0, 0.0
+    got = linalg.norm_power(re, None, s)
+    assert np.array_equal(got, linalg.norm_power(re, np.zeros_like(re), s))
+    assert got.shape == (6, 7) and np.all(got[0] == 0.0)
+
+
 @pytest.mark.parametrize("q", [1, 4, 9])
 def test_matmul_entries_do_not_depend_on_the_shape(q):
     # one row, a column count off a multiple of 8 and either memory order, in

@@ -140,3 +140,23 @@ def test_package_or_benchmark_reads_every_field():
     unread = unread_fields([p.read_text() for p in paths])
     assert [f for f in unread if f not in TEST_ONLY_FIELDS] == []  # dead data: delete it
     assert [f for f in TEST_ONLY_FIELDS if f not in unread] == []  # read now: unlist it
+
+
+def bare_value_errors(source):
+    """Line numbers of the raise statements that raise ValueError itself."""
+    def name(exc):
+        return getattr(exc.func if isinstance(exc, ast.Call) else exc, "id", None)
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Raise) and n.exc is not None and name(n.exc) == "ValueError")
+
+
+def test_checker_flags_bare_value_errors():
+    src = ("def f(x):\n    if x:\n        raise ValueError('x')\n    raise ValueError\n"
+           "def g():\n    raise InvalidArgumentError('y')\n")
+    assert bare_value_errors(src) == [3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_raises_package_errors_not_value_error(path):
+    # a package error for a bad argument subclasses ValueError, so callers catching it still do
+    assert bare_value_errors(path.read_text()) == []

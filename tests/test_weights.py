@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from matweight import linalg, weights
 from matweight.errors import (IntegrabilityError, InvalidExponentError,
-                              InvalidVariantError, SingularityError)
+                              InvalidVariantError, InvalidWeightError, SingularityError)
 from matweight.geometry import Box, CubeWindow, DyadicCube, cube_box, dilated_boxes
 from matweight.quad import QuadSpec, average_box, box_nodes
 from matweight.reducing import CubeNorm, unit_directions
@@ -54,6 +54,27 @@ class TestEvaluate:
             W2 = weight_from_descriptor(W.descriptor())
             x = np.array([0.17])
             assert np.allclose(W.evaluate(x), W2.evaluate(x))
+
+
+# each kind's descriptor with its required keys only
+_MINIMAL_DESCRIPTORS = [
+    {"kind": "power_log", "a": -0.3},
+    {"kind": "product_power", "centers": [0.0, 0.25], "exponents": [-0.4, 0.3]},
+    {"kind": "two_singularity", "d": 0.4, "dtilde": 0.3, "p": 2.0},
+    {"kind": "constant", "matrix": [[[2.0, 0.0], [0.5, 0.5]], [[0.5, -0.5], [1.0, 0.0]]]},
+    {"kind": "conjugated_block", "branch1": {"kind": "power_log", "a": -0.4},
+     "branch2": {"kind": "power_log", "a": 0.3}},
+]
+
+
+@pytest.mark.parametrize("desc", _MINIMAL_DESCRIPTORS, ids=lambda d: d["kind"])
+def test_descriptor_without_a_required_key_names_the_kind_and_the_key(desc):
+    weight_from_descriptor(desc)
+    for key in desc:
+        partial = {k: v for k, v in desc.items() if k != key}
+        kind = desc["kind"] if key != "kind" else "descriptor"
+        with pytest.raises(InvalidWeightError, match=f"weight {kind} needs the key '{key}'"):
+            weight_from_descriptor(partial)
 
 
 def _norm_profiles(X, a, b, centres, exps):
